@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,13 +27,13 @@ from .hypsys import (GridSpec, SmoothFn, exponential_solution,
                      geometric_solution, helical_angle_solution,
                      quadrature_transform, solve_numeric, stretched_solution,
                      system_residual, wave_solution, zero_solution)
-from .immersion import (assemble, flatness_check, lambda_rescale, sphere_fit,
-                        write_immersion_csv)
+from .immersion import sphere_fit, write_immersion_csv
 from .torusearch import (build_perturbed_cylinder, build_perturbed_torus,
                          holonomy, search_rational, single_harmonic_family,
                          stretch_profile)
 
 TWO_PI = 2.0 * math.pi
+STEP_KEYS = ("h", "hv")
 
 NAMED_FUNCTIONS = {
     "sin": SmoothFn(np.sin, np.cos, lambda t: -np.sin(t), lambda t: -np.cos(t)),
@@ -117,6 +118,8 @@ class JobConfig:
         for key, value in self.params.items():
             if key.endswith("tol") and value is not None and value <= 0:
                 raise ValueError(f"tolerance {key} must be positive")
+            if key in STEP_KEYS and value is not None and not value > 0:
+                raise ValueError(f"step size {key} must be positive, got {value!r}")
 
     def path(self, name):
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -126,22 +129,28 @@ class JobConfig:
 def _parse_profile(text):
     d = json.loads(text)
     if "terms" in d:
-        return QuasiPeriodicProfile(d.get("k0", 0.0),
-                                    tuple(tuple(t) for t in d["terms"]))
+        terms = tuple(tuple(t) for t in d["terms"])
+        if any(len(t) != 3 for t in terms):
+            raise ValueError("each profile term must be [amplitude, frequency, "
+                             f"phase]; got {d['terms']!r}")
+        return QuasiPeriodicProfile(d.get("k0", 0.0), terms)
     return CurvatureProfile(d["T"], d.get("k0", 0.0),
                             tuple(d.get("cos", ())), tuple(d.get("sin", ())))
 
 
 def _parse_fraction(text):
-    if "/" in text:
-        p, q = text.split("/")
-        return int(p), int(q)
-    return int(text), 1
+    p, _, q = text.partition("/")
+    p, q = int(p), int(q or 1)
+    if q == 0:
+        raise ValueError(f"target {text!r} has a zero denominator")
+    return p, q
 
 
-def _parse_pair(text):
-    a, b = text.split(",")
-    return float(a), float(b)
+def _parse_bracket(text):
+    ends = [float(x) for x in text.split(",")]
+    if len(ends) != 2 or not ends[0] < ends[1]:
+        raise ValueError(f"bracket {text!r} must be lo,hi with lo < hi")
+    return tuple(ends)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +332,7 @@ def _cmd_search_rational(cfg):
     p = cfg.params
     fam = single_harmonic_family(p["k0"], p.get("T", math.pi))
     out = search_rational(fam, p.get("n", 2), _parse_fraction(p["target"]),
-                          _parse_pair(p["bracket"]),
+                          _parse_bracket(p["bracket"]),
                           h=p.get("h", 1e-3))
     rep = json.loads(out.to_json())
     rep["closure_multiple"] = out.closure_multiple
@@ -335,7 +344,7 @@ def _cmd_build_torus(cfg):
     p = cfg.params
     fam = single_harmonic_family(p["k0"], p.get("T", math.pi))
     out = search_rational(fam, p.get("n", 2), _parse_fraction(p["target"]),
-                          _parse_pair(p["bracket"]), h=p.get("h", 1e-3))
+                          _parse_bracket(p["bracket"]), h=p.get("h", 1e-3))
     im, rep = build_perturbed_torus(
         out, lam=p.get("lam"),
         nodes_per_period=p.get("nodes_per_period", 96),
@@ -383,8 +392,23 @@ COMMANDS = {
 }
 
 
+def _error_report(exc, command):
+    """Report of a failed job, with the evidence the exception carries."""
+    report = {"error": type(exc).__name__, "message": str(exc),
+              "command": command}
+    for attr in ("scan", "best_residual", "residual"):
+        if getattr(exc, attr, None) is not None:
+            report[attr] = getattr(exc, attr)
+    return report
+
+
 def run(cfg: JobConfig):
-    """Execute one job; returns (exit_code, report dict)."""
+    """Execute one job; returns (exit_code, report dict).
+
+    Every exception becomes an error report with exit code 1, so no input
+    ends the job without a report; one of an unexpected type is a fault in
+    the program, and its traceback also goes to stderr.
+    """
     try:
         handler = COMMANDS[cfg.command]
     except KeyError:
@@ -393,12 +417,11 @@ def run(cfg: JobConfig):
         report = handler(cfg)
         report["command"] = cfg.command
         return 0, report
-    except FlatSurfaceError as exc:
-        return 1, {"error": type(exc).__name__, "message": str(exc),
-                   "command": cfg.command}
-    except (ValueError, KeyError, OSError) as exc:
-        return 1, {"error": type(exc).__name__, "message": str(exc),
-                   "command": cfg.command}
+    except (FlatSurfaceError, ValueError, KeyError, OSError) as exc:
+        return 1, _error_report(exc, cfg.command)
+    except Exception as exc:
+        traceback.print_exc()
+        return 1, _error_report(exc, cfg.command)
 
 
 def _build_parser():
@@ -445,21 +468,26 @@ def _build_parser():
 def main(argv=None):
     ap = _build_parser()
     args = ap.parse_args(argv)
-    if args.config:
-        blob = json.loads(Path(args.config).read_text())
-        cfg = JobConfig(blob["command"], blob.get("params", {}),
-                        Path(blob.get("out_dir", args.out_dir)))
+    if not (args.config or args.command):
+        ap.error("a subcommand or --config is required")
+    command, out_dir = args.command, Path(args.out_dir)
+    try:
+        if args.config:
+            blob = json.loads(Path(args.config).read_text())
+            command, params = blob["command"], blob.get("params", {})
+            out_dir = Path(blob.get("out_dir", args.out_dir))
+        else:
+            params = {k.replace("-", "_"): v for k, v in vars(args).items()
+                      if k not in ("command", "config", "out_dir", "report")
+                      and v is not None}
+        cfg = JobConfig(command, params, out_dir)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        # unreadable config file, or a parameter that failed its check
+        code, report = 1, _error_report(exc, command)
     else:
-        if not args.command:
-            ap.error("a subcommand or --config is required")
-        params = {k.replace("-", "_"): v for k, v in vars(args).items()
-                  if k not in ("command", "config", "out_dir", "report")
-                  and v is not None}
-        cfg = JobConfig(args.command, params, Path(args.out_dir))
-
-    code, report = run(cfg)
-    report_path = cfg.out_dir / args.report
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        code, report = run(cfg)
+    report_path = out_dir / args.report
+    out_dir.mkdir(parents=True, exist_ok=True)
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(json.dumps(report, indent=2, sort_keys=True))
     return code

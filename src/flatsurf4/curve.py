@@ -9,13 +9,14 @@ with speed ds/du = 2/sqrt(1 + k(u)^2).
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .errors import NoClosure
-from .quat import QONE, qmul, qconj, qnorm
+from .errors import IntegrationFailure, NoClosure
+from .quat import (QONE, pure, qconj, qexp_pure, qmul, qnorm, qnormalize,
+                   rotation_matrix)
 
 TWO_PI = 2.0 * math.pi
 
@@ -260,46 +261,103 @@ def helix_curvature(r):
 
 
 # ---------------------------------------------------------------------------
+# Magnus-4 transport on S^3 (the one ODE kernel)
+
+_GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_BLOCK = 4096  # steps per block; bounds the temporary memory of long runs
+
+
+def _ik(p, q):
+    """Vectors p i + q k of the i-k plane, shape (..., 3)."""
+    p = np.asarray(p, dtype=float)
+    return np.stack([p, np.zeros_like(p), np.broadcast_to(q, p.shape)], axis=-1)
+
+
+def _magnus_factors(wfun, u, h):
+    """exp(Omega) for the steps [u, u + h] of a' = a w.
+
+    Two-point Gauss Magnus step of order 4:
+    Omega = h/2 (w1 + w2) + sqrt(3)/6 h^2 (w1 x w2), with w1, w2 the body
+    velocity at u + (1/2 -+ sqrt(3)/6) h; the commutator term
+    sqrt(3)/12 h^2 [w1, w2] is written with [w1, w2] = 2 w1 x w2.
+    """
+    w1 = wfun(u + _GAUSS[0] * h)
+    w2 = wfun(u + _GAUSS[1] * h)
+    return qexp_pure(0.5 * h * (w1 + w2)
+                     + (math.sqrt(3.0) / 6.0) * h * h * np.cross(w1, w2))
+
+
+def _tree_product(f):
+    """Ordered product f[0] f[1] ... f[-1], halving the array each round."""
+    while f.shape[0] > 1:
+        if f.shape[0] % 2:
+            f = np.concatenate([f, QONE[None]])
+        f = qmul(f[0::2], f[1::2])
+    return f[0]
+
+
+def _prefix_products(f):
+    """All ordered partial products f[0] ... f[j] in log2(len(f)) sweeps."""
+    d = 1
+    while d < f.shape[0]:
+        f = np.concatenate([f[:d], qmul(f[:-d], f[d:])])
+        d *= 2
+    return f
+
+
+def _transport(wfun, u0, length, h, a0=QONE, nodes=False):
+    """Solve a' = a w(u), a(u0) = a0, for a pure-quaternion velocity w.
+
+    wfun maps an array of u to (..., 3) vectors.  Takes
+    steps = max(1, round(length / h)) Magnus-4 steps of size
+    hs = length / steps, combined in blocks of _BLOCK.  Returns (a, hs)
+    where a is the end value, or with nodes=True the (steps + 1, 4) array
+    of every node (not renormalized).
+    """
+    steps = max(1, int(round(length / h)))
+    hs = length / steps
+    acc = np.asarray(a0, dtype=float)
+    out = [acc[None]]
+    for j0 in range(0, steps, _BLOCK):
+        u = u0 + hs * np.arange(j0, min(j0 + _BLOCK, steps))
+        f = _magnus_factors(wfun, u, hs)
+        if nodes:
+            out.append(qmul(acc, _prefix_products(f)))
+            acc = out[-1][-1]
+        else:
+            acc = qmul(acc, _tree_product(f))
+    a = np.concatenate(out) if nodes else acc
+    if not np.all(np.isfinite(a)):
+        raise IntegrationFailure("Magnus transport produced non-finite values")
+    return a, hs
+
+
+# ---------------------------------------------------------------------------
 # prescribed-curvature integration on S^2
 
 
 def integrate_s2_curve(k, length, h=1e-3, c0=(1.0, 0.0, 0.0), t0=(0.0, 1.0, 0.0)):
     """Unit-speed curve c(s) on S^2 with geodesic curvature k(s).
 
-    Frame ODE: c' = t, t' = -c + k(s) (c x t).  Classical RK4 with frame
-    re-orthonormalization each step.
+    Frame ODE: c' = t, t' = -c + k(s) (c x t).  Solved as c = Ad(a) i,
+    t = Ad(a) j for a' = a w on S^3 with w = (k(s) i + k)/2 (i, k the
+    quaternion units), by Magnus-4 steps of size h (adjusted to divide the
+    length).
     """
-    kfun, _ = profile_as_callable(k)
-    steps = max(1, int(round(length / h)))
-    hs = length / steps
-    s_nodes = hs * np.arange(steps + 1)
-    k_full = np.asarray(kfun(s_nodes), dtype=float)
-    k_half = np.asarray(kfun(s_nodes[:-1] + 0.5 * hs), dtype=float)
+    from scipy.spatial.transform import Rotation
 
-    out = np.empty((steps + 1, 3))
-    tan = np.empty((steps + 1, 3))
+    kfun, _ = profile_as_callable(k)
     c = np.array(c0, dtype=float)
-    t = np.array(t0, dtype=float)
     c /= np.linalg.norm(c)
+    t = np.array(t0, dtype=float)
     t -= np.dot(t, c) * c
     t /= np.linalg.norm(t)
-    out[0], tan[0] = c, t
-
-    def rhs(c, t, kv):
-        return t, -c + kv * np.cross(c, t)
-
-    for j in range(steps):
-        k1c, k1t = rhs(c, t, k_full[j])
-        k2c, k2t = rhs(c + 0.5 * hs * k1c, t + 0.5 * hs * k1t, k_half[j])
-        k3c, k3t = rhs(c + 0.5 * hs * k2c, t + 0.5 * hs * k2t, k_half[j])
-        k4c, k4t = rhs(c + hs * k3c, t + hs * k3t, k_full[j + 1])
-        c = c + (hs / 6.0) * (k1c + 2 * k2c + 2 * k3c + k4c)
-        t = t + (hs / 6.0) * (k1t + 2 * k2t + 2 * k3t + k4t)
-        c /= np.linalg.norm(c)
-        t -= np.dot(t, c) * c
-        t /= np.linalg.norm(t)
-        out[j + 1], tan[j + 1] = c, t
-    return S2Curve(out, hs, tangents=tan)
+    # scipy stores (x, y, z, w); the frame's rotation is Ad(a0)
+    xyzw = Rotation.from_matrix(np.stack([c, t, np.cross(c, t)], axis=1)).as_quat()
+    a, hs = _transport(lambda s: _ik(0.5 * kfun(s), 0.5), 0.0, length, h,
+                       np.roll(xyzw, 1), nodes=True)
+    R = rotation_matrix(qnormalize(a))
+    return S2Curve(R[:, :, 0], hs, tangents=R[:, :, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -326,79 +384,43 @@ def lift_body_velocity(k_values, k_derivs, sign=1):
     return p, q, dp, dq
 
 
-def asymptotic_lift(k, u_range=(0.0, TWO_PI), h=1e-3, a0=QONE, sign=1):
-    """Integrate the asymptotic lift a' = a * w(u) with RK4, renormalizing.
+def _lift_velocity(kfun, sign):
+    def w(u):
+        p, q, _, _ = lift_body_velocity(kfun(u), None, sign)
+        return _ik(p, q)
+    return w
 
-    The Hopf projection of the result traverses a curve of geodesic
-    curvature sign*k(u) at speed 2/sqrt(1+k(u)^2).
+
+def asymptotic_lift(k, u_range=(0.0, TWO_PI), h=1e-3, a0=QONE, sign=1):
+    """Integrate the asymptotic lift a' = a * w(u) by Magnus-4 steps.
+
+    h is the step size (adjusted to divide the range).  The nodes are
+    renormalized once after the scan; deriv and deriv2 are the analytic
+    a w and a (w' - 1) (using w^2 = -1) at the nodes.  The Hopf projection
+    traverses a curve of geodesic curvature sign*k(u) at speed
+    2/sqrt(1+k(u)^2).
     """
     kfun, kder = profile_as_callable(k)
     u0, u1 = u_range
-    steps = max(1, int(round((u1 - u0) / h)))
-    hu = (u1 - u0) / steps
-    u_nodes = u0 + hu * np.arange(steps + 1)
-    p_full, q_full, dp_full, dq_full = lift_body_velocity(
+    out, hu = _transport(_lift_velocity(kfun, sign), u0, u1 - u0, h,
+                         qnormalize(a0), nodes=True)
+    out = qnormalize(out)
+    u_nodes = u0 + hu * np.arange(out.shape[0])
+    p, q, dp, dq = lift_body_velocity(
         kfun(u_nodes), None if kder is None else kder(u_nodes), sign)
-    p_half, q_half, _, _ = lift_body_velocity(
-        kfun(u_nodes[:-1] + 0.5 * hu), None, sign)
-
-    out = np.empty((steps + 1, 4))
-    aw, ax, ay, az = (float(v) for v in np.asarray(a0, dtype=float))
-    nrm = math.sqrt(aw * aw + ax * ax + ay * ay + az * az)
-    aw, ax, ay, az = aw / nrm, ax / nrm, ay / nrm, az / nrm
-    out[0] = (aw, ax, ay, az)
-    h6 = hu / 6.0
-    h2 = hu / 2.0
-
-    for j in range(steps):
-        p1, q1 = p_full[j], q_full[j]
-        p2, q2 = p_half[j], q_half[j]
-        p4, q4 = p_full[j + 1], q_full[j + 1]
-        # k1 = a * w(u_j)
-        k1w = -ax * p1 - az * q1
-        k1x = aw * p1 + ay * q1
-        k1y = az * p1 - ax * q1
-        k1z = aw * q1 - ay * p1
-        bw, bx, by, bz = aw + h2 * k1w, ax + h2 * k1x, ay + h2 * k1y, az + h2 * k1z
-        k2w = -bx * p2 - bz * q2
-        k2x = bw * p2 + by * q2
-        k2y = bz * p2 - bx * q2
-        k2z = bw * q2 - by * p2
-        bw, bx, by, bz = aw + h2 * k2w, ax + h2 * k2x, ay + h2 * k2y, az + h2 * k2z
-        k3w = -bx * p2 - bz * q2
-        k3x = bw * p2 + by * q2
-        k3y = bz * p2 - bx * q2
-        k3z = bw * q2 - by * p2
-        bw, bx, by, bz = aw + hu * k3w, ax + hu * k3x, ay + hu * k3y, az + hu * k3z
-        k4w = -bx * p4 - bz * q4
-        k4x = bw * p4 + by * q4
-        k4y = bz * p4 - bx * q4
-        k4z = bw * q4 - by * p4
-        aw += h6 * (k1w + 2 * (k2w + k3w) + k4w)
-        ax += h6 * (k1x + 2 * (k2x + k3x) + k4x)
-        ay += h6 * (k1y + 2 * (k2y + k3y) + k4y)
-        az += h6 * (k1z + 2 * (k2z + k3z) + k4z)
-        nrm = math.sqrt(aw * aw + ax * ax + ay * ay + az * az)
-        if abs(nrm - 1.0) > 1e-9:
-            aw, ax, ay, az = aw / nrm, ax / nrm, ay / nrm, az / nrm
-        out[j + 1] = (aw, ax, ay, az)
-
-    if not np.all(np.isfinite(out)):
-        from .errors import IntegrationFailure
-        raise IntegrationFailure("asymptotic lift produced non-finite values")
-
-    w_full = np.zeros((steps + 1, 4))
-    w_full[:, 1] = p_full
-    w_full[:, 3] = q_full
-    deriv = qmul(out, w_full)
-    if dp_full is not None:
-        wprime = np.zeros((steps + 1, 4))
-        wprime[:, 1] = dp_full
-        wprime[:, 3] = dq_full
-        deriv2 = -out + qmul(out, wprime)
-    else:
-        deriv2 = None
+    deriv = qmul(out, pure(_ik(p, q)))
+    deriv2 = None if dp is None else -out + qmul(out, pure(_ik(dp, dq)))
     return S3Curve(out, hu, u0=u0, deriv=deriv, deriv2=deriv2)
+
+
+def lift_product(k, length, h=1e-3, sign=1):
+    """a(length) for the asymptotic lift with a(0) = 1, by Magnus-4 steps.
+
+    The same integration as asymptotic_lift, but the step factors are only
+    multiplied together, so no per-node arrays are kept.
+    """
+    kfun, _ = profile_as_callable(k)
+    return _transport(_lift_velocity(kfun, sign), 0.0, length, h)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ unit pure quaternion.  All functions broadcast over leading axes.
 import numpy as np
 
 UNIT_TOL = 1e-12
-RENORM_TOL = 1e-9
 
 QONE = np.array([1.0, 0.0, 0.0, 0.0])
 QI = np.array([0.0, 1.0, 0.0, 0.0])
@@ -96,6 +95,12 @@ def ad(x, y):
     return qmul(qmul(x, y), qconj(x))
 
 
+def rotation_matrix(x):
+    """Matrix of Ad(x) on the pure quaternions: column m is Ad(x) e_m."""
+    x = np.asarray(x, dtype=float)
+    return np.swapaxes(vec(ad(x[..., None, :], pure(np.eye(3)))), -1, -2)
+
+
 def hopf(x):
     """Hopf fibration h(x) = Ad(x)i, an (..., 3) point of S^2.
 
@@ -123,11 +128,3 @@ def qexp_pure(v):
     s = np.where(small, 1.0, np.sinc(theta / np.pi))  # sin(theta)/theta
     out[..., 1:] = v * s[..., None]
     return out
-
-
-def renormalize_if_drifted(q):
-    """Renormalize when |q| - 1 exceeds RENORM_TOL (post-arithmetic drift)."""
-    n = qnorm(q)
-    if np.any(np.abs(n - 1.0) > RENORM_TOL):
-        return q / n[..., None]
-    return q

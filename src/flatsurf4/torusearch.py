@@ -18,83 +18,20 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
-from . import _fd as fd
-from .curve import CurvatureProfile, asymptotic_lift, profile_as_callable
-from .errors import (ClosureFailure, IntegrationFailure, NoSignChange,
-                     SingularAfterRescale)
+from .curve import CurvatureProfile, lift_product
+from .errors import ClosureFailure, NoSignChange, SingularAfterRescale
 from .flatmap import FlatMapGrid, hopf_flat_map, verify_flat_map
 from .hypsys import GridSpec, stretched_solution, system_residual
 from .immersion import (ImmersionGrid, assemble, auto_lambda, derived_solution,
                         flatness_check, lambda_rescale, metric_identity_check,
                         sphere_fit, tangency_check)
-from .quat import qmul
+from .quat import qmul, rotation_matrix
 
 TWO_PI = 2.0 * math.pi
 Q_MAX = 64
 RATIONAL_WINDOW = 1e-8
-
-
-# ---------------------------------------------------------------------------
-# frame transport along curves of prescribed curvature
-
-
-def _frame_after(kfun, length, h):
-    """Transport the frame (c, t, c x t) from the identity frame.
-
-    Integrates dc/du = v t, dt/du = v(-c + k c x t), v = 2/sqrt(1+k^2),
-    starting from c = e1, t = e2; returns (c, t) at u = length.
-    """
-    steps = max(1, int(round(length / h)))
-    hs = length / steps
-    nodes = hs * np.arange(steps + 1)
-    k_full = np.asarray(kfun(nodes), dtype=float)
-    k_half = np.asarray(kfun(nodes[:-1] + 0.5 * hs), dtype=float)
-    v_full = 2.0 / np.sqrt(1.0 + k_full * k_full)
-    v_half = 2.0 / np.sqrt(1.0 + k_half * k_half)
-
-    cx, cy, cz = 1.0, 0.0, 0.0
-    tx, ty, tz = 0.0, 1.0, 0.0
-    h6 = hs / 6.0
-    h2 = hs / 2.0
-
-    def rhs(cx, cy, cz, tx, ty, tz, k, v):
-        nx = cy * tz - cz * ty
-        ny = cz * tx - cx * tz
-        nz = cx * ty - cy * tx
-        return (v * tx, v * ty, v * tz,
-                v * (-cx + k * nx), v * (-cy + k * ny), v * (-cz + k * nz))
-
-    for j in range(steps):
-        k1 = rhs(cx, cy, cz, tx, ty, tz, k_full[j], v_full[j])
-        k2 = rhs(cx + h2 * k1[0], cy + h2 * k1[1], cz + h2 * k1[2],
-                 tx + h2 * k1[3], ty + h2 * k1[4], tz + h2 * k1[5],
-                 k_half[j], v_half[j])
-        k3 = rhs(cx + h2 * k2[0], cy + h2 * k2[1], cz + h2 * k2[2],
-                 tx + h2 * k2[3], ty + h2 * k2[4], tz + h2 * k2[5],
-                 k_half[j], v_half[j])
-        k4 = rhs(cx + hs * k3[0], cy + hs * k3[1], cz + hs * k3[2],
-                 tx + hs * k3[3], ty + hs * k3[4], tz + hs * k3[5],
-                 k_full[j + 1], v_full[j + 1])
-        cx += h6 * (k1[0] + 2 * (k2[0] + k3[0]) + k4[0])
-        cy += h6 * (k1[1] + 2 * (k2[1] + k3[1]) + k4[1])
-        cz += h6 * (k1[2] + 2 * (k2[2] + k3[2]) + k4[2])
-        tx += h6 * (k1[3] + 2 * (k2[3] + k3[3]) + k4[3])
-        ty += h6 * (k1[4] + 2 * (k2[4] + k3[4]) + k4[4])
-        tz += h6 * (k1[5] + 2 * (k2[5] + k3[5]) + k4[5])
-        # re-orthonormalize the frame
-        n = math.sqrt(cx * cx + cy * cy + cz * cz)
-        cx, cy, cz = cx / n, cy / n, cz / n
-        d = tx * cx + ty * cy + tz * cz
-        tx, ty, tz = tx - d * cx, ty - d * cy, tz - d * cz
-        n = math.sqrt(tx * tx + ty * ty + tz * tz)
-        tx, ty, tz = tx / n, ty / n, tz / n
-
-    if not all(map(math.isfinite, (cx, cy, cz, tx, ty, tz))):
-        raise IntegrationFailure("frame transport produced non-finite values")
-    c = np.array([cx, cy, cz])
-    t = np.array([tx, ty, tz])
-    return c, t
 
 
 def rationalize(x, q_max=Q_MAX, tol=RATIONAL_WINDOW):
@@ -127,14 +64,13 @@ class HolonomyResult:
 def holonomy(k, h=1e-3, q_max=Q_MAX, window=RATIONAL_WINDOW) -> HolonomyResult:
     """Rotation carrying the curve frame across one base period of k.
 
-    The curve starts at the identity frame (e1, e2, e3), so the rotation
-    is the end frame itself.  The angle sign follows the convention
-    axis . (c(0) x t(0)) >= 0.
+    The frame (c, t, c x t) of the curve with geodesic curvature k(u) obeys
+    c' = v t, t' = v(-c + k c x t) with v = 2/sqrt(1+k^2); it is exactly
+    Ad(a)(i, j, k) for the asymptotic lift a with a(0) = 1.  So the
+    rotation is Ad of the lift monodromy, integrated by Magnus-4 steps of
+    size h.  The angle sign follows the convention axis . (c(0) x t(0)) >= 0.
     """
-    kfun, _ = profile_as_callable(k)
-    T = k.base_period
-    c1, t1 = _frame_after(kfun, T, h)
-    R = np.stack([c1, t1, np.cross(c1, t1)], axis=1)  # columns; M0 = I
+    R = rotation_matrix(lift_monodromy(k, h))  # columns c, t, c x t
 
     w = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
     cos_theta = 0.5 * (np.trace(R) - 1.0)
@@ -172,10 +108,11 @@ def holonomy_closure_residual(k, multiples=1, h=1e-3):
     """Frame gap after tracing the given number of base periods.
 
     This is the brute-force closure check: integrate straight through
-    (no monodromy shortcut) and measure the endpoint frame mismatch.
+    (no monodromy shortcut; Magnus-4 steps of size h over all the periods)
+    and measure the endpoint frame mismatch.
     """
-    kfun, _ = profile_as_callable(k)
-    c1, t1 = _frame_after(kfun, multiples * k.base_period, h)
+    R = rotation_matrix(lift_product(k, multiples * k.base_period, h))
+    c1, t1 = R[:, 0], R[:, 1]
     return float(max(np.linalg.norm(c1 - np.array([1.0, 0.0, 0.0])),
                      np.linalg.norm(t1 - np.array([0.0, 1.0, 0.0]))))
 
@@ -232,7 +169,7 @@ def circle_outcome(k0, n=2, h=1e-3):
 def search_rational(family: Callable[[float], CurvatureProfile], n, target,
                     bracket, eps_tol=1e-10, scan_points=17, h=1e-3,
                     validate=True, closure_tol=1e-4) -> SearchOutcome:
-    """Bisect the family parameter until a_n(k_eps) = p/q.
+    """Solve a_n(k_eps) = p/q for the family parameter by Brent's method.
 
     If the bracket endpoints do not straddle the target, the bracket is
     scanned for a sign change first; a scan without one raises
@@ -265,19 +202,8 @@ def search_rational(family: Callable[[float], CurvatureProfile], n, target,
                 f"[{min(v for _, v in scan):.6g}, {max(v for _, v in scan):.6g}]",
                 scan=scan)
         lo, hi = float(eps_grid[idx]), float(eps_grid[idx + 1])
-        glo = vals[idx]
 
-    while hi - lo > eps_tol:
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0.0:
-            lo = hi = mid
-            break
-        if glo * gm < 0.0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
-    eps_root = 0.5 * (lo + hi)
+    eps_root = lo if lo == hi else brentq(g, lo, hi, xtol=eps_tol)
     profile = family(eps_root)
     ach = holonomy(stretch_profile(profile, n), h=h)
 
@@ -299,8 +225,7 @@ def search_rational(family: Callable[[float], CurvatureProfile], n, target,
 
 def lift_monodromy(k, h=1e-3):
     """Quaternion Psi with a(u + T) = a(u) Psi for the asymptotic lift."""
-    lift = asymptotic_lift(k, (0.0, k.base_period), h)
-    return lift.samples[-1]
+    return lift_product(k, k.base_period, h)
 
 
 def lift_closure_multiple(k, m_max=Q_MAX, tol=1e-6, h=1e-3):

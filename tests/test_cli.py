@@ -164,3 +164,61 @@ def test_main_config_file(tmp_path):
     assert main(["--config", str(cfg_path)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["kappa"] == pytest.approx(1.5, abs=1e-5)
+
+
+def _main_report(tmp_path, *argv):
+    code = main(["--out-dir", str(tmp_path), *argv])
+    return code, json.loads((tmp_path / "report.json").read_text())
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["search-rational", "--k0", "1.0", "--target", "1/0",
+      "--bracket", "0.0,0.05"], "zero denominator"),
+    (["search-rational", "--k0", "1.0", "--target", "1/4",
+      "--bracket", "0.05,0.0"], "lo < hi"),
+    (["solve", "--family", "wave", "--h", "0"], "step size h"),
+    (["helix", "--r", "2.0", "--h", "-1"], "step size h"),
+    (["build-cylinder", "--profile", '{"k0": 0.8, "terms": [[0.1, 2.0]]}'],
+     "[amplitude, frequency, phase]"),
+])
+def test_bad_input_gives_error_report(tmp_path, argv, needle):
+    code, rep = _main_report(tmp_path, *argv)
+    assert code == 1
+    assert rep["error"] == "ValueError"
+    assert needle in rep["message"]
+    assert rep["command"] == argv[0]
+
+
+def test_unexpected_exception_still_reports(tmp_path):
+    # a parameter of the wrong type fails inside the command, not in a check
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps({"command": "helix", "params": {"r": "2"},
+                                    "out_dir": str(tmp_path)}))
+    assert main(["--config", str(cfg_path)]) == 1
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["error"] == "TypeError"
+    assert rep["command"] == "helix" and rep["message"]
+
+
+@pytest.mark.parametrize("content,error", [
+    (None, "FileNotFoundError"),
+    ("{not json", "JSONDecodeError"),
+    ('{"params": {}}', "KeyError"),
+])
+def test_bad_config_file_gives_error_report(tmp_path, content, error):
+    cfg_path = tmp_path / "job.json"
+    if content is not None:
+        cfg_path.write_text(content)
+    code = main(["--out-dir", str(tmp_path), "--config", str(cfg_path)])
+    assert code == 1
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["error"] == error
+
+
+def test_error_report_carries_scan(tmp_path):
+    code, rep = _main_report(tmp_path, "search-rational", "--k0", "1.0",
+                             "--target", "1/4", "--bracket", "0.0,0.01")
+    assert code == 1
+    assert rep["error"] == "NoSignChange"
+    assert len(rep["scan"]) >= 10
+    assert all(len(pt) == 2 and abs(pt[1]) < 0.25 for pt in rep["scan"])

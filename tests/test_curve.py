@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from flatsurf4 import _fd as fd
 from flatsurf4.curve import (
     ClosureReport, CurvatureProfile, QuasiPeriodicProfile, asymptotic_lift,
     detect_closure, frenet_s3, helix, helix_curvature, integrate_s2_curve,
+    lift_body_velocity, lift_product,
 )
-from flatsurf4.errors import NoClosure
+from flatsurf4.errors import IntegrationFailure, NoClosure
 from flatsurf4.quat import QONE, hopf, qmul, qnorm
 
 TWO_PI = 2 * math.pi
@@ -121,8 +123,44 @@ def test_s2_constant_curvature_circle_length():
     assert residual < 1e-7
 
 
+def test_s2_curve_matches_independent_solver():
+    # non-constant k and a start frame other than (e1, e2), against DOP853
+    k = CurvatureProfile(1.5, 0.4, (0.5,), (-0.3,))
+    c = integrate_s2_curve(k, 4.0, h=1e-3, c0=(0.0, 0.0, 1.0), t0=(1.0, 0.0, 0.0))
+
+    def rhs(s, y):
+        x, t = y[:3], y[3:]
+        return np.concatenate([t, -x + k.value(s) * np.cross(x, t)])
+
+    ref = solve_ivp(rhs, (0.0, 4.0), [0, 0, 1, 1, 0, 0], method="DOP853",
+                    t_eval=c.h * np.arange(c.n), rtol=1e-13, atol=1e-14)
+    assert np.max(np.abs(c.samples - ref.y[:3].T)) < 1e-9
+    assert np.max(np.abs(c.tangents - ref.y[3:].T)) < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # asymptotic lifts
+
+
+def test_lift_kernel_is_fourth_order():
+    # end-point error of the Magnus steps against DOP853 on a' = a w(u)
+    k = CurvatureProfile(2.0, 0.7, (0.4,), (0.2,))
+
+    def rhs(u, a):
+        p, q, _, _ = lift_body_velocity(k.value(u), None)
+        return qmul(a, np.array([0.0, p, 0.0, q]))
+
+    ref = solve_ivp(rhs, (0.0, 2.0), QONE, method="DOP853",
+                    rtol=1e-13, atol=1e-14).y[:, -1]
+    errs = [np.linalg.norm(lift_product(k, 2.0, h) - ref)
+            for h in (0.08, 0.04, 0.02)]
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(orders >= 3.8)
+
+
+def test_lift_rejects_non_finite_curvature():
+    with pytest.raises(IntegrationFailure):
+        lift_product(lambda u: np.full(np.shape(u), np.nan), 1.0, h=0.1)
 
 
 def test_lift_closed_form_for_flat_projection():

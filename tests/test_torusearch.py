@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from flatsurf4.curve import CurvatureProfile, QuasiPeriodicProfile
+from flatsurf4.curve import CurvatureProfile, QuasiPeriodicProfile, asymptotic_lift
 from flatsurf4.errors import (ClosureFailure, NoSignChange,
                               SingularAfterRescale)
 from flatsurf4.immersion import sphere_fit
+from flatsurf4.quat import ad, pure, vec
 from flatsurf4.torusearch import (SearchOutcome, a_n, build_perturbed_cylinder,
                                   build_perturbed_torus, circle_outcome,
                                   closure_multiple, holonomy,
                                   holonomy_closure_residual,
-                                  lift_closure_multiple, rationalize,
+                                  lift_closure_multiple, lift_monodromy,
+                                  rationalize,
                                   search_rational, single_harmonic_family,
                                   stretch_profile)
 
@@ -60,6 +63,43 @@ def test_holonomy_so3_membership_random_profiles():
         assert res.so3_deviation < 1e-8
         assert abs(math.cos(res.theta) - 0.5 * (np.trace(res.rotation) - 1)) < 1e-8
         assert res.axis[2] >= 0.0
+
+
+def _ad_matrix(psi):
+    return np.stack([vec(ad(psi, pure(e))) for e in np.eye(3)], axis=1)
+
+
+def test_holonomy_is_ad_of_lift_monodromy():
+    # the S^2 frame rotation is Ad of the lift monodromy; the scanned lift
+    # (every node) and the product-only monodromy agree on it
+    for k in (CurvatureProfile(T, 1.0, (0.3,)),
+              CurvatureProfile(2.5, 0.6, (0.2, -0.1), (0.15,)),
+              CurvatureProfile(T, K0_STAR, (1.09,)).stretch(2)):
+        R = holonomy(k).rotation
+        assert np.max(np.abs(R - _ad_matrix(lift_monodromy(k)))) < 1e-11
+        end = asymptotic_lift(k, (0.0, k.base_period), h=1e-3).samples[-1]
+        assert np.max(np.abs(R - _ad_matrix(end))) < 1e-11
+
+
+def test_release_a2_against_independent_solver():
+    # frame ODE c' = v t, t' = v(-c + k c x t), v = 2/sqrt(1+k^2), by DOP853
+    k = stretch_profile(CurvatureProfile(T, K0_STAR, (1.0900033738813364,)), 2)
+
+    def rhs(u, y):
+        c, t = y[:3], y[3:]
+        kv = k.value(u)
+        v = 2.0 / math.sqrt(1.0 + kv * kv)
+        return np.concatenate([v * t, v * (-c + kv * np.cross(c, t))])
+
+    y = solve_ivp(rhs, (0.0, k.base_period), [1, 0, 0, 0, 1, 0],
+                  method="DOP853", rtol=1e-13, atol=1e-14).y[:, -1]
+    c, t = y[:3], y[3:]
+    R = np.stack([c, t, np.cross(c, t)], axis=1)
+    w = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    # signed angle about the axis with non-negative e3 component
+    theta = math.atan2(math.copysign(np.linalg.norm(w), w[2]),
+                       0.5 * (np.trace(R) - 1.0))
+    assert abs(holonomy(k).theta_over_pi - theta / math.pi) < 1e-12
 
 
 def test_identity_stretch_matches_plain_holonomy():
