@@ -115,6 +115,9 @@ class JobConfig:
 
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
+        if not isinstance(self.params, dict):
+            raise ValueError("params must be an object of parameter names and "
+                             f"values, got {self.params!r}")
         for key, value in self.params.items():
             if key.endswith("tol") and value is not None and value <= 0:
                 raise ValueError(f"tolerance {key} must be positive")

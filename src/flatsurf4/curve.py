@@ -344,19 +344,17 @@ def integrate_s2_curve(k, length, h=1e-3, c0=(1.0, 0.0, 0.0), t0=(0.0, 1.0, 0.0)
     quaternion units), by Magnus-4 steps of size h (adjusted to divide the
     length).
     """
-    from scipy.spatial.transform import Rotation
-
     kfun, _ = profile_as_callable(k)
     c = np.array(c0, dtype=float)
     c /= np.linalg.norm(c)
     t = np.array(t0, dtype=float)
     t -= np.dot(t, c) * c
     t /= np.linalg.norm(t)
-    # scipy stores (x, y, z, w); the frame's rotation is Ad(a0)
-    xyzw = Rotation.from_matrix(np.stack([c, t, np.cross(c, t)], axis=1)).as_quat()
-    a, hs = _transport(lambda s: _ik(0.5 * kfun(s), 0.5), 0.0, length, h,
-                       np.roll(xyzw, 1), nodes=True)
-    R = rotation_matrix(qnormalize(a))
+    # Ad(a0 b) = Ad(a0) Ad(b), and Ad(a0) is the start frame (c0, t0, c0 x t0)
+    M0 = np.stack([c, t, np.cross(c, t)], axis=1)
+    b, hs = _transport(lambda s: _ik(0.5 * kfun(s), 0.5), 0.0, length, h,
+                       nodes=True)
+    R = M0 @ rotation_matrix(qnormalize(b))
     return S2Curve(R[:, :, 0], hs, tangents=R[:, :, 1])
 
 
@@ -413,14 +411,14 @@ def asymptotic_lift(k, u_range=(0.0, TWO_PI), h=1e-3, a0=QONE, sign=1):
     return S3Curve(out, hu, u0=u0, deriv=deriv, deriv2=deriv2)
 
 
-def lift_product(k, length, h=1e-3, sign=1):
+def lift_product(k, length, h=1e-3):
     """a(length) for the asymptotic lift with a(0) = 1, by Magnus-4 steps.
 
     The same integration as asymptotic_lift, but the step factors are only
     multiplied together, so no per-node arrays are kept.
     """
     kfun, _ = profile_as_callable(k)
-    return _transport(_lift_velocity(kfun, sign), 0.0, length, h)[0]
+    return _transport(_lift_velocity(kfun, 1), 0.0, length, h)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -179,8 +179,13 @@ def search_rational(family: Callable[[float], CurvatureProfile], n, target,
     p, q = target
     t_val = p / q
 
+    known = {}
+
     def g(eps):
-        return a_n(family(eps), n, h=h) - t_val
+        # memoized, so brentq does not recompute the scanned end values
+        if eps not in known:
+            known[eps] = a_n(family(eps), n, h=h) - t_val
+        return known[eps]
 
     lo, hi = bracket
     scan = [(lo, g(lo) + t_val), (hi, g(hi) + t_val)]

@@ -204,6 +204,8 @@ def test_unexpected_exception_still_reports(tmp_path):
     (None, "FileNotFoundError"),
     ("{not json", "JSONDecodeError"),
     ('{"params": {}}', "KeyError"),
+    ('{"command": "helix", "params": []}', "ValueError"),
+    ('["helix"]', "TypeError"),
 ])
 def test_bad_config_file_gives_error_report(tmp_path, content, error):
     cfg_path = tmp_path / "job.json"
