@@ -13,7 +13,7 @@ relations by central differences instead.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,7 +22,7 @@ from scipy.interpolate import CubicSpline
 from . import _fd as fd
 from .curve import CurvatureProfile, S3Curve, asymptotic_lift, profile_as_callable
 from .errors import PreconditionViolated
-from .quat import QI, QJ, QONE, qconj, qinv, qmul, qnorm
+from .quat import QI, QJ, QONE, qinv, qmul, qnorm
 
 TWO_PI = 2.0 * math.pi
 
@@ -168,25 +168,23 @@ class FlatMapGrid:
     def _outer(self, a, b):
         return qmul(a[:, None, :], b[None, :, :])
 
-    def derivatives(self):
-        """(F_u, F_v, Fh_u, Fh_v): analytic for product-form maps, else FD."""
+    def u_derivatives(self):
+        """(F_u, Fh_u): analytic for product-form maps, else FD."""
         if self.has_factors:
-            lx = qmul(self.left, self.xi0)
             ldx = qmul(self.left_d, self.xi0)
             return (self._outer(self.left_d, self.right),
-                    self._outer(self.left, self.right_d),
-                    self._outer(ldx, self.right),
-                    self._outer(lx, self.right_d))
-        return (fd.d1(self.F, self.hu, axis=0), fd.d1(self.F, self.hv, axis=1),
-                fd.d1(self.Fhat, self.hu, axis=0), fd.d1(self.Fhat, self.hv, axis=1))
+                    self._outer(ldx, self.right))
+        return fd.d1(self.F, self.hu, axis=0), fd.d1(self.Fhat, self.hu, axis=0)
 
-    def second_u_derivatives(self):
-        """(F_uu, Fh_uu) for the representation formula."""
-        if self.has_factors and self.left_dd is not None:
-            lddx = qmul(self.left_dd, self.xi0)
-            return (self._outer(self.left_dd, self.right),
-                    self._outer(lddx, self.right))
-        return (fd.d2(self.F, self.hu, axis=0), fd.d2(self.Fhat, self.hu, axis=0))
+    def derivatives(self):
+        """(F_u, F_v, Fh_u, Fh_v): analytic for product-form maps, else FD."""
+        Fu, Fhu = self.u_derivatives()
+        if self.has_factors:
+            lx = qmul(self.left, self.xi0)
+            return (Fu, self._outer(self.left, self.right_d),
+                    Fhu, self._outer(lx, self.right_d))
+        return (Fu, fd.d1(self.F, self.hv, axis=1),
+                Fhu, fd.d1(self.Fhat, self.hv, axis=1))
 
     def omega_u_grid(self):
         if self.omega_fn is not None:
@@ -295,9 +293,10 @@ def hopf_flat_map(k, U, h=1e-2, a0=QONE, v_range=(0.0, TWO_PI), hv=None,
     h = U / nu_cells
     sub = max(1, int(math.ceil(h / ode_step - 1e-12)))
     lift = asymptotic_lift(k, (0.0, U), h / sub, a0=a0, sign=sign)
-    L = lift.samples[::sub]
-    Ld = lift.deriv[::sub]
-    Ldd = None if lift.deriv2 is None else lift.deriv2[::sub]
+    # copies, so the grid does not keep the fine lift alive
+    L = lift.samples[::sub].copy()
+    Ld = lift.deriv[::sub].copy()
+    Ldd = None if lift.deriv2 is None else lift.deriv2[::sub].copy()
 
     v0, v1 = v_range
     hv = h if hv is None else hv

@@ -11,7 +11,7 @@ solutions from old ones, and a best-effort characteristic marcher.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,7 +22,7 @@ from .curve import asymptotic_lift
 from .errors import (EqualSpeeds, GridMismatch, NonConstantAngle,
                      PathDependence)
 from .flatmap import AngleFunction, FlatMapGrid
-from .quat import qmul
+from .quat import qconj, qmul
 
 TWO_PI = 2.0 * math.pi
 
@@ -250,27 +250,56 @@ def wave_solution(omega0, f1, f2, spec: GridSpec):
 # geometric solutions <a, N> + rho
 
 
+def _factor_solution(spec: GridSpec, L, Ld, Ldd, xi, R, Rd, a, rho, n,
+                     provenance):
+    """(<a, L R> + rho, <a, L xi R>) and its derivatives, times n per order.
+
+    L, Ld, Ldd are (nu, 4) samples of a left factor and its u-derivatives
+    (Ldd may be None), R, Rd (nv, 4) samples of the right factor and its
+    v-derivative.  Right multiplication by r has adjoint right
+    multiplication by conj(r), so <a, L_i R_j> = <L_i, a conj(R_j)> and
+    each field is one (nu, 4) @ (4, nv) product: no (nu, nv, 4) array is
+    built.  Without Ldd the u-second derivatives are central differences.
+    """
+    aR = qmul(a, qconj(R)).T
+    aRd = qmul(a, qconj(Rd)).T
+    Lx, Ldx = qmul(L, xi), qmul(Ld, xi)
+    alpha = L @ aR + rho
+    beta = Lx @ aR
+    if Ldd is None:
+        auu = fd.d2(alpha, spec.hu, axis=0)
+        buu = fd.d2(beta, spec.hu, axis=0)
+    else:
+        auu = n * n * (Ldd @ aR)
+        buu = n * n * (qmul(Ldd, xi) @ aR)
+    return SolutionGrid(
+        spec.u0, spec.v0, spec.hu, spec.hv, alpha, beta, provenance,
+        alpha_u=n * (Ld @ aR), beta_u=n * (Ldx @ aR),
+        alpha_v=n * (L @ aRd), beta_v=n * (Lx @ aRd),
+        alpha_uu=auu, beta_uu=buu)
+
+
 def geometric_solution(g: FlatMapGrid, a=(1.0, 0.0, 0.0, 0.0), rho=0.0):
     """(alpha, beta) = (<a, F> + rho, <a, Fhat>) for a in R^4, rho in R.
 
     The coordinates of a flat map and its polar map solve the system; the
-    resulting surface is the affine 3-sphere |f - a| = |rho|.
+    resulting surface is the affine 3-sphere |f - a| = |rho|.  Product-form
+    maps are contracted on their factor curves; other grids (read back
+    from CSV) use finite differences.
     """
     a = np.asarray(a, dtype=float)
+    if g.has_factors:
+        return _factor_solution(GridSpec.from_flatmap(g), g.left, g.left_d,
+                                g.left_dd, g.xi0, g.right, g.right_d, a, rho,
+                                1, "geometric")
     dot = lambda arr: np.einsum("ijk,k->ij", arr, a)
     alpha = dot(g.F) + rho
     beta = dot(g.Fhat)
     Fu, Fv, Fhu, Fhv = g.derivatives()
-    if g.has_factors and g.left_dd is not None:
-        Fuu, Fhuu = g.second_u_derivatives()
-        auu, buu = dot(Fuu), dot(Fhuu)
-    else:
-        auu = fd.d2(alpha, g.hu, axis=0)
-        buu = fd.d2(beta, g.hu, axis=0)
     return SolutionGrid(
         g.u0, g.v0, g.hu, g.hv, alpha, beta, "geometric",
         alpha_u=dot(Fu), beta_u=dot(Fhu), alpha_v=dot(Fv), beta_v=dot(Fhv),
-        alpha_uu=auu, beta_uu=buu)
+        alpha_uu=fd.d2(alpha, g.hu, axis=0), beta_uu=fd.d2(beta, g.hu, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +325,7 @@ def stretched_solution(k, n, spec: GridSpec, a=(1.0, 0.0, 0.0, 0.0), rho=0.0,
     hs = n * spec.hu
     sub = max(1, int(math.ceil(hs / ode_step - 1e-12)))
     lift = asymptotic_lift(ks, (su0, su1), hs / sub, a0=np.asarray(a0, dtype=float))
-    L = lift.samples[::sub]
-    Ld = lift.deriv[::sub]
-    Ldd = lift.deriv2[::sub]
     xi = np.array([0.0, 0.0, -1.0, 0.0])
-    Lx, Lxd, Lxdd = qmul(L, xi), qmul(Ld, xi), qmul(Ldd, xi)
 
     nv_nodes = n * spec.v_nodes
     R = np.zeros((spec.nv, 4))
@@ -309,17 +334,9 @@ def stretched_solution(k, n, spec: GridSpec, a=(1.0, 0.0, 0.0, 0.0), rho=0.0,
     Rd = np.zeros((spec.nv, 4))
     Rd[:, 0] = -np.sin(nv_nodes)
     Rd[:, 1] = np.cos(nv_nodes)
-
-    a_dot = lambda left, right: np.einsum(
-        "ijk,k->ij", qmul(left[:, None, :], right[None, :, :]), a)
-
-    alpha = a_dot(L, R) + rho
-    beta = a_dot(Lx, R)
-    return SolutionGrid(
-        spec.u0, spec.v0, spec.hu, spec.hv, alpha, beta, "stretched",
-        alpha_u=n * a_dot(Ld, R), beta_u=n * a_dot(Lxd, R),
-        alpha_v=n * a_dot(L, Rd), beta_v=n * a_dot(Lx, Rd),
-        alpha_uu=n * n * a_dot(Ldd, R), beta_uu=n * n * a_dot(Lxdd, R))
+    return _factor_solution(spec, lift.samples[::sub], lift.deriv[::sub],
+                            lift.deriv2[::sub], xi, R, Rd, a, rho, n,
+                            "stretched")
 
 
 # ---------------------------------------------------------------------------

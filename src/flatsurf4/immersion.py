@@ -14,14 +14,14 @@ where the margin vanishes.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import _fd as fd
 from .errors import DegenerateMetric, GridMismatch, NoLambdaFound
-from .flatmap import FlatMapGrid, verify_flat_map
+from .flatmap import FlatMapGrid
 from .hypsys import SolutionGrid
 
 K_TRIM = 4  # Brioschi needs second derivatives of first derivatives
@@ -83,29 +83,40 @@ def _solution_derivatives(sol: SolutionGrid):
     return au, bu, auu, buu
 
 
+def _angle_terms(gmap: FlatMapGrid):
+    """(w_u, cos w, sin w) on the grid of the flat map."""
+    w = gmap.omega_grid
+    return gmap.omega_u_grid(), np.cos(w), np.sin(w)
+
+
+def _margin_terms(sol: SolutionGrid, wu, cw, sw):
+    """(alpha_u, beta_u, A, B, margin) of a solution; no f is built."""
+    au, bu, auu, buu = _solution_derivatives(sol)
+    A = sol.alpha + auu + wu * bu
+    B = sol.beta + buu - wu * au
+    margin = (A * A - B * B) * sw - 2.0 * A * B * cw
+    return au, bu, A, B, margin
+
+
 def assemble(gmap: FlatMapGrid, sol: SolutionGrid,
              with_curvature=False, with_frame_check=False) -> ImmersionGrid:
     """Evaluate the representation formula on matching grids."""
     if not sol.same_geometry(gmap):
         raise GridMismatch("flat map and solution grids differ")
-    Nu_, Nv_, Nhu_, Nhv_ = gmap.derivatives()
-    au, bu, auu, buu = _solution_derivatives(sol)
-    wu = gmap.omega_u_grid()
-    w = gmap.omega_grid
-    cw, sw = np.cos(w), np.sin(w)
+    wu, cw, sw = _angle_terms(gmap)
+    au, bu, A, B, margin = _margin_terms(sol, wu, cw, sw)
+    Nu_, Nhu_ = gmap.u_derivatives()
 
     f = (sol.alpha[..., None] * gmap.F + sol.beta[..., None] * gmap.Fhat
          + au[..., None] * Nu_ + bu[..., None] * Nhu_)
-    A = sol.alpha + auu + wu * bu
-    B = sol.beta + buu - wu * au
     Ahat = cw * A + sw * B
     Bhat = sw * A - cw * B
-    margin = (A * A - B * B) * sw - 2.0 * A * B * cw
     E = A * A + B * B
     Fm = (A * A - B * B) * cw + 2.0 * A * B * sw
 
     im = ImmersionGrid(gmap.u0, gmap.v0, gmap.hu, gmap.hv, f,
-                       A, B, Ahat, Bhat, margin, E, Fm, E.copy(), w.copy())
+                       A, B, Ahat, Bhat, margin, E, Fm, E.copy(),
+                       gmap.omega_grid.copy())
     if with_frame_check:
         im.frame_residual = verify_frame(gmap)
     if with_curvature:
@@ -141,7 +152,7 @@ def tangency_check(im: ImmersionGrid, gmap: FlatMapGrid):
     f is differentiated by central differences; the frame derivatives come
     from the flat map (analytic for constructed grids).
     """
-    Nu_, _, Nhu_, _ = gmap.derivatives()
+    Nu_, Nhu_ = gmap.u_derivatives()
     fu = fd.d1(im.f, im.hu, axis=0)
     fv = fd.d1(im.f, im.hv, axis=1)
     ru = fu - im.A[..., None] * Nu_ - im.B[..., None] * Nhu_
@@ -263,17 +274,26 @@ def auto_lambda(gmap: FlatMapGrid, sol: SolutionGrid, delta=0.5,
                 lam0=1.0, min_lambda=1e-12):
     """Halve lambda from lam0 until min margin > delta * min sin w.
 
-    As lambda -> 0 the margin converges uniformly to sin w, so this
-    terminates whenever sin w is bounded away from zero on the grid.
+    Under (1 + lam alpha, lam beta) the margin at each node is quadratic
+    in lambda, sin w + 2 lam (A1 sin w - B1 cos w) + lam^2 margin_1 with
+    (A1, B1) the coefficients of the unscaled solution, and it depends
+    only on A, B and w.  So no f and no frame derivative is built: each
+    halving evaluates the margin by the same code as assemble, and the
+    margin tested here is the one assemble would report.  As lambda -> 0
+    the margin converges uniformly to sin w, so this terminates whenever
+    sin w is bounded away from zero on the grid.
     """
+    if not sol.same_geometry(gmap):
+        raise GridMismatch("flat map and solution grids differ")
     s_min = float(np.min(np.sin(fd.interior(gmap.omega_grid))))
     if s_min <= 0.0:
         raise NoLambdaFound(
             f"min sin w = {s_min:.3e} is not positive; no margin target exists")
+    wu, cw, sw = _angle_terms(gmap)
     lam = float(lam0)
     while lam >= min_lambda:
-        im = assemble(gmap, lambda_rescale(sol, lam))
-        if im.margin_min() > delta * s_min:
+        margin = _margin_terms(lambda_rescale(sol, lam), wu, cw, sw)[-1]
+        if float(np.min(fd.interior(margin))) > delta * s_min:
             return lam
         lam *= 0.5
     raise NoLambdaFound(f"lambda underflowed {min_lambda:g} without clearing "

@@ -1,18 +1,22 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from flatsurf4.curve import CurvatureProfile
+from flatsurf4 import _fd as fd
+from flatsurf4.curve import CurvatureProfile, asymptotic_lift
 from flatsurf4.errors import (EqualSpeeds, GridMismatch, NonConstantAngle,
                               PathDependence)
 from flatsurf4.flatmap import (constant_angle, helix_product_map, hopf_flat_map,
-                               linear_angle, profile_angle)
+                               linear_angle, polar_dual, profile_angle,
+                               read_flatmap_csv, write_flatmap_csv)
 from flatsurf4.hypsys import (GridSpec, SmoothFn, SolutionGrid, constant_solution,
                               exponential_solution, geometric_solution,
                               helical_angle_solution, quadrature_transform,
                               solve_numeric, stretched_solution, system_residual,
                               wave_solution, zero_solution)
+from flatsurf4.quat import qmul
 
 TWO_PI = 2 * math.pi
 
@@ -120,8 +124,103 @@ def test_linearity_of_residual():
     assert rc <= abs(a) * r1 + abs(b) * r2 + 1e-12
 
 
+# a non-unit vector and a nonzero rho, so no term of the contraction can hide
+A_VEC = np.array([0.3, -0.5, 0.7, 0.2])
+RHO = 0.4
+
+
+def _fields(sol):
+    return (sol.alpha, sol.beta, sol.alpha_u, sol.beta_u, sol.alpha_v,
+            sol.beta_v, sol.alpha_uu, sol.beta_uu)
+
+
+def _a_dot(arr):
+    return np.einsum("ijk,k->ij", arr, A_VEC)
+
+
+def _outer_dot(left, right):
+    """<a, left_i right_j> through the expanded (nu, nv, 4) product."""
+    return _a_dot(qmul(left[:, None, :], right[None, :, :]))
+
+
+def _assert_fields_close(sol, ref, tol=1e-13):
+    for got, want in zip(_fields(sol), ref):
+        assert np.max(np.abs(got - want)) < tol
+
+
+@pytest.mark.parametrize("kind", ["hopf", "polar", "helix"])
+def test_geometric_solution_contracts_on_factors(kind):
+    if kind == "helix":
+        g, _ = helix_product_map(1.5, (0.0, 1.0), (0.0, 1.0), h=0.02)
+    else:
+        g = hopf_flat_map(CurvatureProfile(2.0, 0.5, (0.3,)), 4.0, h=0.05,
+                          v_range=(0.0, 1.0), hv=0.02)
+        g = polar_dual(g) if kind == "polar" else g
+    assert g.has_factors and g.left_dd is not None
+    sol = geometric_solution(g, a=A_VEC, rho=RHO)
+    Fu, Fv, Fhu, Fhv = g.derivatives()
+    ref = (_a_dot(g.F) + RHO, _a_dot(g.Fhat), _a_dot(Fu), _a_dot(Fhu),
+           _a_dot(Fv), _a_dot(Fhv), _outer_dot(g.left_dd, g.right),
+           _outer_dot(qmul(g.left_dd, g.xi0), g.right))
+    _assert_fields_close(sol, ref)
+
+
+def test_geometric_solution_without_second_factor_derivative():
+    g = hopf_flat_map(CurvatureProfile(2.0, 0.5, (0.3,)), 4.0, h=0.05,
+                      v_range=(0.0, 1.0), hv=0.02)
+    sol = geometric_solution(dataclasses.replace(g, left_dd=None),
+                             a=A_VEC, rho=RHO)
+    ref = geometric_solution(g, a=A_VEC, rho=RHO)
+    for got, want in zip(_fields(sol)[:6], _fields(ref)[:6]):
+        assert np.array_equal(got, want)
+    assert np.array_equal(sol.alpha_uu, fd.d2(sol.alpha, g.hu, axis=0))
+    assert np.array_equal(sol.beta_uu, fd.d2(sol.beta, g.hu, axis=0))
+
+
+def test_geometric_solution_on_csv_grid(tmp_path):
+    # a grid read back from CSV has no factors: the einsum and
+    # finite-difference path, bit for bit
+    g = hopf_flat_map(CurvatureProfile(2.0, 0.5, (0.3,)), 2.0, h=0.05,
+                      v_range=(0.0, 1.0), hv=0.05)
+    path = tmp_path / "grid.csv"
+    write_flatmap_csv(g, path)
+    g = read_flatmap_csv(path)
+    assert not g.has_factors
+    sol = geometric_solution(g, a=A_VEC, rho=RHO)
+    alpha, beta = _a_dot(g.F) + RHO, _a_dot(g.Fhat)
+    ref = (alpha, beta,
+           _a_dot(fd.d1(g.F, g.hu, axis=0)), _a_dot(fd.d1(g.Fhat, g.hu, axis=0)),
+           _a_dot(fd.d1(g.F, g.hv, axis=1)), _a_dot(fd.d1(g.Fhat, g.hv, axis=1)),
+           fd.d2(alpha, g.hu, axis=0), fd.d2(beta, g.hu, axis=0))
+    for got, want in zip(_fields(sol), ref):
+        assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # stretched solutions
+
+
+def test_stretched_solution_contracts_on_factors():
+    n = 2
+    k = CurvatureProfile(2.0, 0.5, (0.2,), (0.1,))
+    spec = GridSpec.from_ranges((0.3, 2.3), (0.0, TWO_PI), 0.05, TWO_PI / 64)
+    hs = n * spec.hu
+    # one lift step per grid step, so the reference lift is the same one
+    sol = stretched_solution(k, n, spec, a=A_VEC, rho=RHO, ode_step=hs)
+    lift = asymptotic_lift(k.stretch(n), (n * spec.u0, n * spec.u_nodes[-1]), hs)
+    L, Ld, Ldd = lift.samples, lift.deriv, lift.deriv2
+    assert L.shape == (spec.nu, 4)
+    xi = np.array([0.0, 0.0, -1.0, 0.0])
+    v = n * spec.v_nodes
+    zero = np.zeros_like(v)
+    R = np.stack([np.cos(v), np.sin(v), zero, zero], axis=-1)
+    Rd = np.stack([-np.sin(v), np.cos(v), zero, zero], axis=-1)
+    ref = (_outer_dot(L, R) + RHO, _outer_dot(qmul(L, xi), R),
+           n * _outer_dot(Ld, R), n * _outer_dot(qmul(Ld, xi), R),
+           n * _outer_dot(L, Rd), n * _outer_dot(qmul(L, xi), Rd),
+           n * n * _outer_dot(Ldd, R), n * n * _outer_dot(qmul(Ldd, xi), R))
+    _assert_fields_close(sol, ref)
+
 
 
 def test_stretched_constant_profile_still_solves():

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from flatsurf4 import _fd as fd
+from flatsurf4 import immersion, torusearch
 from flatsurf4.curve import CurvatureProfile, QuasiPeriodicProfile, asymptotic_lift
 from flatsurf4.errors import (ClosureFailure, NoSignChange,
                               SingularAfterRescale)
-from flatsurf4.immersion import sphere_fit
+from flatsurf4.flatmap import FlatMapGrid
+from flatsurf4.immersion import (assemble, auto_lambda, lambda_rescale,
+                                 sphere_fit)
 from flatsurf4.quat import ad, pure, vec
 from flatsurf4.torusearch import (SearchOutcome, a_n, build_perturbed_cylinder,
                                   build_perturbed_torus, circle_outcome,
@@ -295,6 +299,82 @@ def test_build_cylinder_lambda_zero_is_hopf(quasi_profile):
                                        nv=64)
     assert rep["sphere_rms"] < 1e-9
     assert rep["max_radius"] == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# lambda selection
+
+
+class _Captured(Exception):
+    pass
+
+
+def _auto_lambda_inputs(monkeypatch, build):
+    """The (flat map, solution) a build function hands to auto_lambda."""
+    def capture(gmap, sol):
+        raise _Captured(gmap, sol)
+
+    with monkeypatch.context() as m:
+        m.setattr(torusearch, "auto_lambda", capture)
+        with pytest.raises(_Captured) as info:
+            build()
+    return info.value.args
+
+
+def _assembled_margin(gmap, sol, lam):
+    return assemble(gmap, lambda_rescale(sol, lam)).margin_min()
+
+
+def _check_auto_lambda(gmap, sol, delta=0.5):
+    """auto_lambda against the halving loop over full assemblies."""
+    target = delta * float(np.min(np.sin(fd.interior(gmap.omega_grid))))
+    ref = 1.0
+    while _assembled_margin(gmap, sol, ref) <= target:
+        ref *= 0.5
+        assert ref > 1e-12
+    lam = auto_lambda(gmap, sol, delta=delta)
+    assert lam == ref
+    assert _assembled_margin(gmap, sol, lam) > target
+    if lam != 1.0:
+        assert _assembled_margin(gmap, sol, 2.0 * lam) <= target
+    return lam
+
+
+def test_auto_lambda_matches_assembly_loop_on_release_torus(release_outcome,
+                                                            monkeypatch):
+    gmap, sol = _auto_lambda_inputs(
+        monkeypatch, lambda: build_perturbed_torus(release_outcome))
+    assert gmap.F.shape == (1537, 193, 4)
+    assert _check_auto_lambda(gmap, sol) == 0.03125
+
+
+def test_auto_lambda_matches_assembly_loop_on_cylinder(quasi_profile,
+                                                       monkeypatch):
+    gmap, sol = _auto_lambda_inputs(
+        monkeypatch,
+        lambda: build_perturbed_cylinder(quasi_profile, n=2, h=0.02, nv=96))
+    assert _check_auto_lambda(gmap, sol) < 1.0
+
+
+def test_cylinder_build_assembles_once(quasi_profile, monkeypatch):
+    # lambda selection needs only the margin: one assembly and no full
+    # set of flat-map derivatives per build
+    calls = {"assemble": 0, "derivatives": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    real_assemble = immersion.assemble
+    for module in (immersion, torusearch):
+        monkeypatch.setattr(module, "assemble", counted("assemble", real_assemble))
+    monkeypatch.setattr(FlatMapGrid, "derivatives",
+                        counted("derivatives", FlatMapGrid.derivatives))
+    _, rep = build_perturbed_cylinder(quasi_profile, n=2, h=0.05, nv=64)
+    assert rep["lambda"] < 1.0  # some halvings were made
+    assert calls == {"assemble": 1, "derivatives": 0}
 
 
 # ---------------------------------------------------------------------------
