@@ -20,10 +20,11 @@ import numpy as np
 from .curve import (CurvatureProfile, QuasiPeriodicProfile, frenet_s3, helix,
                     helix_curvature)
 from .errors import FlatSurfaceError, NotOnSphere, PoleOnSurface
-from .flatmap import (clifford_flat_map, helix_product_map, hopf_flat_map,
-                      linear_angle, profile_angle, read_flatmap_csv,
-                      verify_flat_map, write_flatmap_csv)
-from .hypsys import (GridSpec, SmoothFn, exponential_solution,
+from .flatmap import (GridSpec, clifford_flat_map, helix_product_map,
+                      hopf_flat_map, linear_angle, profile_angle,
+                      read_flatmap_csv, verify_flat_map, write_flatmap_csv,
+                      _write_grid_csv, _write_rows)
+from .hypsys import (SmoothFn, exponential_solution,
                      geometric_solution, helical_angle_solution,
                      quadrature_transform, solve_numeric, stretched_solution,
                      system_residual, wave_solution, zero_solution)
@@ -62,6 +63,8 @@ def export_obj(im, path, projection="stereographic", pole_index=3,
     (fit rms < sphere_tol); it is recentred and rescaled to the unit
     sphere and projected from the pole +e_{pole_index}.
     projection="drop": simply drops coordinate drop_index.
+    The file holds one "v x y z" line per node in u-major order, 9
+    significant digits each, then two "f a b c" triangles per grid cell.
     """
     pts = im.f if hasattr(im, "f") else np.asarray(im, dtype=float)
     nu, nv = pts.shape[0], pts.shape[1]
@@ -82,18 +85,17 @@ def export_obj(im, path, projection="stereographic", pole_index=3,
     else:
         raise ValueError("projection must be 'stereographic' or 'drop'")
 
+    def faces(lo, hi):
+        # cells lo..hi-1 in u-major order, two triangles each
+        i, j = np.divmod(np.arange(lo, hi), nv - 1)
+        a = i * nv + j + 1
+        return np.stack([a, a + nv, a + nv + 1, a, a + nv + 1, a + 1],
+                        axis=1).reshape(-1, 3)
+
+    flat = xyz.reshape(-1, 3)
     with open(path, "w") as fh:
-        for i in range(nu):
-            for j in range(nv):
-                fh.write("v %.9g %.9g %.9g\n" % tuple(xyz[i, j]))
-        for i in range(nu - 1):
-            for j in range(nv - 1):
-                a = i * nv + j + 1
-                b = (i + 1) * nv + j + 1
-                c = (i + 1) * nv + j + 2
-                d = i * nv + j + 2
-                fh.write(f"f {a} {b} {c}\n")
-                fh.write(f"f {a} {c} {d}\n")
+        _write_rows(fh, nu * nv, lambda lo, hi: flat[lo:hi], "%.9g", " ", "v ")
+        _write_rows(fh, (nu - 1) * (nv - 1), faces, "%d", " ", "f ")
     return xyz
 
 
@@ -168,10 +170,11 @@ def _cmd_helix(cfg):
     c = helix(r, tau, (0.0, s_max), h)
     kappa, tau_meas = frenet_s3(c)
     csv = cfg.path(cfg.params.get("csv", "helix.csv"))
+    s, q = c.u_grid, c.samples
     with open(csv, "w") as fh:
         fh.write("s,x1,x2,x3,x4\n")
-        for s, q in zip(c.u_grid, c.samples):
-            fh.write(",".join(f"{x:.17g}" for x in (s, *q)) + "\n")
+        _write_rows(fh, len(q),
+                    lambda lo, hi: np.column_stack([s[lo:hi], q[lo:hi]]))
     return {
         "kappa": float(np.median(kappa)),
         "kappa_expected": helix_curvature(r),
@@ -227,7 +230,7 @@ def _cmd_flatmap_verify(cfg):
         h = cfg.params.get("h", 0.01)
         g, mu = helix_product_map(r, (0, span), (0, span), h=h)
         rep = verify_flat_map(g).as_dict()
-        expect = 2 * mu * (g.u_nodes[:, None] + g.v_nodes[None, :])
+        expect = 2 * mu * np.add(*g.spec.mesh())
         rep["mu"] = mu
         rep["angle_dev_from_linear"] = float(np.max(np.abs(g.omega_grid - expect)))
         return rep
@@ -237,7 +240,7 @@ def _cmd_flatmap_verify(cfg):
 def _cmd_verify(cfg):
     g = read_flatmap_csv(cfg.params["input"])
     rep = verify_flat_map(g).as_dict()
-    rep["nu"], rep["nv"] = g.nu, g.nv
+    rep["nu"], rep["nv"] = g.spec.nu, g.spec.nv
     return rep
 
 
@@ -305,14 +308,7 @@ def _cmd_solve(cfg):
         rep["residual_alpha_analytic"] = ra2
         rep["residual_beta_analytic"] = rb2
     csv = cfg.path(p.get("csv", "solution.csv"))
-    with open(csv, "w") as fh:
-        fh.write("u,v,alpha,beta\n")
-        un, vn = sol.u_nodes, sol.v_nodes
-        for i in range(sol.nu):
-            for j in range(sol.nv):
-                fh.write(",".join(
-                    f"{x:.17g}" for x in
-                    (un[i], vn[j], sol.alpha[i, j], sol.beta[i, j])) + "\n")
+    _write_grid_csv(csv, "u,v,alpha,beta", sol.spec, sol.alpha, sol.beta)
     rep["csv"] = str(csv)
     return rep
 

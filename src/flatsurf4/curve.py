@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _fd as fd
 from .errors import IntegrationFailure, NoClosure
 from .quat import (QONE, pure, qconj, qexp_pure, qmul, qnorm, qnormalize,
                    rotation_matrix)
@@ -509,11 +510,9 @@ def frenet_s3(curve: S3Curve):
     """
     s = curve.samples
     h = curve.h
-    d1 = (-s[4:] + 8 * s[3:-1] - 8 * s[1:-3] + s[:-4]) / (12 * h)
-    d2 = (-s[4:] + 16 * s[3:-1] - 30 * s[2:-2] + 16 * s[1:-3] - s[:-4]) / (12 * h * h)
     sig = s[2:-2]
-    T = d1
-    acc = d2 + sig  # covariant acceleration in S^3
+    T = fd.d1(s, h)[2:-2]
+    acc = fd.d2(s, h)[2:-2] + sig  # covariant acceleration in S^3
     kappa = np.linalg.norm(acc, axis=-1)
     N = acc / kappa[:, None]
     B = _cross4(sig, T, N)

@@ -13,7 +13,7 @@ relations by central differences instead.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -114,20 +114,61 @@ def sampled_angle(u_nodes, w1_samples, v_nodes, w2_samples):
 # the sampled flat map
 
 
-@dataclass
-class FlatMapGrid:
-    """Flat map sampled on a uniform rectangle [u0, u0+(Nu-1)hu] x [v0, ...].
+@dataclass(frozen=True)
+class GridSpec:
+    """Uniform grid u0 + i hu (i < nu) by v0 + j hv (j < nv).
 
-    F and Fhat have shape (Nu, Nv, 4).  When the map was built as a
-    quaternion product L(u) * R(v) the factor curves (with their
-    derivatives) are kept, giving analytic grid derivatives; grids read
-    back from CSV only have finite differences.
+    The one grid geometry: flat maps, solutions and immersions each hold
+    one, and two grids match when same_geometry holds.  Grids are written
+    as CSV with a header line, then one row per node in u-major order (v
+    varies fastest), each float with 17 significant digits so that it
+    reads back bit for bit.
     """
 
     u0: float
     v0: float
     hu: float
     hv: float
+    nu: int
+    nv: int
+
+    @classmethod
+    def from_ranges(cls, u_range, v_range, h, hv=None):
+        hv = h if hv is None else hv
+        nu = int(round((u_range[1] - u_range[0]) / h)) + 1
+        nv = int(round((v_range[1] - v_range[0]) / hv)) + 1
+        return cls(u_range[0], v_range[0],
+                   (u_range[1] - u_range[0]) / (nu - 1),
+                   (v_range[1] - v_range[0]) / (nv - 1), nu, nv)
+
+    @property
+    def u_nodes(self):
+        return self.u0 + self.hu * np.arange(self.nu)
+
+    @property
+    def v_nodes(self):
+        return self.v0 + self.hv * np.arange(self.nv)
+
+    def mesh(self):
+        return self.u_nodes[:, None], self.v_nodes[None, :]
+
+    def same_geometry(self, other):
+        return ((self.nu, self.nv) == (other.nu, other.nv)
+                and abs(self.u0 - other.u0) < 1e-12 and abs(self.v0 - other.v0) < 1e-12
+                and abs(self.hu - other.hu) < 1e-12 and abs(self.hv - other.hv) < 1e-12)
+
+
+@dataclass
+class FlatMapGrid:
+    """Flat map sampled on the uniform grid spec.
+
+    F and Fhat have shape (nu, nv, 4).  When the map was built as a
+    quaternion product L(u) * R(v) the factor curves (with their
+    derivatives) are kept, giving analytic grid derivatives; grids read
+    back from CSV only have finite differences.
+    """
+
+    spec: GridSpec
     F: np.ndarray
     Fhat: np.ndarray
     omega_grid: np.ndarray
@@ -142,26 +183,6 @@ class FlatMapGrid:
     xi0: Optional[np.ndarray] = None
 
     @property
-    def h(self):
-        return self.hu
-
-    @property
-    def nu(self):
-        return self.F.shape[0]
-
-    @property
-    def nv(self):
-        return self.F.shape[1]
-
-    @property
-    def u_nodes(self):
-        return self.u0 + self.hu * np.arange(self.nu)
-
-    @property
-    def v_nodes(self):
-        return self.v0 + self.hv * np.arange(self.nv)
-
-    @property
     def has_factors(self):
         return self.left is not None and self.right is not None
 
@@ -174,7 +195,8 @@ class FlatMapGrid:
             ldx = qmul(self.left_d, self.xi0)
             return (self._outer(self.left_d, self.right),
                     self._outer(ldx, self.right))
-        return fd.d1(self.F, self.hu, axis=0), fd.d1(self.Fhat, self.hu, axis=0)
+        return (fd.d1(self.F, self.spec.hu, axis=0),
+                fd.d1(self.Fhat, self.spec.hu, axis=0))
 
     def derivatives(self):
         """(F_u, F_v, Fh_u, Fh_v): analytic for product-form maps, else FD."""
@@ -183,20 +205,15 @@ class FlatMapGrid:
             lx = qmul(self.left, self.xi0)
             return (Fu, self._outer(self.left, self.right_d),
                     Fhu, self._outer(lx, self.right_d))
-        return (Fu, fd.d1(self.F, self.hv, axis=1),
-                Fhu, fd.d1(self.Fhat, self.hv, axis=1))
+        return (Fu, fd.d1(self.F, self.spec.hv, axis=1),
+                Fhu, fd.d1(self.Fhat, self.spec.hv, axis=1))
 
     def omega_u_grid(self):
         if self.omega_fn is not None:
             return np.broadcast_to(
-                self.omega_fn.omega_u(self.u_nodes)[:, None],
+                self.omega_fn.omega_u(self.spec.u_nodes)[:, None],
                 self.omega_grid.shape).copy()
-        return fd.d1(self.omega_grid, self.hu, axis=0)
-
-    def same_geometry(self, other):
-        return (self.F.shape == other.F.shape
-                and abs(self.u0 - other.u0) < 1e-12 and abs(self.v0 - other.v0) < 1e-12
-                and abs(self.hu - other.hu) < 1e-12 and abs(self.hv - other.hv) < 1e-12)
+        return fd.d1(self.omega_grid, self.spec.hu, axis=0)
 
 
 def _dot(a, b):
@@ -263,8 +280,8 @@ def bianchi_spivak_product(a1: S3Curve, a2: S3Curve, xi0=QJ, tol=1e-6,
         raise PreconditionViolated(
             f"recovered angle is not separable (residual {sep:.3e})", sep)
 
-    return FlatMapGrid(a1.u0, a2.u0, a1.h, a2.h, F, Fhat, omega_grid, omega_fn,
-                       lattice=lattice,
+    spec = GridSpec(a1.u0, a2.u0, a1.h, a2.h, len(L), len(R))
+    return FlatMapGrid(spec, F, Fhat, omega_grid, omega_fn, lattice=lattice,
                        left=L, left_d=d1,
                        left_dd=a1.deriv2, right=R, right_d=d2, xi0=xi0)
 
@@ -326,8 +343,8 @@ def hopf_flat_map(k, U, h=1e-2, a0=QONE, v_range=(0.0, TWO_PI), hv=None,
     if closure < 1e-6 and abs((v1 - v0) - TWO_PI) < 1e-12:
         lattice = (U, TWO_PI)
 
-    return FlatMapGrid(0.0, v0, h, hv, F, Fhat, omega_grid, omega_fn,
-                       lattice=lattice,
+    return FlatMapGrid(GridSpec(0.0, v0, h, hv, len(L), nv + 1), F, Fhat,
+                       omega_grid, omega_fn, lattice=lattice,
                        left=L, left_d=Ld, left_dd=Ldd, right=R, right_d=Rd,
                        xi0=xi)
 
@@ -349,8 +366,7 @@ def clifford_flat_map(h=1e-2, u_range=(0.0, TWO_PI), v_range=(0.0, TWO_PI)):
               np.array([math.cos(u0), 0.0, 0.0, math.sin(u0)]))
     g = hopf_flat_map(k, u1 - u0, h=h, a0=a0, v_range=v_range,
                       require_period_multiple=False)
-    g.u0 = float(u0)
-    return g
+    return replace(g, spec=replace(g.spec, u0=float(u0)))
 
 
 def helix_product_map(r, u_range=(0.0, 1.0), v_range=(0.0, 1.0), h=1e-2):
@@ -396,13 +412,13 @@ def verify_flat_map(g: FlatMapGrid) -> FlatMapReport:
     are excluded from the maxima.  Also reports the Gauss-map metric
     defect |<dF,dF> + <dFh,dFh> - 2(du^2+dv^2)|.
     """
-    if g.nu < 3 or g.nv < 3:
+    if g.spec.nu < 3 or g.spec.nv < 3:
         raise ValueError("grid needs at least 3 nodes per direction")
     F, Fh, w = g.F, g.Fhat, g.omega_grid
-    Fu = fd.d1(F, g.hu, axis=0)
-    Fv = fd.d1(F, g.hv, axis=1)
-    Fhu = fd.d1(Fh, g.hu, axis=0)
-    Fhv = fd.d1(Fh, g.hv, axis=1)
+    Fu = fd.d1(F, g.spec.hu, axis=0)
+    Fv = fd.d1(F, g.spec.hv, axis=1)
+    Fhu = fd.d1(Fh, g.spec.hu, axis=0)
+    Fhv = fd.d1(Fh, g.spec.hv, axis=1)
     cw, sw = np.cos(w), np.sin(w)
 
     trim = fd.max_interior
@@ -423,8 +439,9 @@ def verify_flat_map(g: FlatMapGrid) -> FlatMapReport:
         "polar_vv": trim(_dot(Fhv, Fhv) - 1.0),
         "polar_uv_cos": trim(_dot(Fhu, Fhv) + cw),
     }
-    if g.nu >= 5 and g.nv >= 5:
-        res["omega_uv"] = trim(fd.d1(fd.d1(w, g.hu, axis=0), g.hv, axis=1))
+    if g.spec.nu >= 5 and g.spec.nv >= 5:
+        res["omega_uv"] = trim(fd.d1(fd.d1(w, g.spec.hu, axis=0), g.spec.hv,
+                                     axis=1))
     gauss = max(
         trim(_dot(Fu, Fu) + _dot(Fhu, Fhu) - 2.0),
         trim(_dot(Fv, Fv) + _dot(Fhv, Fhv) - 2.0),
@@ -441,7 +458,7 @@ def polar_dual(g: FlatMapGrid) -> FlatMapGrid:
         lx = qmul(g.left, g.xi0)
         ld = qmul(g.left_d, g.xi0)
         ldd = None if g.left_dd is None else qmul(g.left_dd, g.xi0)
-    return FlatMapGrid(g.u0, g.v0, g.hu, g.hv, g.Fhat.copy(), -g.F,
+    return FlatMapGrid(g.spec, g.Fhat.copy(), -g.F,
                        g.omega_grid + math.pi, omega_fn, lattice=g.lattice,
                        left=lx, left_d=ld, left_dd=ldd,
                        right=None if g.right is None else g.right.copy(),
@@ -482,17 +499,44 @@ def normal_shape_check(g: FlatMapGrid, min_sin=0.1):
 
 
 FLATMAP_HEADER = "u,v,F1,F2,F3,F4,Fh1,Fh2,Fh3,Fh4,omega"
+BLOCK_ROWS = 4096
+
+
+def _write_rows(fh, n, rows, fmt="%.17g", sep=",", prefix=""):
+    """Write the rows of the items 0..n-1 to the open text file fh.
+
+    rows(lo, hi) returns the rows of items lo..hi-1 as one 2-D array; each
+    row is written as prefix, then its entries in fmt joined by sep.  The
+    default is the CSV row: 17 significant digits, so floats read back bit
+    for bit.  Items are taken BLOCK_ROWS at a time and each block is
+    formatted by one %-operation, which gives the same bytes as formatting
+    row by row; neither the whole table nor the whole file is held at once.
+    """
+    for lo in range(0, n, BLOCK_ROWS):
+        block = rows(lo, min(lo + BLOCK_ROWS, n))
+        row_fmt = prefix + sep.join([fmt] * block.shape[1]) + "\n"
+        fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
+def _write_grid_csv(path, header, spec: GridSpec, *fields):
+    """CSV of a grid: the header line, then u, v and the fields per node.
+
+    fields are (nu, nv) or (nu, nv, k) arrays; rows are in u-major order.
+    """
+    u, v = spec.u_nodes, spec.v_nodes
+
+    def rows(lo, hi):
+        i, j = np.divmod(np.arange(lo, hi), spec.nv)
+        return np.column_stack([u[i], v[j]] + [f[i, j] for f in fields])
+
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        _write_rows(fh, spec.nu * spec.nv, rows)
 
 
 def write_flatmap_csv(g: FlatMapGrid, path):
-    u = g.u_nodes
-    v = g.v_nodes
-    with open(path, "w") as fh:
-        fh.write(FLATMAP_HEADER + "\n")
-        for i in range(g.nu):
-            for j in range(g.nv):
-                row = [u[i], v[j], *g.F[i, j], *g.Fhat[i, j], g.omega_grid[i, j]]
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    """Write g as CSV with the columns of FLATMAP_HEADER (see GridSpec)."""
+    _write_grid_csv(path, FLATMAP_HEADER, g.spec, g.F, g.Fhat, g.omega_grid)
 
 
 def _infer_axis(values, name):
@@ -520,5 +564,5 @@ def read_flatmap_csv(path) -> FlatMapGrid:
     F = data[:, 2:6].reshape(nu, nv, 4)
     Fhat = data[:, 6:10].reshape(nu, nv, 4)
     omega = data[:, 10].reshape(nu, nv)
-    return FlatMapGrid(float(u_nodes[0]), float(v_nodes[0]), hu, hv,
-                       F, Fhat, omega)
+    return FlatMapGrid(GridSpec(float(u_nodes[0]), float(v_nodes[0]), hu, hv,
+                                nu, nv), F, Fhat, omega)

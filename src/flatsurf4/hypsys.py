@@ -11,7 +11,7 @@ solutions from old ones, and a best-effort characteristic marcher.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,7 +21,7 @@ from . import _fd as fd
 from .curve import asymptotic_lift
 from .errors import (EqualSpeeds, GridMismatch, NonConstantAngle,
                      PathDependence)
-from .flatmap import AngleFunction, FlatMapGrid
+from .flatmap import AngleFunction, FlatMapGrid, GridSpec
 from .quat import qconj, qmul
 
 TWO_PI = 2.0 * math.pi
@@ -67,54 +67,15 @@ class SmoothFn:
         raise TypeError("expected a callable, tuple of callables, or SmoothFn")
 
 
-ZERO_FN = SmoothFn(lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-                   lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-                   lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-                   lambda t: np.zeros_like(np.asarray(t, dtype=float)))
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    u0: float
-    v0: float
-    hu: float
-    hv: float
-    nu: int
-    nv: int
-
-    @classmethod
-    def from_ranges(cls, u_range, v_range, h, hv=None):
-        hv = h if hv is None else hv
-        nu = int(round((u_range[1] - u_range[0]) / h)) + 1
-        nv = int(round((v_range[1] - v_range[0]) / hv)) + 1
-        return cls(u_range[0], v_range[0],
-                   (u_range[1] - u_range[0]) / (nu - 1),
-                   (v_range[1] - v_range[0]) / (nv - 1), nu, nv)
-
-    @classmethod
-    def from_flatmap(cls, g: FlatMapGrid):
-        return cls(g.u0, g.v0, g.hu, g.hv, g.nu, g.nv)
-
-    @property
-    def u_nodes(self):
-        return self.u0 + self.hu * np.arange(self.nu)
-
-    @property
-    def v_nodes(self):
-        return self.v0 + self.hv * np.arange(self.nv)
-
-    def mesh(self):
-        return self.u_nodes[:, None], self.v_nodes[None, :]
+DERIVATIVE_FIELDS = ("alpha_u", "beta_u", "alpha_v", "beta_v",
+                     "alpha_uu", "beta_uu")
 
 
 @dataclass
 class SolutionGrid:
-    """Sampled (alpha, beta) with optional analytic derivative arrays."""
+    """Sampled (alpha, beta) on spec with optional analytic derivative arrays."""
 
-    u0: float
-    v0: float
-    hu: float
-    hv: float
+    spec: GridSpec
     alpha: np.ndarray
     beta: np.ndarray
     provenance: str = "numeric"
@@ -126,38 +87,12 @@ class SolutionGrid:
     beta_uu: Optional[np.ndarray] = None
 
     @property
-    def nu(self):
-        return self.alpha.shape[0]
-
-    @property
-    def nv(self):
-        return self.alpha.shape[1]
-
-    @property
-    def u_nodes(self):
-        return self.u0 + self.hu * np.arange(self.nu)
-
-    @property
-    def v_nodes(self):
-        return self.v0 + self.hv * np.arange(self.nv)
-
-    @property
     def has_analytic_derivatives(self):
         return self.alpha_u is not None and self.alpha_uu is not None
 
-    def spec(self):
-        return GridSpec(self.u0, self.v0, self.hu, self.hv, self.nu, self.nv)
-
-    def same_geometry(self, other):
-        return (self.alpha.shape == (other.nu, other.nv)
-                and abs(self.u0 - other.u0) < 1e-12
-                and abs(self.v0 - other.v0) < 1e-12
-                and abs(self.hu - other.hu) < 1e-12
-                and abs(self.hv - other.hv) < 1e-12)
-
     def combine(self, other, a=1.0, b=1.0, provenance=None):
         """Linear combination a*self + b*other (the system is linear)."""
-        if not self.same_geometry(other):
+        if not self.spec.same_geometry(other.spec):
             raise GridMismatch("solution grids differ in geometry")
 
         def mix(x, y):
@@ -165,13 +100,10 @@ class SolutionGrid:
                 return None
             return a * x + b * y
 
-        return SolutionGrid(
-            self.u0, self.v0, self.hu, self.hv,
-            a * self.alpha + b * other.alpha, a * self.beta + b * other.beta,
-            provenance or f"{self.provenance}+{other.provenance}",
-            mix(self.alpha_u, other.alpha_u), mix(self.beta_u, other.beta_u),
-            mix(self.alpha_v, other.alpha_v), mix(self.beta_v, other.beta_v),
-            mix(self.alpha_uu, other.alpha_uu), mix(self.beta_uu, other.beta_uu))
+        return replace(
+            self, provenance=provenance or f"{self.provenance}+{other.provenance}",
+            **{k: mix(getattr(self, k), getattr(other, k))
+               for k in ("alpha", "beta") + DERIVATIVE_FIELDS})
 
 
 def _omega_grid(omega, spec: GridSpec):
@@ -194,13 +126,13 @@ def system_residual(sol: SolutionGrid, omega, derivatives="central"):
     (the independent check); "analytic" uses the solution's stored
     derivative arrays.
     """
-    w = _omega_grid(omega, sol.spec())
+    w = _omega_grid(omega, sol.spec)
     cw, sw = np.cos(w), np.sin(w)
     if derivatives == "central":
-        au = fd.d1(sol.alpha, sol.hu, axis=0)
-        bu = fd.d1(sol.beta, sol.hu, axis=0)
-        av = fd.d1(sol.alpha, sol.hv, axis=1)
-        bv = fd.d1(sol.beta, sol.hv, axis=1)
+        au = fd.d1(sol.alpha, sol.spec.hu, axis=0)
+        bu = fd.d1(sol.beta, sol.spec.hu, axis=0)
+        av = fd.d1(sol.alpha, sol.spec.hv, axis=1)
+        bv = fd.d1(sol.beta, sol.spec.hv, axis=1)
     elif derivatives == "analytic":
         if sol.alpha_u is None or sol.alpha_v is None:
             raise ValueError("solution carries no analytic derivatives")
@@ -240,7 +172,7 @@ def wave_solution(omega0, f1, f2, spec: GridSpec):
     alpha = c * g1 - s * g2
     beta = s * g1 + c * g2
     return SolutionGrid(
-        spec.u0, spec.v0, spec.hu, spec.hv, alpha, beta, "wave",
+        spec, alpha, beta, "wave",
         alpha_u=c * dg1 - s * dg2, beta_u=s * dg1 + c * dg2,
         alpha_v=c * dg1 + s * dg2, beta_v=s * dg1 - c * dg2,
         alpha_uu=c * d2g1 - s * d2g2, beta_uu=s * d2g1 + c * d2g2)
@@ -273,7 +205,7 @@ def _factor_solution(spec: GridSpec, L, Ld, Ldd, xi, R, Rd, a, rho, n,
         auu = n * n * (Ldd @ aR)
         buu = n * n * (qmul(Ldd, xi) @ aR)
     return SolutionGrid(
-        spec.u0, spec.v0, spec.hu, spec.hv, alpha, beta, provenance,
+        spec, alpha, beta, provenance,
         alpha_u=n * (Ld @ aR), beta_u=n * (Ldx @ aR),
         alpha_v=n * (L @ aRd), beta_v=n * (Lx @ aRd),
         alpha_uu=auu, beta_uu=buu)
@@ -289,7 +221,7 @@ def geometric_solution(g: FlatMapGrid, a=(1.0, 0.0, 0.0, 0.0), rho=0.0):
     """
     a = np.asarray(a, dtype=float)
     if g.has_factors:
-        return _factor_solution(GridSpec.from_flatmap(g), g.left, g.left_d,
+        return _factor_solution(g.spec, g.left, g.left_d,
                                 g.left_dd, g.xi0, g.right, g.right_d, a, rho,
                                 1, "geometric")
     dot = lambda arr: np.einsum("ijk,k->ij", arr, a)
@@ -297,9 +229,10 @@ def geometric_solution(g: FlatMapGrid, a=(1.0, 0.0, 0.0, 0.0), rho=0.0):
     beta = dot(g.Fhat)
     Fu, Fv, Fhu, Fhv = g.derivatives()
     return SolutionGrid(
-        g.u0, g.v0, g.hu, g.hv, alpha, beta, "geometric",
+        g.spec, alpha, beta, "geometric",
         alpha_u=dot(Fu), beta_u=dot(Fhu), alpha_v=dot(Fv), beta_v=dot(Fhv),
-        alpha_uu=fd.d2(alpha, g.hu, axis=0), beta_uu=fd.d2(beta, g.hu, axis=0))
+        alpha_uu=fd.d2(alpha, g.spec.hu, axis=0),
+        beta_uu=fd.d2(beta, g.spec.hu, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +318,8 @@ def helical_angle_solution(mu, g_fn, h_fn, spec: GridSpec):
                 + psi_uu * st + 2 * mu * psi_u * ct - mu * mu * psi * st)
     beta_uu = (-psi_uu * ct + 2 * mu * psi_u * st + mu * mu * psi * ct
                + phi_uu * st + 2 * mu * phi_u * ct - mu * mu * phi * st)
-    return SolutionGrid(spec.u0, spec.v0, spec.hu, spec.hv, alpha, beta,
-                        "helical", alpha_u, beta_u, alpha_v, beta_v,
-                        alpha_uu, beta_uu)
+    return SolutionGrid(spec, alpha, beta, "helical", alpha_u, beta_u,
+                        alpha_v, beta_v, alpha_uu, beta_uu)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +354,7 @@ def exponential_solution(r, s, spec: GridSpec):
     av, bv = dv(*a0), dv(*b0)
     auu, buu = du(*au), du(*bu)
     return SolutionGrid(
-        spec.u0, spec.v0, spec.hu, spec.hv, val(*a0), val(*b0), "exponential",
+        spec, val(*a0), val(*b0), "exponential",
         alpha_u=val(*au), beta_u=val(*bu), alpha_v=val(*av), beta_v=val(*bv),
         alpha_uu=val(*auu), beta_uu=val(*buu))
 
@@ -477,7 +409,7 @@ def quadrature_transform(X: SolutionGrid, omega: AngleFunction, y0=(0.0, 0.0),
     """
     if rule not in ("simpson", "trapezoid"):
         raise ValueError("rule must be 'simpson' or 'trapezoid'")
-    spec = X.spec()
+    spec = X.spec
     L, H, Hinv = _rotation_factors(omega, spec)
     Xg = np.stack([X.alpha, X.beta], axis=-1)
 
@@ -508,27 +440,21 @@ def quadrature_transform(X: SolutionGrid, omega: AngleFunction, y0=(0.0, 0.0),
     Zuu = (np.einsum("iab,ijb->ija", Lp, Y)
            + np.einsum("iab,ijb->ija", L, LX))
     return SolutionGrid(
-        spec.u0, spec.v0, spec.hu, spec.hv, Z[..., 0], Z[..., 1], "quadrature",
+        spec, Z[..., 0], Z[..., 1], "quadrature",
         alpha_u=LY[..., 0], beta_u=LY[..., 1],
         alpha_v=HinvY[..., 0], beta_v=HinvY[..., 1],
         alpha_uu=Zuu[..., 0], beta_uu=Zuu[..., 1])
 
 
 def zero_solution(spec: GridSpec):
-    z = np.zeros((spec.nu, spec.nv))
-    zz = np.zeros_like(z)
-    return SolutionGrid(spec.u0, spec.v0, spec.hu, spec.hv, z, zz, "wave",
-                        zz.copy(), zz.copy(), zz.copy(), zz.copy(),
-                        zz.copy(), zz.copy())
+    return constant_solution(spec, 0.0, 0.0)
 
 
 def constant_solution(spec: GridSpec, alpha0=1.0, beta0=0.0):
-    z = np.zeros((spec.nu, spec.nv))
-    return SolutionGrid(spec.u0, spec.v0, spec.hu, spec.hv,
-                        np.full((spec.nu, spec.nv), float(alpha0)),
-                        np.full((spec.nu, spec.nv), float(beta0)),
-                        "wave", z.copy(), z.copy(), z.copy(), z.copy(),
-                        z.copy(), z.copy())
+    return SolutionGrid(spec, np.full((spec.nu, spec.nv), float(alpha0)),
+                        np.full((spec.nu, spec.nv), float(beta0)), "wave",
+                        **{k: np.zeros((spec.nu, spec.nv))
+                           for k in DERIVATIVE_FIELDS})
 
 
 # ---------------------------------------------------------------------------
@@ -590,5 +516,4 @@ def solve_numeric(omega, spec: GridSpec, alpha0, beta0, cfl=0.5):
             alpha = ch * fp_new - sh * fm_new
             beta = sh * fp_new + ch * fm_new
         out_a[:, j], out_b[:, j] = alpha, beta
-    return SolutionGrid(spec.u0, spec.v0, spec.hu, spec.hv, out_a, out_b,
-                        "numeric")
+    return SolutionGrid(spec, out_a, out_b, "numeric")

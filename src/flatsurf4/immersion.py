@@ -14,25 +14,22 @@ where the margin vanishes.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import _fd as fd
 from .errors import DegenerateMetric, GridMismatch, NoLambdaFound
-from .flatmap import FlatMapGrid
-from .hypsys import SolutionGrid
+from .flatmap import FlatMapGrid, GridSpec, _write_grid_csv
+from .hypsys import DERIVATIVE_FIELDS, SolutionGrid
 
 K_TRIM = 4  # Brioschi needs second derivatives of first derivatives
 
 
 @dataclass
 class ImmersionGrid:
-    u0: float
-    v0: float
-    hu: float
-    hv: float
+    spec: GridSpec
     f: np.ndarray          # (Nu, Nv, 4)
     A: np.ndarray
     B: np.ndarray
@@ -45,22 +42,6 @@ class ImmersionGrid:
     omega_grid: np.ndarray
     frame_residual: float = math.nan
     K_est: Optional[np.ndarray] = None
-
-    @property
-    def nu(self):
-        return self.f.shape[0]
-
-    @property
-    def nv(self):
-        return self.f.shape[1]
-
-    @property
-    def u_nodes(self):
-        return self.u0 + self.hu * np.arange(self.nu)
-
-    @property
-    def v_nodes(self):
-        return self.v0 + self.hv * np.arange(self.nv)
 
     def margin_min(self, trim=fd.INTERIOR_TRIM):
         return float(np.min(fd.interior(self.margin, trim)))
@@ -76,10 +57,10 @@ class ImmersionGrid:
 def _solution_derivatives(sol: SolutionGrid):
     if sol.has_analytic_derivatives:
         return (sol.alpha_u, sol.beta_u, sol.alpha_uu, sol.beta_uu)
-    au = fd.d1(sol.alpha, sol.hu, axis=0)
-    bu = fd.d1(sol.beta, sol.hu, axis=0)
-    auu = fd.d2(sol.alpha, sol.hu, axis=0)
-    buu = fd.d2(sol.beta, sol.hu, axis=0)
+    au = fd.d1(sol.alpha, sol.spec.hu, axis=0)
+    bu = fd.d1(sol.beta, sol.spec.hu, axis=0)
+    auu = fd.d2(sol.alpha, sol.spec.hu, axis=0)
+    buu = fd.d2(sol.beta, sol.spec.hu, axis=0)
     return au, bu, auu, buu
 
 
@@ -101,7 +82,7 @@ def _margin_terms(sol: SolutionGrid, wu, cw, sw):
 def assemble(gmap: FlatMapGrid, sol: SolutionGrid,
              with_curvature=False, with_frame_check=False) -> ImmersionGrid:
     """Evaluate the representation formula on matching grids."""
-    if not sol.same_geometry(gmap):
+    if not sol.spec.same_geometry(gmap.spec):
         raise GridMismatch("flat map and solution grids differ")
     wu, cw, sw = _angle_terms(gmap)
     au, bu, A, B, margin = _margin_terms(sol, wu, cw, sw)
@@ -114,13 +95,12 @@ def assemble(gmap: FlatMapGrid, sol: SolutionGrid,
     E = A * A + B * B
     Fm = (A * A - B * B) * cw + 2.0 * A * B * sw
 
-    im = ImmersionGrid(gmap.u0, gmap.v0, gmap.hu, gmap.hv, f,
-                       A, B, Ahat, Bhat, margin, E, Fm, E.copy(),
+    im = ImmersionGrid(gmap.spec, f, A, B, Ahat, Bhat, margin, E, Fm, E.copy(),
                        gmap.omega_grid.copy())
     if with_frame_check:
         im.frame_residual = verify_frame(gmap)
     if with_curvature:
-        im.K_est = brioschi_curvature(E, Fm, E, gmap.hu, gmap.hv)
+        im.K_est = brioschi_curvature(E, Fm, E, gmap.spec.hu, gmap.spec.hv)
     return im
 
 
@@ -134,8 +114,8 @@ def verify_frame(gmap: FlatMapGrid) -> float:
     Derivatives by central differences, so this is independent of the
     analytic factor data carried by constructed grids.
     """
-    Nu_ = fd.d1(gmap.F, gmap.hu, axis=0)
-    Nhu_ = fd.d1(gmap.Fhat, gmap.hu, axis=0)
+    Nu_ = fd.d1(gmap.F, gmap.spec.hu, axis=0)
+    Nhu_ = fd.d1(gmap.Fhat, gmap.spec.hu, axis=0)
     frame = (gmap.F, gmap.Fhat, Nu_, Nhu_)
     dev = 0.0
     for i, x in enumerate(frame):
@@ -153,8 +133,8 @@ def tangency_check(im: ImmersionGrid, gmap: FlatMapGrid):
     from the flat map (analytic for constructed grids).
     """
     Nu_, Nhu_ = gmap.u_derivatives()
-    fu = fd.d1(im.f, im.hu, axis=0)
-    fv = fd.d1(im.f, im.hv, axis=1)
+    fu = fd.d1(im.f, im.spec.hu, axis=0)
+    fv = fd.d1(im.f, im.spec.hv, axis=1)
     ru = fu - im.A[..., None] * Nu_ - im.B[..., None] * Nhu_
     rv = fv - im.Ahat[..., None] * Nu_ - im.Bhat[..., None] * Nhu_
     return (fd.max_interior(np.linalg.norm(ru, axis=-1)),
@@ -163,8 +143,8 @@ def tangency_check(im: ImmersionGrid, gmap: FlatMapGrid):
 
 def metric_identity_check(im: ImmersionGrid):
     """Finite-difference first fundamental form of f against (E, F, G)."""
-    fu = fd.d1(im.f, im.hu, axis=0)
-    fv = fd.d1(im.f, im.hv, axis=1)
+    fu = fd.d1(im.f, im.spec.hu, axis=0)
+    fv = fd.d1(im.f, im.spec.hv, axis=1)
     dot = lambda a, b: np.einsum("...k,...k->...", a, b)
     return max(fd.max_interior(dot(fu, fu) - im.E),
                fd.max_interior(dot(fu, fv) - im.Fm),
@@ -173,8 +153,7 @@ def metric_identity_check(im: ImmersionGrid):
 
 def derived_solution(im: ImmersionGrid) -> SolutionGrid:
     """The (A, B) grid as a SolutionGrid; it re-solves the system."""
-    return SolutionGrid(im.u0, im.v0, im.hu, im.hv,
-                        im.A.copy(), im.B.copy(), "derived")
+    return SolutionGrid(im.spec, im.A.copy(), im.B.copy(), "derived")
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +192,8 @@ def brioschi_curvature(E, F, G, hu, hv, min_det=1e-8):
 def flatness_check(im: ImmersionGrid, min_det=1e-8):
     """Max |K| over the valid interior; raises DegenerateMetric if none."""
     if im.K_est is None:
-        im.K_est = brioschi_curvature(im.E, im.Fm, im.G, im.hu, im.hv, min_det)
+        im.K_est = brioschi_curvature(im.E, im.Fm, im.G, im.spec.hu, im.spec.hv,
+                                      min_det)
     valid = np.isfinite(im.K_est)
     if not valid.any():
         raise DegenerateMetric("metric is singular on the whole tested region")
@@ -262,12 +242,8 @@ def lambda_rescale(sol: SolutionGrid, lam) -> SolutionGrid:
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     scale = lambda arr: None if arr is None else lam * arr
-    return SolutionGrid(
-        sol.u0, sol.v0, sol.hu, sol.hv,
-        1.0 + lam * sol.alpha, lam * sol.beta, sol.provenance,
-        scale(sol.alpha_u), scale(sol.beta_u),
-        scale(sol.alpha_v), scale(sol.beta_v),
-        scale(sol.alpha_uu), scale(sol.beta_uu))
+    return replace(sol, alpha=1.0 + lam * sol.alpha, beta=lam * sol.beta,
+                   **{k: scale(getattr(sol, k)) for k in DERIVATIVE_FIELDS})
 
 
 def auto_lambda(gmap: FlatMapGrid, sol: SolutionGrid, delta=0.5,
@@ -283,7 +259,7 @@ def auto_lambda(gmap: FlatMapGrid, sol: SolutionGrid, delta=0.5,
     the margin converges uniformly to sin w, so this terminates whenever
     sin w is bounded away from zero on the grid.
     """
-    if not sol.same_geometry(gmap):
+    if not sol.spec.same_geometry(gmap.spec):
         raise GridMismatch("flat map and solution grids differ")
     s_min = float(np.min(np.sin(fd.interior(gmap.omega_grid))))
     if s_min <= 0.0:
@@ -308,12 +284,11 @@ IMMERSION_HEADER = "u,v,x1,x2,x3,x4,A,B,margin,K"
 
 
 def write_immersion_csv(im: ImmersionGrid, path):
+    """Write im as CSV with the columns of IMMERSION_HEADER (see GridSpec).
+
+    K is NaN where no curvature estimate exists (near the boundary, or
+    everywhere when im.K_est is None).
+    """
     K = im.K_est if im.K_est is not None else np.full_like(im.A, np.nan)
-    u, v = im.u_nodes, im.v_nodes
-    with open(path, "w") as fh:
-        fh.write(IMMERSION_HEADER + "\n")
-        for i in range(im.nu):
-            for j in range(im.nv):
-                row = [u[i], v[j], *im.f[i, j], im.A[i, j], im.B[i, j],
-                       im.margin[i, j], K[i, j]]
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    _write_grid_csv(path, IMMERSION_HEADER, im.spec, im.f, im.A, im.B,
+                    im.margin, K)

@@ -23,7 +23,7 @@ from scipy.optimize import brentq
 from .curve import CurvatureProfile, lift_product
 from .errors import ClosureFailure, NoSignChange, SingularAfterRescale
 from .flatmap import FlatMapGrid, hopf_flat_map, verify_flat_map
-from .hypsys import GridSpec, stretched_solution, system_residual
+from .hypsys import stretched_solution, system_residual
 from .immersion import (ImmersionGrid, assemble, auto_lambda, derived_solution,
                         flatness_check, lambda_rescale, metric_identity_check,
                         sphere_fit, tangency_check)
@@ -254,9 +254,21 @@ def lift_closure_multiple(k, m_max=Q_MAX, tol=1e-6, h=1e-3):
 # torus and cylinder assembly
 
 
-def _diagnostics(gmap: FlatMapGrid, im: ImmersionGrid, sol, lam):
+def _assemble_stretched(gmap: FlatMapGrid, k, n, lam, a=(1, 0, 0, 0), rho=0.0,
+                        ode_step=1e-3):
+    """(immersion, diagnostics) of the n-stretched solution on gmap's grid;
+    lambda comes from auto_lambda when lam is None."""
+    sol = stretched_solution(k, n, gmap.spec, a=a, rho=rho, ode_step=ode_step)
+    lam = auto_lambda(gmap, sol) if lam is None else float(lam)
+    im = assemble(gmap, lambda_rescale(sol, lam), with_curvature=True,
+                  with_frame_check=True)
+    return im, _diagnostics(gmap, im, lam)
+
+
+def _diagnostics(gmap: FlatMapGrid, im: ImmersionGrid, lam):
     rep = {}
     rep["lambda"] = lam
+    rep["frame_residual"] = im.frame_residual
     rep["margin_min"] = im.margin_min()
     rep["metric_min_eigenvalue"] = im.metric_min_eigenvalue()
     rep["gauss_K_max"] = flatness_check(im)
@@ -303,22 +315,14 @@ def build_perturbed_torus(outcome: SearchOutcome, lam=None, nodes_per_period=96,
 
     hu = T / nodes_per_period
     gmap = hopf_flat_map(k, U, h=hu, hv=TWO_PI / nv, ode_step=ode_step)
-    spec = GridSpec.from_flatmap(gmap)
-    sol = stretched_solution(k, n, spec, a=a, rho=rho, ode_step=ode_step)
-
-    auto = lam is None
-    lam = auto_lambda(gmap, sol) if auto else float(lam)
-    im = assemble(gmap, lambda_rescale(sol, lam), with_curvature=True,
-                  with_frame_check=True)
-
-    rep = _diagnostics(gmap, im, sol, lam)
+    im, rep = _assemble_stretched(gmap, k, n, lam, a=a, rho=rho,
+                                  ode_step=ode_step)
     rep["lift_period_multiple"] = m1
     rep["stretched_period_multiple"] = m2
     rep["u_period"] = U
     rep["lift_closure_gap"] = max(gap1, gap2)
     rep["closure_u"] = float(np.max(np.linalg.norm(im.f[-1] - im.f[0], axis=-1)))
     rep["closure_v"] = float(np.max(np.linalg.norm(im.f[:, -1] - im.f[:, 0], axis=-1)))
-    rep["frame_residual"] = im.frame_residual
 
     if max(rep["closure_u"], rep["closure_v"]) > closure_tol:
         raise ClosureFailure(
@@ -326,8 +330,8 @@ def build_perturbed_torus(outcome: SearchOutcome, lam=None, nodes_per_period=96,
             f"{rep['closure_u']:.3e}, v gap {rep['closure_v']:.3e})",
             best_residual=max(rep["closure_u"], rep["closure_v"]))
     if rep["margin_min"] <= 0.0:
-        raise SingularAfterRescale(
-            f"margin min {rep['margin_min']:.3e} <= 0 at lambda = {lam:g}")
+        raise SingularAfterRescale(f"margin min {rep['margin_min']:.3e} <= 0 "
+                                   f"at lambda = {rep['lambda']:g}")
 
     rep["flags"] = []
     if rep["omega_range"] < 1e-6:
@@ -354,22 +358,15 @@ def build_perturbed_cylinder(k, n=2, lam=None, u_window=None, h=0.02, nv=128,
     U = u_window[1] - u_window[0]
     gmap = hopf_flat_map(k, U, h=h, hv=v_span / nv, v_range=(0.0, v_span),
                          ode_step=ode_step, require_period_multiple=False)
-    spec = GridSpec.from_flatmap(gmap)
-    sol = stretched_solution(k, n, spec, ode_step=ode_step)
-    auto = lam is None
-    lam = auto_lambda(gmap, sol) if auto else float(lam)
-    im = assemble(gmap, lambda_rescale(sol, lam), with_curvature=True,
-                  with_frame_check=True)
-    rep = _diagnostics(gmap, im, sol, lam)
-    rep["frame_residual"] = im.frame_residual
+    im, rep = _assemble_stretched(gmap, k, n, lam, ode_step=ode_step)
     if hasattr(k, "bound"):
         kmax, kpmax = k.bound()
         rep["profile_k_max"] = kmax
         rep["profile_kprime_max"] = kpmax
         rep["sin_omega_lower_bound"] = 1.0 / math.sqrt(1.0 + kmax * kmax)
-    if not auto and rep["margin_min"] <= 0.0:
-        raise SingularAfterRescale(
-            f"margin min {rep['margin_min']:.3e} <= 0 at lambda = {lam:g}")
+    if lam is not None and rep["margin_min"] <= 0.0:
+        raise SingularAfterRescale(f"margin min {rep['margin_min']:.3e} <= 0 "
+                                   f"at lambda = {rep['lambda']:g}")
     rep["ok"] = (rep["margin_min"] > 0 and rep["metric_min_eigenvalue"] > 0
                  and rep["gauss_K_max"] < 1e-3 and rep["sphere_rms"] > 1e-2)
     return im, rep

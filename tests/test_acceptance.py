@@ -102,7 +102,7 @@ def test_criterion_1_helix_oracle():
 def test_criterion_2_flatmap_relations(helix_product, hopf_const, hopf_wavy):
     g, mu = helix_product
     r1 = verify_flat_map(g).max_flatmap_residual
-    expect = 2 * mu * (g.u_nodes[:, None] + g.v_nodes[None, :])
+    expect = 2 * mu * (g.spec.u_nodes[:, None] + g.spec.v_nodes[None, :])
     angle_dev = float(np.max(np.abs(g.omega_grid - expect)))
     r2 = verify_flat_map(hopf_const).max_flatmap_residual
     r3 = verify_flat_map(hopf_wavy).max_flatmap_residual
@@ -131,7 +131,7 @@ def test_criterion_4_system_residuals(hopf_wavy, helix_product):
     rows.append(("geometric", max(system_residual(sol, hopf_wavy.omega_fn)), 1e-4))
 
     k = CurvatureProfile(2.0, 0.5, (0.2,))
-    sol = stretched_solution(k, 2, GridSpec.from_flatmap(hopf_wavy))
+    sol = stretched_solution(k, 2, hopf_wavy.spec)
     from flatsurf4.flatmap import profile_angle
     rows.append(("stretched", max(system_residual(sol, profile_angle(k))), 1e-4))
 
@@ -157,13 +157,13 @@ def test_criterion_5_representation_diagnostics(hopf_const, hopf_wavy,
                                                 helix_product):
     surfaces = []
     surfaces.append(("constant on Hopf", hopf_const,
-                     constant_solution(GridSpec.from_flatmap(hopf_const))))
+                     constant_solution(hopf_const.spec)))
     surfaces.append(("geometric on Hopf", hopf_wavy,
                      geometric_solution(hopf_wavy, a=(1, 0, 0.5, 0), rho=0.2)))
     g, mu = helix_product
     surfaces.append(("helical on product", g,
                      helical_angle_solution(mu, SIN, COS,
-                                            GridSpec.from_flatmap(g))))
+                                            g.spec)))
     worst_t, worst_m, worst_ab = 0.0, 0.0, 0.0
     for name, gmap, sol in surfaces:
         im = assemble(gmap, sol)
@@ -181,10 +181,10 @@ def test_criterion_5_representation_diagnostics(hopf_const, hopf_wavy,
 
 def test_criterion_6_flatness(clifford, release_torus):
     vals = {}
-    im = assemble(clifford, constant_solution(GridSpec.from_flatmap(clifford)))
+    im = assemble(clifford, constant_solution(clifford.spec))
     vals["clifford"] = flatness_check(im)
 
-    spec = GridSpec.from_flatmap(clifford)
+    spec = clifford.spec
     sol = lambda_rescale(wave_solution(math.pi / 2, SIN, COS, spec), 0.25)
     vals["product-of-curves"] = flatness_check(assemble(clifford, sol))
 
@@ -200,7 +200,7 @@ def test_criterion_6_flatness(clifford, release_torus):
     a2 = mk_helix(rate_to_radius(2.0), -1, (0, 1), 0.01)
     a2 = a2.right_translate(qinv(a2.samples[0]))
     g = bianchi_spivak_product(a1, a2, xi0=QI)
-    sol = exponential_solution(2.0, 1.0, GridSpec.from_flatmap(g))
+    sol = exponential_solution(2.0, 1.0, g.spec)
     vals["exponential cylinder"] = flatness_check(assemble(g, sol))
 
     _, rep = release_torus
@@ -277,7 +277,7 @@ def test_criterion_9_lambda_collapse(release_outcome):
     k = release_outcome.profile
     g = hopf_flat_map(k, 8 * k.base_period, h=k.base_period / 96,
                       hv=TWO_PI / 192)
-    sol = stretched_solution(k, 2, GridSpec.from_flatmap(g))
+    sol = stretched_solution(k, 2, g.spec)
     sw = np.sin(g.omega_grid)
     devs = []
     for lam in (1.0, 0.5, 0.25, 0.125):

@@ -39,7 +39,7 @@ def fiber_curve_k(length, h):
 def test_helix_product_angle_is_linear():
     g, mu = helix_product_map(2.0, (0, 1), (0, 1), h=0.01)
     assert mu == pytest.approx(0.75)
-    expect = 2 * mu * (g.u_nodes[:, None] + g.v_nodes[None, :])
+    expect = 2 * mu * (g.spec.u_nodes[:, None] + g.spec.v_nodes[None, :])
     assert np.max(np.abs(g.omega_grid - expect)) < 1e-5
 
 
@@ -54,7 +54,7 @@ def test_helix_product_flatmap_residuals():
 def test_helix_product_random_radii(r):
     g, mu = helix_product_map(r, (0, 0.8), (0, 0.8), h=0.008)
     assert verify_flat_map(g).max_flatmap_residual < 1e-5
-    expect = 2 * mu * (g.u_nodes[:, None] + g.v_nodes[None, :])
+    expect = 2 * mu * (g.spec.u_nodes[:, None] + g.spec.v_nodes[None, :])
     assert np.max(np.abs(g.omega_grid - expect)) < 1e-5
 
 
@@ -65,8 +65,8 @@ def test_great_circle_product_is_clifford():
     # constant angle pi/2 everywhere
     assert np.max(np.abs(g.omega_grid - math.pi / 2)) < 1e-12
     # closed form e^{iu} e^{kv}
-    u = g.u_nodes[:, None]
-    v = g.v_nodes[None, :]
+    u = g.spec.u_nodes[:, None]
+    v = g.spec.v_nodes[None, :]
     # (cos u + i sin u)(cos v + k sin v); ik = -j
     expect = np.stack([np.cos(u) * np.cos(v) + 0 * v,
                        np.sin(u) * np.cos(v),
@@ -121,7 +121,7 @@ def test_hopf_map_nonconstant_profile():
     assert rep.max_flatmap_residual < 1e-5
     assert rep.gauss_metric < 1e-5
     # omega = arccot(k) in (0, pi)
-    kv = k.value(g.u_nodes)
+    kv = k.value(g.spec.u_nodes)
     expect = 0.5 * math.pi - np.arctan(kv)
     assert np.max(np.abs(g.omega_grid - expect[:, None])) < 1e-12
     assert np.all(g.omega_grid > 0) and np.all(g.omega_grid < math.pi)
@@ -183,11 +183,11 @@ def test_clifford_any_u_window(tmp_path):
     # period, and the window's start is the u of its first node
     g = clifford_flat_map(h=0.02, u_range=(1.0, 2.0), v_range=(0.0, 1.0))
     ref = clifford_flat_map(h=0.02, u_range=(0.0, 2.0), v_range=(0.0, 1.0))
-    assert g.u0 == 1.0
-    assert g.nu == 51
+    assert g.spec.u0 == 1.0
+    assert g.spec.nu == 51
     assert g.lattice is None
     i0 = 50  # ref node with u = 1.0
-    assert np.max(np.abs(g.u_nodes - ref.u_nodes[i0:])) < 1e-12
+    assert np.max(np.abs(g.spec.u_nodes - ref.spec.u_nodes[i0:])) < 1e-12
     assert np.max(np.abs(g.F - ref.F[i0:])) < 1e-12
     assert np.max(np.abs(g.Fhat - ref.Fhat[i0:])) < 1e-12
     z1 = np.hypot(g.F[..., 0], g.F[..., 1])
@@ -199,7 +199,7 @@ def test_clifford_any_u_window(tmp_path):
     first_row = path.read_text().splitlines()[1]
     assert float(first_row.split(",")[0]) == 1.0
     g2 = read_flatmap_csv(path)
-    assert g2.u0 == 1.0
+    assert g2.spec.u0 == 1.0
     assert np.array_equal(g2.F, g.F)
 
 
@@ -209,7 +209,7 @@ def test_hopf_map_owns_its_factor_curves():
     k = CurvatureProfile(2.0, 0.5, (0.3,))
     g = hopf_flat_map(k, 2.0, h=0.05, v_range=(0.0, 1.0), ode_step=1e-3)
     for arr in (g.left, g.left_d, g.left_dd):
-        assert arr.shape == (g.nu, 4)
+        assert arr.shape == (g.spec.nu, 4)
         assert arr.base is None and arr.flags.c_contiguous
 
 
@@ -249,6 +249,6 @@ def test_flatmap_csv_roundtrip(tmp_path):
     assert np.array_equal(g2.F, g.F)
     assert np.array_equal(g2.Fhat, g.Fhat)
     assert np.array_equal(g2.omega_grid, g.omega_grid)
-    assert g2.hu == pytest.approx(g.hu, abs=1e-15)
+    assert g2.spec.hu == pytest.approx(g.spec.hu, abs=1e-15)
     # a reloaded grid still verifies through finite differences
     assert verify_flat_map(g2).max_flatmap_residual < 1e-3

@@ -11,7 +11,8 @@ from flatsurf4.errors import (EqualSpeeds, GridMismatch, NonConstantAngle,
 from flatsurf4.flatmap import (constant_angle, helix_product_map, hopf_flat_map,
                                linear_angle, polar_dual, profile_angle,
                                read_flatmap_csv, write_flatmap_csv)
-from flatsurf4.hypsys import (GridSpec, SmoothFn, SolutionGrid, constant_solution,
+from flatsurf4.hypsys import (DERIVATIVE_FIELDS, GridSpec, SmoothFn,
+                              SolutionGrid, constant_solution,
                               exponential_solution, geometric_solution,
                               helical_angle_solution, quadrature_transform,
                               solve_numeric, stretched_solution, system_residual,
@@ -48,7 +49,7 @@ def test_zero_and_constant_solutions():
 def test_diagonal_system_at_omega_zero():
     # omega = 0: alpha_v = alpha_u, beta_v = -beta_u
     U, V = SPEC.mesh()
-    sol = SolutionGrid(SPEC.u0, SPEC.v0, SPEC.hu, SPEC.hv,
+    sol = SolutionGrid(SPEC,
                        (U + V) * np.ones_like(V), (U - V) * np.ones_like(V))
     ra, rb = system_residual(sol, constant_angle(0.0))
     assert ra < 1e-10 and rb < 1e-10
@@ -78,6 +79,23 @@ def test_wave_omega_right_angle():
 def test_wave_rejects_nonconstant_angle():
     with pytest.raises(NonConstantAngle):
         wave_solution(linear_angle(1.0, 0.0), SIN, COS, SPEC)
+
+
+def test_combine_of_wave_solutions():
+    # the system is linear: a x + b y solves it, field by field
+    x = wave_solution(0.7, SIN, COS, SPEC)
+    y = wave_solution(0.7, COS, ONE, SPEC)
+    a, b = 0.3, -1.7
+    z = x.combine(y, a, b)
+    ra, rb = system_residual(z, constant_angle(0.7), derivatives="analytic")
+    assert ra <= 1e-10 and rb <= 1e-10
+    for name in ("alpha", "beta") + DERIVATIVE_FIELDS:
+        assert np.array_equal(getattr(z, name),
+                              a * getattr(x, name) + b * getattr(y, name))
+    assert z.spec == SPEC and z.provenance == "wave+wave"
+    other = GridSpec.from_ranges((0, 1), (0, 1), 0.02)
+    with pytest.raises(GridMismatch):
+        x.combine(wave_solution(0.7, SIN, COS, other))
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +191,8 @@ def test_geometric_solution_without_second_factor_derivative():
     ref = geometric_solution(g, a=A_VEC, rho=RHO)
     for got, want in zip(_fields(sol)[:6], _fields(ref)[:6]):
         assert np.array_equal(got, want)
-    assert np.array_equal(sol.alpha_uu, fd.d2(sol.alpha, g.hu, axis=0))
-    assert np.array_equal(sol.beta_uu, fd.d2(sol.beta, g.hu, axis=0))
+    assert np.array_equal(sol.alpha_uu, fd.d2(sol.alpha, g.spec.hu, axis=0))
+    assert np.array_equal(sol.beta_uu, fd.d2(sol.beta, g.spec.hu, axis=0))
 
 
 def test_geometric_solution_on_csv_grid(tmp_path):
@@ -188,10 +206,11 @@ def test_geometric_solution_on_csv_grid(tmp_path):
     assert not g.has_factors
     sol = geometric_solution(g, a=A_VEC, rho=RHO)
     alpha, beta = _a_dot(g.F) + RHO, _a_dot(g.Fhat)
+    hu, hv = g.spec.hu, g.spec.hv
     ref = (alpha, beta,
-           _a_dot(fd.d1(g.F, g.hu, axis=0)), _a_dot(fd.d1(g.Fhat, g.hu, axis=0)),
-           _a_dot(fd.d1(g.F, g.hv, axis=1)), _a_dot(fd.d1(g.Fhat, g.hv, axis=1)),
-           fd.d2(alpha, g.hu, axis=0), fd.d2(beta, g.hu, axis=0))
+           _a_dot(fd.d1(g.F, hu, axis=0)), _a_dot(fd.d1(g.Fhat, hu, axis=0)),
+           _a_dot(fd.d1(g.F, hv, axis=1)), _a_dot(fd.d1(g.Fhat, hv, axis=1)),
+           fd.d2(alpha, hu, axis=0), fd.d2(beta, hu, axis=0))
     for got, want in zip(_fields(sol), ref):
         assert np.array_equal(got, want)
 
@@ -297,7 +316,7 @@ def test_helical_solution_mu_zero_reduces_to_waves():
 def test_helical_matches_product_map_angle():
     # the helix-product flat map carries exactly the angle this family solves
     g, mu = helix_product_map(2.0, (0, 1), (0, 1), h=0.01)
-    sol = helical_angle_solution(mu, SIN, COS, GridSpec.from_flatmap(g))
+    sol = helical_angle_solution(mu, SIN, COS, g.spec)
     ra, rb = system_residual(sol, g.omega_fn)
     assert max(ra, rb) < 1e-5
 
@@ -397,7 +416,7 @@ def test_numeric_marcher_nonconstant_angle():
     k = CurvatureProfile(2.0, 0.5, (0.3,))
     g = hopf_flat_map(k, 4.0, h=0.005, v_range=(0.0, 0.4))
     ref = geometric_solution(g, a=(1, 0, 0, 0))
-    spec = GridSpec.from_flatmap(g)
+    spec = g.spec
     sol = solve_numeric(g.omega_fn, spec, ref.alpha[:, 0], ref.beta[:, 0])
     inner = slice(80, -80)
     err = max(np.max(np.abs(sol.alpha[inner, :] - ref.alpha[inner, :])),

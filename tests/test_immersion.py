@@ -39,7 +39,7 @@ def clifford():
 
 
 def test_constant_solution_reproduces_the_flat_map(hopf_grid):
-    sol = constant_solution(GridSpec.from_flatmap(hopf_grid), 1.0, 0.0)
+    sol = constant_solution(hopf_grid.spec, 1.0, 0.0)
     im = assemble(hopf_grid, sol)
     assert np.max(np.abs(im.f - hopf_grid.F)) < 1e-12
     assert np.max(np.abs(np.linalg.norm(im.f, axis=-1) - 1.0)) < 1e-9
@@ -92,7 +92,7 @@ def test_frame_detects_corruption(clifford):
 
 
 def test_tangency_for_constant_solution(hopf_grid):
-    sol = constant_solution(GridSpec.from_flatmap(hopf_grid))
+    sol = constant_solution(hopf_grid.spec)
     im = assemble(hopf_grid, sol)
     ru, rv = tangency_check(im, hopf_grid)
     assert ru < 1e-5 and rv < 1e-5
@@ -118,7 +118,8 @@ def test_tangency_for_exponential_surface():
     a2 = helix(rate_to_radius(2 * s_), -1, (0, 1), 0.01)
     a2 = a2.right_translate(qinv(a2.samples[0]))
     g = bianchi_spivak_product(a1, a2, xi0=QI)
-    expect = 2 * r_ * g.u_nodes[:, None] + 2 * s_ * g.v_nodes[None, :]
+    u, v = g.spec.mesh()
+    expect = 2 * r_ * u + 2 * s_ * v
     assert np.max(np.abs(g.omega_grid - expect)) < 1e-5
 
     im = assemble(g, sol)
@@ -132,8 +133,8 @@ def test_tangents_orthogonal_to_normals(hopf_grid):
     from flatsurf4 import _fd as fd
     sol = geometric_solution(hopf_grid, a=(1, 0, 0, 0), rho=0.3)
     im = assemble(hopf_grid, sol)
-    fu = fd.d1(im.f, im.hu, axis=0)
-    fv = fd.d1(im.f, im.hv, axis=1)
+    fu = fd.d1(im.f, im.spec.hu, axis=0)
+    fv = fd.d1(im.f, im.spec.hv, axis=1)
     for tangent in (fu, fv):
         for normal in (hopf_grid.F, hopf_grid.Fhat):
             dots = np.einsum("...k,...k->...", tangent, normal)
@@ -150,7 +151,7 @@ def test_metric_identity_on_constructed_surfaces(hopf_grid):
     cases.append((hopf_grid, sol1))
     g2, mu = helix_product_map(2.0, (0, 1), (0, 1), h=0.01)
     cases.append((g2, helical_angle_solution(mu, SIN, COS,
-                                             GridSpec.from_flatmap(g2))))
+                                             g2.spec)))
     for g, sol in cases:
         im = assemble(g, sol)
         assert metric_identity_check(im) < 1e-4
@@ -168,14 +169,14 @@ def test_derived_AB_resolves_system(hopf_grid):
 
 
 def test_clifford_torus_is_flat(clifford):
-    sol = constant_solution(GridSpec.from_flatmap(clifford))
+    sol = constant_solution(clifford.spec)
     im = assemble(clifford, sol)
     assert flatness_check(im) < 1e-4
 
 
 def test_product_of_curves_torus_is_flat(clifford):
     # wave solutions on a constant-angle map give products of plane curves
-    spec = GridSpec.from_flatmap(clifford)
+    spec = clifford.spec
     sol = wave_solution(math.pi / 2, SIN, COS, spec)
     sol = lambda_rescale(sol, 0.25)
     im = assemble(clifford, sol)
@@ -209,7 +210,7 @@ def test_helical_family_regularity_factors():
     #   margin    = 2 (2G') (2 mu G + H)
     # so the immersion is regular iff BOTH factors are nonzero
     g, mu = helix_product_map(2.0, (0, 1), (0, 1), h=0.01)
-    spec = GridSpec.from_flatmap(g)
+    spec = g.spec
     sol = helical_angle_solution(mu, SIN, COS, spec)
     im = assemble(g, sol)
     U, V = spec.mesh()
@@ -226,7 +227,7 @@ def test_helical_family_degenerates_without_g():
     # finite-difference Gram determinant
     from flatsurf4 import _fd as fd
     g, mu = helix_product_map(2.0, (0, 1), (0, 1), h=0.01)
-    spec = GridSpec.from_flatmap(g)
+    spec = g.spec
     ZERO = SmoothFn(*(lambda t: np.zeros_like(np.asarray(t, dtype=float)),) * 4)
     im = assemble(g, helical_angle_solution(mu, ZERO, COS, spec))
     assert np.max(np.abs(im.margin)) < 1e-12
@@ -240,14 +241,14 @@ def test_wave_solutions_give_product_of_curves():
     # (f_u - f_v)/2 only on u-v, the split of a product of plane curves
     from flatsurf4 import _fd as fd
     g = clifford_flat_map(h=0.02, u_range=(0, 1.0), v_range=(0, 1.0))
-    spec = GridSpec.from_flatmap(g)
+    spec = g.spec
     sol = lambda_rescale(wave_solution(math.pi / 2, SIN, COS, spec), 0.25)
     im = assemble(g, sol)
     fu = fd.d1(im.f, spec.hu, axis=0)
     fv = fd.d1(im.f, spec.hv, axis=1)
     fp = 0.5 * (fu + fv)
     fm = 0.5 * (fu - fv)
-    n = im.nu
+    n = im.spec.nu
     for d in (n // 2, n - 5, n + 3):  # anti-diagonals: constant u+v
         lo, hi = max(2, d - (n - 3)), min(d - 2, n - 3)
         pts = np.array([fp[i, d - i] for i in range(lo, hi + 1)])
@@ -278,8 +279,8 @@ def test_flatness_degenerate_raises():
     E = np.zeros((n, n))
     im_like = type("X", (), {})()
     from flatsurf4.immersion import ImmersionGrid
-    im = ImmersionGrid(0, 0, h, h, np.zeros((n, n, 4)), E, E, E, E, E,
-                       E, E, E, E)
+    im = ImmersionGrid(GridSpec(0, 0, h, h, n, n), np.zeros((n, n, 4)),
+                       E, E, E, E, E, E, E, E, E)
     with pytest.raises(DegenerateMetric):
         flatness_check(im)
 
@@ -289,7 +290,7 @@ def test_flatness_degenerate_raises():
 
 
 def test_sphere_fit_unit_sphere(hopf_grid):
-    sol = constant_solution(GridSpec.from_flatmap(hopf_grid))
+    sol = constant_solution(hopf_grid.spec)
     im = assemble(hopf_grid, sol)
     fit = sphere_fit(im)
     assert np.linalg.norm(fit.center) < 1e-8
@@ -311,7 +312,7 @@ def test_stretched_solution_leaves_spheres():
     T = 2.0
     k = CurvatureProfile(T, 0.5, (0.2,))
     g = hopf_flat_map(k, 2 * T, h=0.01, v_range=(0.0, TWO_PI), hv=0.02)
-    sol = stretched_solution(k, 2, GridSpec.from_flatmap(g))
+    sol = stretched_solution(k, 2, g.spec)
     im = assemble(g, sol)
     assert sphere_fit(im).rms_residual > 1e-2
 
@@ -349,7 +350,7 @@ def test_margin_collapses_to_sin_omega(hopf_grid):
 
 def test_auto_lambda_margin_policy(hopf_grid):
     sol = stretched_solution(
-        CurvatureProfile(2.0, 0.5, (0.3,)), 2, GridSpec.from_flatmap(hopf_grid))
+        CurvatureProfile(2.0, 0.5, (0.3,)), 2, hopf_grid.spec)
     lam = auto_lambda(hopf_grid, sol)
     s_min = float(np.min(np.sin(hopf_grid.omega_grid)))
     im = assemble(hopf_grid, lambda_rescale(sol, lam))
@@ -358,10 +359,10 @@ def test_auto_lambda_margin_policy(hopf_grid):
 
 
 def test_csv_export(tmp_path, hopf_grid):
-    sol = constant_solution(GridSpec.from_flatmap(hopf_grid))
+    sol = constant_solution(hopf_grid.spec)
     im = assemble(hopf_grid, sol, with_curvature=True)
     path = tmp_path / "im.csv"
     write_immersion_csv(im, path)
     first = path.read_text().splitlines()
     assert first[0] == "u,v,x1,x2,x3,x4,A,B,margin,K"
-    assert len(first) == 1 + im.nu * im.nv
+    assert len(first) == 1 + im.spec.nu * im.spec.nv

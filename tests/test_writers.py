@@ -1,0 +1,121 @@
+"""Bytes of every CSV and OBJ file against row-by-row formatting.
+
+The reference functions below format one row at a time, as the package
+did before its writers formatted rows in blocks; the files must match
+them byte for byte, across block boundaries and for NaN, -0.0, tiny and
+whole-number values.
+"""
+
+import numpy as np
+import pytest
+
+from flatsurf4.cli import NAMED_FUNCTIONS, JobConfig, export_obj, run
+from flatsurf4.curve import helix
+from flatsurf4.flatmap import (BLOCK_ROWS, FLATMAP_HEADER, FlatMapGrid,
+                               GridSpec, write_flatmap_csv)
+from flatsurf4.hypsys import wave_solution
+from flatsurf4.immersion import (IMMERSION_HEADER, ImmersionGrid,
+                                 write_immersion_csv)
+
+SPECIAL = (np.nan, -0.0, 1e-300, 3.0, -2.0, 0.0, 1.0 / 3.0, 1e300, np.inf)
+NV = 7
+# one block and a few rows more
+SPEC = GridSpec(-1.0, 2.0, 0.5, 0.25, BLOCK_ROWS // NV + 3, NV)
+
+
+def _csv(header, rows):
+    out = header + "\n"
+    for row in rows:
+        out += ",".join(f"{x:.17g}" for x in row) + "\n"
+    return out.encode()
+
+
+def _grid_rows(spec, *fields):
+    u, v = spec.u_nodes, spec.v_nodes
+    for i in range(spec.nu):
+        for j in range(spec.nv):
+            row = [u[i], v[j]]
+            for f in fields:
+                row.extend(np.atleast_1d(f[i, j]))
+            yield row
+
+
+def _obj(xyz):
+    nu, nv = xyz.shape[:2]
+    out = ""
+    for i in range(nu):
+        for j in range(nv):
+            out += "v %.9g %.9g %.9g\n" % tuple(xyz[i, j])
+    for i in range(nu - 1):
+        for j in range(nv - 1):
+            a = i * nv + j + 1
+            b = (i + 1) * nv + j + 1
+            c = (i + 1) * nv + j + 2
+            d = i * nv + j + 2
+            out += f"f {a} {b} {c}\n"
+            out += f"f {a} {c} {d}\n"
+    return out.encode()
+
+
+def _field(shape, seed):
+    a = np.random.default_rng(seed).standard_normal(shape)
+    flat = a.reshape(-1)
+    flat[::97] = np.resize(SPECIAL, flat[::97].shape)
+    return a
+
+
+def test_flatmap_csv_bytes(tmp_path):
+    shape = (SPEC.nu, SPEC.nv)
+    g = FlatMapGrid(SPEC, _field(shape + (4,), 1), _field(shape + (4,), 2),
+                    _field(shape, 3))
+    write_flatmap_csv(g, tmp_path / "g.csv")
+    expect = _csv(FLATMAP_HEADER, _grid_rows(SPEC, g.F, g.Fhat, g.omega_grid))
+    assert (tmp_path / "g.csv").read_bytes() == expect
+
+
+@pytest.mark.parametrize("with_curvature", [True, False])
+def test_immersion_csv_bytes(tmp_path, with_curvature):
+    shape = (SPEC.nu, SPEC.nv)
+    A, B, margin = (_field(shape, s) for s in (4, 5, 6))
+    K = None
+    if with_curvature:  # NaN near the boundary, as brioschi_curvature leaves it
+        K = np.full(shape, np.nan)
+        K[4:-4, 4:-4] = _field(shape, 7)[4:-4, 4:-4]
+    im = ImmersionGrid(SPEC, _field(shape + (4,), 8), A, B, A, B, margin,
+                       A, B, A, _field(shape, 9), K_est=K)
+    write_immersion_csv(im, tmp_path / "im.csv")
+    K_col = K if with_curvature else np.full(shape, np.nan)
+    expect = _csv(IMMERSION_HEADER,
+                  _grid_rows(SPEC, im.f, A, B, margin, K_col))
+    assert (tmp_path / "im.csv").read_bytes() == expect
+
+
+def test_solve_csv_bytes(tmp_path):
+    code, rep = run(JobConfig("solve", {"family": "wave", "omega0": 0.4,
+                                        "h": 0.01, "csv": "s.csv"}, tmp_path))
+    assert code == 0
+    spec = GridSpec.from_ranges((0.0, 1.0), (0.0, 1.0), 0.01)
+    assert spec.nu * spec.nv > BLOCK_ROWS
+    sol = wave_solution(0.4, NAMED_FUNCTIONS["sin"], NAMED_FUNCTIONS["cos"],
+                        spec)
+    expect = _csv("u,v,alpha,beta", _grid_rows(spec, sol.alpha, sol.beta))
+    assert (tmp_path / "s.csv").read_bytes() == expect
+
+
+def test_helix_csv_bytes(tmp_path):
+    params = {"r": 2.0, "s_max": 2.0, "h": 4e-4}
+    code, rep = run(JobConfig("helix", params, tmp_path))
+    assert code == 0
+    c = helix(2.0, 1, (0.0, 2.0), 4e-4)
+    assert c.n > BLOCK_ROWS
+    expect = _csv("s,x1,x2,x3,x4",
+                  ([s, *q] for s, q in zip(c.u_grid, c.samples)))
+    assert (tmp_path / "helix.csv").read_bytes() == expect
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (80, 60)])
+def test_obj_bytes(tmp_path, shape):
+    pts = _field(shape + (4,), 10)
+    xyz = export_obj(pts, tmp_path / "m.obj", projection="drop", drop_index=1)
+    assert np.array_equal(xyz, np.delete(pts, 1, axis=-1), equal_nan=True)
+    assert (tmp_path / "m.obj").read_bytes() == _obj(xyz)
