@@ -33,6 +33,6 @@ from .torusearch import (HolonomyResult, SearchOutcome, a_n,
                          build_perturbed_cylinder, build_perturbed_torus,
                          holonomy, holonomy_closure_residual,
                          lift_closure_multiple, rationalize, search_rational,
-                         single_harmonic_family, stretch_profile)
+                         single_harmonic_family)
 
 __version__ = "0.1.0"

@@ -23,15 +23,14 @@ from .errors import FlatSurfaceError, NotOnSphere, PoleOnSurface
 from .flatmap import (GridSpec, clifford_flat_map, helix_product_map,
                       hopf_flat_map, linear_angle, profile_angle,
                       read_flatmap_csv, verify_flat_map, write_flatmap_csv,
-                      _write_grid_csv, _write_rows)
+                      _hopf_map, _write_grid_csv, _write_rows)
 from .hypsys import (SmoothFn, exponential_solution,
                      geometric_solution, helical_angle_solution,
                      quadrature_transform, solve_numeric, stretched_solution,
                      system_residual, wave_solution, zero_solution)
 from .immersion import sphere_fit, write_immersion_csv
 from .torusearch import (build_perturbed_cylinder, build_perturbed_torus,
-                         holonomy, search_rational, single_harmonic_family,
-                         stretch_profile)
+                         holonomy, search_rational, single_harmonic_family)
 
 TWO_PI = 2.0 * math.pi
 STEP_KEYS = ("h", "hv")
@@ -266,9 +265,7 @@ def _cmd_solve(cfg):
         omega = linear_angle(0.0, 0.0, omega0)
     elif family == "geometric":
         k = _parse_profile(p["profile"])
-        g = hopf_flat_map(k, spec.hu * (spec.nu - 1), h=spec.hu, hv=spec.hv,
-                          v_range=(spec.v0, spec.v0 + spec.hv * (spec.nv - 1)),
-                          require_period_multiple=False)
+        g = _hopf_map(k, spec)
         sol = geometric_solution(g, tuple(p.get("a", (1, 0, 0, 0))),
                                  p.get("rho", 0.0))
         omega = g.omega_fn
@@ -292,9 +289,7 @@ def _cmd_solve(cfg):
                                    y0=p.get("y0", (1.0, 0.0)))
     elif family == "numeric":
         k = _parse_profile(p["profile"])
-        g = hopf_flat_map(k, spec.hu * (spec.nu - 1), h=spec.hu, hv=spec.hv,
-                          v_range=(spec.v0, spec.v0 + spec.hv * (spec.nv - 1)),
-                          require_period_multiple=False)
+        g = _hopf_map(k, spec)
         ref = geometric_solution(g, tuple(p.get("a", (1, 0, 0, 0))))
         sol = solve_numeric(g.omega_fn, spec, ref.alpha[:, 0], ref.beta[:, 0])
         omega = g.omega_fn
@@ -316,7 +311,7 @@ def _cmd_solve(cfg):
 def _cmd_holonomy(cfg):
     k = _parse_profile(cfg.params["profile"])
     n = cfg.params.get("n", 1)
-    res = holonomy(k if n == 1 else stretch_profile(k, n),
+    res = holonomy(k if n == 1 else k.stretch(n),
                    h=cfg.params.get("h", 1e-3))
     return {
         "theta": res.theta,

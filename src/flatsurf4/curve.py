@@ -80,9 +80,6 @@ class CurvatureProfile:
         return CurvatureProfile(n * self.base_period, self.k0,
                                 self.fourier_cos, self.fourier_sin)
 
-    def is_constant(self, tol=0.0):
-        return all(abs(c) <= tol for c in self.fourier_cos + self.fourier_sin)
-
     def to_json(self):
         return json.dumps({"T": self.base_period, "k0": self.k0,
                            "cos": list(self.fourier_cos), "sin": list(self.fourier_sin)})
@@ -187,12 +184,6 @@ class S3Curve:
         return S3Curve(qmul(self.samples, q), self.h, self.u0, self.param,
                        None if self.deriv is None else qmul(self.deriv, q),
                        None if self.deriv2 is None else qmul(self.deriv2, q))
-
-    def conjugated(self):
-        """Pointwise quaternion conjugate (flips torsion sign)."""
-        return S3Curve(qconj(self.samples), self.h, self.u0, self.param,
-                       None if self.deriv is None else qconj(self.deriv),
-                       None if self.deriv2 is None else qconj(self.deriv2))
 
 
 @dataclass

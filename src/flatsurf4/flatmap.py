@@ -13,7 +13,7 @@ relations by central differences instead.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,7 +22,7 @@ from scipy.interpolate import CubicSpline
 from . import _fd as fd
 from .curve import CurvatureProfile, S3Curve, asymptotic_lift, profile_as_callable
 from .errors import PreconditionViolated
-from .quat import QI, QJ, QONE, qinv, qmul, qnorm
+from .quat import QI, QJ, QONE, fiber_circle, qinv, qmul, qnorm
 
 TWO_PI = 2.0 * math.pi
 
@@ -134,12 +134,16 @@ class GridSpec:
 
     @classmethod
     def from_ranges(cls, u_range, v_range, h, hv=None):
+        """The one rounding rule: round(span / step) cells on each axis,
+        the step adjusted to divide its span; a step must be in (0, span]."""
         hv = h if hv is None else hv
-        nu = int(round((u_range[1] - u_range[0]) / h)) + 1
-        nv = int(round((v_range[1] - v_range[0]) / hv)) + 1
-        return cls(u_range[0], v_range[0],
-                   (u_range[1] - u_range[0]) / (nu - 1),
-                   (v_range[1] - v_range[0]) / (nv - 1), nu, nv)
+        su, sv = u_range[1] - u_range[0], v_range[1] - v_range[0]
+        if not (0 < h <= su and 0 < hv <= sv):
+            raise ValueError(f"grid steps (h, hv) = ({h:g}, {hv:g}) must be "
+                             f"positive and no larger than the spans of "
+                             f"u_range {tuple(u_range)} and v_range {tuple(v_range)}")
+        nu, nv = int(round(su / h)) + 1, int(round(sv / hv)) + 1
+        return cls(u_range[0], v_range[0], su / (nu - 1), sv / (nv - 1), nu, nv)
 
     @property
     def u_nodes(self):
@@ -286,13 +290,53 @@ def bianchi_spivak_product(a1: S3Curve, a2: S3Curve, xi0=QJ, tol=1e-6,
                        left_dd=a1.deriv2, right=R, right_d=d2, xi0=xi0)
 
 
+HOPF_XI = np.array([0.0, 0.0, -1.0, 0.0])  # polar sign keeps w in (0, pi)
+
+
+def _hopf_factors(k, spec: GridSpec, a0=QONE, sign=1, ode_step=1e-3):
+    """Factors of the Hopf surface L(u) e^{iv} of k: the lift (L, L', L'')
+    from a(u0) = a0 at spec.u_nodes, by ceil(hu / ode_step) Magnus steps
+    per cell (copied, so no fine lift stays alive), and the fiber
+    (e^{iv}, i e^{iv}) at spec.v_nodes."""
+    sub = max(1, int(math.ceil(spec.hu / ode_step - 1e-12)))
+    lift = asymptotic_lift(k, (spec.u0, spec.u0 + spec.hu * (spec.nu - 1)),
+                           spec.hu / sub, a0=a0, sign=sign)
+    L = lift.samples[::sub].copy()
+    Ld = lift.deriv[::sub].copy()
+    Ldd = None if lift.deriv2 is None else lift.deriv2[::sub].copy()
+    R = fiber_circle(spec.v_nodes)
+    return L, Ld, Ldd, R, qmul(QI, R)
+
+
+def _hopf_map(k, spec: GridSpec, a0=QONE, sign=1, ode_step=1e-3):
+    """F = L e^{iv}, Fhat = L HOPF_XI e^{iv} on spec (see hopf_flat_map)."""
+    L, Ld, Ldd, R, Rd = _hopf_factors(k, spec, a0, sign, ode_step)
+    F = qmul(L[:, None, :], R[None, :, :])
+    Fhat = qmul(qmul(L, HOPF_XI)[:, None, :], R[None, :, :])
+    omega_fn = profile_angle(k)
+    omega_grid = np.broadcast_to(
+        np.asarray(omega_fn.f1(spec.u_nodes))[:, None], F.shape[:2]).copy()
+
+    lattice = None
+    closure = max(float(np.linalg.norm(L[-1] - L[0])),
+                  float(np.linalg.norm(Ld[-1] - Ld[0])))
+    if closure < 1e-6 and abs(spec.hv * (spec.nv - 1) - TWO_PI) < 1e-12:
+        lattice = (spec.hu * (spec.nu - 1), TWO_PI)
+    return FlatMapGrid(spec, F, Fhat, omega_grid, omega_fn, lattice=lattice,
+                       left=L, left_d=Ld, left_dd=Ldd, right=R, right_d=Rd,
+                       xi0=HOPF_XI)
+
+
 def hopf_flat_map(k, U, h=1e-2, a0=QONE, v_range=(0.0, TWO_PI), hv=None,
                   sign=1, ode_step=1e-3, require_period_multiple=True):
     """Flat map of the Hopf surface over the curve with curvature profile k.
 
-    F(u,v) = a(u) e^{iv} with a the asymptotic lift of k.  The polar map is
-    a(u) xi e^{iv} with xi = -j, the sign that puts the angle
-    w(u) = arccot(k(u)) in the branch (0, pi); V-period is 2 pi.
+    F(u,v) = a(u) e^{iv} with a the asymptotic lift of k, a(0) = a0, on
+    GridSpec.from_ranges((0, U), v_range, h, hv), built by _hopf_factors,
+    the one Hopf builder (clifford_flat_map, stretched_solution and the
+    CLI's solve use it too).  The polar map is a(u) xi e^{iv} with
+    xi = HOPF_XI = -j, the sign that puts the angle w(u) = arccot(k(u)) in
+    the branch (0, pi); V-period is 2 pi.
 
     With require_period_multiple (the default), U must be a whole number
     of k.base_period: a partial period of a non-constant profile cannot
@@ -305,48 +349,8 @@ def hopf_flat_map(k, U, h=1e-2, a0=QONE, v_range=(0.0, TWO_PI), hv=None,
         m = U / T
         if abs(m - round(m)) > 1e-9 * max(1.0, abs(m)):
             raise ValueError(f"U = {U:g} must be a multiple of the base period {T:g}")
-
-    nu_cells = max(1, int(round(U / h)))
-    h = U / nu_cells
-    sub = max(1, int(math.ceil(h / ode_step - 1e-12)))
-    lift = asymptotic_lift(k, (0.0, U), h / sub, a0=a0, sign=sign)
-    # copies, so the grid does not keep the fine lift alive
-    L = lift.samples[::sub].copy()
-    Ld = lift.deriv[::sub].copy()
-    Ldd = None if lift.deriv2 is None else lift.deriv2[::sub].copy()
-
-    v0, v1 = v_range
-    hv = h if hv is None else hv
-    nv = max(1, int(round((v1 - v0) / hv)))
-    hv = (v1 - v0) / nv
-    v = v0 + hv * np.arange(nv + 1)
-    R = np.zeros((nv + 1, 4))
-    R[:, 0] = np.cos(v)
-    R[:, 1] = np.sin(v)
-    Rd = np.zeros((nv + 1, 4))
-    Rd[:, 0] = -np.sin(v)
-    Rd[:, 1] = np.cos(v)
-
-    xi = np.array([0.0, 0.0, -1.0, 0.0])  # polar sign keeps w in (0, pi)
-    F = qmul(L[:, None, :], R[None, :, :])
-    Lx = qmul(L, xi)
-    Fhat = qmul(Lx[:, None, :], R[None, :, :])
-
-    omega_fn = profile_angle(k)
-    omega_grid = np.broadcast_to(
-        np.asarray(omega_fn.f1(h * np.arange(L.shape[0])))[:, None],
-        F.shape[:2]).copy()
-
-    lattice = None
-    closure = max(float(np.linalg.norm(L[-1] - L[0])),
-                  float(np.linalg.norm(Ld[-1] - Ld[0])))
-    if closure < 1e-6 and abs((v1 - v0) - TWO_PI) < 1e-12:
-        lattice = (U, TWO_PI)
-
-    return FlatMapGrid(GridSpec(0.0, v0, h, hv, len(L), nv + 1), F, Fhat,
-                       omega_grid, omega_fn, lattice=lattice,
-                       left=L, left_d=Ld, left_dd=Ldd, right=R, right_d=Rd,
-                       xi0=xi)
+    return _hopf_map(k, GridSpec.from_ranges((0.0, U), v_range, h, hv),
+                     a0=a0, sign=sign, ode_step=ode_step)
 
 
 def clifford_flat_map(h=1e-2, u_range=(0.0, TWO_PI), v_range=(0.0, TWO_PI)):
@@ -360,13 +364,11 @@ def clifford_flat_map(h=1e-2, u_range=(0.0, TWO_PI), v_range=(0.0, TWO_PI)):
     and v spans 2 pi, as for the default 2 pi x 2 pi window; a u-window
     whose length is no multiple of 2 pi leaves it None.
     """
-    k = CurvatureProfile(math.pi, 0.0)
-    u0, u1 = u_range
+    u0 = u_range[0]
     a0 = qmul(0.5 * np.array([1.0, 1.0, 1.0, 1.0]),
               np.array([math.cos(u0), 0.0, 0.0, math.sin(u0)]))
-    g = hopf_flat_map(k, u1 - u0, h=h, a0=a0, v_range=v_range,
-                      require_period_multiple=False)
-    return replace(g, spec=replace(g.spec, u0=float(u0)))
+    return _hopf_map(CurvatureProfile(math.pi, 0.0),
+                     GridSpec.from_ranges(u_range, v_range, h), a0=a0)
 
 
 def helix_product_map(r, u_range=(0.0, 1.0), v_range=(0.0, 1.0), h=1e-2):

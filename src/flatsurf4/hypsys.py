@@ -8,6 +8,8 @@ constant angle, geometric solutions read off a flat map, stretched
 solutions pulled back from an n-stretched Hopf surface, the closed-form
 families for linear angles, a quadrature transform producing new
 solutions from old ones, and a best-effort characteristic marcher.
+Every Hopf surface, stretched or not, is built by flatmap._hopf_factors,
+and every grid given by ranges follows GridSpec.from_ranges.
 """
 
 import math
@@ -18,10 +20,10 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from . import _fd as fd
-from .curve import asymptotic_lift
 from .errors import (EqualSpeeds, GridMismatch, NonConstantAngle,
                      PathDependence)
-from .flatmap import AngleFunction, FlatMapGrid, GridSpec
+from .flatmap import (HOPF_XI, AngleFunction, FlatMapGrid, GridSpec,
+                      _hopf_factors)
 from .quat import qconj, qmul
 
 TWO_PI = 2.0 * math.pi
@@ -243,33 +245,25 @@ def stretched_solution(k, n, spec: GridSpec, a=(1.0, 0.0, 0.0, 0.0), rho=0.0,
                        a0=(1.0, 0.0, 0.0, 0.0), ode_step=1e-3):
     """Geometric solution of the n-stretched Hopf surface, read at (nu, nv).
 
-    Builds the Hopf map N~ for the stretched profile k~(u) = k(u/n), takes
-    (alpha~, beta~) = (<a,N~>+rho, <a,N~hat>), and returns
+    Takes (alpha~, beta~) = (<a,N~>+rho, <a,N~hat>) on the Hopf map N~ of
+    the stretched profile k~(u) = k(u/n) and returns
     (alpha, beta)(u, v) = (alpha~, beta~)(n u, n v), which solves the
     system for the original angle but is no longer geometric for it.
+    N~ is built by flatmap._hopf_factors, the Hopf builder of
+    hopf_flat_map, on GridSpec(n u0, n v0, n hu, n hv, nu, nv): spec
+    scaled by n, not re-rounded by GridSpec.from_ranges.  Its lift starts
+    at a~(n u0) = a0, and by the chain rule each derivative order carries
+    a factor n.
     """
     if n < 2:
         raise ValueError("stretch factor n must be >= 2")
-    ks = k.stretch(n)
-    a = np.asarray(a, dtype=float)
-
-    # lift of the stretched profile sampled at n * u_nodes
-    su0, su1 = n * spec.u0, n * (spec.u0 + spec.hu * (spec.nu - 1))
-    hs = n * spec.hu
-    sub = max(1, int(math.ceil(hs / ode_step - 1e-12)))
-    lift = asymptotic_lift(ks, (su0, su1), hs / sub, a0=np.asarray(a0, dtype=float))
-    xi = np.array([0.0, 0.0, -1.0, 0.0])
-
-    nv_nodes = n * spec.v_nodes
-    R = np.zeros((spec.nv, 4))
-    R[:, 0] = np.cos(nv_nodes)
-    R[:, 1] = np.sin(nv_nodes)
-    Rd = np.zeros((spec.nv, 4))
-    Rd[:, 0] = -np.sin(nv_nodes)
-    Rd[:, 1] = np.cos(nv_nodes)
-    return _factor_solution(spec, lift.samples[::sub], lift.deriv[::sub],
-                            lift.deriv2[::sub], xi, R, Rd, a, rho, n,
-                            "stretched")
+    stretched = GridSpec(n * spec.u0, n * spec.v0, n * spec.hu, n * spec.hv,
+                         spec.nu, spec.nv)
+    L, Ld, Ldd, R, Rd = _hopf_factors(k.stretch(n), stretched,
+                                      a0=np.asarray(a0, dtype=float),
+                                      ode_step=ode_step)
+    return _factor_solution(spec, L, Ld, Ldd, HOPF_XI, R, Rd,
+                            np.asarray(a, dtype=float), rho, n, "stretched")
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,13 @@ class ImmersionGrid:
     margin: np.ndarray     # (A^2-B^2) sin w - 2AB cos w
     E: np.ndarray          # = G = A^2 + B^2
     Fm: np.ndarray         # (A^2-B^2) cos w + 2AB sin w
-    G: np.ndarray
-    omega_grid: np.ndarray
     frame_residual: float = math.nan
     K_est: Optional[np.ndarray] = None
+
+    @property
+    def G(self):
+        """The metric coefficient <f_v, f_v>, which equals E."""
+        return self.E
 
     def margin_min(self, trim=fd.INTERIOR_TRIM):
         return float(np.min(fd.interior(self.margin, trim)))
@@ -95,8 +98,7 @@ def assemble(gmap: FlatMapGrid, sol: SolutionGrid,
     E = A * A + B * B
     Fm = (A * A - B * B) * cw + 2.0 * A * B * sw
 
-    im = ImmersionGrid(gmap.spec, f, A, B, Ahat, Bhat, margin, E, Fm, E.copy(),
-                       gmap.omega_grid.copy())
+    im = ImmersionGrid(gmap.spec, f, A, B, Ahat, Bhat, margin, E, Fm)
     if with_frame_check:
         im.frame_residual = verify_frame(gmap)
     if with_curvature:

@@ -91,17 +91,12 @@ def holonomy(k, h=1e-3, q_max=Q_MAX, window=RATIONAL_WINDOW) -> HolonomyResult:
     return HolonomyResult(R, theta, axis, top, rationalize(top, q_max, window))
 
 
-def stretch_profile(k, n):
-    """Profile of the n-stretched curve: k~(u) = k(u/n), period n T."""
-    return k.stretch(n)
-
-
 def a_n(k, n, h=1e-3):
     """theta/pi for the n-stretched profile; rational iff the stretched
     curve (and hence its Hopf surface) closes up."""
     if n < 2:
         raise ValueError("a_n is defined for stretch factors n >= 2")
-    return holonomy(stretch_profile(k, n), h=h).theta_over_pi
+    return holonomy(k.stretch(n), h=h).theta_over_pi
 
 
 def holonomy_closure_residual(k, multiples=1, h=1e-3):
@@ -161,8 +156,8 @@ def circle_outcome(k0, n=2, h=1e-3):
     the circle itself; control runs should start from this outcome.
     """
     profile = CurvatureProfile(math.pi, k0)
-    ach = holonomy(stretch_profile(profile, n), h=h)
-    residual = holonomy_closure_residual(stretch_profile(profile, n), 1, h=h)
+    ach = holonomy(profile.stretch(n), h=h)
+    residual = holonomy_closure_residual(profile.stretch(n), 1, h=h)
     return SearchOutcome(profile, n, ach, (0, 1), 0.0, 1, residual)
 
 
@@ -210,12 +205,12 @@ def search_rational(family: Callable[[float], CurvatureProfile], n, target,
 
     eps_root = lo if lo == hi else brentq(g, lo, hi, xtol=eps_tol)
     profile = family(eps_root)
-    ach = holonomy(stretch_profile(profile, n), h=h)
+    ach = holonomy(profile.stretch(n), h=h)
 
     m_star = closure_multiple(p, q)
     residual = math.nan
     if validate:
-        residual = holonomy_closure_residual(stretch_profile(profile, n),
+        residual = holonomy_closure_residual(profile.stretch(n),
                                              multiples=m_star, h=h)
         if residual > closure_tol:
             raise ClosureFailure(
@@ -307,7 +302,7 @@ def build_perturbed_torus(outcome: SearchOutcome, lam=None, nodes_per_period=96,
     n = outcome.n
     T = k.base_period
     m1, gap1 = lift_closure_multiple(k, m_max, h=ode_step)
-    m2, gap2 = lift_closure_multiple(stretch_profile(k, n), m_max, h=ode_step)
+    m2, gap2 = lift_closure_multiple(k.stretch(n), m_max, h=ode_step)
     # the stretched lift closes over m2 * nT; the pullback at (nu, nv) is
     # then m2 * T periodic in u
     m_common = m1 * m2 // math.gcd(m1, m2)

@@ -27,7 +27,7 @@ from flatsurf4.immersion import (assemble, derived_solution, flatness_check,
 from flatsurf4.torusearch import (a_n, build_perturbed_cylinder,
                                   build_perturbed_torus,
                                   holonomy_closure_residual, search_rational,
-                                  single_harmonic_family, stretch_profile)
+                                  single_harmonic_family)
 
 TWO_PI = 2 * math.pi
 
@@ -226,7 +226,7 @@ def test_criterion_7_holonomy_and_property_P(release_outcome):
     out2 = search_rational(fam, 2, (1, 5), (0.8, 1.05), h=2e-3)
     rational_cases.append((out2.profile, out2.closure_multiple))
     worst_rational = max(
-        holonomy_closure_residual(stretch_profile(k, 2), m, h=2e-3)
+        holonomy_closure_residual(k.stretch(2), m, h=2e-3)
         for k, m in rational_cases)
 
     # far side: a_2 at distance >= 1e-2 from every rational with q <= 8
@@ -237,7 +237,7 @@ def test_criterion_7_holonomy_and_property_P(release_outcome):
         dist = min(abs(v - p / q) for q in range(1, 9)
                    for p in range(-q, q + 1))
         assert dist >= 1e-2
-        ks = stretch_profile(k, 2)
+        ks = k.stretch(2)
         best_far = min(best_far,
                        min(holonomy_closure_residual(ks, m, h=4e-3)
                            for m in range(1, 17)))

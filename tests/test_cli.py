@@ -6,6 +6,7 @@ import pytest
 
 from flatsurf4.cli import (JobConfig, export_obj, main, revolution_radii, run,
                            _stereographic)
+from flatsurf4.curve import CurvatureProfile, asymptotic_lift
 from flatsurf4.errors import NotOnSphere, PoleOnSurface
 
 
@@ -113,6 +114,29 @@ def test_cmd_solve_geometric_and_numeric(tmp_path):
     assert rep2["residual_alpha"] < 0.1  # first-order marcher, best effort
 
 
+@pytest.mark.parametrize("family,n", [("geometric", 1), ("numeric", 1),
+                                      ("stretched", 2)])
+def test_cmd_solve_honours_range_starts(tmp_path, family, n):
+    # the Hopf surface's lift starts at 1 at u_range[0]: the CSV's u column
+    # runs over u_range, its v column starts at v_range[0], and alpha at
+    # v0 is <1, a(n u) e^{i n v0}> for the lift a of k(u/n) from n u0
+    k = CurvatureProfile(2.0, 0.5, (0.3,))
+    code, rep = run(JobConfig("solve",
+                              {"family": family, "profile": k.to_json(),
+                               "u_range": (1.0, 2.0), "v_range": (0.5, 1.0),
+                               "h": 0.01, "n": n}, tmp_path))
+    assert code == 0
+    data = np.loadtxt(tmp_path / "solution.csv", delimiter=",", skiprows=1)
+    assert data[0, 0] == 1.0 and data[-1, 0] == 2.0
+    assert data[0, 1] == 0.5
+    lift = asymptotic_lift(k.stretch(n), (n * 1.0, n * 2.0), 1e-3).samples
+    a = lift[::10 * n]
+    v0 = n * 0.5
+    expect = a[:, 0] * math.cos(v0) - a[:, 1] * math.sin(v0)
+    assert np.max(np.abs(data[data[:, 1] == 0.5, 2] - expect)) < 1e-12
+    assert rep["residual_alpha"] < (0.1 if family == "numeric" else 1e-4)
+
+
 def test_cmd_holonomy(tmp_path):
     profile = json.dumps({"T": math.pi, "k0": 1.0, "cos": [], "sin": []})
     code, rep = run(JobConfig("holonomy", {"profile": profile, "n": 2}, tmp_path))
@@ -180,6 +204,7 @@ def _main_report(tmp_path, *argv):
     (["helix", "--r", "2.0", "--h", "-1"], "step size h"),
     (["build-cylinder", "--profile", '{"k0": 0.8, "terms": [[0.1, 2.0]]}'],
      "[amplitude, frequency, phase]"),
+    (["solve", "--family", "wave", "--h", "5"], "no larger than the spans"),
 ])
 def test_bad_input_gives_error_report(tmp_path, argv, needle):
     code, rep = _main_report(tmp_path, *argv)

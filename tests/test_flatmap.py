@@ -6,9 +6,10 @@ import pytest
 from flatsurf4.curve import CurvatureProfile, S3Curve
 from flatsurf4.errors import PreconditionViolated
 from flatsurf4.flatmap import (
-    bianchi_spivak_product, clifford_flat_map, constant_angle, helix_product_map,
-    hopf_flat_map, linear_angle, normal_shape_check, polar_dual, profile_angle,
-    read_flatmap_csv, verify_flat_map, write_flatmap_csv,
+    GridSpec, bianchi_spivak_product, clifford_flat_map, constant_angle,
+    helix_product_map, hopf_flat_map, linear_angle, normal_shape_check,
+    polar_dual, profile_angle, read_flatmap_csv, verify_flat_map,
+    write_flatmap_csv,
 )
 from flatsurf4.quat import QI, QJ, hopf, qmul
 
@@ -233,6 +234,17 @@ def test_angle_shift():
     b = linear_angle(2.0, 3.0)
     bs = b.shifted(math.pi)
     assert bs.omega(0.1, 0.2) == pytest.approx(b.omega(0.1, 0.2) + math.pi)
+
+
+# ---------------------------------------------------------------------------
+# grid rounding
+
+
+@pytest.mark.parametrize("h,hv", [(1.5, 0.1), (0.1, 0.6), (0.0, 0.1),
+                                  (0.1, -0.1)])
+def test_grid_from_ranges_rejects_steps_beyond_spans(h, hv):
+    with pytest.raises(ValueError, match="no larger than the spans"):
+        GridSpec.from_ranges((1.0, 2.0), (0.5, 1.0), h, hv)
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,21 @@ def test_stretched_solution_contracts_on_factors():
     _assert_fields_close(sol, ref)
 
 
+def test_stretched_solution_is_geometric_solution_of_stretched_map():
+    # chain rule: (alpha, beta)(u, v) = (alpha~, beta~)(n u, n v) on the Hopf
+    # map of k(u/n); each derivative order carries a factor n (n = 2 keeps
+    # the scaled grid exact, so the fields agree bit for bit)
+    n, T = 2, 2.0
+    k = CurvatureProfile(T, 0.5, (0.2,), (0.1,))
+    spec = GridSpec.from_ranges((0.0, T), (0.0, 1.0), 0.02, 0.05)
+    sol = stretched_solution(k, n, spec, a=A_VEC, rho=RHO)
+    g = hopf_flat_map(k.stretch(n), n * T, h=n * spec.hu, hv=n * spec.hv,
+                      v_range=(0.0, n * 1.0))
+    geo = geometric_solution(g, a=A_VEC, rho=RHO)
+    scale = (1, 1, n, n, n, n, n * n, n * n)
+    for got, want, s in zip(_fields(sol), _fields(geo), scale):
+        assert np.array_equal(got, s * want)
+
 
 def test_stretched_constant_profile_still_solves():
     k = CurvatureProfile(math.pi, 1.0)

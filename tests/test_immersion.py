@@ -280,7 +280,7 @@ def test_flatness_degenerate_raises():
     im_like = type("X", (), {})()
     from flatsurf4.immersion import ImmersionGrid
     im = ImmersionGrid(GridSpec(0, 0, h, h, n, n), np.zeros((n, n, 4)),
-                       E, E, E, E, E, E, E, E, E)
+                       E, E, E, E, E, E, E)
     with pytest.raises(DegenerateMetric):
         flatness_check(im)
 

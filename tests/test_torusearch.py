@@ -19,8 +19,7 @@ from flatsurf4.torusearch import (SearchOutcome, a_n, build_perturbed_cylinder,
                                   holonomy_closure_residual,
                                   lift_closure_multiple, lift_monodromy,
                                   rationalize,
-                                  search_rational, single_harmonic_family,
-                                  stretch_profile)
+                                  search_rational, single_harmonic_family)
 
 T = math.pi
 
@@ -87,7 +86,7 @@ def test_holonomy_is_ad_of_lift_monodromy():
 
 def test_release_a2_against_independent_solver():
     # frame ODE c' = v t, t' = v(-c + k c x t), v = 2/sqrt(1+k^2), by DOP853
-    k = stretch_profile(CurvatureProfile(T, K0_STAR, (1.0900033738813364,)), 2)
+    k = CurvatureProfile(T, K0_STAR, (1.0900033738813364,)).stretch(2)
 
     def rhs(u, y):
         c, t = y[:3], y[3:]
@@ -109,7 +108,7 @@ def test_release_a2_against_independent_solver():
 def test_identity_stretch_matches_plain_holonomy():
     k = CurvatureProfile(2.0, 0.8, (0.2,))
     r1 = holonomy(k)
-    r2 = holonomy(stretch_profile(k, 1))
+    r2 = holonomy(k.stretch(1))
     assert abs(r1.theta - r2.theta) < 1e-12
 
 
@@ -130,7 +129,7 @@ def test_a_n_continuity_in_coefficients():
 
 def test_stretch_profile_substitution():
     k = CurvatureProfile(1.3, 0.5, (1.0,))
-    ks = stretch_profile(k, 3)
+    ks = k.stretch(3)
     assert ks.base_period == pytest.approx(3.9)
     u = np.linspace(0, 1.3, 7)
     assert np.max(np.abs(ks.value(3 * u) - k.value(u))) < 1e-14
@@ -197,7 +196,7 @@ def test_property_p_rational_side(release_outcome):
     cases.append(out2.profile)
     mults.append(out2.closure_multiple)
     for k, m in zip(cases, mults):
-        ks = stretch_profile(k, 2)
+        ks = k.stretch(2)
         assert a_n(k, 2) is not None
         residual = holonomy_closure_residual(ks, m, h=2e-3)
         assert residual < 1e-3
@@ -212,7 +211,7 @@ def test_property_p_far_side():
         dist = min(abs(v - p / q) for q in range(1, 9)
                    for p in range(-q, q + 1))
         assert dist >= 1e-2
-        ks = stretch_profile(k, 2)
+        ks = k.stretch(2)
         best = min(holonomy_closure_residual(ks, m, h=4e-3)
                    for m in range(1, 17))
         assert best > 1e-2
