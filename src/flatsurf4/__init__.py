@@ -4,12 +4,12 @@ formula f = alpha N + beta Nhat + alpha_u N_u + beta_u Nhat_u, and the
 perturbed-Hopf flat tori and complete flat cylinders built from it.
 """
 
-from .curve import (ClosureReport, CurvatureProfile, QuasiPeriodicProfile,
-                    S2Curve, S3Curve, asymptotic_lift, detect_closure,
-                    frenet_s3, helix, helix_curvature, integrate_s2_curve)
+from .curve import (CurvatureProfile, QuasiPeriodicProfile, S3Curve,
+                    asymptotic_lift, frenet_s3, helix, helix_curvature,
+                    parse_profile)
 from .errors import (ClosureFailure, DegenerateMetric, EqualSpeeds,
                      FlatSurfaceError, GridMismatch, IntegrationFailure,
-                     NoClosure, NoLambdaFound, NonConstantAngle, NoSignChange,
+                     NoLambdaFound, NonConstantAngle, NoSignChange,
                      NotOnSphere, PathDependence, PoleOnSurface,
                      PreconditionViolated, SingularAfterRescale)
 from .flatmap import (AngleFunction, FlatMapGrid, bianchi_spivak_product,
@@ -27,8 +27,7 @@ from .immersion import (ImmersionGrid, SphereFit, assemble, auto_lambda,
                         lambda_rescale, metric_identity_check, sphere_fit,
                         tangency_check, verify_frame, write_immersion_csv)
 from .quat import (QI, QJ, QK, QONE, ad, fiber_circle, hopf, qconj, qexp_pure,
-                   qinv, qmul, qnorm, qnormalize, quat, s2_point,
-                   unit_quaternion)
+                   qinv, qmul, qnorm, qnormalize)
 from .torusearch import (HolonomyResult, SearchOutcome, a_n,
                          build_perturbed_cylinder, build_perturbed_torus,
                          holonomy, holonomy_closure_residual,

@@ -44,14 +44,13 @@ def d2(a, h, axis=0):
     return out
 
 
-def interior(a, trim=INTERIOR_TRIM, axes=(0, 1)):
-    """View of a with trim nodes removed on each side of the given axes."""
+def interior(a):
+    """View of a with INTERIOR_TRIM nodes removed on each side of axes 0
+    and 1."""
     a = np.asarray(a)
-    idx = [slice(None)] * a.ndim
-    for ax in axes:
-        idx[ax] = slice(trim, a.shape[ax] - trim)
-    return a[tuple(idx)]
+    t = INTERIOR_TRIM
+    return a[t:a.shape[0] - t, t:a.shape[1] - t]
 
 
-def max_interior(a, trim=INTERIOR_TRIM, axes=(0, 1)):
-    return float(np.max(np.abs(interior(a, trim, axes))))
+def max_interior(a):
+    return float(np.max(np.abs(interior(a))))

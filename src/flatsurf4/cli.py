@@ -17,8 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .curve import (CurvatureProfile, QuasiPeriodicProfile, frenet_s3, helix,
-                    helix_curvature)
+from .curve import frenet_s3, helix, helix_curvature, parse_profile
 from .errors import FlatSurfaceError, NotOnSphere, PoleOnSurface
 from .flatmap import (GridSpec, clifford_flat_map, helix_product_map,
                       hopf_flat_map, linear_angle, profile_angle,
@@ -29,11 +28,13 @@ from .hypsys import (SmoothFn, exponential_solution,
                      quadrature_transform, solve_numeric, stretched_solution,
                      system_residual, wave_solution, zero_solution)
 from .immersion import sphere_fit, write_immersion_csv
+from .quat import QK
 from .torusearch import (build_perturbed_cylinder, build_perturbed_torus,
                          holonomy, search_rational, single_harmonic_family)
 
 TWO_PI = 2.0 * math.pi
 STEP_KEYS = ("h", "hv")
+COUNT_KEYS = ("nv", "nodes_per_period")
 
 NAMED_FUNCTIONS = {
     "sin": SmoothFn(np.sin, np.cos, lambda t: -np.sin(t), lambda t: -np.cos(t)),
@@ -48,19 +49,18 @@ NAMED_FUNCTIONS = {
 # OBJ export
 
 
-def _stereographic(points, pole_index=3):
-    x = np.delete(points, pole_index, axis=-1)
-    w = points[..., pole_index]
-    return x / (1.0 - w)[..., None]
+def _stereographic(points):
+    """Stereographic projection of the unit 3-sphere from the pole +e_4."""
+    return points[..., :3] / (1.0 - points[..., 3])[..., None]
 
 
-def export_obj(im, path, projection="stereographic", pole_index=3,
-               drop_index=3, sphere_tol=1e-4, pole_tol=1e-3):
+def export_obj(im, path, projection="stereographic", drop_index=3):
     """Write a triangulated OBJ of the surface under a 3D projection.
 
     projection="stereographic": the surface must sit on an affine 3-sphere
-    (fit rms < sphere_tol); it is recentred and rescaled to the unit
-    sphere and projected from the pole +e_{pole_index}.
+    (fit rms at most 1e-4); it is recentred and rescaled to the unit
+    sphere and projected from the pole +e_4, which must be at least 1e-3
+    from the surface.
     projection="drop": simply drops coordinate drop_index.
     The file holds one "v x y z" line per node in u-major order, 9
     significant digits each, then two "f a b c" triangles per grid cell.
@@ -69,16 +69,14 @@ def export_obj(im, path, projection="stereographic", pole_index=3,
     nu, nv = pts.shape[0], pts.shape[1]
     if projection == "stereographic":
         fit = sphere_fit(pts)
-        if fit.rms_residual > sphere_tol:
+        if fit.rms_residual > 1e-4:
             raise NotOnSphere(
-                f"sphere fit rms {fit.rms_residual:.3e} exceeds {sphere_tol:g}")
+                f"sphere fit rms {fit.rms_residual:.3e} exceeds 0.0001")
         unit = (pts - fit.center) / fit.radius
-        pole = np.zeros(4)
-        pole[pole_index] = 1.0
-        gap = float(np.min(np.linalg.norm(unit - pole, axis=-1)))
-        if gap < pole_tol:
+        gap = float(np.min(np.linalg.norm(unit - QK, axis=-1)))
+        if gap < 1e-3:
             raise PoleOnSurface(f"pole within {gap:.3e} of the surface")
-        xyz = _stereographic(unit, pole_index)
+        xyz = _stereographic(unit)
     elif projection == "drop":
         xyz = np.delete(pts, drop_index, axis=-1)
     else:
@@ -124,22 +122,12 @@ class JobConfig:
                 raise ValueError(f"tolerance {key} must be positive")
             if key in STEP_KEYS and value is not None and not value > 0:
                 raise ValueError(f"step size {key} must be positive, got {value!r}")
+            if key in COUNT_KEYS and value is not None and not value > 0:
+                raise ValueError(f"node count {key} must be positive, got {value!r}")
 
     def path(self, name):
         self.out_dir.mkdir(parents=True, exist_ok=True)
         return self.out_dir / name
-
-
-def _parse_profile(text):
-    d = json.loads(text)
-    if "terms" in d:
-        terms = tuple(tuple(t) for t in d["terms"])
-        if any(len(t) != 3 for t in terms):
-            raise ValueError("each profile term must be [amplitude, frequency, "
-                             f"phase]; got {d['terms']!r}")
-        return QuasiPeriodicProfile(d.get("k0", 0.0), terms)
-    return CurvatureProfile(d["T"], d.get("k0", 0.0),
-                            tuple(d.get("cos", ())), tuple(d.get("sin", ())))
 
 
 def _parse_fraction(text):
@@ -203,7 +191,7 @@ def _cmd_clifford(cfg):
 
 
 def _cmd_hopf_torus(cfg):
-    k = _parse_profile(cfg.params["profile"])
+    k = parse_profile(cfg.params["profile"])
     periods = cfg.params.get("periods", 1)
     h = cfg.params.get("h", 0.01)
     g = hopf_flat_map(k, periods * k.base_period, h=h,
@@ -264,13 +252,13 @@ def _cmd_solve(cfg):
                             _fn(p.get("f2", "cos")), spec)
         omega = linear_angle(0.0, 0.0, omega0)
     elif family == "geometric":
-        k = _parse_profile(p["profile"])
+        k = parse_profile(p["profile"])
         g = _hopf_map(k, spec)
         sol = geometric_solution(g, tuple(p.get("a", (1, 0, 0, 0))),
                                  p.get("rho", 0.0))
         omega = g.omega_fn
     elif family == "stretched":
-        k = _parse_profile(p["profile"])
+        k = parse_profile(p["profile"])
         sol = stretched_solution(k, p.get("n", 2), spec)
         omega = profile_angle(k)
     elif family == "helical":
@@ -288,7 +276,7 @@ def _cmd_solve(cfg):
         sol = quadrature_transform(zero_solution(spec), omega,
                                    y0=p.get("y0", (1.0, 0.0)))
     elif family == "numeric":
-        k = _parse_profile(p["profile"])
+        k = parse_profile(p["profile"])
         g = _hopf_map(k, spec)
         ref = geometric_solution(g, tuple(p.get("a", (1, 0, 0, 0))))
         sol = solve_numeric(g.omega_fn, spec, ref.alpha[:, 0], ref.beta[:, 0])
@@ -309,7 +297,7 @@ def _cmd_solve(cfg):
 
 
 def _cmd_holonomy(cfg):
-    k = _parse_profile(cfg.params["profile"])
+    k = parse_profile(cfg.params["profile"])
     n = cfg.params.get("n", 1)
     res = holonomy(k if n == 1 else k.stretch(n),
                    h=cfg.params.get("h", 1e-3))
@@ -322,54 +310,55 @@ def _cmd_holonomy(cfg):
     }
 
 
-def _cmd_search_rational(cfg):
-    p = cfg.params
+def _search(p):
+    """The search of search-rational and build-torus: the single-harmonic
+    family k0 + eps cos(2 pi u / T) tuned onto a_n = target."""
     fam = single_harmonic_family(p["k0"], p.get("T", math.pi))
-    out = search_rational(fam, p.get("n", 2), _parse_fraction(p["target"]),
-                          _parse_bracket(p["bracket"]),
-                          h=p.get("h", 1e-3))
+    return search_rational(fam, p.get("n", 2), _parse_fraction(p["target"]),
+                           _parse_bracket(p["bracket"]), h=p.get("h", 1e-3))
+
+
+def _cmd_search_rational(cfg):
+    out = _search(cfg.params)
     rep = json.loads(out.to_json())
     rep["closure_multiple"] = out.closure_multiple
     rep["closure_residual"] = out.closure_residual
     return rep
 
 
+def _export_immersion(cfg, im, rep):
+    """The CSV and OBJ files of build-torus and build-cylinder; returns rep
+    with their paths added."""
+    p = cfg.params
+    if p.get("csv"):
+        write_immersion_csv(im, cfg.path(p["csv"]))
+        rep["csv"] = str(cfg.path(p["csv"]))
+    if p.get("obj"):
+        export_obj(im, cfg.path(p["obj"]), projection="drop",
+                   drop_index=p.get("drop_index", 3))
+        rep["obj"] = str(cfg.path(p["obj"]))
+    return rep
+
+
 def _cmd_build_torus(cfg):
     p = cfg.params
-    fam = single_harmonic_family(p["k0"], p.get("T", math.pi))
-    out = search_rational(fam, p.get("n", 2), _parse_fraction(p["target"]),
-                          _parse_bracket(p["bracket"]), h=p.get("h", 1e-3))
+    out = _search(p)
     im, rep = build_perturbed_torus(
         out, lam=p.get("lam"),
         nodes_per_period=p.get("nodes_per_period", 96),
         nv=p.get("nv", 192))
     rep["search_parameter"] = out.parameter
     rep["theta_over_pi"] = out.achieved.theta_over_pi
-    if p.get("csv"):
-        write_immersion_csv(im, cfg.path(p["csv"]))
-        rep["csv"] = str(cfg.path(p["csv"]))
-    if p.get("obj"):
-        export_obj(im, cfg.path(p["obj"]), projection="drop",
-                   drop_index=p.get("drop_index", 3))
-        rep["obj"] = str(cfg.path(p["obj"]))
-    return rep
+    return _export_immersion(cfg, im, rep)
 
 
 def _cmd_build_cylinder(cfg):
     p = cfg.params
-    k = _parse_profile(p["profile"])
     im, rep = build_perturbed_cylinder(
-        k, n=p.get("n", 2), lam=p.get("lam"),
+        parse_profile(p["profile"]), n=p.get("n", 2), lam=p.get("lam"),
         u_window=tuple(p.get("u_window", (0.0, 4 * math.pi))),
         h=p.get("h", 0.02), nv=p.get("nv", 128))
-    if p.get("csv"):
-        write_immersion_csv(im, cfg.path(p["csv"]))
-        rep["csv"] = str(cfg.path(p["csv"]))
-    if p.get("obj"):
-        export_obj(im, cfg.path(p["obj"]), projection="drop",
-                   drop_index=p.get("drop_index", 3))
-        rep["obj"] = str(cfg.path(p["obj"]))
-    return rep
+    return _export_immersion(cfg, im, rep)
 
 
 COMMANDS = {

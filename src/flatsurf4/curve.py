@@ -1,5 +1,4 @@
-"""Curves in S^2 and S^3: curvature profiles, helices, prescribed-curvature
-integration, asymptotic lifts and closure detection.
+"""Curves in S^3: curvature profiles, helices and asymptotic lifts.
 
 All curves are sampled on uniform parameter grids.  Curves in S^3 are
 parametrized by arclength u; for lifts of S^2 curves through the Hopf
@@ -15,9 +14,8 @@ from typing import Optional
 import numpy as np
 
 from . import _fd as fd
-from .errors import IntegrationFailure, NoClosure
-from .quat import (QONE, pure, qconj, qexp_pure, qmul, qnorm, qnormalize,
-                   rotation_matrix)
+from .errors import IntegrationFailure
+from .quat import QONE, pure, qexp_pure, qmul, qnorm, qnormalize
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,13 +79,9 @@ class CurvatureProfile:
                                 self.fourier_cos, self.fourier_sin)
 
     def to_json(self):
+        """The JSON object that parse_profile reads back."""
         return json.dumps({"T": self.base_period, "k0": self.k0,
                            "cos": list(self.fourier_cos), "sin": list(self.fourier_sin)})
-
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        return cls(d["T"], d.get("k0", 0.0), tuple(d.get("cos", ())), tuple(d.get("sin", ())))
 
 
 @dataclass(frozen=True)
@@ -127,6 +121,21 @@ class QuasiPeriodicProfile:
         return kmax, kpmax
 
 
+def parse_profile(text):
+    """The profile of a JSON object: {"k0", "terms"} for a
+    QuasiPeriodicProfile, else {"T", "k0", "cos", "sin"} for a
+    CurvatureProfile (the form CurvatureProfile.to_json writes)."""
+    d = json.loads(text)
+    if "terms" in d:
+        terms = tuple(tuple(t) for t in d["terms"])
+        if any(len(t) != 3 for t in terms):
+            raise ValueError("each profile term must be [amplitude, frequency, "
+                             f"phase]; got {d['terms']!r}")
+        return QuasiPeriodicProfile(d.get("k0", 0.0), terms)
+    return CurvatureProfile(d["T"], d.get("k0", 0.0),
+                            tuple(d.get("cos", ())), tuple(d.get("sin", ())))
+
+
 def profile_as_callable(k):
     """Accept a profile object or a plain callable; return value/deriv pair."""
     if hasattr(k, "value"):
@@ -147,7 +156,6 @@ class S3Curve:
     samples: np.ndarray          # (N, 4) unit quaternions
     h: float                     # uniform parameter step
     u0: float = 0.0
-    param: str = "lift_arclength"
     deriv: Optional[np.ndarray] = None    # (N, 4) first derivatives
     deriv2: Optional[np.ndarray] = None   # (N, 4) second derivatives
 
@@ -175,44 +183,15 @@ class S3Curve:
 
     def left_translate(self, q):
         """q * a(u); preserves arclength and left body velocity."""
-        return S3Curve(qmul(q, self.samples), self.h, self.u0, self.param,
+        return S3Curve(qmul(q, self.samples), self.h, self.u0,
                        None if self.deriv is None else qmul(q, self.deriv),
                        None if self.deriv2 is None else qmul(q, self.deriv2))
 
     def right_translate(self, q):
         """a(u) * q; preserves arclength and right body velocity."""
-        return S3Curve(qmul(self.samples, q), self.h, self.u0, self.param,
+        return S3Curve(qmul(self.samples, q), self.h, self.u0,
                        None if self.deriv is None else qmul(self.deriv, q),
                        None if self.deriv2 is None else qmul(self.deriv2, q))
-
-
-@dataclass
-class S2Curve:
-    """Sampled curve on S^2, with unit tangents when the integrator made them."""
-
-    samples: np.ndarray          # (N, 3)
-    h: float
-    u0: float = 0.0
-    param: str = "s2_arclength"  # or "lift_arclength"
-    tangents: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-        err = np.max(np.abs(np.linalg.norm(self.samples, axis=-1) - 1.0))
-        if err > 1e-9:
-            raise ValueError(f"samples drifted off S^2 by {err:.3e}")
-
-    @property
-    def n(self):
-        return self.samples.shape[0]
-
-
-@dataclass(frozen=True)
-class ClosureReport:
-    closes: bool
-    m: int
-    residual: float
-    phase: float   # fiber phase mismatch in radians, in (-pi, pi]
 
 
 # ---------------------------------------------------------------------------
@@ -325,79 +304,53 @@ def _transport(wfun, u0, length, h, a0=QONE, nodes=False):
 
 
 # ---------------------------------------------------------------------------
-# prescribed-curvature integration on S^2
-
-
-def integrate_s2_curve(k, length, h=1e-3, c0=(1.0, 0.0, 0.0), t0=(0.0, 1.0, 0.0)):
-    """Unit-speed curve c(s) on S^2 with geodesic curvature k(s).
-
-    Frame ODE: c' = t, t' = -c + k(s) (c x t).  Solved as c = Ad(a) i,
-    t = Ad(a) j for a' = a w on S^3 with w = (k(s) i + k)/2 (i, k the
-    quaternion units), by Magnus-4 steps of size h (adjusted to divide the
-    length).
-    """
-    kfun, _ = profile_as_callable(k)
-    c = np.array(c0, dtype=float)
-    c /= np.linalg.norm(c)
-    t = np.array(t0, dtype=float)
-    t -= np.dot(t, c) * c
-    t /= np.linalg.norm(t)
-    # Ad(a0 b) = Ad(a0) Ad(b), and Ad(a0) is the start frame (c0, t0, c0 x t0)
-    M0 = np.stack([c, t, np.cross(c, t)], axis=1)
-    b, hs = _transport(lambda s: _ik(0.5 * kfun(s), 0.5), 0.0, length, h,
-                       nodes=True)
-    R = M0 @ rotation_matrix(qnormalize(b))
-    return S2Curve(R[:, :, 0], hs, tangents=R[:, :, 1])
-
-
-# ---------------------------------------------------------------------------
 # asymptotic lifts
 
 
-def lift_body_velocity(k_values, k_derivs, sign=1):
+def lift_body_velocity(k_values, k_derivs):
     """Body angular velocity of the asymptotic lift and its u-derivative.
 
-    w(u) = sign * k/sqrt(1+k^2) i + 1/sqrt(1+k^2) k, a unit pure quaternion
+    w(u) = k/sqrt(1+k^2) i + 1/sqrt(1+k^2) k, a unit pure quaternion
     on the i-k great circle; guarantees unit speed and the asymptotic
     condition <a', a*j> = 0.
     """
     k = np.asarray(k_values, dtype=float)
     root = np.sqrt(1.0 + k * k)
-    p = sign * k / root
+    p = k / root
     q = 1.0 / root
     if k_derivs is None:
         dp = dq = None
     else:
         kp = np.asarray(k_derivs, dtype=float)
-        dp = sign * kp / root ** 3
+        dp = kp / root ** 3
         dq = -k * kp / root ** 3
     return p, q, dp, dq
 
 
-def _lift_velocity(kfun, sign):
+def _lift_velocity(kfun):
     def w(u):
-        p, q, _, _ = lift_body_velocity(kfun(u), None, sign)
+        p, q, _, _ = lift_body_velocity(kfun(u), None)
         return _ik(p, q)
     return w
 
 
-def asymptotic_lift(k, u_range=(0.0, TWO_PI), h=1e-3, a0=QONE, sign=1):
+def asymptotic_lift(k, u_range=(0.0, TWO_PI), h=1e-3, a0=QONE):
     """Integrate the asymptotic lift a' = a * w(u) by Magnus-4 steps.
 
     h is the step size (adjusted to divide the range).  The nodes are
     renormalized once after the scan; deriv and deriv2 are the analytic
     a w and a (w' - 1) (using w^2 = -1) at the nodes.  The Hopf projection
-    traverses a curve of geodesic curvature sign*k(u) at speed
+    traverses a curve of geodesic curvature k(u) at speed
     2/sqrt(1+k(u)^2).
     """
     kfun, kder = profile_as_callable(k)
     u0, u1 = u_range
-    out, hu = _transport(_lift_velocity(kfun, sign), u0, u1 - u0, h,
+    out, hu = _transport(_lift_velocity(kfun), u0, u1 - u0, h,
                          qnormalize(a0), nodes=True)
     out = qnormalize(out)
     u_nodes = u0 + hu * np.arange(out.shape[0])
     p, q, dp, dq = lift_body_velocity(
-        kfun(u_nodes), None if kder is None else kder(u_nodes), sign)
+        kfun(u_nodes), None if kder is None else kder(u_nodes))
     deriv = qmul(out, pure(_ik(p, q)))
     deriv2 = None if dp is None else -out + qmul(out, pure(_ik(dp, dq)))
     return S3Curve(out, hu, u0=u0, deriv=deriv, deriv2=deriv2)
@@ -410,68 +363,7 @@ def lift_product(k, length, h=1e-3):
     multiplied together, so no per-node arrays are kept.
     """
     kfun, _ = profile_as_callable(k)
-    return _transport(_lift_velocity(kfun, 1), 0.0, length, h)[0]
-
-
-# ---------------------------------------------------------------------------
-# closure detection
-
-
-def _best_fiber_phase(a_ref, da_ref, a_cur, da_cur):
-    """Phase phi minimizing |a_cur - a_ref e^{i phi}|, with frame residual."""
-    b = qmul(qconj(a_ref), a_cur)
-    phi = math.atan2(b[1], b[0])
-    e = np.array([math.cos(phi), math.sin(phi), 0.0, 0.0])
-    shifted = qmul(a_ref, e)
-    res = float(np.linalg.norm(a_cur - shifted))
-    if da_ref is not None and da_cur is not None:
-        res = max(res, float(np.linalg.norm(da_cur - qmul(da_ref, e))))
-    return phi, res
-
-
-def detect_closure(curve: S3Curve, T, m_max=64, tol=1e-6):
-    """Find the smallest multiple m <= m_max with a(u0 + m T) = a(u0).
-
-    Position and frame must both agree within tol.  If only fiber-phase
-    closure a(u0+mT) = a(u0) e^{i phase} exists, reports that phase with
-    closes=False.  Raises NoClosure when no multiple qualifies.
-    """
-    iT = T / curve.h
-    if abs(iT - round(iT)) > 1e-6 * max(1.0, iT):
-        raise ValueError("period T must be an integer multiple of the sample step")
-    iT = int(round(iT))
-    if iT == 0:
-        raise ValueError("period T too small for the sample step")
-    m_avail = (curve.n - 1) // iT
-    if m_avail < 1:
-        raise ValueError("curve must cover at least one period")
-
-    a0 = curve.samples[0]
-    derivs = curve.deriv
-    if derivs is None:
-        derivs = np.gradient(curve.samples, curve.h, axis=0)
-    da0 = derivs[0]
-
-    fiber_hit = None
-    best = math.inf
-    for m in range(1, min(m_max, m_avail) + 1):
-        idx = m * iT
-        am = curve.samples[idx]
-        dam = derivs[idx]
-        residual = max(float(np.linalg.norm(am - a0)),
-                       float(np.linalg.norm(dam - da0)))
-        best = min(best, residual)
-        if residual < tol:
-            phase, _ = _best_fiber_phase(a0, da0, am, dam)
-            return ClosureReport(True, m, residual, phase)
-        phase, fres = _best_fiber_phase(a0, da0, am, dam)
-        if fres < tol and fiber_hit is None:
-            fiber_hit = ClosureReport(False, m, residual, phase)
-    if fiber_hit is not None:
-        return fiber_hit
-    raise NoClosure(
-        f"no closure multiple m <= {min(m_max, m_avail)} for T = {T:g} "
-        f"(best residual {best:.3e})")
+    return _transport(_lift_velocity(kfun), 0.0, length, h)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,6 @@ class DegenerateMetric(FlatSurfaceError):
     """The induced metric is singular on the whole tested region."""
 
 
-class NoClosure(FlatSurfaceError):
-    """No closure multiple found within the allowed search range."""
-
-
 class NoLambdaFound(FlatSurfaceError):
     """Margin never cleared the acceptance threshold before lambda underflowed."""
 

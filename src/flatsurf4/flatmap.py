@@ -25,6 +25,7 @@ from .errors import PreconditionViolated
 from .quat import QI, QJ, QONE, fiber_circle, qinv, qmul, qnorm
 
 TWO_PI = 2.0 * math.pi
+ODE_STEP = 1e-3  # largest step of the lift integration in every Hopf builder
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +40,6 @@ class AngleFunction:
     df1: Callable
     f2: Callable
     df2: Callable
-    kind: str = "generic"
 
     def omega(self, u, v):
         return np.asarray(self.f1(u)) + np.asarray(self.f2(v))
@@ -56,13 +56,13 @@ class AngleFunction:
     def shifted(self, delta):
         f1, df1 = self.f1, self.df1
         return AngleFunction(lambda u: np.asarray(f1(u)) + delta, df1,
-                             self.f2, self.df2, kind=self.kind)
+                             self.f2, self.df2)
 
 
 def constant_angle(w0):
     z = lambda t: np.zeros_like(np.asarray(t, dtype=float))
     return AngleFunction(lambda u: np.full_like(np.asarray(u, dtype=float), w0),
-                         z, z, z, kind="constant")
+                         z, z, z)
 
 
 def linear_angle(cu, cv, c0=0.0):
@@ -70,8 +70,7 @@ def linear_angle(cu, cv, c0=0.0):
         lambda u: cu * np.asarray(u, dtype=float) + c0,
         lambda u: np.full_like(np.asarray(u, dtype=float), cu),
         lambda v: cv * np.asarray(v, dtype=float),
-        lambda v: np.full_like(np.asarray(v, dtype=float), cv),
-        kind="linear")
+        lambda v: np.full_like(np.asarray(v, dtype=float), cv))
 
 
 def profile_angle(k):
@@ -88,7 +87,7 @@ def profile_angle(k):
         return -np.asarray(kder(u), dtype=float) / (1.0 + kv * kv)
 
     z = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    return AngleFunction(f1, df1, z, z, kind="profile")
+    return AngleFunction(f1, df1, z, z)
 
 
 def sampled_angle(u_nodes, w1_samples, v_nodes, w2_samples):
@@ -107,7 +106,7 @@ def sampled_angle(u_nodes, w1_samples, v_nodes, w2_samples):
         c2 = float(w2_samples[0])
         s2 = lambda v: np.full_like(np.asarray(v, dtype=float), c2)
         ds2 = lambda v: np.zeros_like(np.asarray(v, dtype=float))
-    return AngleFunction(s1, ds1, s2, ds2, kind="sampled")
+    return AngleFunction(s1, ds1, s2, ds2)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +227,8 @@ def _dot(a, b):
 # constructors
 
 
-def _check_side_conditions(a1, a2, xi0, tol):
+def _check_side_conditions(a1, a2, xi0):
+    tol = 1e-6
     d1 = a1.deriv if a1.deriv is not None else np.gradient(a1.samples, a1.h, axis=0)
     d2 = a2.deriv if a2.deriv is not None else np.gradient(a2.samples, a2.h, axis=0)
     r_start = max(float(np.linalg.norm(a1.samples[0] - QONE)),
@@ -252,17 +252,16 @@ def _check_side_conditions(a1, a2, xi0, tol):
     return d1, d2
 
 
-def bianchi_spivak_product(a1: S3Curve, a2: S3Curve, xi0=QJ, tol=1e-6,
-                           lattice=None):
+def bianchi_spivak_product(a1: S3Curve, a2: S3Curve, xi0=QJ):
     """Flat map F = a1(u) a2(v), Fhat = a1(u) xi0 a2(v).
 
     Requires unit-speed curves through 1 whose side conditions
-    <a1', a1 xi0> = 0 = <a2', xi0 a2> hold within tol.  The angle is
+    <a1', a1 xi0> = 0 = <a2', xi0 a2> hold within 1e-6.  The angle is
     recovered pointwise from cos(w) = <F_u, F_v>, sin(w) = <F_u, Fh_v>,
     unwrapped along the axes and stored as a separable AngleFunction.
     """
     xi0 = np.asarray(xi0, dtype=float)
-    d1, d2 = _check_side_conditions(a1, a2, xi0, tol)
+    d1, d2 = _check_side_conditions(a1, a2, xi0)
 
     L, R = a1.samples, a2.samples
     F = qmul(L[:, None, :], R[None, :, :])
@@ -285,7 +284,7 @@ def bianchi_spivak_product(a1: S3Curve, a2: S3Curve, xi0=QJ, tol=1e-6,
             f"recovered angle is not separable (residual {sep:.3e})", sep)
 
     spec = GridSpec(a1.u0, a2.u0, a1.h, a2.h, len(L), len(R))
-    return FlatMapGrid(spec, F, Fhat, omega_grid, omega_fn, lattice=lattice,
+    return FlatMapGrid(spec, F, Fhat, omega_grid, omega_fn,
                        left=L, left_d=d1,
                        left_dd=a1.deriv2, right=R, right_d=d2, xi0=xi0)
 
@@ -293,14 +292,14 @@ def bianchi_spivak_product(a1: S3Curve, a2: S3Curve, xi0=QJ, tol=1e-6,
 HOPF_XI = np.array([0.0, 0.0, -1.0, 0.0])  # polar sign keeps w in (0, pi)
 
 
-def _hopf_factors(k, spec: GridSpec, a0=QONE, sign=1, ode_step=1e-3):
+def _hopf_factors(k, spec: GridSpec, a0=QONE):
     """Factors of the Hopf surface L(u) e^{iv} of k: the lift (L, L', L'')
-    from a(u0) = a0 at spec.u_nodes, by ceil(hu / ode_step) Magnus steps
+    from a(u0) = a0 at spec.u_nodes, by ceil(hu / ODE_STEP) Magnus steps
     per cell (copied, so no fine lift stays alive), and the fiber
     (e^{iv}, i e^{iv}) at spec.v_nodes."""
-    sub = max(1, int(math.ceil(spec.hu / ode_step - 1e-12)))
+    sub = max(1, int(math.ceil(spec.hu / ODE_STEP - 1e-12)))
     lift = asymptotic_lift(k, (spec.u0, spec.u0 + spec.hu * (spec.nu - 1)),
-                           spec.hu / sub, a0=a0, sign=sign)
+                           spec.hu / sub, a0=a0)
     L = lift.samples[::sub].copy()
     Ld = lift.deriv[::sub].copy()
     Ldd = None if lift.deriv2 is None else lift.deriv2[::sub].copy()
@@ -308,9 +307,12 @@ def _hopf_factors(k, spec: GridSpec, a0=QONE, sign=1, ode_step=1e-3):
     return L, Ld, Ldd, R, qmul(QI, R)
 
 
-def _hopf_map(k, spec: GridSpec, a0=QONE, sign=1, ode_step=1e-3):
-    """F = L e^{iv}, Fhat = L HOPF_XI e^{iv} on spec (see hopf_flat_map)."""
-    L, Ld, Ldd, R, Rd = _hopf_factors(k, spec, a0, sign, ode_step)
+def _hopf_map(k, spec: GridSpec, a0=QONE):
+    """F = L e^{iv}, Fhat = L HOPF_XI e^{iv} on spec (see hopf_flat_map).
+
+    lattice = (u span, 2 pi) is set only when the lift returns to its
+    start and v spans 2 pi."""
+    L, Ld, Ldd, R, Rd = _hopf_factors(k, spec, a0)
     F = qmul(L[:, None, :], R[None, :, :])
     Fhat = qmul(qmul(L, HOPF_XI)[:, None, :], R[None, :, :])
     omega_fn = profile_angle(k)
@@ -327,30 +329,26 @@ def _hopf_map(k, spec: GridSpec, a0=QONE, sign=1, ode_step=1e-3):
                        xi0=HOPF_XI)
 
 
-def hopf_flat_map(k, U, h=1e-2, a0=QONE, v_range=(0.0, TWO_PI), hv=None,
-                  sign=1, ode_step=1e-3, require_period_multiple=True):
+def hopf_flat_map(k, U, h=1e-2, v_range=(0.0, TWO_PI), hv=None):
     """Flat map of the Hopf surface over the curve with curvature profile k.
 
-    F(u,v) = a(u) e^{iv} with a the asymptotic lift of k, a(0) = a0, on
+    F(u,v) = a(u) e^{iv} with a the asymptotic lift of k, a(0) = 1, on
     GridSpec.from_ranges((0, U), v_range, h, hv), built by _hopf_factors,
-    the one Hopf builder (clifford_flat_map, stretched_solution and the
-    CLI's solve use it too).  The polar map is a(u) xi e^{iv} with
-    xi = HOPF_XI = -j, the sign that puts the angle w(u) = arccot(k(u)) in
-    the branch (0, pi); V-period is 2 pi.
+    the one Hopf builder (clifford_flat_map, stretched_solution, the
+    cylinder and the CLI's solve use it too).  The polar map is
+    a(u) xi e^{iv} with xi = HOPF_XI = -j, the sign that puts the angle
+    w(u) = arccot(k(u)) in the branch (0, pi); V-period is 2 pi.
 
-    With require_period_multiple (the default), U must be a whole number
-    of k.base_period: a partial period of a non-constant profile cannot
-    close the torus, so it is refused.  Whether the map closes is decided
-    separately: lattice = (U, 2 pi) is set only when the lift returns to
-    its start and v spans 2 pi.
+    U must be a whole number of k.base_period (when k has one): a partial
+    period of a non-constant profile cannot close the torus, so it is
+    refused.  Whether the map closes is decided separately (see _hopf_map).
     """
     T = getattr(k, "base_period", None)
-    if require_period_multiple and T is not None:
+    if T is not None:
         m = U / T
         if abs(m - round(m)) > 1e-9 * max(1.0, abs(m)):
             raise ValueError(f"U = {U:g} must be a multiple of the base period {T:g}")
-    return _hopf_map(k, GridSpec.from_ranges((0.0, U), v_range, h, hv),
-                     a0=a0, sign=sign, ode_step=ode_step)
+    return _hopf_map(k, GridSpec.from_ranges((0.0, U), v_range, h, hv))
 
 
 def clifford_flat_map(h=1e-2, u_range=(0.0, TWO_PI), v_range=(0.0, TWO_PI)):
@@ -468,11 +466,11 @@ def polar_dual(g: FlatMapGrid) -> FlatMapGrid:
                        xi0=None if g.xi0 is None else g.xi0.copy())
 
 
-def normal_shape_check(g: FlatMapGrid, min_sin=0.1):
+def normal_shape_check(g: FlatMapGrid):
     """Product of the polar-map eigenvalue ratios; equals -1 on flat maps.
 
     Writes (Fh_u, Fh_v) in the tangent basis (F_u, F_v) and returns the
-    max deviation |det M + 1| over interior nodes where |sin w| >= min_sin.
+    max deviation |det M + 1| over interior nodes where |sin w| >= 0.1.
     """
     Fu, Fv, Fhu, Fhv = g.derivatives()
     E = _dot(Fu, Fu)
@@ -488,7 +486,7 @@ def normal_shape_check(g: FlatMapGrid, min_sin=0.1):
     m22 = (E * b2v - Fm * b1v)
     with np.errstate(invalid="ignore", divide="ignore"):
         detM = (m11 * m22 - m12 * m21) / det_gram ** 2
-    mask = np.abs(np.sin(g.omega_grid)) >= min_sin
+    mask = np.abs(np.sin(g.omega_grid)) >= 0.1
     mask = fd.interior(mask)
     vals = fd.interior(detM)[mask]
     if vals.size == 0:

@@ -35,38 +35,15 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class SmoothFn:
-    """A scalar function with (optionally analytic) derivatives.
-
-    Missing derivatives fall back to central differences with step 1e-5,
-    which is enough for the finite-difference residual tolerances but not
-    for the analytic ones; pass exact derivatives where the tests demand
-    1e-8 residuals.
-    """
+    """A scalar function with its analytic derivatives of orders 1 to 3."""
 
     f: Callable
-    df: Optional[Callable] = None
-    d2f: Optional[Callable] = None
-    d3f: Optional[Callable] = None
+    df: Callable
+    d2f: Callable
+    d3f: Callable
 
     def deriv(self, order):
-        fns = (self.f, self.df, self.d2f, self.d3f)
-        if order <= 3 and fns[order] is not None:
-            return fns[order]
-        if order == 0:
-            return self.f
-        lower = self.deriv(order - 1)
-        eps = 1e-5
-        return lambda t: (lower(np.asarray(t) + eps) - lower(np.asarray(t) - eps)) / (2 * eps)
-
-    @classmethod
-    def wrap(cls, obj):
-        if isinstance(obj, cls):
-            return obj
-        if callable(obj):
-            return cls(obj)
-        if isinstance(obj, (tuple, list)):
-            return cls(*obj)
-        raise TypeError("expected a callable, tuple of callables, or SmoothFn")
+        return (self.f, self.df, self.d2f, self.d3f)[order]
 
 
 DERIVATIVE_FIELDS = ("alpha_u", "beta_u", "alpha_v", "beta_v",
@@ -92,7 +69,7 @@ class SolutionGrid:
     def has_analytic_derivatives(self):
         return self.alpha_u is not None and self.alpha_uu is not None
 
-    def combine(self, other, a=1.0, b=1.0, provenance=None):
+    def combine(self, other, a=1.0, b=1.0):
         """Linear combination a*self + b*other (the system is linear)."""
         if not self.spec.same_geometry(other.spec):
             raise GridMismatch("solution grids differ in geometry")
@@ -103,7 +80,7 @@ class SolutionGrid:
             return a * x + b * y
 
         return replace(
-            self, provenance=provenance or f"{self.provenance}+{other.provenance}",
+            self, provenance=f"{self.provenance}+{other.provenance}",
             **{k: mix(getattr(self, k), getattr(other, k))
                for k in ("alpha", "beta") + DERIVATIVE_FIELDS})
 
@@ -163,8 +140,6 @@ def wave_solution(omega0, f1, f2, spec: GridSpec):
         if max(du, dv) > 1e-12:
             raise NonConstantAngle("wave solutions need a constant angle")
         omega0 = float(omega0.omega(spec.u0, spec.v0))
-    f1 = SmoothFn.wrap(f1)
-    f2 = SmoothFn.wrap(f2)
     c, s = math.cos(omega0 / 2.0), math.sin(omega0 / 2.0)
     U, V = spec.mesh()
     p, m = U + V, U - V
@@ -241,8 +216,7 @@ def geometric_solution(g: FlatMapGrid, a=(1.0, 0.0, 0.0, 0.0), rho=0.0):
 # stretched solutions (the engine of the perturbed tori)
 
 
-def stretched_solution(k, n, spec: GridSpec, a=(1.0, 0.0, 0.0, 0.0), rho=0.0,
-                       a0=(1.0, 0.0, 0.0, 0.0), ode_step=1e-3):
+def stretched_solution(k, n, spec: GridSpec, a=(1.0, 0.0, 0.0, 0.0), rho=0.0):
     """Geometric solution of the n-stretched Hopf surface, read at (nu, nv).
 
     Takes (alpha~, beta~) = (<a,N~>+rho, <a,N~hat>) on the Hopf map N~ of
@@ -252,16 +226,14 @@ def stretched_solution(k, n, spec: GridSpec, a=(1.0, 0.0, 0.0, 0.0), rho=0.0,
     N~ is built by flatmap._hopf_factors, the Hopf builder of
     hopf_flat_map, on GridSpec(n u0, n v0, n hu, n hv, nu, nv): spec
     scaled by n, not re-rounded by GridSpec.from_ranges.  Its lift starts
-    at a~(n u0) = a0, and by the chain rule each derivative order carries
+    at a~(n u0) = 1, and by the chain rule each derivative order carries
     a factor n.
     """
     if n < 2:
         raise ValueError("stretch factor n must be >= 2")
     stretched = GridSpec(n * spec.u0, n * spec.v0, n * spec.hu, n * spec.hv,
                          spec.nu, spec.nv)
-    L, Ld, Ldd, R, Rd = _hopf_factors(k.stretch(n), stretched,
-                                      a0=np.asarray(a0, dtype=float),
-                                      ode_step=ode_step)
+    L, Ld, Ldd, R, Rd = _hopf_factors(k.stretch(n), stretched)
     return _factor_solution(spec, L, Ld, Ldd, HOPF_XI, R, Rd,
                             np.asarray(a, dtype=float), rho, n, "stretched")
 
@@ -278,8 +250,6 @@ def helical_angle_solution(mu, g_fn, h_fn, spec: GridSpec):
         alpha =  phi cos(theta) + psi sin(theta)
         beta  = -psi cos(theta) + phi sin(theta)
     """
-    g_fn = SmoothFn.wrap(g_fn)
-    h_fn = SmoothFn.wrap(h_fn)
     U, V = spec.mesh()
     p, m = U + V, U - V
     theta = mu * p
@@ -392,14 +362,14 @@ def _corner_integral(P, Q, spec, rule):
 
 
 def quadrature_transform(X: SolutionGrid, omega: AngleFunction, y0=(0.0, 0.0),
-                         z0=(0.0, 0.0), rule="simpson", path_tol=1e-4):
+                         rule="simpson"):
     """Produce a new solution Z by two nested path integrals of X.
 
-    Y = y0 + int L X du + int H X dv,  Z = z0 + int L Y du + int H^-1 Y dv,
+    Y = y0 + int L X du + int H X dv,  Z = int L Y du + int H^-1 Y dv,
     where L, H are the reflection/rotation factors of the system matrix.
     Path independence of both integrals (which holds exactly when X solves
     the system) is verified by comparing the two integration orders;
-    disagreement beyond path_tol raises PathDependence.
+    disagreement beyond 1e-4 raises PathDependence.
     """
     if rule not in ("simpson", "trapezoid"):
         raise ValueError("rule must be 'simpson' or 'trapezoid'")
@@ -416,11 +386,10 @@ def quadrature_transform(X: SolutionGrid, omega: AngleFunction, y0=(0.0, 0.0),
 
     LY = np.einsum("iab,ijb->ija", L, Y)
     HinvY = np.einsum("jab,ijb->ija", Hinv, Y)
-    Z = np.asarray(z0, dtype=float) + _corner_integral(LY, HinvY, spec, rule)
-    Z_alt = (np.asarray(z0, dtype=float)
-             + _cum_v(HinvY, spec.hv, rule)[:1, :, :] + _cum_u(LY, spec.hu, rule))
+    Z = _corner_integral(LY, HinvY, spec, rule)
+    Z_alt = _cum_v(HinvY, spec.hv, rule)[:1, :, :] + _cum_u(LY, spec.hu, rule)
     dev_z = float(np.max(np.abs(Z - Z_alt)))
-    if max(dev_y, dev_z) > path_tol:
+    if max(dev_y, dev_z) > 1e-4:
         raise PathDependence(
             f"integration orders disagree by {max(dev_y, dev_z):.3e} "
             "(input is not a solution of the system)")

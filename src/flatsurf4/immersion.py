@@ -38,20 +38,19 @@ class ImmersionGrid:
     margin: np.ndarray     # (A^2-B^2) sin w - 2AB cos w
     E: np.ndarray          # = G = A^2 + B^2
     Fm: np.ndarray         # (A^2-B^2) cos w + 2AB sin w
-    frame_residual: float = math.nan
-    K_est: Optional[np.ndarray] = None
+    K_est: Optional[np.ndarray] = None     # set by flatness_check
 
     @property
     def G(self):
         """The metric coefficient <f_v, f_v>, which equals E."""
         return self.E
 
-    def margin_min(self, trim=fd.INTERIOR_TRIM):
-        return float(np.min(fd.interior(self.margin, trim)))
+    def margin_min(self):
+        return float(np.min(fd.interior(self.margin)))
 
-    def metric_min_eigenvalue(self, trim=fd.INTERIOR_TRIM):
+    def metric_min_eigenvalue(self):
         """Smallest eigenvalue of [[E, F], [F, G]] over interior nodes."""
-        return float(np.min(fd.interior(self.E - np.abs(self.Fm), trim)))
+        return float(np.min(fd.interior(self.E - np.abs(self.Fm))))
 
     def max_radius(self):
         return float(np.max(np.linalg.norm(self.f, axis=-1)))
@@ -82,8 +81,7 @@ def _margin_terms(sol: SolutionGrid, wu, cw, sw):
     return au, bu, A, B, margin
 
 
-def assemble(gmap: FlatMapGrid, sol: SolutionGrid,
-             with_curvature=False, with_frame_check=False) -> ImmersionGrid:
+def assemble(gmap: FlatMapGrid, sol: SolutionGrid) -> ImmersionGrid:
     """Evaluate the representation formula on matching grids."""
     if not sol.spec.same_geometry(gmap.spec):
         raise GridMismatch("flat map and solution grids differ")
@@ -98,12 +96,7 @@ def assemble(gmap: FlatMapGrid, sol: SolutionGrid,
     E = A * A + B * B
     Fm = (A * A - B * B) * cw + 2.0 * A * B * sw
 
-    im = ImmersionGrid(gmap.spec, f, A, B, Ahat, Bhat, margin, E, Fm)
-    if with_frame_check:
-        im.frame_residual = verify_frame(gmap)
-    if with_curvature:
-        im.K_est = brioschi_curvature(E, Fm, E, gmap.spec.hu, gmap.spec.hv)
-    return im
+    return ImmersionGrid(gmap.spec, f, A, B, Ahat, Bhat, margin, E, Fm)
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +155,10 @@ def derived_solution(im: ImmersionGrid) -> SolutionGrid:
 # Gaussian curvature via the Brioschi formula
 
 
-def brioschi_curvature(E, F, G, hu, hv, min_det=1e-8):
+def brioschi_curvature(E, F, G, hu, hv):
     """Discrete Gaussian curvature of E du^2 + 2F du dv + G dv^2.
 
-    Nodes where EG - F^2 <= min_det (or too close to the boundary for the
+    Nodes where EG - F^2 <= 1e-8 (or too close to the boundary for the
     stencils) are NaN.
     """
     Eu, Ev = fd.d1(E, hu, axis=0), fd.d1(E, hv, axis=1)
@@ -185,17 +178,17 @@ def brioschi_curvature(E, F, G, hu, hv, min_det=1e-8):
               + 0.5 * Gu * (0.5 * Ev * F - 0.5 * Gu * E))
     with np.errstate(invalid="ignore", divide="ignore"):
         K = (det_m1 - det_m2) / det ** 2
-    K = np.where(det > min_det, K, np.nan)
+    K = np.where(det > 1e-8, K, np.nan)
     mask = np.zeros_like(K, dtype=bool)
     mask[K_TRIM:K.shape[0] - K_TRIM, K_TRIM:K.shape[1] - K_TRIM] = True
     return np.where(mask, K, np.nan)
 
 
-def flatness_check(im: ImmersionGrid, min_det=1e-8):
-    """Max |K| over the valid interior; raises DegenerateMetric if none."""
+def flatness_check(im: ImmersionGrid):
+    """Max |K| over the valid interior, kept as im.K_est; raises
+    DegenerateMetric if no node is valid."""
     if im.K_est is None:
-        im.K_est = brioschi_curvature(im.E, im.Fm, im.G, im.spec.hu, im.spec.hv,
-                                      min_det)
+        im.K_est = brioschi_curvature(im.E, im.Fm, im.G, im.spec.hu, im.spec.hv)
     valid = np.isfinite(im.K_est)
     if not valid.any():
         raise DegenerateMetric("metric is singular on the whole tested region")
@@ -248,9 +241,8 @@ def lambda_rescale(sol: SolutionGrid, lam) -> SolutionGrid:
                    **{k: scale(getattr(sol, k)) for k in DERIVATIVE_FIELDS})
 
 
-def auto_lambda(gmap: FlatMapGrid, sol: SolutionGrid, delta=0.5,
-                lam0=1.0, min_lambda=1e-12):
-    """Halve lambda from lam0 until min margin > delta * min sin w.
+def auto_lambda(gmap: FlatMapGrid, sol: SolutionGrid):
+    """Halve lambda from 1 until min margin > 0.5 * min sin w.
 
     Under (1 + lam alpha, lam beta) the margin at each node is quadratic
     in lambda, sin w + 2 lam (A1 sin w - B1 cos w) + lam^2 margin_1 with
@@ -268,14 +260,14 @@ def auto_lambda(gmap: FlatMapGrid, sol: SolutionGrid, delta=0.5,
         raise NoLambdaFound(
             f"min sin w = {s_min:.3e} is not positive; no margin target exists")
     wu, cw, sw = _angle_terms(gmap)
-    lam = float(lam0)
-    while lam >= min_lambda:
+    lam = 1.0
+    while lam >= 1e-12:
         margin = _margin_terms(lambda_rescale(sol, lam), wu, cw, sw)[-1]
-        if float(np.min(fd.interior(margin))) > delta * s_min:
+        if float(np.min(fd.interior(margin))) > 0.5 * s_min:
             return lam
         lam *= 0.5
-    raise NoLambdaFound(f"lambda underflowed {min_lambda:g} without clearing "
-                        f"margin > {delta:g} * {s_min:.3e}")
+    raise NoLambdaFound("lambda underflowed 1e-12 without clearing "
+                        f"margin > 0.5 * {s_min:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +281,7 @@ def write_immersion_csv(im: ImmersionGrid, path):
     """Write im as CSV with the columns of IMMERSION_HEADER (see GridSpec).
 
     K is NaN where no curvature estimate exists (near the boundary, or
-    everywhere when im.K_est is None).
+    everywhere when flatness_check has not run on im).
     """
     K = im.K_est if im.K_est is not None else np.full_like(im.A, np.nan)
     _write_grid_csv(path, IMMERSION_HEADER, im.spec, im.f, im.A, im.B,

@@ -8,16 +8,10 @@ unit pure quaternion.  All functions broadcast over leading axes.
 
 import numpy as np
 
-UNIT_TOL = 1e-12
-
 QONE = np.array([1.0, 0.0, 0.0, 0.0])
 QI = np.array([0.0, 1.0, 0.0, 0.0])
 QJ = np.array([0.0, 0.0, 1.0, 0.0])
 QK = np.array([0.0, 0.0, 0.0, 1.0])
-
-
-def quat(w, x, y, z):
-    return np.array([w, x, y, z], dtype=float)
 
 
 def qmul(a, b):
@@ -54,24 +48,6 @@ def qnormalize(a):
 def qinv(a):
     a = np.asarray(a, dtype=float)
     return qconj(a) / (qnorm(a) ** 2)[..., None]
-
-
-def unit_quaternion(w, x, y, z):
-    """Construct a point of S^3, enforcing |q| = 1 within UNIT_TOL."""
-    q = quat(w, x, y, z)
-    n = qnorm(q)
-    if abs(n - 1.0) > UNIT_TOL:
-        raise ValueError(f"not a unit quaternion: |q| - 1 = {n - 1.0:.3e}")
-    return q
-
-
-def s2_point(x, y, z):
-    """Construct a point of S^2 (unit pure quaternion coordinates)."""
-    p = np.array([x, y, z], dtype=float)
-    n = np.linalg.norm(p)
-    if abs(n - 1.0) > UNIT_TOL:
-        raise ValueError(f"not a unit vector: |p| - 1 = {n - 1.0:.3e}")
-    return p
 
 
 def pure(v):

@@ -22,11 +22,12 @@ from scipy.optimize import brentq
 
 from .curve import CurvatureProfile, lift_product
 from .errors import ClosureFailure, NoSignChange, SingularAfterRescale
-from .flatmap import FlatMapGrid, hopf_flat_map, verify_flat_map
+from .flatmap import (FlatMapGrid, GridSpec, _hopf_map, hopf_flat_map,
+                      verify_flat_map)
 from .hypsys import stretched_solution, system_residual
 from .immersion import (ImmersionGrid, assemble, auto_lambda, derived_solution,
                         flatness_check, lambda_rescale, metric_identity_check,
-                        sphere_fit, tangency_check)
+                        sphere_fit, tangency_check, verify_frame)
 from .quat import qmul, rotation_matrix
 
 TWO_PI = 2.0 * math.pi
@@ -61,7 +62,7 @@ class HolonomyResult:
                          abs(np.linalg.det(R) - 1.0)))
 
 
-def holonomy(k, h=1e-3, q_max=Q_MAX, window=RATIONAL_WINDOW) -> HolonomyResult:
+def holonomy(k, h=1e-3) -> HolonomyResult:
     """Rotation carrying the curve frame across one base period of k.
 
     The frame (c, t, c x t) of the curve with geodesic curvature k(u) obeys
@@ -88,7 +89,7 @@ def holonomy(k, h=1e-3, q_max=Q_MAX, window=RATIONAL_WINDOW) -> HolonomyResult:
         axis = -axis
     theta = math.atan2(float(w @ axis), float(cos_theta))
     top = theta / math.pi
-    return HolonomyResult(R, theta, axis, top, rationalize(top, q_max, window))
+    return HolonomyResult(R, theta, axis, top, rationalize(top))
 
 
 def a_n(k, n, h=1e-3):
@@ -148,7 +149,7 @@ def single_harmonic_family(k0, T=math.pi):
     return lambda eps: CurvatureProfile(T, k0, (eps,))
 
 
-def circle_outcome(k0, n=2, h=1e-3):
+def circle_outcome(k0, n=2):
     """The exact eps = 0 member of the family as a degenerate SearchOutcome.
 
     The lift-monodromy phase is not differentiable in eps at 0 (it moves
@@ -156,20 +157,22 @@ def circle_outcome(k0, n=2, h=1e-3):
     the circle itself; control runs should start from this outcome.
     """
     profile = CurvatureProfile(math.pi, k0)
-    ach = holonomy(profile.stretch(n), h=h)
-    residual = holonomy_closure_residual(profile.stretch(n), 1, h=h)
+    ach = holonomy(profile.stretch(n))
+    residual = holonomy_closure_residual(profile.stretch(n), 1)
     return SearchOutcome(profile, n, ach, (0, 1), 0.0, 1, residual)
 
 
 def search_rational(family: Callable[[float], CurvatureProfile], n, target,
-                    bracket, eps_tol=1e-10, scan_points=17, h=1e-3,
-                    validate=True, closure_tol=1e-4) -> SearchOutcome:
-    """Solve a_n(k_eps) = p/q for the family parameter by Brent's method.
+                    bracket, h=1e-3) -> SearchOutcome:
+    """Solve a_n(k_eps) = p/q for the family parameter by Brent's method
+    (xtol 1e-10), with Magnus steps of size h.
 
-    If the bracket endpoints do not straddle the target, the bracket is
-    scanned for a sign change first; a scan without one raises
+    If the bracket endpoints do not straddle the target, 17 points of the
+    bracket are scanned for a sign change first; a scan without one raises
     NoSignChange carrying the sampled (eps, a_n) values, which covers the
-    possibility that a_n is constant on the family.
+    possibility that a_n is constant on the family.  The root is then
+    validated by integrating straight through its closure multiple; a
+    frame gap above 1e-4 raises ClosureFailure.
     """
     p, q = target
     t_val = p / q
@@ -190,7 +193,7 @@ def search_rational(family: Callable[[float], CurvatureProfile], n, target,
     elif ghi == 0.0:
         lo = hi = scan[1][0]
     elif glo * ghi > 0.0:
-        eps_grid = np.linspace(lo, hi, scan_points)
+        eps_grid = np.linspace(lo, hi, 17)
         vals = [g(e) for e in eps_grid]
         scan = [(float(e), v + t_val) for e, v in zip(eps_grid, vals)]
         idx = next((i for i in range(len(vals) - 1)
@@ -203,19 +206,17 @@ def search_rational(family: Callable[[float], CurvatureProfile], n, target,
                 scan=scan)
         lo, hi = float(eps_grid[idx]), float(eps_grid[idx + 1])
 
-    eps_root = lo if lo == hi else brentq(g, lo, hi, xtol=eps_tol)
+    eps_root = lo if lo == hi else brentq(g, lo, hi, xtol=1e-10)
     profile = family(eps_root)
     ach = holonomy(profile.stretch(n), h=h)
 
     m_star = closure_multiple(p, q)
-    residual = math.nan
-    if validate:
-        residual = holonomy_closure_residual(profile.stretch(n),
-                                             multiples=m_star, h=h)
-        if residual > closure_tol:
-            raise ClosureFailure(
-                f"stretched curve misses closure after {m_star} periods "
-                f"(residual {residual:.3e})", best_residual=residual)
+    residual = holonomy_closure_residual(profile.stretch(n), multiples=m_star,
+                                         h=h)
+    if residual > 1e-4:
+        raise ClosureFailure(
+            f"stretched curve misses closure after {m_star} periods "
+            f"(residual {residual:.3e})", best_residual=residual)
     return SearchOutcome(profile, n, ach, (p, q), eps_root, m_star, residual)
 
 
@@ -249,21 +250,19 @@ def lift_closure_multiple(k, m_max=Q_MAX, tol=1e-6, h=1e-3):
 # torus and cylinder assembly
 
 
-def _assemble_stretched(gmap: FlatMapGrid, k, n, lam, a=(1, 0, 0, 0), rho=0.0,
-                        ode_step=1e-3):
+def _assemble_stretched(gmap: FlatMapGrid, k, n, lam):
     """(immersion, diagnostics) of the n-stretched solution on gmap's grid;
     lambda comes from auto_lambda when lam is None."""
-    sol = stretched_solution(k, n, gmap.spec, a=a, rho=rho, ode_step=ode_step)
+    sol = stretched_solution(k, n, gmap.spec)
     lam = auto_lambda(gmap, sol) if lam is None else float(lam)
-    im = assemble(gmap, lambda_rescale(sol, lam), with_curvature=True,
-                  with_frame_check=True)
+    im = assemble(gmap, lambda_rescale(sol, lam))
     return im, _diagnostics(gmap, im, lam)
 
 
 def _diagnostics(gmap: FlatMapGrid, im: ImmersionGrid, lam):
     rep = {}
     rep["lambda"] = lam
-    rep["frame_residual"] = im.frame_residual
+    rep["frame_residual"] = verify_frame(gmap)
     rep["margin_min"] = im.margin_min()
     rep["metric_min_eigenvalue"] = im.metric_min_eigenvalue()
     rep["gauss_K_max"] = flatness_check(im)
@@ -287,31 +286,29 @@ def _diagnostics(gmap: FlatMapGrid, im: ImmersionGrid, lam):
 
 
 def build_perturbed_torus(outcome: SearchOutcome, lam=None, nodes_per_period=96,
-                          nv=192, m_max=Q_MAX, closure_tol=1e-4, a=(1, 0, 0, 0),
-                          rho=0.0, ode_step=1e-3):
+                          nv=192):
     """Assemble the flat torus of a validated search outcome.
 
     Finds a common u-period U = lcm(m1, m2) T of the Hopf surface (lift
     closure m1) and the pulled-back stretched solution (m2), builds the
     flat map on [0, U] x [0, 2 pi], rescales the stretched solution by
     lambda (auto-collapsed if not given) and assembles f with full
-    diagnostics.  Double periodicity of f is enforced within closure_tol;
+    diagnostics.  Double periodicity of f is enforced within 1e-4;
     flatness, sphere, and nonconstant-angle checks are reported.
     """
     k = outcome.profile
     n = outcome.n
     T = k.base_period
-    m1, gap1 = lift_closure_multiple(k, m_max, h=ode_step)
-    m2, gap2 = lift_closure_multiple(k.stretch(n), m_max, h=ode_step)
+    m1, gap1 = lift_closure_multiple(k)
+    m2, gap2 = lift_closure_multiple(k.stretch(n))
     # the stretched lift closes over m2 * nT; the pullback at (nu, nv) is
     # then m2 * T periodic in u
     m_common = m1 * m2 // math.gcd(m1, m2)
     U = m_common * T
 
     hu = T / nodes_per_period
-    gmap = hopf_flat_map(k, U, h=hu, hv=TWO_PI / nv, ode_step=ode_step)
-    im, rep = _assemble_stretched(gmap, k, n, lam, a=a, rho=rho,
-                                  ode_step=ode_step)
+    gmap = hopf_flat_map(k, U, h=hu, hv=TWO_PI / nv)
+    im, rep = _assemble_stretched(gmap, k, n, lam)
     rep["lift_period_multiple"] = m1
     rep["stretched_period_multiple"] = m2
     rep["u_period"] = U
@@ -319,7 +316,7 @@ def build_perturbed_torus(outcome: SearchOutcome, lam=None, nodes_per_period=96,
     rep["closure_u"] = float(np.max(np.linalg.norm(im.f[-1] - im.f[0], axis=-1)))
     rep["closure_v"] = float(np.max(np.linalg.norm(im.f[:, -1] - im.f[:, 0], axis=-1)))
 
-    if max(rep["closure_u"], rep["closure_v"]) > closure_tol:
+    if max(rep["closure_u"], rep["closure_v"]) > 1e-4:
         raise ClosureFailure(
             f"assembled torus is not doubly periodic (u gap "
             f"{rep['closure_u']:.3e}, v gap {rep['closure_v']:.3e})",
@@ -338,22 +335,22 @@ def build_perturbed_torus(outcome: SearchOutcome, lam=None, nodes_per_period=96,
     return im, rep
 
 
-def build_perturbed_cylinder(k, n=2, lam=None, u_window=None, h=0.02, nv=128,
-                             v_span=TWO_PI, ode_step=1e-3):
+def build_perturbed_cylinder(k, n=2, lam=None, u_window=None, h=0.02, nv=128):
     """Assemble a complete flat cylinder from a (quasi-)periodic profile.
 
     Same pipeline as the torus without any closure requirement: the
     profile only needs bounded k and k' (so sin w = 1/sqrt(1+k^2) stays
     bounded away from zero and the asymptotic curves have bounded
-    curvature).  Reports positivity of the margin and of the smallest
-    metric eigenvalue on the window plus boundedness of f.
+    curvature).  The grid is GridSpec.from_ranges(u_window, (0, 2 pi), h,
+    2 pi / nv), and both lifts start at 1 at the window's start.  Reports
+    positivity of the margin and of the smallest metric eigenvalue on the
+    window plus boundedness of f.
     """
     if u_window is None:
         u_window = (0.0, 4.0 * math.pi)
-    U = u_window[1] - u_window[0]
-    gmap = hopf_flat_map(k, U, h=h, hv=v_span / nv, v_range=(0.0, v_span),
-                         ode_step=ode_step, require_period_multiple=False)
-    im, rep = _assemble_stretched(gmap, k, n, lam, ode_step=ode_step)
+    gmap = _hopf_map(k, GridSpec.from_ranges(u_window, (0.0, TWO_PI), h,
+                                             TWO_PI / nv))
+    im, rep = _assemble_stretched(gmap, k, n, lam)
     if hasattr(k, "bound"):
         kmax, kpmax = k.bound()
         rep["profile_k_max"] = kmax

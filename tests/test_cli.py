@@ -137,6 +137,18 @@ def test_cmd_solve_honours_range_starts(tmp_path, family, n):
     assert rep["residual_alpha"] < (0.1 if family == "numeric" else 1e-4)
 
 
+def test_cmd_build_cylinder_honours_window_start(tmp_path):
+    # the CSV's u column runs over u_window, not over [0, its length]
+    profile = json.dumps({"k0": 0.8, "terms": [[0.15, 2.0, 1.1]]})
+    code, rep = run(JobConfig("build-cylinder",
+                              {"profile": profile, "u_window": (1.0, 3.0),
+                               "h": 0.05, "nv": 32, "csv": "cyl.csv"},
+                              tmp_path))
+    assert code == 0
+    u = np.loadtxt(tmp_path / "cyl.csv", delimiter=",", skiprows=1, usecols=0)
+    assert u[0] == 1.0 and u[-1] == 3.0
+
+
 def test_cmd_holonomy(tmp_path):
     profile = json.dumps({"T": math.pi, "k0": 1.0, "cos": [], "sin": []})
     code, rep = run(JobConfig("holonomy", {"profile": profile, "n": 2}, tmp_path))
@@ -205,6 +217,13 @@ def _main_report(tmp_path, *argv):
     (["build-cylinder", "--profile", '{"k0": 0.8, "terms": [[0.1, 2.0]]}'],
      "[amplitude, frequency, phase]"),
     (["solve", "--family", "wave", "--h", "5"], "no larger than the spans"),
+    (["build-torus", "--k0", "1.21321612108222", "--target", "1/4",
+      "--bracket", "0.9,1.2", "--nodes-per-period", "0"],
+     "node count nodes_per_period"),
+    (["build-torus", "--k0", "1.21321612108222", "--target", "1/4",
+      "--bracket", "0.9,1.2", "--nv", "0"], "node count nv"),
+    (["build-cylinder", "--profile", '{"k0": 0.8, "terms": [[0.1, 2.0, 0.0]]}',
+      "--nv", "0"], "node count nv"),
 ])
 def test_bad_input_gives_error_report(tmp_path, argv, needle):
     code, rep = _main_report(tmp_path, *argv)

@@ -6,11 +6,10 @@ from scipy.integrate import solve_ivp
 
 from flatsurf4 import _fd as fd
 from flatsurf4.curve import (
-    ClosureReport, CurvatureProfile, QuasiPeriodicProfile, asymptotic_lift,
-    detect_closure, frenet_s3, helix, helix_curvature, integrate_s2_curve,
-    lift_body_velocity, lift_product,
+    CurvatureProfile, QuasiPeriodicProfile, asymptotic_lift, frenet_s3, helix,
+    helix_curvature, lift_body_velocity, lift_product, parse_profile,
 )
-from flatsurf4.errors import IntegrationFailure, NoClosure
+from flatsurf4.errors import IntegrationFailure
 from flatsurf4.quat import QONE, hopf, qmul, qnorm
 
 TWO_PI = 2 * math.pi
@@ -36,7 +35,7 @@ def test_profile_derivative_matches_fd():
 
 def test_profile_json_roundtrip():
     k = CurvatureProfile(math.pi, 0.75, (0.11, 0.0), (0.0, -0.2))
-    k2 = CurvatureProfile.from_json(k.to_json())
+    k2 = parse_profile(k.to_json())
     assert k2 == k
 
 
@@ -86,9 +85,11 @@ def test_helix_frenet_oracle(r, tau_sign):
 def test_helix_closure_period():
     # r = 2: simple closed curve of period 2*pi*r = 4*pi
     c = helix(2.0, s_range=(0.0, 4 * math.pi), h=math.pi / 1000)
-    rep = detect_closure(c, 4 * math.pi, m_max=4, tol=1e-9)
-    assert rep.closes and rep.m == 1
-    assert rep.residual < 1e-9
+    for arr in (c.samples, c.deriv, c.deriv2):
+        assert np.linalg.norm(arr[-1] - arr[0]) < 1e-9
+    # and not after half the period: the point is then antipodal in x1, x2
+    half = c.n // 2
+    assert np.linalg.norm(c.samples[half] - c.samples[0]) > 0.5
 
 
 def test_helix_rejects_degenerate_radius():
@@ -96,46 +97,6 @@ def test_helix_rejects_degenerate_radius():
         helix(1.0)
     with pytest.raises(ValueError):
         helix(0.5)
-
-
-# ---------------------------------------------------------------------------
-# prescribed-curvature integration on S^2
-
-
-def test_s2_geodesic_closes():
-    c = integrate_s2_curve(lambda s: np.zeros_like(np.asarray(s)), TWO_PI, h=1e-3)
-    assert np.linalg.norm(c.samples[-1] - c.samples[0]) < 1e-8
-    assert np.max(np.abs(np.linalg.norm(c.samples, axis=1) - 1)) < 1e-8
-    assert np.max(np.abs(np.linalg.norm(c.tangents, axis=1) - 1)) < 1e-8
-
-
-def test_s2_half_geodesic_hits_antipode():
-    c = integrate_s2_curve(lambda s: np.zeros_like(np.asarray(s)), math.pi, h=1e-3)
-    assert np.linalg.norm(c.samples[-1] + c.samples[0]) < 1e-8
-
-
-def test_s2_constant_curvature_circle_length():
-    # circle with k = 1 has length 2*pi/sqrt(1+k^2) = 2*pi/sqrt(2)
-    L = TWO_PI / math.sqrt(2.0)
-    c = integrate_s2_curve(lambda s: np.ones_like(np.asarray(s)), L, h=1e-3)
-    residual = max(np.linalg.norm(c.samples[-1] - c.samples[0]),
-                   np.linalg.norm(c.tangents[-1] - c.tangents[0]))
-    assert residual < 1e-7
-
-
-def test_s2_curve_matches_independent_solver():
-    # non-constant k and a start frame other than (e1, e2), against DOP853
-    k = CurvatureProfile(1.5, 0.4, (0.5,), (-0.3,))
-    c = integrate_s2_curve(k, 4.0, h=1e-3, c0=(0.0, 0.0, 1.0), t0=(1.0, 0.0, 0.0))
-
-    def rhs(s, y):
-        x, t = y[:3], y[3:]
-        return np.concatenate([t, -x + k.value(s) * np.cross(x, t)])
-
-    ref = solve_ivp(rhs, (0.0, 4.0), [0, 0, 1, 1, 0, 0], method="DOP853",
-                    t_eval=c.h * np.arange(c.n), rtol=1e-13, atol=1e-14)
-    assert np.max(np.abs(c.samples - ref.y[:3].T)) < 1e-9
-    assert np.max(np.abs(c.tangents - ref.y[3:].T)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -233,37 +194,3 @@ def test_lift_torsion_is_plus_one():
     mask = kappa > 0.05
     assert mask.any()
     assert np.max(np.abs(tau[mask] - 1.0)) < 1e-4
-
-
-# ---------------------------------------------------------------------------
-# closure detection
-
-
-def test_detect_closure_great_circle():
-    k = CurvatureProfile(math.pi, 0.0)
-    c = asymptotic_lift(k, (0.0, 2 * TWO_PI), h=math.pi / 2000)
-    rep = detect_closure(c, TWO_PI, m_max=4)
-    assert rep.closes and rep.m == 1 and rep.residual < 1e-8
-
-    # declared period pi: a(u + pi) = -a(u), so closure needs m = 2
-    rep2 = detect_closure(c, math.pi, m_max=4)
-    assert rep2.closes and rep2.m == 2
-
-    # with m_max = 1 only the fiber-phase closure at phase pi is visible
-    rep3 = detect_closure(c, math.pi, m_max=1)
-    assert not rep3.closes
-    assert rep3.m == 1
-    assert abs(abs(rep3.phase) - math.pi) < 1e-8
-
-
-def test_detect_closure_helix():
-    c = helix(2.0, s_range=(0.0, 4 * math.pi), h=math.pi / 500)
-    rep = detect_closure(c, 4 * math.pi, m_max=2, tol=1e-6)
-    assert rep.closes and rep.m == 1
-
-
-def test_detect_closure_raises():
-    k = CurvatureProfile(2.0, 0.7, (0.3,))
-    c = asymptotic_lift(k, (0.0, 8.0), h=1e-3)
-    with pytest.raises(NoClosure):
-        detect_closure(c, 2.0, m_max=3, tol=1e-8)

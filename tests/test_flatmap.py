@@ -208,7 +208,7 @@ def test_hopf_map_owns_its_factor_curves():
     # 50 lift steps per grid step: the stored factors are copies, not
     # strided views that keep the fine lift alive with the grid
     k = CurvatureProfile(2.0, 0.5, (0.3,))
-    g = hopf_flat_map(k, 2.0, h=0.05, v_range=(0.0, 1.0), ode_step=1e-3)
+    g = hopf_flat_map(k, 2.0, h=0.05, v_range=(0.0, 1.0))
     for arr in (g.left, g.left_d, g.left_dd):
         assert arr.shape == (g.spec.nu, 4)
         assert arr.base is None and arr.flags.c_contiguous

@@ -8,9 +8,10 @@ from flatsurf4 import _fd as fd
 from flatsurf4.curve import CurvatureProfile, asymptotic_lift
 from flatsurf4.errors import (EqualSpeeds, GridMismatch, NonConstantAngle,
                               PathDependence)
-from flatsurf4.flatmap import (constant_angle, helix_product_map, hopf_flat_map,
-                               linear_angle, polar_dual, profile_angle,
-                               read_flatmap_csv, write_flatmap_csv)
+from flatsurf4.flatmap import (ODE_STEP, constant_angle, helix_product_map,
+                               hopf_flat_map, linear_angle, polar_dual,
+                               profile_angle, read_flatmap_csv,
+                               write_flatmap_csv)
 from flatsurf4.hypsys import (DERIVATIVE_FIELDS, GridSpec, SmoothFn,
                               SolutionGrid, constant_solution,
                               exponential_solution, geometric_solution,
@@ -223,11 +224,12 @@ def test_stretched_solution_contracts_on_factors():
     n = 2
     k = CurvatureProfile(2.0, 0.5, (0.2,), (0.1,))
     spec = GridSpec.from_ranges((0.3, 2.3), (0.0, TWO_PI), 0.05, TWO_PI / 64)
-    hs = n * spec.hu
-    # one lift step per grid step, so the reference lift is the same one
-    sol = stretched_solution(k, n, spec, a=A_VEC, rho=RHO, ode_step=hs)
-    lift = asymptotic_lift(k.stretch(n), (n * spec.u0, n * spec.u_nodes[-1]), hs)
-    L, Ld, Ldd = lift.samples, lift.deriv, lift.deriv2
+    sub = round(n * spec.hu / ODE_STEP)
+    # the reference lift takes the same ODE_STEP-sized steps, sub per grid step
+    sol = stretched_solution(k, n, spec, a=A_VEC, rho=RHO)
+    lift = asymptotic_lift(k.stretch(n), (n * spec.u0, n * spec.u_nodes[-1]),
+                           n * spec.hu / sub)
+    L, Ld, Ldd = (x[::sub] for x in (lift.samples, lift.deriv, lift.deriv2))
     assert L.shape == (spec.nu, 4)
     xi = np.array([0.0, 0.0, -1.0, 0.0])
     v = n * spec.v_nodes
@@ -362,7 +364,7 @@ def test_exponential_equal_speeds_rejected():
 
 def test_quadrature_from_zero_matches_closed_form():
     # w1 = u, w2 = v, X = 0, y0 = (1,0):
-    # Z = (sin u + sin v, (1-cos u) + (1-cos v)) + z0
+    # Z = (sin u + sin v, (1-cos u) + (1-cos v))
     spec = GridSpec.from_ranges((0, 2), (0, 2), 0.01)
     w = linear_angle(1.0, 1.0)
     Z = quadrature_transform(zero_solution(spec), w, y0=(1.0, 0.0))

@@ -360,7 +360,8 @@ def test_auto_lambda_margin_policy(hopf_grid):
 
 def test_csv_export(tmp_path, hopf_grid):
     sol = constant_solution(hopf_grid.spec)
-    im = assemble(hopf_grid, sol, with_curvature=True)
+    im = assemble(hopf_grid, sol)
+    flatness_check(im)
     path = tmp_path / "im.csv"
     write_immersion_csv(im, path)
     first = path.read_text().splitlines()

@@ -324,14 +324,14 @@ def _assembled_margin(gmap, sol, lam):
     return assemble(gmap, lambda_rescale(sol, lam)).margin_min()
 
 
-def _check_auto_lambda(gmap, sol, delta=0.5):
+def _check_auto_lambda(gmap, sol):
     """auto_lambda against the halving loop over full assemblies."""
-    target = delta * float(np.min(np.sin(fd.interior(gmap.omega_grid))))
+    target = 0.5 * float(np.min(np.sin(fd.interior(gmap.omega_grid))))
     ref = 1.0
     while _assembled_margin(gmap, sol, ref) <= target:
         ref *= 0.5
         assert ref > 1e-12
-    lam = auto_lambda(gmap, sol, delta=delta)
+    lam = auto_lambda(gmap, sol)
     assert lam == ref
     assert _assembled_margin(gmap, sol, lam) > target
     if lam != 1.0:
