@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .curve import frenet_s3, helix, helix_curvature, parse_profile
+from .curve import (CurvatureProfile, frenet_s3, helix, helix_curvature,
+                    parse_profile)
 from .errors import FlatSurfaceError, NotOnSphere, PoleOnSurface
 from .flatmap import (GridSpec, clifford_flat_map, helix_product_map,
                       hopf_flat_map, linear_angle, profile_angle,
@@ -118,8 +119,6 @@ class JobConfig:
             raise ValueError("params must be an object of parameter names and "
                              f"values, got {self.params!r}")
         for key, value in self.params.items():
-            if key.endswith("tol") and value is not None and value <= 0:
-                raise ValueError(f"tolerance {key} must be positive")
             if key in STEP_KEYS and value is not None and not value > 0:
                 raise ValueError(f"step size {key} must be positive, got {value!r}")
             if key in COUNT_KEYS and value is not None and not value > 0:
@@ -136,6 +135,16 @@ def _parse_fraction(text):
     if q == 0:
         raise ValueError(f"target {text!r} has a zero denominator")
     return p, q
+
+
+def _periodic_profile(text):
+    """The CurvatureProfile of a JSON object, for the commands that trace
+    whole base periods; a QuasiPeriodicProfile has none."""
+    k = parse_profile(text)
+    if not isinstance(k, CurvatureProfile):
+        raise ValueError("this command needs a periodic profile "
+                         '{"T", "k0", "cos"/"sin"}, not {"k0", "terms"}')
+    return k
 
 
 def _parse_bracket(text):
@@ -191,7 +200,7 @@ def _cmd_clifford(cfg):
 
 
 def _cmd_hopf_torus(cfg):
-    k = parse_profile(cfg.params["profile"])
+    k = _periodic_profile(cfg.params["profile"])
     periods = cfg.params.get("periods", 1)
     h = cfg.params.get("h", 0.01)
     g = hopf_flat_map(k, periods * k.base_period, h=h,
@@ -297,7 +306,7 @@ def _cmd_solve(cfg):
 
 
 def _cmd_holonomy(cfg):
-    k = parse_profile(cfg.params["profile"])
+    k = _periodic_profile(cfg.params["profile"])
     n = cfg.params.get("n", 1)
     res = holonomy(k if n == 1 else k.stretch(n),
                    h=cfg.params.get("h", 1e-3))

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import _fd as fd
 from .curve import CurvatureProfile, S3Curve, asymptotic_lift, profile_as_callable
@@ -92,6 +91,9 @@ def profile_angle(k):
 
 def sampled_angle(u_nodes, w1_samples, v_nodes, w2_samples):
     """Angle interpolated from exact samples along the two axes."""
+    # imported here, so that importing flatsurf4 loads no scipy module
+    from scipy.interpolate import CubicSpline
+
     if len(u_nodes) >= 2:
         s1 = CubicSpline(u_nodes, w1_samples)
         ds1 = s1.derivative()

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import _fd as fd
 from .errors import (EqualSpeeds, GridMismatch, NonConstantAngle,
@@ -348,6 +347,8 @@ def _cum_u(field_grid, h, rule):
         steps = 0.5 * h * (field_grid[1:] + field_grid[:-1])
         out[1:] = np.cumsum(steps, axis=0)
         return out
+    # imported here, so that importing flatsurf4 loads no scipy module
+    from scipy.integrate import cumulative_simpson
     return cumulative_simpson(field_grid, dx=h, axis=0, initial=0.0)
 
 

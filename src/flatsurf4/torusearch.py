@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .curve import CurvatureProfile, lift_product
 from .errors import ClosureFailure, NoSignChange, SingularAfterRescale
@@ -124,6 +123,57 @@ def closure_multiple(p, q):
 # rational-angle search over a profile family
 
 
+def _brentq(f, xa, xb, xtol):
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy's brentq.c with rtol = 4 eps and 100
+    iterations, so it takes the same iterates as scipy.optimize.brentq.
+    An endpoint where f is 0 is returned as the root; endpoints of one
+    sign raise ValueError and a search that does not converge raises
+    RuntimeError.
+    """
+    rtol = 4.0 * np.finfo(float).eps
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method failed to converge after 100 "
+                       f"iterations, value is {xcur}")
+
+
 @dataclass
 class SearchOutcome:
     profile: CurvatureProfile
@@ -165,7 +215,8 @@ def circle_outcome(k0, n=2):
 def search_rational(family: Callable[[float], CurvatureProfile], n, target,
                     bracket, h=1e-3) -> SearchOutcome:
     """Solve a_n(k_eps) = p/q for the family parameter by Brent's method
-    (xtol 1e-10), with Magnus steps of size h.
+    (`_brentq`, a port of scipy's `brentq.c`; xtol 1e-10), with Magnus
+    steps of size h.
 
     If the bracket endpoints do not straddle the target, 17 points of the
     bracket are scanned for a sign change first; a scan without one raises
@@ -180,7 +231,7 @@ def search_rational(family: Callable[[float], CurvatureProfile], n, target,
     known = {}
 
     def g(eps):
-        # memoized, so brentq does not recompute the scanned end values
+        # memoized, so _brentq does not recompute the scanned end values
         if eps not in known:
             known[eps] = a_n(family(eps), n, h=h) - t_val
         return known[eps]
@@ -206,7 +257,7 @@ def search_rational(family: Callable[[float], CurvatureProfile], n, target,
                 scan=scan)
         lo, hi = float(eps_grid[idx]), float(eps_grid[idx + 1])
 
-    eps_root = lo if lo == hi else brentq(g, lo, hi, xtol=1e-10)
+    eps_root = lo if lo == hi else _brentq(g, lo, hi, 1e-10)
     profile = family(eps_root)
     ach = holonomy(profile.stretch(n), h=h)
 

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flatsurf4
 from flatsurf4.cli import (JobConfig, export_obj, main, revolution_radii, run,
                            _stereographic)
 from flatsurf4.curve import CurvatureProfile, asymptotic_lift
@@ -224,6 +229,10 @@ def _main_report(tmp_path, *argv):
       "--bracket", "0.9,1.2", "--nv", "0"], "node count nv"),
     (["build-cylinder", "--profile", '{"k0": 0.8, "terms": [[0.1, 2.0, 0.0]]}',
       "--nv", "0"], "node count nv"),
+    (["hopf-torus", "--profile", '{"k0": 0.8, "terms": [[0.1, 2.0, 0.0]]}'],
+     '{"T", "k0", "cos"/"sin"}'),
+    (["holonomy", "--profile", '{"k0": 0.8, "terms": [[0.1, 2.0, 0.0]]}'],
+     '{"T", "k0", "cos"/"sin"}'),
 ])
 def test_bad_input_gives_error_report(tmp_path, argv, needle):
     code, rep = _main_report(tmp_path, *argv)
@@ -231,6 +240,31 @@ def test_bad_input_gives_error_report(tmp_path, argv, needle):
     assert rep["error"] == "ValueError"
     assert needle in rep["message"]
     assert rep["command"] == argv[0]
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+from flatsurf4.cli import main
+release = ["--k0", "1.21321612108222", "--target", "1/4", "--bracket", "0.9,1.2"]
+main(["--out-dir", sys.argv[1], "search-rational", *release])
+main(["--out-dir", sys.argv[2], "build-torus", *release,
+      "--nodes-per-period", "24", "--nv", "32"])
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_cli_jobs_load_no_scipy(tmp_path):
+    # every CLI job is its own process, and importing scipy takes longer
+    # than a whole search; so no job on this path may load it
+    src = Path(flatsurf4.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    outs = [tmp_path / "search", tmp_path / "torus"]
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, *map(str, outs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    for out in outs:
+        assert "error" not in json.loads((out / "report.json").read_text())
 
 
 def test_unexpected_exception_still_reports(tmp_path):

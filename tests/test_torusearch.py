@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from flatsurf4 import _fd as fd
 from flatsurf4 import immersion, torusearch
@@ -19,7 +20,8 @@ from flatsurf4.torusearch import (SearchOutcome, a_n, build_perturbed_cylinder,
                                   holonomy_closure_residual,
                                   lift_closure_multiple, lift_monodromy,
                                   rationalize,
-                                  search_rational, single_harmonic_family)
+                                  search_rational, single_harmonic_family,
+                                  _brentq)
 
 T = math.pi
 
@@ -182,6 +184,50 @@ def test_release_search(release_outcome):
     assert out.parameter == pytest.approx(1.0900033738, abs=1e-6)
     assert out.closure_multiple == 8
     assert out.closure_residual < 1e-6
+
+
+BRENT_CASES = [
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0),
+    (lambda x: math.exp(x) - 1e6, 0.0, 20.0),
+    (lambda x: math.atan(50 * (x - 0.7)), 0.0, 1.0),
+    (lambda x: x, -1.0, 1.0),
+    (lambda x: x - 1, 1.0, 2.0),
+    # a jump without a root: the search bisects down to rtol |x| + xtol
+    (lambda x: -1.0 if x < 12345.678 else 1.0, 0.0, 1e5),
+]
+
+
+@pytest.mark.parametrize("xtol", [1e-10, 2e-12])
+@pytest.mark.parametrize("case", range(len(BRENT_CASES)))
+def test_brentq_port_matches_scipy_exactly(case, xtol):
+    f, a, b = BRENT_CASES[case]
+    assert _brentq(f, a, b, xtol) == brentq(f, a, b, xtol=xtol)
+
+
+def test_brentq_endpoint_roots_and_sign_error():
+    assert _brentq(lambda x: x - 1, 1.0, 2.0, 1e-10) == 1.0
+    assert _brentq(lambda x: x - 2, 1.0, 2.0, 1e-10) == 2.0
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: x * x + 1, -1.0, 1.0, 1e-10)
+
+
+def test_brentq_port_fails_to_converge_where_scipy_does():
+    def f(x):
+        return (x - 0.3) ** 9
+    with pytest.raises(RuntimeError):
+        brentq(f, 0.0, 1.0, xtol=2e-12)
+    with pytest.raises(RuntimeError):
+        _brentq(f, 0.0, 1.0, 2e-12)
+
+
+def test_release_search_roots_bit_for_bit(release_outcome):
+    # the roots that scipy.optimize.brentq found for the two benchmark
+    # searches (1/4 at h = 1e-3, 1/5 at h = 2e-3)
+    assert release_outcome.parameter == 1.0900033738547867
+    fam = single_harmonic_family(K0_STAR, T)
+    out = search_rational(fam, 2, (1, 5), (0.8, 1.05), h=2e-3)
+    assert out.parameter == 0.9715441414649105
 
 
 def test_property_p_rational_side(release_outcome):
