@@ -9,7 +9,6 @@ with speed ds/du = 2/sqrt(1 + k(u)^2).
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -136,28 +135,20 @@ def parse_profile(text):
                             tuple(d.get("cos", ())), tuple(d.get("sin", ())))
 
 
-def profile_as_callable(k):
-    """Accept a profile object or a plain callable; return value/deriv pair."""
-    if hasattr(k, "value"):
-        return k.value, getattr(k, "deriv", None)
-    if callable(k):
-        return k, None
-    raise TypeError("expected a curvature profile or a callable")
-
-
 # ---------------------------------------------------------------------------
 # sampled curves
 
 
 @dataclass
 class S3Curve:
-    """Arclength-sampled curve in S^3 with optional analytic derivatives."""
+    """Arclength-sampled curve in S^3 with its analytic first and second
+    derivatives at the samples (every constructor knows them exactly)."""
 
     samples: np.ndarray          # (N, 4) unit quaternions
     h: float                     # uniform parameter step
+    deriv: np.ndarray            # (N, 4) first derivatives
+    deriv2: np.ndarray           # (N, 4) second derivatives
     u0: float = 0.0
-    deriv: Optional[np.ndarray] = None    # (N, 4) first derivatives
-    deriv2: Optional[np.ndarray] = None   # (N, 4) second derivatives
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -183,15 +174,13 @@ class S3Curve:
 
     def left_translate(self, q):
         """q * a(u); preserves arclength and left body velocity."""
-        return S3Curve(qmul(q, self.samples), self.h, self.u0,
-                       None if self.deriv is None else qmul(q, self.deriv),
-                       None if self.deriv2 is None else qmul(q, self.deriv2))
+        return S3Curve(qmul(q, self.samples), self.h, qmul(q, self.deriv),
+                       qmul(q, self.deriv2), self.u0)
 
     def right_translate(self, q):
         """a(u) * q; preserves arclength and right body velocity."""
-        return S3Curve(qmul(self.samples, q), self.h, self.u0,
-                       None if self.deriv is None else qmul(self.deriv, q),
-                       None if self.deriv2 is None else qmul(self.deriv2, q))
+        return S3Curve(qmul(self.samples, q), self.h, qmul(self.deriv, q),
+                       qmul(self.deriv2, q), self.u0)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +213,7 @@ def helix(r, tau_sign=1, s_range=(0.0, TWO_PI), h=1e-3):
     if tau_sign == -1:
         for arr in (sig, dsig, d2sig):
             arr[:, 2] *= -1.0
-    return S3Curve(sig, hs, u0=s0, deriv=dsig, deriv2=d2sig)
+    return S3Curve(sig, hs, dsig, d2sig, s0)
 
 
 def helix_curvature(r):
@@ -335,7 +324,8 @@ def _lift_velocity(kfun):
 
 
 def asymptotic_lift(k, u_range=(0.0, TWO_PI), h=1e-3, a0=QONE):
-    """Integrate the asymptotic lift a' = a * w(u) by Magnus-4 steps.
+    """Integrate the asymptotic lift a' = a * w(u) of the curvature
+    profile k (k.value and k.deriv) by Magnus-4 steps.
 
     h is the step size (adjusted to divide the range).  The nodes are
     renormalized once after the scan; deriv and deriv2 are the analytic
@@ -343,17 +333,15 @@ def asymptotic_lift(k, u_range=(0.0, TWO_PI), h=1e-3, a0=QONE):
     traverses a curve of geodesic curvature k(u) at speed
     2/sqrt(1+k(u)^2).
     """
-    kfun, kder = profile_as_callable(k)
     u0, u1 = u_range
-    out, hu = _transport(_lift_velocity(kfun), u0, u1 - u0, h,
+    out, hu = _transport(_lift_velocity(k.value), u0, u1 - u0, h,
                          qnormalize(a0), nodes=True)
     out = qnormalize(out)
     u_nodes = u0 + hu * np.arange(out.shape[0])
-    p, q, dp, dq = lift_body_velocity(
-        kfun(u_nodes), None if kder is None else kder(u_nodes))
+    p, q, dp, dq = lift_body_velocity(k.value(u_nodes), k.deriv(u_nodes))
     deriv = qmul(out, pure(_ik(p, q)))
-    deriv2 = None if dp is None else -out + qmul(out, pure(_ik(dp, dq)))
-    return S3Curve(out, hu, u0=u0, deriv=deriv, deriv2=deriv2)
+    deriv2 = -out + qmul(out, pure(_ik(dp, dq)))
+    return S3Curve(out, hu, deriv, deriv2, u0)
 
 
 def lift_product(k, length, h=1e-3):
@@ -362,8 +350,7 @@ def lift_product(k, length, h=1e-3):
     The same integration as asymptotic_lift, but the step factors are only
     multiplied together, so no per-node arrays are kept.
     """
-    kfun, _ = profile_as_callable(k)
-    return _transport(_lift_velocity(kfun), 0.0, length, h)[0]
+    return _transport(_lift_velocity(k.value), 0.0, length, h)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _fd as fd
-from .curve import CurvatureProfile, S3Curve, asymptotic_lift, profile_as_callable
+from .curve import CurvatureProfile, S3Curve, asymptotic_lift
 from .errors import PreconditionViolated
 from .quat import QI, QJ, QONE, fiber_circle, qinv, qmul, qnorm
 
@@ -74,16 +74,13 @@ def linear_angle(cu, cv, c0=0.0):
 
 def profile_angle(k):
     """Hopf-surface angle w(u) = arccot(k(u)), branch (0, pi)."""
-    kfun, kder = profile_as_callable(k)
 
     def f1(u):
-        return 0.5 * math.pi - np.arctan(kfun(u))
+        return 0.5 * math.pi - np.arctan(k.value(u))
 
     def df1(u):
-        kv = np.asarray(kfun(u), dtype=float)
-        if kder is None:
-            raise ValueError("profile lacks a derivative")
-        return -np.asarray(kder(u), dtype=float) / (1.0 + kv * kv)
+        kv = np.asarray(k.value(u), dtype=float)
+        return -np.asarray(k.deriv(u), dtype=float) / (1.0 + kv * kv)
 
     z = lambda t: np.zeros_like(np.asarray(t, dtype=float))
     return AngleFunction(f1, df1, z, z)
@@ -167,10 +164,11 @@ class GridSpec:
 class FlatMapGrid:
     """Flat map sampled on the uniform grid spec.
 
-    F and Fhat have shape (nu, nv, 4).  When the map was built as a
-    quaternion product L(u) * R(v) the factor curves (with their
-    derivatives) are kept, giving analytic grid derivatives; grids read
-    back from CSV only have finite differences.
+    F and Fhat have shape (nu, nv, 4).  Every constructor builds the map
+    as a quaternion product L(u) * R(v) and keeps the factor curves with
+    their derivatives (and the angle function), the one source of the grid
+    derivatives.  A grid read back from CSV has no factors and so no
+    derivatives: only verify_flat_map and write_flatmap_csv apply to it.
     """
 
     spec: GridSpec
@@ -191,34 +189,35 @@ class FlatMapGrid:
     def has_factors(self):
         return self.left is not None and self.right is not None
 
+    def factors(self):
+        """(L, L', L'', xi0, R, R'); the one check before any derivative:
+        a grid without factors (read from CSV) raises PreconditionViolated."""
+        if not self.has_factors:
+            raise PreconditionViolated(
+                "flat map has no factor curves (read from CSV?) and so no "
+                "derivatives; only verify_flat_map and write_flatmap_csv apply")
+        return (self.left, self.left_d, self.left_dd, self.xi0, self.right,
+                self.right_d)
+
     def _outer(self, a, b):
         return qmul(a[:, None, :], b[None, :, :])
 
     def u_derivatives(self):
-        """(F_u, Fh_u): analytic for product-form maps, else FD."""
-        if self.has_factors:
-            ldx = qmul(self.left_d, self.xi0)
-            return (self._outer(self.left_d, self.right),
-                    self._outer(ldx, self.right))
-        return (fd.d1(self.F, self.spec.hu, axis=0),
-                fd.d1(self.Fhat, self.spec.hu, axis=0))
+        """(F_u, Fh_u) from the factor curves."""
+        _, Ld, _, xi0, R, _ = self.factors()
+        return self._outer(Ld, R), self._outer(qmul(Ld, xi0), R)
 
     def derivatives(self):
-        """(F_u, F_v, Fh_u, Fh_v): analytic for product-form maps, else FD."""
+        """(F_u, F_v, Fh_u, Fh_v) from the factor curves."""
+        L, _, _, xi0, _, Rd = self.factors()
         Fu, Fhu = self.u_derivatives()
-        if self.has_factors:
-            lx = qmul(self.left, self.xi0)
-            return (Fu, self._outer(self.left, self.right_d),
-                    Fhu, self._outer(lx, self.right_d))
-        return (Fu, fd.d1(self.F, self.spec.hv, axis=1),
-                Fhu, fd.d1(self.Fhat, self.spec.hv, axis=1))
+        return Fu, self._outer(L, Rd), Fhu, self._outer(qmul(L, xi0), Rd)
 
     def omega_u_grid(self):
-        if self.omega_fn is not None:
-            return np.broadcast_to(
-                self.omega_fn.omega_u(self.spec.u_nodes)[:, None],
-                self.omega_grid.shape).copy()
-        return fd.d1(self.omega_grid, self.spec.hu, axis=0)
+        self.factors()  # product-form maps carry their angle function
+        return np.broadcast_to(
+            self.omega_fn.omega_u(self.spec.u_nodes)[:, None],
+            self.omega_grid.shape).copy()
 
 
 def _dot(a, b):
@@ -231,8 +230,7 @@ def _dot(a, b):
 
 def _check_side_conditions(a1, a2, xi0):
     tol = 1e-6
-    d1 = a1.deriv if a1.deriv is not None else np.gradient(a1.samples, a1.h, axis=0)
-    d2 = a2.deriv if a2.deriv is not None else np.gradient(a2.samples, a2.h, axis=0)
+    d1, d2 = a1.deriv, a2.deriv
     r_start = max(float(np.linalg.norm(a1.samples[0] - QONE)),
                   float(np.linalg.norm(a2.samples[0] - QONE)))
     if r_start > tol:
@@ -251,7 +249,6 @@ def _check_side_conditions(a1, a2, xi0):
         raise PreconditionViolated(
             f"asymptotic side conditions fail: <a1',a1 xi0> max {s1:.3e}, "
             f"<a2',xi0 a2> max {s2:.3e}", max(s1, s2))
-    return d1, d2
 
 
 def bianchi_spivak_product(a1: S3Curve, a2: S3Curve, xi0=QJ):
@@ -263,9 +260,9 @@ def bianchi_spivak_product(a1: S3Curve, a2: S3Curve, xi0=QJ):
     unwrapped along the axes and stored as a separable AngleFunction.
     """
     xi0 = np.asarray(xi0, dtype=float)
-    d1, d2 = _check_side_conditions(a1, a2, xi0)
+    _check_side_conditions(a1, a2, xi0)
 
-    L, R = a1.samples, a2.samples
+    L, R, d1, d2 = a1.samples, a2.samples, a1.deriv, a2.deriv
     F = qmul(L[:, None, :], R[None, :, :])
     Lx = qmul(L, xi0)
     Fhat = qmul(Lx[:, None, :], R[None, :, :])
@@ -302,9 +299,8 @@ def _hopf_factors(k, spec: GridSpec, a0=QONE):
     sub = max(1, int(math.ceil(spec.hu / ODE_STEP - 1e-12)))
     lift = asymptotic_lift(k, (spec.u0, spec.u0 + spec.hu * (spec.nu - 1)),
                            spec.hu / sub, a0=a0)
-    L = lift.samples[::sub].copy()
-    Ld = lift.deriv[::sub].copy()
-    Ldd = None if lift.deriv2 is None else lift.deriv2[::sub].copy()
+    L, Ld, Ldd = (x[::sub].copy()
+                  for x in (lift.samples, lift.deriv, lift.deriv2))
     R = fiber_circle(spec.v_nodes)
     return L, Ld, Ldd, R, qmul(QI, R)
 
@@ -395,6 +391,7 @@ def helix_product_map(r, u_range=(0.0, 1.0), v_range=(0.0, 1.0), h=1e-2):
 class FlatMapReport:
     residuals: dict
     gauss_metric: float
+    frame_residual: float  # Gram matrix of {F, Fhat, F_u, Fhat_u} vs I_4
 
     @property
     def max_flatmap_residual(self):
@@ -412,7 +409,9 @@ def verify_flat_map(g: FlatMapGrid) -> FlatMapReport:
 
     Boundary nodes (two per side, where the 4th-order stencil degrades)
     are excluded from the maxima.  Also reports the Gauss-map metric
-    defect |<dF,dF> + <dFh,dFh> - 2(du^2+dv^2)|.
+    defect |<dF,dF> + <dFh,dFh> - 2(du^2+dv^2)| and the frame residual,
+    the max deviation of the Gram matrix of {F, Fhat, F_u, Fhat_u} from
+    I_4, which as_dict leaves out.
     """
     if g.spec.nu < 3 or g.spec.nv < 3:
         raise ValueError("grid needs at least 3 nodes per direction")
@@ -449,7 +448,10 @@ def verify_flat_map(g: FlatMapGrid) -> FlatMapReport:
         trim(_dot(Fv, Fv) + _dot(Fhv, Fhv) - 2.0),
         trim(_dot(Fu, Fv) + _dot(Fhu, Fhv)),
     )
-    return FlatMapReport(res, gauss)
+    frame = (F, Fh, Fu, Fhu)
+    frame_res = max(trim(_dot(frame[i], frame[j]) - float(i == j))
+                    for i in range(4) for j in range(i, 4))
+    return FlatMapReport(res, gauss, frame_res)
 
 
 def polar_dual(g: FlatMapGrid) -> FlatMapGrid:
@@ -459,7 +461,7 @@ def polar_dual(g: FlatMapGrid) -> FlatMapGrid:
     if g.has_factors:
         lx = qmul(g.left, g.xi0)
         ld = qmul(g.left_d, g.xi0)
-        ldd = None if g.left_dd is None else qmul(g.left_dd, g.xi0)
+        ldd = qmul(g.left_dd, g.xi0)
     return FlatMapGrid(g.spec, g.Fhat.copy(), -g.F,
                        g.omega_grid + math.pi, omega_fn, lattice=g.lattice,
                        left=lx, left_d=ld, left_dd=ldd,

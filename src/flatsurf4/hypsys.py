@@ -162,53 +162,33 @@ def _factor_solution(spec: GridSpec, L, Ld, Ldd, xi, R, Rd, a, rho, n,
                      provenance):
     """(<a, L R> + rho, <a, L xi R>) and its derivatives, times n per order.
 
-    L, Ld, Ldd are (nu, 4) samples of a left factor and its u-derivatives
-    (Ldd may be None), R, Rd (nv, 4) samples of the right factor and its
-    v-derivative.  Right multiplication by r has adjoint right
-    multiplication by conj(r), so <a, L_i R_j> = <L_i, a conj(R_j)> and
-    each field is one (nu, 4) @ (4, nv) product: no (nu, nv, 4) array is
-    built.  Without Ldd the u-second derivatives are central differences.
+    L, Ld, Ldd are (nu, 4) samples of a left factor and its first and
+    second u-derivatives, R, Rd (nv, 4) samples of the right factor and its
+    v-derivative; every derivative is exact, none is differenced.  Right
+    multiplication by r has adjoint right multiplication by conj(r), so
+    <a, L_i R_j> = <L_i, a conj(R_j)> and each field is one
+    (nu, 4) @ (4, nv) product: no (nu, nv, 4) array is built.
     """
     aR = qmul(a, qconj(R)).T
     aRd = qmul(a, qconj(Rd)).T
     Lx, Ldx = qmul(L, xi), qmul(Ld, xi)
-    alpha = L @ aR + rho
-    beta = Lx @ aR
-    if Ldd is None:
-        auu = fd.d2(alpha, spec.hu, axis=0)
-        buu = fd.d2(beta, spec.hu, axis=0)
-    else:
-        auu = n * n * (Ldd @ aR)
-        buu = n * n * (qmul(Ldd, xi) @ aR)
     return SolutionGrid(
-        spec, alpha, beta, provenance,
+        spec, L @ aR + rho, Lx @ aR, provenance,
         alpha_u=n * (Ld @ aR), beta_u=n * (Ldx @ aR),
         alpha_v=n * (L @ aRd), beta_v=n * (Lx @ aRd),
-        alpha_uu=auu, beta_uu=buu)
+        alpha_uu=n * n * (Ldd @ aR), beta_uu=n * n * (qmul(Ldd, xi) @ aR))
 
 
 def geometric_solution(g: FlatMapGrid, a=(1.0, 0.0, 0.0, 0.0), rho=0.0):
     """(alpha, beta) = (<a, F> + rho, <a, Fhat>) for a in R^4, rho in R.
 
     The coordinates of a flat map and its polar map solve the system; the
-    resulting surface is the affine 3-sphere |f - a| = |rho|.  Product-form
-    maps are contracted on their factor curves; other grids (read back
-    from CSV) use finite differences.
+    resulting surface is the affine 3-sphere |f - a| = |rho|.  It is
+    contracted on the factor curves of g (FlatMapGrid.factors), so a grid
+    read back from CSV raises PreconditionViolated.
     """
-    a = np.asarray(a, dtype=float)
-    if g.has_factors:
-        return _factor_solution(g.spec, g.left, g.left_d,
-                                g.left_dd, g.xi0, g.right, g.right_d, a, rho,
-                                1, "geometric")
-    dot = lambda arr: np.einsum("ijk,k->ij", arr, a)
-    alpha = dot(g.F) + rho
-    beta = dot(g.Fhat)
-    Fu, Fv, Fhu, Fhv = g.derivatives()
-    return SolutionGrid(
-        g.spec, alpha, beta, "geometric",
-        alpha_u=dot(Fu), beta_u=dot(Fhu), alpha_v=dot(Fv), beta_v=dot(Fhv),
-        alpha_uu=fd.d2(alpha, g.spec.hu, axis=0),
-        beta_uu=fd.d2(beta, g.spec.hu, axis=0))
+    return _factor_solution(g.spec, *g.factors(), np.asarray(a, dtype=float),
+                            rho, 1, "geometric")
 
 
 # ---------------------------------------------------------------------------
@@ -341,54 +321,47 @@ def _rotation_factors(omega: AngleFunction, spec: GridSpec):
     return L, H, Hinv
 
 
-def _cum_u(field_grid, h, rule):
-    if rule == "trapezoid":
-        out = np.zeros_like(field_grid)
-        steps = 0.5 * h * (field_grid[1:] + field_grid[:-1])
-        out[1:] = np.cumsum(steps, axis=0)
-        return out
+def _cum_u(field_grid, h):
     # imported here, so that importing flatsurf4 loads no scipy module
     from scipy.integrate import cumulative_simpson
     return cumulative_simpson(field_grid, dx=h, axis=0, initial=0.0)
 
 
-def _cum_v(field_grid, h, rule):
-    return np.swapaxes(_cum_u(np.swapaxes(field_grid, 0, 1), h, rule), 0, 1)
+def _cum_v(field_grid, h):
+    return np.swapaxes(_cum_u(np.swapaxes(field_grid, 0, 1), h), 0, 1)
 
 
-def _corner_integral(P, Q, spec, rule):
+def _corner_integral(P, Q, spec):
     """grid(u,v) = int_{u0}^{u} P(t, v0) dt + int_{v0}^{v} Q(u, t) dt."""
-    first_leg = _cum_u(P, spec.hu, rule)[:, :1, :]
-    return first_leg + _cum_v(Q, spec.hv, rule)
+    first_leg = _cum_u(P, spec.hu)[:, :1, :]
+    return first_leg + _cum_v(Q, spec.hv)
 
 
-def quadrature_transform(X: SolutionGrid, omega: AngleFunction, y0=(0.0, 0.0),
-                         rule="simpson"):
+def quadrature_transform(X: SolutionGrid, omega: AngleFunction, y0=(0.0, 0.0)):
     """Produce a new solution Z by two nested path integrals of X.
 
     Y = y0 + int L X du + int H X dv,  Z = int L Y du + int H^-1 Y dv,
     where L, H are the reflection/rotation factors of the system matrix.
     Path independence of both integrals (which holds exactly when X solves
     the system) is verified by comparing the two integration orders;
-    disagreement beyond 1e-4 raises PathDependence.
+    disagreement beyond 1e-4 raises PathDependence.  Every path integral
+    is a cumulative Simpson sum along grid lines.
     """
-    if rule not in ("simpson", "trapezoid"):
-        raise ValueError("rule must be 'simpson' or 'trapezoid'")
     spec = X.spec
     L, H, Hinv = _rotation_factors(omega, spec)
     Xg = np.stack([X.alpha, X.beta], axis=-1)
 
     LX = np.einsum("iab,ijb->ija", L, Xg)
     HX = np.einsum("jab,ijb->ija", H, Xg)
-    Y = np.asarray(y0, dtype=float) + _corner_integral(LX, HX, spec, rule)
+    Y = np.asarray(y0, dtype=float) + _corner_integral(LX, HX, spec)
     Y_alt = (np.asarray(y0, dtype=float)
-             + _cum_v(HX, spec.hv, rule)[:1, :, :] + _cum_u(LX, spec.hu, rule))
+             + _cum_v(HX, spec.hv)[:1, :, :] + _cum_u(LX, spec.hu))
     dev_y = float(np.max(np.abs(Y - Y_alt)))
 
     LY = np.einsum("iab,ijb->ija", L, Y)
     HinvY = np.einsum("jab,ijb->ija", Hinv, Y)
-    Z = _corner_integral(LY, HinvY, spec, rule)
-    Z_alt = _cum_v(HinvY, spec.hv, rule)[:1, :, :] + _cum_u(LY, spec.hu, rule)
+    Z = _corner_integral(LY, HinvY, spec)
+    Z_alt = _cum_v(HinvY, spec.hv)[:1, :, :] + _cum_u(LY, spec.hu)
     dev_z = float(np.max(np.abs(Z - Z_alt)))
     if max(dev_y, dev_z) > 1e-4:
         raise PathDependence(

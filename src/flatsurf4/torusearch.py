@@ -26,7 +26,7 @@ from .flatmap import (FlatMapGrid, GridSpec, _hopf_map, hopf_flat_map,
 from .hypsys import stretched_solution, system_residual
 from .immersion import (ImmersionGrid, assemble, auto_lambda, derived_solution,
                         flatness_check, lambda_rescale, metric_identity_check,
-                        sphere_fit, tangency_check, verify_frame)
+                        sphere_fit, tangency_check)
 from .quat import qmul, rotation_matrix
 
 TWO_PI = 2.0 * math.pi
@@ -237,13 +237,7 @@ def search_rational(family: Callable[[float], CurvatureProfile], n, target,
         return known[eps]
 
     lo, hi = bracket
-    scan = [(lo, g(lo) + t_val), (hi, g(hi) + t_val)]
-    glo, ghi = scan[0][1] - t_val, scan[1][1] - t_val
-    if glo == 0.0:
-        lo = hi = scan[0][0]
-    elif ghi == 0.0:
-        lo = hi = scan[1][0]
-    elif glo * ghi > 0.0:
+    if g(lo) * g(hi) > 0.0:
         eps_grid = np.linspace(lo, hi, 17)
         vals = [g(e) for e in eps_grid]
         scan = [(float(e), v + t_val) for e, v in zip(eps_grid, vals)]
@@ -257,7 +251,7 @@ def search_rational(family: Callable[[float], CurvatureProfile], n, target,
                 scan=scan)
         lo, hi = float(eps_grid[idx]), float(eps_grid[idx + 1])
 
-    eps_root = lo if lo == hi else _brentq(g, lo, hi, 1e-10)
+    eps_root = _brentq(g, lo, hi, 1e-10)
     profile = family(eps_root)
     ach = holonomy(profile.stretch(n), h=h)
 
@@ -313,7 +307,6 @@ def _assemble_stretched(gmap: FlatMapGrid, k, n, lam):
 def _diagnostics(gmap: FlatMapGrid, im: ImmersionGrid, lam):
     rep = {}
     rep["lambda"] = lam
-    rep["frame_residual"] = verify_frame(gmap)
     rep["margin_min"] = im.margin_min()
     rep["metric_min_eigenvalue"] = im.metric_min_eigenvalue()
     rep["gauss_K_max"] = flatness_check(im)
@@ -328,6 +321,7 @@ def _diagnostics(gmap: FlatMapGrid, im: ImmersionGrid, lam):
     ra, rb = system_residual(derived_solution(im), gmap.omega_grid)
     rep["derived_system_residual"] = max(ra, rb)
     fm = verify_flat_map(gmap)
+    rep["frame_residual"] = fm.frame_residual
     rep["flatmap_max"] = fm.max_flatmap_residual
     rep["gauss_metric"] = fm.gauss_metric
     w = gmap.omega_grid

@@ -121,7 +121,7 @@ def test_lift_kernel_is_fourth_order():
 
 def test_lift_rejects_non_finite_curvature():
     with pytest.raises(IntegrationFailure):
-        lift_product(lambda u: np.full(np.shape(u), np.nan), 1.0, h=0.1)
+        lift_product(CurvatureProfile(1.0, math.nan), 1.0, h=0.1)
 
 
 def test_lift_closed_form_for_flat_projection():

@@ -1,23 +1,22 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from flatsurf4 import _fd as fd
 from flatsurf4.curve import CurvatureProfile, asymptotic_lift
 from flatsurf4.errors import (EqualSpeeds, GridMismatch, NonConstantAngle,
-                              PathDependence)
+                              PathDependence, PreconditionViolated)
 from flatsurf4.flatmap import (ODE_STEP, constant_angle, helix_product_map,
-                               hopf_flat_map, linear_angle, polar_dual,
-                               profile_angle, read_flatmap_csv,
-                               write_flatmap_csv)
+                               hopf_flat_map, linear_angle, normal_shape_check,
+                               polar_dual, profile_angle, read_flatmap_csv,
+                               verify_flat_map, write_flatmap_csv)
 from flatsurf4.hypsys import (DERIVATIVE_FIELDS, GridSpec, SmoothFn,
                               SolutionGrid, constant_solution,
                               exponential_solution, geometric_solution,
                               helical_angle_solution, quadrature_transform,
                               solve_numeric, stretched_solution, system_residual,
                               wave_solution, zero_solution)
+from flatsurf4.immersion import assemble, tangency_check
 from flatsurf4.quat import qmul
 
 TWO_PI = 2 * math.pi
@@ -184,36 +183,23 @@ def test_geometric_solution_contracts_on_factors(kind):
     _assert_fields_close(sol, ref)
 
 
-def test_geometric_solution_without_second_factor_derivative():
-    g = hopf_flat_map(CurvatureProfile(2.0, 0.5, (0.3,)), 4.0, h=0.05,
-                      v_range=(0.0, 1.0), hv=0.02)
-    sol = geometric_solution(dataclasses.replace(g, left_dd=None),
-                             a=A_VEC, rho=RHO)
-    ref = geometric_solution(g, a=A_VEC, rho=RHO)
-    for got, want in zip(_fields(sol)[:6], _fields(ref)[:6]):
-        assert np.array_equal(got, want)
-    assert np.array_equal(sol.alpha_uu, fd.d2(sol.alpha, g.spec.hu, axis=0))
-    assert np.array_equal(sol.beta_uu, fd.d2(sol.beta, g.spec.hu, axis=0))
-
-
-def test_geometric_solution_on_csv_grid(tmp_path):
-    # a grid read back from CSV has no factors: the einsum and
-    # finite-difference path, bit for bit
+def test_csv_grid_has_no_derivatives(tmp_path):
+    # a grid read back from CSV has no factor curves, so everything that
+    # needs a derivative of the map refuses it; the checks still accept it
     g = hopf_flat_map(CurvatureProfile(2.0, 0.5, (0.3,)), 2.0, h=0.05,
                       v_range=(0.0, 1.0), hv=0.05)
     path = tmp_path / "grid.csv"
     write_flatmap_csv(g, path)
-    g = read_flatmap_csv(path)
-    assert not g.has_factors
-    sol = geometric_solution(g, a=A_VEC, rho=RHO)
-    alpha, beta = _a_dot(g.F) + RHO, _a_dot(g.Fhat)
-    hu, hv = g.spec.hu, g.spec.hv
-    ref = (alpha, beta,
-           _a_dot(fd.d1(g.F, hu, axis=0)), _a_dot(fd.d1(g.Fhat, hu, axis=0)),
-           _a_dot(fd.d1(g.F, hv, axis=1)), _a_dot(fd.d1(g.Fhat, hv, axis=1)),
-           fd.d2(alpha, hu, axis=0), fd.d2(beta, hu, axis=0))
-    for got, want in zip(_fields(sol), ref):
-        assert np.array_equal(got, want)
+    csv_grid = read_flatmap_csv(path)
+    assert not csv_grid.has_factors
+    im = assemble(g, constant_solution(g.spec))
+    for use in (lambda: geometric_solution(csv_grid, a=A_VEC, rho=RHO),
+                lambda: assemble(csv_grid, constant_solution(g.spec)),
+                lambda: tangency_check(im, csv_grid),
+                lambda: normal_shape_check(csv_grid)):
+        with pytest.raises(PreconditionViolated, match="no factor curves"):
+            use()
+    assert verify_flat_map(csv_grid).as_dict() == verify_flat_map(g).as_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +378,6 @@ def test_quadrature_applied_twice():
     Z2 = quadrature_transform(Z1, w, y0=(0.0, 1.0))
     ra, rb = system_residual(Z2, w)
     assert max(ra, rb) < 1e-3
-
-
-def test_quadrature_rules_agree():
-    spec = GridSpec.from_ranges((0, 2), (0, 2), 0.005)
-    w = linear_angle(1.0, 1.0)
-    Zs = quadrature_transform(zero_solution(spec), w, y0=(1.0, 0.0), rule="simpson")
-    Zt = quadrature_transform(zero_solution(spec), w, y0=(1.0, 0.0), rule="trapezoid")
-    assert np.max(np.abs(Zs.alpha - Zt.alpha)) < 1e-5
-    assert np.max(np.abs(Zs.beta - Zt.beta)) < 1e-5
 
 
 def test_quadrature_path_dependence_detected():

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from flatsurf4 import _fd as fd
 from flatsurf4.curve import CurvatureProfile
-from flatsurf4.errors import DegenerateMetric, GridMismatch, NoLambdaFound
+from flatsurf4.errors import (DegenerateMetric, GridMismatch, NoLambdaFound,
+                              PreconditionViolated)
 from flatsurf4.flatmap import (clifford_flat_map, helix_product_map,
-                               hopf_flat_map, linear_angle)
+                               hopf_flat_map, linear_angle, verify_flat_map)
 from flatsurf4.hypsys import (GridSpec, SmoothFn, constant_solution,
                               exponential_solution, geometric_solution,
-                              helical_angle_solution, stretched_solution,
-                              system_residual, wave_solution)
+                              helical_angle_solution, solve_numeric,
+                              stretched_solution, system_residual,
+                              wave_solution)
 from flatsurf4.immersion import (assemble, auto_lambda, brioschi_curvature,
                                  derived_solution, flatness_check,
                                  lambda_rescale, metric_identity_check,
@@ -56,6 +59,16 @@ def test_assemble_rejects_mismatched_grids(hopf_grid):
         assemble(hopf_grid, sol)
 
 
+def test_assemble_rejects_solution_without_derivatives(hopf_grid):
+    # the marcher's solution has no analytic derivatives, and assembly
+    # does not difference one
+    ref = geometric_solution(hopf_grid)
+    sol = solve_numeric(hopf_grid.omega_fn, hopf_grid.spec, ref.alpha[:, 0],
+                        ref.beta[:, 0])
+    with pytest.raises(PreconditionViolated, match="'numeric' solution"):
+        assemble(hopf_grid, sol)
+
+
 def test_metric_arrays_identities(hopf_grid):
     sol = geometric_solution(hopf_grid, a=(0.3, -0.2, 0.5, 0.1), rho=0.7)
     im = assemble(hopf_grid, sol)
@@ -78,6 +91,29 @@ def test_frame_orthonormal_on_clifford(clifford):
 def test_frame_orthonormal_on_helix_product():
     g, _ = helix_product_map(2.0, (0, 1), (0, 1), h=0.01)
     assert verify_frame(g) < 1e-5
+
+
+def _frame_reference(gmap):
+    """The frame check written out over all 16 entries of the Gram matrix,
+    with its own differences of F and Fhat along u."""
+    Nu_ = fd.d1(gmap.F, gmap.spec.hu, axis=0)
+    Nhu_ = fd.d1(gmap.Fhat, gmap.spec.hu, axis=0)
+    frame = (gmap.F, gmap.Fhat, Nu_, Nhu_)
+    dev = 0.0
+    for i, x in enumerate(frame):
+        for j, y in enumerate(frame):
+            g = np.einsum("...k,...k->...", x, y)
+            target = 1.0 if i == j else 0.0
+            dev = max(dev, fd.max_interior(g - target))
+    return dev
+
+
+def test_frame_residual_matches_reference(clifford, hopf_grid):
+    helix_grid, _ = helix_product_map(2.0, (0, 1), (0, 1), h=0.01)
+    for g in (clifford, hopf_grid, helix_grid):
+        ref = _frame_reference(g)
+        assert verify_flat_map(g).frame_residual == ref
+        assert verify_frame(g) == ref
 
 
 def test_frame_detects_corruption(clifford):

@@ -38,6 +38,11 @@ def release_outcome():
     return search_rational(fam, 2, TARGET, BRACKET)
 
 
+@pytest.fixture(scope="module")
+def release_torus(release_outcome):
+    return build_perturbed_torus(release_outcome, nodes_per_period=64, nv=128)
+
+
 # ---------------------------------------------------------------------------
 # holonomy basics
 
@@ -169,6 +174,16 @@ def test_search_finds_circle_for_zero_target():
     assert out.closure_residual < 1e-4
 
 
+@pytest.mark.parametrize("bracket", [(0.0, 0.05), (-0.05, 0.0)])
+def test_search_returns_an_endpoint_root(bracket, monkeypatch):
+    # a_n reads exactly the target at eps = 0, one end of the bracket
+    monkeypatch.setattr(torusearch, "a_n",
+                        lambda k, n, h: k.fourier_cos[0] + 0.25)
+    fam = single_harmonic_family(1.0, T)
+    out = search_rational(fam, 2, (1, 4), bracket)
+    assert out.parameter == 0.0
+
+
 def test_search_no_sign_change_reports_scan():
     fam = single_harmonic_family(1.0, T)
     with pytest.raises(NoSignChange) as err:
@@ -282,9 +297,8 @@ def test_lift_closure_failure():
 # torus assembly
 
 
-def test_build_torus_release_configuration(release_outcome):
-    im, rep = build_perturbed_torus(release_outcome, nodes_per_period=64,
-                                    nv=128)
+def test_build_torus_release_configuration(release_torus):
+    im, rep = release_torus
     assert rep["closure_u"] < 1e-4 and rep["closure_v"] < 1e-4
     assert rep["margin_min"] > 0
     assert rep["gauss_K_max"] < 1e-3
@@ -299,6 +313,18 @@ def test_build_torus_release_configuration(release_outcome):
     assert rep["derived_system_residual"] < 1e-3
     # 4th-order verification stencil at this deliberately coarse grid step
     assert rep["flatmap_max"] < 1e-4
+
+
+def test_release_torus_residuals_are_fourth_order(release_outcome,
+                                                  release_torus):
+    # the residuals of the exactly flat torus are truncation error of the
+    # 4th-order stencils: halving both steps divides them by about 16
+    _, coarse = build_perturbed_torus(release_outcome, nodes_per_period=32,
+                                      nv=64)
+    _, fine = release_torus
+    for key in ("gauss_K_max", "tangency_u", "derived_system_residual",
+                "frame_residual"):
+        assert math.log2(coarse[key] / fine[key]) >= 3.5, key
 
 
 def test_build_torus_circle_control():
