@@ -16,7 +16,7 @@ from .flatmap import (AngleFunction, FlatMapGrid, bianchi_spivak_product,
                       clifford_flat_map, constant_angle, helix_product_map,
                       hopf_flat_map, linear_angle, normal_shape_check,
                       polar_dual, profile_angle, read_flatmap_csv,
-                      sampled_angle, verify_flat_map, write_flatmap_csv)
+                      verify_flat_map, write_flatmap_csv)
 from .hypsys import (GridSpec, SmoothFn, SolutionGrid, constant_solution,
                      exponential_solution, geometric_solution,
                      helical_angle_solution, quadrature_transform,

@@ -46,10 +46,14 @@ def d2(a, h, axis=0):
 
 def interior(a):
     """View of a with INTERIOR_TRIM nodes removed on each side of axes 0
-    and 1."""
+    and 1; a grid too small to keep a node raises ValueError."""
     a = np.asarray(a)
     t = INTERIOR_TRIM
-    return a[t:a.shape[0] - t, t:a.shape[1] - t]
+    nu, nv = a.shape[:2]
+    if min(nu, nv) <= 2 * t:
+        raise ValueError(f"a grid of {nu} x {nv} nodes has no interior; "
+                         f"residuals need at least {2 * t + 1} nodes per direction")
+    return a[t:nu - t, t:nv - t]
 
 
 def max_interior(a):

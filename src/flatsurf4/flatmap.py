@@ -21,7 +21,7 @@ import numpy as np
 from . import _fd as fd
 from .curve import CurvatureProfile, S3Curve, asymptotic_lift
 from .errors import PreconditionViolated
-from .quat import QI, QJ, QONE, fiber_circle, qinv, qmul, qnorm
+from .quat import QI, QJ, QONE, fiber_circle, qconj, qinv, qmul, qnorm
 
 TWO_PI = 2.0 * math.pi
 ODE_STEP = 1e-3  # largest step of the lift integration in every Hopf builder
@@ -86,26 +86,33 @@ def profile_angle(k):
     return AngleFunction(f1, df1, z, z)
 
 
-def sampled_angle(u_nodes, w1_samples, v_nodes, w2_samples):
-    """Angle interpolated from exact samples along the two axes."""
-    # imported here, so that importing flatsurf4 loads no scipy module
-    from scipy.interpolate import CubicSpline
+def _hermite(x, y, dy):
+    """(f, df): the cubic Hermite interpolant of the values y and slopes dy
+    at the uniform nodes x, and its derivative; the end cells extrapolate."""
+    x, y, dy = (np.asarray(a, dtype=float) for a in (x, y, dy))
+    if len(x) < 2:
+        raise PreconditionViolated(
+            f"an angle needs at least 2 samples per axis, got {len(x)}")
+    h = x[1] - x[0]
 
-    if len(u_nodes) >= 2:
-        s1 = CubicSpline(u_nodes, w1_samples)
-        ds1 = s1.derivative()
-    else:
-        c = float(w1_samples[0])
-        s1 = lambda u: np.full_like(np.asarray(u, dtype=float), c)
-        ds1 = lambda u: np.zeros_like(np.asarray(u, dtype=float))
-    if len(v_nodes) >= 2:
-        s2 = CubicSpline(v_nodes, w2_samples)
-        ds2 = s2.derivative()
-    else:
-        c2 = float(w2_samples[0])
-        s2 = lambda v: np.full_like(np.asarray(v, dtype=float), c2)
-        ds2 = lambda v: np.zeros_like(np.asarray(v, dtype=float))
-    return AngleFunction(s1, ds1, s2, ds2)
+    def cell(t):
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
+        return i, (t - x[i]) / h
+
+    def f(t):
+        i, s = cell(t)
+        r = 1.0 - s
+        return ((1.0 + 2.0 * s) * r * r * y[i] + s * s * (3.0 - 2.0 * s) * y[i + 1]
+                + h * s * r * (r * dy[i] - s * dy[i + 1]))
+
+    def df(t):
+        i, s = cell(t)
+        r = 1.0 - s
+        return (6.0 * s * r * (y[i + 1] - y[i]) / h
+                + r * (1.0 - 3.0 * s) * dy[i] + s * (3.0 * s - 2.0) * dy[i + 1])
+
+    return f, df
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +264,9 @@ def bianchi_spivak_product(a1: S3Curve, a2: S3Curve, xi0=QJ):
     Requires unit-speed curves through 1 whose side conditions
     <a1', a1 xi0> = 0 = <a2', xi0 a2> hold within 1e-6.  The angle is
     recovered pointwise from cos(w) = <F_u, F_v>, sin(w) = <F_u, Fh_v>,
-    unwrapped along the axes and stored as a separable AngleFunction.
+    unwrapped along the axes into omega_grid.  The AngleFunction is the
+    cubic Hermite interpolant of these node values and of the exact slopes
+    from a1'' and a2'' (below), so each curve needs at least 2 samples.
     """
     xi0 = np.asarray(xi0, dtype=float)
     _check_side_conditions(a1, a2, xi0)
@@ -274,7 +283,13 @@ def bianchi_spivak_product(a1: S3Curve, a2: S3Curve, xi0=QJ):
     theta = np.arctan2(_dot(Fu, Fhv), _dot(Fu, Fv))
     w1 = np.unwrap(theta[:, 0])
     w2 = np.unwrap(theta[0, :]) - theta[0, 0]
-    omega_fn = sampled_angle(a1.u_grid, w1, a2.u_grid, w2)
+    # the unit body velocities b1 = conj(a1) a1', c2 = a2' conj(a2) are
+    # orthogonal to xi0 and turn about it at the rates w1' and -w2'
+    La, Ra = qconj(L), qconj(R)
+    dw1 = _dot(qmul(La, a1.deriv2), qmul(xi0, qmul(La, d1)))
+    dw2 = -_dot(qmul(a2.deriv2, Ra), qmul(xi0, qmul(d2, Ra)))
+    omega_fn = AngleFunction(*_hermite(a1.u_grid, w1, dw1),
+                             *_hermite(a2.u_grid, w2, dw2))
     omega_grid = w1[:, None] + w2[None, :]
     sep = max(float(np.max(np.abs(np.cos(omega_grid) - np.cos(theta)))),
               float(np.max(np.abs(np.sin(omega_grid) - np.sin(theta)))))
@@ -413,9 +428,8 @@ def verify_flat_map(g: FlatMapGrid) -> FlatMapReport:
     the max deviation of the Gram matrix of {F, Fhat, F_u, Fhat_u} from
     I_4, which as_dict leaves out.
     """
-    if g.spec.nu < 3 or g.spec.nv < 3:
-        raise ValueError("grid needs at least 3 nodes per direction")
     F, Fh, w = g.F, g.Fhat, g.omega_grid
+    fd.interior(w)  # refuses a grid too small for residuals before differencing
     Fu = fd.d1(F, g.spec.hu, axis=0)
     Fv = fd.d1(F, g.spec.hv, axis=1)
     Fhu = fd.d1(Fh, g.spec.hu, axis=0)
@@ -439,10 +453,8 @@ def verify_flat_map(g: FlatMapGrid) -> FlatMapReport:
         "polar_uu": trim(_dot(Fhu, Fhu) - 1.0),
         "polar_vv": trim(_dot(Fhv, Fhv) - 1.0),
         "polar_uv_cos": trim(_dot(Fhu, Fhv) + cw),
+        "omega_uv": trim(fd.d1(fd.d1(w, g.spec.hu, axis=0), g.spec.hv, axis=1)),
     }
-    if g.spec.nu >= 5 and g.spec.nv >= 5:
-        res["omega_uv"] = trim(fd.d1(fd.d1(w, g.spec.hu, axis=0), g.spec.hv,
-                                     axis=1))
     gauss = max(
         trim(_dot(Fu, Fu) + _dot(Fhu, Fhu) - 2.0),
         trim(_dot(Fv, Fv) + _dot(Fhv, Fhv) - 2.0),

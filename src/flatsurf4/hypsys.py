@@ -322,9 +322,24 @@ def _rotation_factors(omega: AngleFunction, spec: GridSpec):
 
 
 def _cum_u(field_grid, h):
-    # imported here, so that importing flatsurf4 loads no scipy module
-    from scipy.integrate import cumulative_simpson
-    return cumulative_simpson(field_grid, dx=h, axis=0, initial=0.0)
+    """Cumulative Simpson integral along axis 0, from 0 at the first node.
+
+    A port of the equal-interval branch of scipy's cumulative_simpson with
+    initial=0.0, in its order of operations, so the two agree bit for bit:
+    even cells are integrated forwards, odd cells and the last cell
+    backwards, and fewer than 3 nodes take the trapezoid rule.
+    """
+    y = np.asarray(field_grid, dtype=float)
+    simpson = lambda a: h / 3 * (5 * a[:-2] / 4 + 2 * a[1:-1] - a[2:] / 4)
+    if y.shape[0] < 3:
+        cells = h * (y[1:] + y[:-1]) / 2.0
+    else:
+        fwd, bwd = simpson(y), simpson(y[::-1])[::-1]
+        cells = np.empty_like(y[1:])
+        cells[:-1:2] = fwd[::2]
+        cells[1::2] = bwd[::2]
+        cells[-1] = bwd[-1]
+    return np.concatenate([np.zeros_like(y[:1]), np.cumsum(cells, axis=0) + 0.0])
 
 
 def _cum_v(field_grid, h):
@@ -345,7 +360,8 @@ def quadrature_transform(X: SolutionGrid, omega: AngleFunction, y0=(0.0, 0.0)):
     Path independence of both integrals (which holds exactly when X solves
     the system) is verified by comparing the two integration orders;
     disagreement beyond 1e-4 raises PathDependence.  Every path integral
-    is a cumulative Simpson sum along grid lines.
+    is a cumulative Simpson sum along grid lines (_cum_u, a numpy port of
+    scipy's cumulative_simpson that matches it bit for bit).
     """
     spec = X.spec
     L, H, Hinv = _rotation_factors(omega, spec)

@@ -233,6 +233,11 @@ def _main_report(tmp_path, *argv):
      '{"T", "k0", "cos"/"sin"}'),
     (["holonomy", "--profile", '{"k0": 0.8, "terms": [[0.1, 2.0, 0.0]]}'],
      '{"T", "k0", "cos"/"sin"}'),
+    (["clifford", "--h", "3"], "has no interior"),
+    (["solve", "--family", "wave", "--h", "0.3"], "has no interior"),
+    (["solve", "--family", "quadrature", "--h", "1"], "has no interior"),
+    (["build-cylinder", "--profile", '{"k0": 0.8, "terms": [[0.1, 2.0, 0.0]]}',
+      "--h", "4", "--nv", "4"], "has no interior"),
 ])
 def test_bad_input_gives_error_report(tmp_path, argv, needle):
     code, rep = _main_report(tmp_path, *argv)
@@ -249,16 +254,20 @@ release = ["--k0", "1.21321612108222", "--target", "1/4", "--bracket", "0.9,1.2"
 main(["--out-dir", sys.argv[1], "search-rational", *release])
 main(["--out-dir", sys.argv[2], "build-torus", *release,
       "--nodes-per-period", "24", "--nv", "32"])
+main(["--out-dir", sys.argv[3], "solve", "--family", "quadrature"])
+main(["--out-dir", sys.argv[4], "flatmap-verify", "--kind", "helix-product",
+      "--r", "2"])
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
 
 
 def test_cli_jobs_load_no_scipy(tmp_path):
     # every CLI job is its own process, and importing scipy takes longer
-    # than a whole search; so no job on this path may load it
+    # than a whole search; the package needs only numpy, so no job loads it
     src = Path(flatsurf4.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    outs = [tmp_path / "search", tmp_path / "torus"]
+    outs = [tmp_path / "search", tmp_path / "torus", tmp_path / "quadrature",
+            tmp_path / "helix-product"]
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, *map(str, outs)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from flatsurf4.curve import CurvatureProfile, S3Curve
+from flatsurf4.curve import CurvatureProfile, S3Curve, asymptotic_lift
 from flatsurf4.errors import PreconditionViolated
 from flatsurf4.flatmap import (
-    GridSpec, bianchi_spivak_product, clifford_flat_map, constant_angle,
-    helix_product_map, hopf_flat_map, linear_angle, normal_shape_check,
-    polar_dual, profile_angle, read_flatmap_csv, verify_flat_map,
-    write_flatmap_csv,
+    FlatMapGrid, GridSpec, bianchi_spivak_product, clifford_flat_map,
+    constant_angle, helix_product_map, hopf_flat_map, linear_angle,
+    normal_shape_check, polar_dual, profile_angle, read_flatmap_csv,
+    verify_flat_map, write_flatmap_csv,
 )
 from flatsurf4.quat import QI, QJ, hopf, qmul
 
@@ -75,6 +75,35 @@ def test_great_circle_product_is_clifford():
                        np.cos(u) * np.sin(v)], axis=-1)
     assert np.max(np.abs(g.F - expect)) < 1e-12
     assert verify_flat_map(g).max_flatmap_residual < 1e-8
+
+
+@pytest.mark.parametrize("r,span,h", [(2.0, 1.0, 0.01), (1.5, 1.0, 0.01),
+                                      (3.7, 0.8, 0.008)])
+def test_helix_product_angle_slopes_are_exact(r, span, h):
+    g, mu = helix_product_map(r, (0, span), (0, span), h=h)
+    assert np.max(np.abs(g.omega_fn.omega_u(g.spec.u_nodes) - 2 * mu)) < 1e-14
+    assert np.max(np.abs(g.omega_fn.omega_v(g.spec.v_nodes) - 2 * mu)) < 1e-14
+
+
+def test_product_angle_slopes_follow_the_profile():
+    # a1 the asymptotic lift of k: w1 = arccot(k) up to sign, so with
+    # xi0 = j the slope is w1' = k' / (1 + k^2)
+    k = CurvatureProfile(math.pi, 1.2, (0.4,))
+    a1 = asymptotic_lift(k, (0.0, 2.0), 0.01)
+    g = bianchi_spivak_product(a1, fiber_curve_k(1.0, 0.01), xi0=QJ)
+    slope = lambda u: k.deriv(u) / (1.0 + k.value(u) ** 2)
+    u = g.spec.u_nodes
+    assert np.max(np.abs(g.omega_fn.omega_u(u) - slope(u))) < 1e-12
+    mid = u[:-1] + 0.5 * g.spec.hu
+    assert np.max(np.abs(g.omega_fn.df1(mid) - slope(mid))) < 1e-9
+    assert np.max(np.abs(g.omega_fn.omega_v(g.spec.v_nodes))) < 1e-13
+
+
+def test_product_of_a_single_sample_is_refused():
+    a1 = fiber_curve_i(0.0, 0.01)
+    assert a1.n == 1
+    with pytest.raises(PreconditionViolated, match="at least 2 samples"):
+        bianchi_spivak_product(a1, fiber_curve_k(1.0, 0.01), xi0=QJ)
 
 
 def test_product_precondition_start_point():
@@ -153,6 +182,15 @@ def test_verify_detects_corruption():
     g.left = None  # force finite differences on the corrupted arrays
     rep = verify_flat_map(g)
     assert abs(rep.residuals["orth_F_Fhat"] - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("nu,nv", [(1, 9), (2, 9), (9, 4)])
+def test_verify_refuses_a_grid_without_interior(nu, nv):
+    g = FlatMapGrid(GridSpec(0.0, 0.0, 0.1, 0.1, nu, nv), np.zeros((nu, nv, 4)),
+                    np.zeros((nu, nv, 4)), np.zeros((nu, nv)))
+    with pytest.raises(ValueError, match=f"a grid of {nu} x {nv} nodes has no "
+                                         "interior; residuals need at least 5"):
+        verify_flat_map(g)
 
 
 def test_polar_duality():

@@ -11,7 +11,7 @@ from flatsurf4.flatmap import (ODE_STEP, constant_angle, helix_product_map,
                                polar_dual, profile_angle, read_flatmap_csv,
                                verify_flat_map, write_flatmap_csv)
 from flatsurf4.hypsys import (DERIVATIVE_FIELDS, GridSpec, SmoothFn,
-                              SolutionGrid, constant_solution,
+                              SolutionGrid, _cum_u, constant_solution,
                               exponential_solution, geometric_solution,
                               helical_angle_solution, quadrature_transform,
                               solve_numeric, stretched_solution, system_residual,
@@ -388,6 +388,30 @@ def test_quadrature_path_dependence_detected():
     bad.alpha = rng.standard_normal(bad.alpha.shape)
     with pytest.raises(PathDependence):
         quadrature_transform(bad, w)
+
+
+@pytest.mark.parametrize("nu", [2, 3, 4, 5, 6, 801])
+@pytest.mark.parametrize("tail", [(), (7, 2)], ids=["1d", "3d"])
+def test_cumulative_simpson_port_matches_scipy_bitwise(nu, tail):
+    integrate = pytest.importorskip("scipy.integrate")
+    h = 1.0 / 3.0
+    y = np.random.default_rng(nu).standard_normal((nu,) + tail)
+    ours = _cum_u(y, h)
+    ref = integrate.cumulative_simpson(y, dx=h, axis=0, initial=0.0)
+    assert ours.shape == ref.shape
+    assert np.array_equal(ours, ref)
+    assert np.array_equal(np.signbit(ours), np.signbit(ref))
+
+
+@pytest.mark.parametrize("y", [[-0.0, -0.0], [-0.0, -0.0, 0.0]])
+def test_cumulative_simpson_port_keeps_scipy_signed_zeros(y):
+    # each input has a partial sum of -0.0, which scipy's initial = 0.0 turns
+    # into 0.0
+    integrate = pytest.importorskip("scipy.integrate")
+    ours = _cum_u(np.array(y), 0.1)
+    ref = integrate.cumulative_simpson(np.array(y), dx=0.1, initial=0.0)
+    assert np.array_equal(ours, ref)
+    assert np.array_equal(np.signbit(ours), np.signbit(ref))
 
 
 # ---------------------------------------------------------------------------
