@@ -1,13 +1,32 @@
-"""Finite-difference stencils shared by the verification routines.
+"""Finite-difference stencils shared by the verification routines, and the
+row tiles that every full-grid pass walks.
 
 Interior nodes use 4th-order central differences; the two nodes nearest
 each boundary fall back to numpy.gradient and are excluded from residual
 maxima (see INTERIOR_TRIM).
+
+A pass over a (nu, nv, ...) grid takes TILE_ROWS u-rows at a time
+(row_tiles), so that no temporary it builds is larger than a tile.  A
+derivative along u is taken on the tile's slab, its rows widened by a halo
+of INTERIOR_TRIM rows on each side and clipped at the grid's edges, and
+then cut back to the tile; a derivative along v is taken on the tile's
+rows alone.  The results are those of the whole-grid pass, bit for bit:
+
+* the stencils read at most INTERIOR_TRIM rows on either side, so a tile
+  row in the interior gets the same stencil on the same operands;
+* a row within INTERIOR_TRIM of the grid's edge lies in a slab clipped at
+  that edge, where numpy.gradient (also nested, in d2) reads the same rows
+  as on the whole grid;
+* only the slab's own edge rows fall back to numpy.gradient, and those
+  are the halo, which is cut;
+* elementwise arithmetic does not depend on where an element sits in its
+  array, and a maximum or minimum over tiles is that over the grid.
 """
 
 import numpy as np
 
 INTERIOR_TRIM = 2
+TILE_ROWS = 64  # u-rows per tile of a full-grid pass
 
 
 def _axslice(ndim, axis, s):
@@ -44,17 +63,60 @@ def d2(a, h, axis=0):
     return out
 
 
+def _check_interior(nu, nv):
+    if min(nu, nv) <= 2 * INTERIOR_TRIM:
+        raise ValueError(f"a grid of {nu} x {nv} nodes has no interior; "
+                         f"residuals need at least {2 * INTERIOR_TRIM + 1} "
+                         "nodes per direction")
+
+
 def interior(a):
     """View of a with INTERIOR_TRIM nodes removed on each side of axes 0
     and 1; a grid too small to keep a node raises ValueError."""
     a = np.asarray(a)
     t = INTERIOR_TRIM
     nu, nv = a.shape[:2]
-    if min(nu, nv) <= 2 * t:
-        raise ValueError(f"a grid of {nu} x {nv} nodes has no interior; "
-                         f"residuals need at least {2 * t + 1} nodes per direction")
+    _check_interior(nu, nv)
     return a[t:nu - t, t:nv - t]
 
 
 def max_interior(a):
     return float(np.max(np.abs(interior(a))))
+
+
+def row_tiles(n):
+    """Yield (rows, slab, core) for the tiles of an n-row grid, in order.
+
+    rows are the tile's (at most TILE_ROWS) rows of the grid, slab those
+    rows widened by INTERIOR_TRIM on each side and clipped to the grid,
+    and core the tile's rows as a slice of the slab: a derivative along u
+    of the tile is fd.d1(a[slab], h, axis=0)[core].
+    """
+    t = INTERIOR_TRIM
+    for lo in range(0, n, TILE_ROWS):
+        hi = min(lo + TILE_ROWS, n)
+        s0 = max(lo - t, 0)
+        yield slice(lo, hi), slice(s0, min(hi + t, n)), slice(lo - s0, hi - s0)
+
+
+def tile_interior(a, rows, n):
+    """The nodes of a, the values on the rows of one tile of an n-row
+    grid, that lie in the grid's interior (possibly none)."""
+    t = INTERIOR_TRIM
+    return a[max(t - rows.start, 0):max(n - t - rows.start, 0),
+             t:a.shape[1] - t]
+
+
+def tiled_max_interior(shape, terms):
+    """{name: max_interior(x)} for the grid-shaped arrays x that are built
+    tile by tile: terms(rows, slab, core) returns, by name, the values of
+    each x on the tile's rows.  The maxima equal those of whole-grid
+    arrays, NaN included."""
+    nu, nv = shape[:2]
+    _check_interior(nu, nv)
+    maxima = {}
+    for rows, slab, core in row_tiles(nu):
+        for name, x in terms(rows, slab, core).items():
+            maxima.setdefault(name, []).append(
+                np.max(np.abs(tile_interior(x, rows, nu)), initial=0.0))
+    return {name: float(np.max(m)) for name, m in maxima.items()}

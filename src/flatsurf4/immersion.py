@@ -24,6 +24,7 @@ from .errors import (DegenerateMetric, GridMismatch, NoLambdaFound,
                      PreconditionViolated)
 from .flatmap import FlatMapGrid, GridSpec, _write_grid_csv, verify_flat_map
 from .hypsys import DERIVATIVE_FIELDS, SolutionGrid
+from .quat import qmul
 
 K_TRIM = 4  # Brioschi needs second derivatives of first derivatives
 
@@ -54,13 +55,31 @@ class ImmersionGrid:
         return float(np.min(fd.interior(self.E - np.abs(self.Fm))))
 
     def max_radius(self):
-        return float(np.max(np.linalg.norm(self.f, axis=-1)))
+        return float(np.max([np.max(np.linalg.norm(self.f[rows], axis=-1))
+                             for rows, _, _ in fd.row_tiles(self.spec.nu)]))
 
 
 def _angle_terms(gmap: FlatMapGrid):
-    """(w_u, cos w, sin w) on the grid of the flat map."""
+    """(w_u, cos w, sin w) on the grid of the flat map; w_u is one (nu, 1)
+    column, since w_u depends on u alone."""
+    gmap.factors()  # product-form maps carry their angle function
     w = gmap.omega_grid
-    return gmap.omega_u_grid(), np.cos(w), np.sin(w)
+    return (gmap.omega_fn.omega_u(gmap.spec.u_nodes)[:, None], np.cos(w),
+            np.sin(w))
+
+
+def _u_frame(gmap: FlatMapGrid, rows):
+    """(F_u, Fh_u) on the grid rows `rows`, from the factor curves."""
+    _, Ld, _, xi0, R, _ = gmap.factors()
+    Ld = Ld[rows, None, :]
+    return qmul(Ld, R[None]), qmul(qmul(Ld, xi0), R[None])
+
+
+def _solution_rows(sol: SolutionGrid, rows):
+    """sol on the grid rows `rows` (views, spec unchanged)."""
+    return replace(sol, **{k: getattr(sol, k)[rows] for k in
+                           ("alpha", "beta") + DERIVATIVE_FIELDS
+                           if getattr(sol, k) is not None})
 
 
 def _margin_terms(sol: SolutionGrid, wu, cw, sw):
@@ -83,15 +102,18 @@ def assemble(gmap: FlatMapGrid, sol: SolutionGrid) -> ImmersionGrid:
         raise GridMismatch("flat map and solution grids differ")
     wu, cw, sw = _angle_terms(gmap)
     au, bu, A, B, margin = _margin_terms(sol, wu, cw, sw)
-    Nu_, Nhu_ = gmap.u_derivatives()
-
-    f = (sol.alpha[..., None] * gmap.F + sol.beta[..., None] * gmap.Fhat
-         + au[..., None] * Nu_ + bu[..., None] * Nhu_)
     Ahat = cw * A + sw * B
     Bhat = sw * A - cw * B
     E = A * A + B * B
     Fm = (A * A - B * B) * cw + 2.0 * A * B * sw
+    del wu, cw, sw  # freed before f is built
 
+    f = np.empty(gmap.F.shape)
+    for rows, _, _ in fd.row_tiles(gmap.spec.nu):
+        Nu_, Nhu_ = _u_frame(gmap, rows)
+        f[rows] = (sol.alpha[rows, :, None] * gmap.F[rows]
+                   + sol.beta[rows, :, None] * gmap.Fhat[rows]
+                   + au[rows, :, None] * Nu_ + bu[rows, :, None] * Nhu_)
     return ImmersionGrid(gmap.spec, f, A, B, Ahat, Bhat, margin, E, Fm)
 
 
@@ -109,26 +131,39 @@ def verify_frame(gmap: FlatMapGrid) -> float:
 def tangency_check(im: ImmersionGrid, gmap: FlatMapGrid):
     """Residuals of f_u = A N_u + B Nh_u and f_v = Ahat N_u + Bhat Nh_u.
 
-    f is differentiated by central differences; the frame derivatives come
-    from the flat map (analytic for constructed grids).
+    f is differentiated by central differences, tile by tile
+    (fd.row_tiles); the frame derivatives come from the factor curves of
+    the flat map.
     """
-    Nu_, Nhu_ = gmap.u_derivatives()
-    fu = fd.d1(im.f, im.spec.hu, axis=0)
-    fv = fd.d1(im.f, im.spec.hv, axis=1)
-    ru = fu - im.A[..., None] * Nu_ - im.B[..., None] * Nhu_
-    rv = fv - im.Ahat[..., None] * Nu_ - im.Bhat[..., None] * Nhu_
-    return (fd.max_interior(np.linalg.norm(ru, axis=-1)),
-            fd.max_interior(np.linalg.norm(rv, axis=-1)))
+    f, hu, hv = im.f, im.spec.hu, im.spec.hv
+
+    def terms(rows, slab, core):
+        Nu_, Nhu_ = _u_frame(gmap, rows)
+        fu = fd.d1(f[slab], hu, axis=0)[core]
+        fv = fd.d1(f[rows], hv, axis=1)
+        ru = fu - im.A[rows, :, None] * Nu_ - im.B[rows, :, None] * Nhu_
+        rv = fv - im.Ahat[rows, :, None] * Nu_ - im.Bhat[rows, :, None] * Nhu_
+        return {"u": np.linalg.norm(ru, axis=-1),
+                "v": np.linalg.norm(rv, axis=-1)}
+
+    m = fd.tiled_max_interior(f.shape, terms)
+    return m["u"], m["v"]
 
 
 def metric_identity_check(im: ImmersionGrid):
-    """Finite-difference first fundamental form of f against (E, F, G)."""
-    fu = fd.d1(im.f, im.spec.hu, axis=0)
-    fv = fd.d1(im.f, im.spec.hv, axis=1)
+    """Finite-difference first fundamental form of f against (E, F, G),
+    tile by tile (fd.row_tiles)."""
+    f, hu, hv = im.f, im.spec.hu, im.spec.hv
     dot = lambda a, b: np.einsum("...k,...k->...", a, b)
-    return max(fd.max_interior(dot(fu, fu) - im.E),
-               fd.max_interior(dot(fu, fv) - im.Fm),
-               fd.max_interior(dot(fv, fv) - im.G))
+
+    def terms(rows, slab, core):
+        fu = fd.d1(f[slab], hu, axis=0)[core]
+        fv = fd.d1(f[rows], hv, axis=1)
+        return {"E": dot(fu, fu) - im.E[rows], "F": dot(fu, fv) - im.Fm[rows],
+                "G": dot(fv, fv) - im.G[rows]}
+
+    m = fd.tiled_max_interior(f.shape, terms)
+    return max(m["E"], m["F"], m["G"])
 
 
 def derived_solution(im: ImmersionGrid) -> SolutionGrid:
@@ -144,29 +179,32 @@ def brioschi_curvature(E, F, G, hu, hv):
     """Discrete Gaussian curvature of E du^2 + 2F du dv + G dv^2.
 
     Nodes where EG - F^2 <= 1e-8 (or too close to the boundary for the
-    stencils) are NaN.
+    stencils) are NaN.  K is computed tile by tile (fd.row_tiles).
     """
-    Eu, Ev = fd.d1(E, hu, axis=0), fd.d1(E, hv, axis=1)
-    Gu, Gv = fd.d1(G, hu, axis=0), fd.d1(G, hv, axis=1)
-    Fu, Fv = fd.d1(F, hu, axis=0), fd.d1(F, hv, axis=1)
-    Evv = fd.d2(E, hv, axis=1)
-    Guu = fd.d2(G, hu, axis=0)
-    Fuv = fd.d1(fd.d1(F, hu, axis=0), hv, axis=1)
+    K = np.empty(E.shape)
+    for rows, slab, core in fd.row_tiles(E.shape[0]):
+        Eu, Ev = fd.d1(E[slab], hu, axis=0)[core], fd.d1(E[rows], hv, axis=1)
+        Gu, Gv = fd.d1(G[slab], hu, axis=0)[core], fd.d1(G[rows], hv, axis=1)
+        Fu, Fv = fd.d1(F[slab], hu, axis=0)[core], fd.d1(F[rows], hv, axis=1)
+        Evv = fd.d2(E[rows], hv, axis=1)
+        Guu = fd.d2(G[slab], hu, axis=0)[core]
+        Fuv = fd.d1(Fu, hv, axis=1)
+        Et, Ft, Gt = E[rows], F[rows], G[rows]
 
-    det = E * G - F * F
-    # expanded 3x3 determinants of the Brioschi matrices
-    det_m1 = ((-0.5 * Evv + Fuv - 0.5 * Guu) * (E * G - F * F)
-              - 0.5 * Eu * ((Fv - 0.5 * Gu) * G - 0.5 * Gv * F)
-              + (Fu - 0.5 * Ev) * ((Fv - 0.5 * Gu) * F - 0.5 * Gv * E))
-    det_m2 = (0.0 * E
-              - 0.5 * Ev * (0.5 * Ev * G - 0.5 * Gu * F)
-              + 0.5 * Gu * (0.5 * Ev * F - 0.5 * Gu * E))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        K = (det_m1 - det_m2) / det ** 2
-    K = np.where(det > 1e-8, K, np.nan)
-    mask = np.zeros_like(K, dtype=bool)
-    mask[K_TRIM:K.shape[0] - K_TRIM, K_TRIM:K.shape[1] - K_TRIM] = True
-    return np.where(mask, K, np.nan)
+        det = Et * Gt - Ft * Ft
+        # expanded 3x3 determinants of the Brioschi matrices
+        det_m1 = ((-0.5 * Evv + Fuv - 0.5 * Guu) * (Et * Gt - Ft * Ft)
+                  - 0.5 * Eu * ((Fv - 0.5 * Gu) * Gt - 0.5 * Gv * Ft)
+                  + (Fu - 0.5 * Ev) * ((Fv - 0.5 * Gu) * Ft - 0.5 * Gv * Et))
+        det_m2 = (0.0 * Et
+                  - 0.5 * Ev * (0.5 * Ev * Gt - 0.5 * Gu * Ft)
+                  + 0.5 * Gu * (0.5 * Ev * Ft - 0.5 * Gu * Et))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            K[rows] = np.where(det > 1e-8, (det_m1 - det_m2) / det ** 2, np.nan)
+    keep = np.zeros(K.shape, dtype=bool)
+    keep[K_TRIM:K.shape[0] - K_TRIM, K_TRIM:K.shape[1] - K_TRIM] = True
+    K[~keep] = np.nan
+    return K
 
 
 def flatness_check(im: ImmersionGrid):
@@ -196,21 +234,31 @@ def sphere_fit(im_or_points) -> SphereFit:
 
     Solves |f|^2 = 2 <f, a> + (rho^2 - |a|^2) in the unknowns (a, const)
     with a tiny ridge so exactly spherical data stays well posed, then
-    reports the rms of |f - a| - rho.
+    reports the rms of |f - a| - rho.  The distances are taken in tiles of
+    rows of the first axis (fd.row_tiles).
     """
     pts = im_or_points.f if hasattr(im_or_points, "f") else im_or_points
-    pts = np.asarray(pts, dtype=float).reshape(-1, 4)
-    if pts.shape[0] < 5:
+    pts = np.asarray(pts, dtype=float)
+    flat = pts.reshape(-1, 4)
+    if flat.shape[0] < 5:
         raise ValueError("sphere fit needs at least 5 points")
-    A = np.concatenate([2.0 * pts, np.ones((pts.shape[0], 1))], axis=1)
-    b = np.einsum("ij,ij->i", pts, pts)
+    A = np.empty((flat.shape[0], 5))
+    np.multiply(2.0, flat, out=A[:, :4])
+    A[:, 4] = 1.0
+    b = np.einsum("ij,ij->i", flat, flat)
     M = A.T @ A + 1e-12 * np.eye(5)
     x = np.linalg.solve(M, A.T @ b)
+    del A, b
     center = x[:4]
     rad2 = x[4] + float(center @ center)
     radius = math.sqrt(max(rad2, 0.0))
-    dist = np.linalg.norm(pts - center, axis=1) - radius
-    return SphereFit(center, radius, float(np.sqrt(np.mean(dist ** 2))))
+    # a grid's u-rows, or one point per row for a list of points
+    grid = flat.reshape(len(pts) if pts.ndim > 2 else len(flat), -1, 4)
+    dist = np.empty(grid.shape[:2])
+    for rows, _, _ in fd.row_tiles(grid.shape[0]):
+        dist[rows] = np.linalg.norm(grid[rows] - center, axis=-1) - radius
+    return SphereFit(center, radius,
+                     float(np.sqrt(np.mean(dist.reshape(-1) ** 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +284,9 @@ def auto_lambda(gmap: FlatMapGrid, sol: SolutionGrid):
     halving evaluates the margin by the same code as assemble, and the
     margin tested here is the one assemble would report.  As lambda -> 0
     the margin converges uniformly to sin w, so this terminates whenever
-    sin w is bounded away from zero on the grid.
+    sin w is bounded away from zero on the grid.  Each halving takes the
+    minimum tile by tile (fd.row_tiles), so no rescaled copy of the whole
+    solution is made.
     """
     if not sol.spec.same_geometry(gmap.spec):
         raise GridMismatch("flat map and solution grids differ")
@@ -245,10 +295,17 @@ def auto_lambda(gmap: FlatMapGrid, sol: SolutionGrid):
         raise NoLambdaFound(
             f"min sin w = {s_min:.3e} is not positive; no margin target exists")
     wu, cw, sw = _angle_terms(gmap)
+    nu = gmap.spec.nu
+    tiles = [(rows, _solution_rows(sol, rows)) for rows, _, _ in fd.row_tiles(nu)]
     lam = 1.0
     while lam >= 1e-12:
-        margin = _margin_terms(lambda_rescale(sol, lam), wu, cw, sw)[-1]
-        if float(np.min(fd.interior(margin))) > 0.5 * s_min:
+        minima = []
+        for rows, part in tiles:
+            margin = _margin_terms(lambda_rescale(part, lam), wu[rows],
+                                   cw[rows], sw[rows])[-1]
+            minima.append(np.min(fd.tile_interior(margin, rows, nu),
+                                 initial=np.inf))
+        if float(np.min(minima)) > 0.5 * s_min:
             return lam
         lam *= 0.5
     raise NoLambdaFound("lambda underflowed 1e-12 without clearing "

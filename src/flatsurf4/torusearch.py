@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .curve import CurvatureProfile, lift_product
+from .curve import CurvatureProfile, asymptotic_lift, lift_product
 from .errors import ClosureFailure, NoSignChange, SingularAfterRescale
 from .flatmap import (FlatMapGrid, GridSpec, _hopf_map, hopf_flat_map,
                       verify_flat_map)
@@ -99,17 +99,31 @@ def a_n(k, n, h=1e-3):
     return holonomy(k.stretch(n), h=h).theta_over_pi
 
 
+def _frame_gap(a):
+    """Mismatch of the frame Ad(a)(i, j) carried by the lift value a
+    against its start (i, j)."""
+    R = rotation_matrix(a)
+    c1, t1 = R[:, 0], R[:, 1]
+    return float(max(np.linalg.norm(c1 - np.array([1.0, 0.0, 0.0])),
+                     np.linalg.norm(t1 - np.array([0.0, 1.0, 0.0]))))
+
+
 def holonomy_closure_residual(k, multiples=1, h=1e-3):
     """Frame gap after tracing the given number of base periods.
 
     This is the brute-force closure check: integrate straight through
     (no monodromy shortcut; Magnus-4 steps of size h over all the periods)
-    and measure the endpoint frame mismatch.
+    and measure the endpoint frame mismatch.  For a sequence of multiples
+    the lift is integrated once, to the largest, with round(T / h) steps
+    per base period T so that every multiple falls on a node, and one gap
+    per entry is returned.
     """
-    R = rotation_matrix(lift_product(k, multiples * k.base_period, h))
-    c1, t1 = R[:, 0], R[:, 1]
-    return float(max(np.linalg.norm(c1 - np.array([1.0, 0.0, 0.0])),
-                     np.linalg.norm(t1 - np.array([0.0, 1.0, 0.0]))))
+    if np.ndim(multiples) == 0:
+        return _frame_gap(lift_product(k, multiples * k.base_period, h))
+    T = k.base_period
+    steps = max(1, int(round(T / h)))
+    nodes = asymptotic_lift(k, (0.0, max(multiples) * T), T / steps).samples
+    return [_frame_gap(nodes[m * steps]) for m in multiples]
 
 
 def closure_multiple(p, q):
@@ -300,7 +314,9 @@ def _assemble_stretched(gmap: FlatMapGrid, k, n, lam):
     lambda comes from auto_lambda when lam is None."""
     sol = stretched_solution(k, n, gmap.spec)
     lam = auto_lambda(gmap, sol) if lam is None else float(lam)
-    im = assemble(gmap, lambda_rescale(sol, lam))
+    sol = lambda_rescale(sol, lam)  # the unscaled solution is freed here
+    im = assemble(gmap, sol)
+    del sol  # and the scaled one before the diagnostics
     return im, _diagnostics(gmap, im, lam)
 
 

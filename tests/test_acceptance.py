@@ -239,8 +239,8 @@ def test_criterion_7_holonomy_and_property_P(release_outcome):
         assert dist >= 1e-2
         ks = k.stretch(2)
         best_far = min(best_far,
-                       min(holonomy_closure_residual(ks, m, h=4e-3)
-                           for m in range(1, 17)))
+                       min(holonomy_closure_residual(ks, range(1, 17),
+                                                     h=4e-3)))
 
     ok = circle_dev < 1e-6 and worst_rational < 1e-3 and best_far > 1e-2
     assert _line(7, "holonomy / property (P)", ok,

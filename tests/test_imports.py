@@ -1,11 +1,16 @@
-"""Every top-level import of a package module is used in that module, and
-no package module imports scipy.
+"""Every top-level import of a package module is used in that module, no
+package module imports scipy, and no new knob creeps in.
 
 No linter runs on the package, and deleting a code path easily leaves the
 import it needed behind.  The package's __init__.py only re-exports, so it
 is not checked for unused imports.  The package needs only numpy at run
 time (scipy is a test dependency), so an import of scipy anywhere in a
 module, inside a function too, is an error.
+
+Optional parameters were cut from 121 to 63, and settings such as the
+tile height of the full-grid passes are module constants: the count of
+optional parameters may not grow, and no package file reads the
+environment.
 """
 
 import ast
@@ -69,3 +74,49 @@ def test_checker_finds_a_scipy_import():
 @pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
 def test_module_does_not_import_scipy(path):
     assert _scipy_imports(path.read_text()) == []
+
+
+MAX_OPTIONAL_PARAMETERS = 63
+
+
+def _optional_parameters(source):
+    """Defaults plus keyword-only parameters of every non-dunder def."""
+    return sum(len(node.args.defaults) + len(node.args.kw_defaults)
+               for node in ast.walk(ast.parse(source))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
+def _environment_reads(source):
+    """Line numbers of every use of os.environ or os.getenv, or an import
+    of either from os."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+              and any(a.name in ("environ", "getenv") for a in node.names)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_checkers_find_options_and_environment_reads():
+    source = ("import os\n"
+              "from os import getenv\n"
+              "def f(a, b=1, *, c, d=2):\n"
+              "    return os.environ.get('X', b)\n"
+              "def __init__(self, x=0):\n"
+              "    return os.path.join(x)\n")
+    assert _optional_parameters(source) == 3
+    assert _environment_reads(source) == [2, 4]
+
+
+def test_optional_parameters_do_not_grow():
+    count = sum(_optional_parameters(p.read_text()) for p in PACKAGE_FILES)
+    assert count <= MAX_OPTIONAL_PARAMETERS
+
+
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
+def test_module_does_not_read_the_environment(path):
+    assert _environment_reads(path.read_text()) == []

@@ -1,0 +1,75 @@
+"""The full-grid passes walk the grid in row tiles (fd.row_tiles), and the
+tile height must not change a single bit of any result.
+
+Each tiled function runs with tiles of 1, 2, 3 and 5 rows and with one
+tile taller than the grid (the whole-grid pass), on a Hopf map whose nu is
+a multiple of none of 2, 3 and 5, and on the smallest grid that has an
+interior (5 x 5).  Results are compared with np.array_equal, NaN positions
+included.
+"""
+
+import numpy as np
+import pytest
+
+from flatsurf4 import _fd as fd
+from flatsurf4.curve import CurvatureProfile
+from flatsurf4.flatmap import GridSpec, _hopf_map, verify_flat_map
+from flatsurf4.hypsys import stretched_solution
+from flatsurf4.immersion import (assemble, auto_lambda, brioschi_curvature,
+                                 lambda_rescale, metric_identity_check,
+                                 sphere_fit, tangency_check)
+
+K = CurvatureProfile(2.0, 0.5, (0.3,))
+GRIDS = {
+    "49x41": GridSpec.from_ranges((0.0, 2.0), (0.0, 1.0), 2.0 / 48, 1.0 / 40),
+    "5x5": GridSpec.from_ranges((0.0, 0.2), (0.0, 0.2), 0.05),
+}
+
+
+def _results(spec):
+    """Every output of the tiled functions on the Hopf map of K at spec."""
+    g = _hopf_map(K, spec)
+    sol = stretched_solution(K, 2, spec)
+    lam = auto_lambda(g, sol)
+    im = assemble(g, lambda_rescale(sol, lam))
+    fit = sphere_fit(im)
+    rep = verify_flat_map(g)
+    out = {"lambda": lam, "max_radius": im.max_radius(),
+           "tangency": tangency_check(im, g),
+           "metric_identity": metric_identity_check(im),
+           "K": brioschi_curvature(im.E, im.Fm, im.G, spec.hu, spec.hv),
+           "sphere": (*fit.center, fit.radius, fit.rms_residual),
+           "flatmap": list(rep.as_dict().values()),
+           "frame": rep.frame_residual}
+    for name in ("f", "A", "B", "Ahat", "Bhat", "margin", "E", "Fm"):
+        out[name] = getattr(im, name)
+    return out
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_tile_height_changes_no_bit(grid, monkeypatch):
+    spec = GRIDS[grid]
+    monkeypatch.setattr(fd, "TILE_ROWS", spec.nu + 1)
+    whole = _results(spec)
+    for rows in (1, 2, 3, 5):
+        monkeypatch.setattr(fd, "TILE_ROWS", rows)
+        tiled = _results(spec)
+        for name, ref in whole.items():
+            assert np.array_equal(np.asarray(tiled[name]), np.asarray(ref),
+                                  equal_nan=True), (rows, name)
+
+
+def test_grids_are_the_intended_ones():
+    assert [(s.nu, s.nv) for s in GRIDS.values()] == [(49, 41), (5, 5)]
+    K49 = _results(GRIDS["49x41"])["K"]
+    assert np.isfinite(K49).sum() == (49 - 8) * (41 - 8)
+
+
+def test_row_tiles_cover_the_grid_once(monkeypatch):
+    monkeypatch.setattr(fd, "TILE_ROWS", 3)
+    tiles = list(fd.row_tiles(8))
+    assert [(r.start, r.stop) for r, _, _ in tiles] == [(0, 3), (3, 6), (6, 8)]
+    assert [(s.start, s.stop) for _, s, _ in tiles] == [(0, 5), (1, 8), (4, 8)]
+    a = np.arange(8.0)
+    for rows, slab, core in tiles:
+        assert np.array_equal(a[slab][core], a[rows])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,6 +264,18 @@ def test_property_p_rational_side(release_outcome):
         assert residual < 1e-3
 
 
+def test_closure_residual_of_a_sequence_reads_one_pass():
+    # one lift, integrated straight through to the largest multiple, gives
+    # the gap of every multiple; an int keeps the per-multiple integration
+    ks = CurvatureProfile(T, K0_STAR, (0.5,)).stretch(2)
+    gaps = holonomy_closure_residual(ks, [3, 1, 2], h=4e-3)
+    assert len(gaps) == 3 and all(isinstance(g, float) for g in gaps)
+    for m, gap in zip([3, 1, 2], gaps):
+        single = holonomy_closure_residual(ks, m, h=4e-3)
+        assert isinstance(single, float)
+        assert gap == pytest.approx(single, abs=1e-10)
+
+
 def test_property_p_far_side():
     # profiles with a_2 at distance >= 1e-2 from all rationals q <= 8
     # stay open after any m <= 16 periods
@@ -273,8 +286,7 @@ def test_property_p_far_side():
                    for p in range(-q, q + 1))
         assert dist >= 1e-2
         ks = k.stretch(2)
-        best = min(holonomy_closure_residual(ks, m, h=4e-3)
-                   for m in range(1, 17))
+        best = min(holonomy_closure_residual(ks, range(1, 17), h=4e-3))
         assert best > 1e-2
 
 
@@ -325,6 +337,19 @@ def test_release_torus_residuals_are_fourth_order(release_outcome,
     for key in ("gauss_K_max", "tangency_u", "derived_system_residual",
                 "frame_residual"):
         assert math.log2(coarse[key] / fine[key]) >= 3.5, key
+
+
+def test_build_torus_peak_memory(release_outcome):
+    # the full-grid passes walk row tiles and the solutions are freed once
+    # assembled, so the build's peak is a bounded number of grid arrays
+    tracemalloc.start()
+    try:
+        im, _ = build_perturbed_torus(release_outcome, nodes_per_period=64,
+                                      nv=128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * im.A.nbytes, peak / im.A.nbytes
 
 
 def test_build_torus_circle_control():
