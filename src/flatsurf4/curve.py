@@ -123,16 +123,25 @@ class QuasiPeriodicProfile:
 def parse_profile(text):
     """The profile of a JSON object: {"k0", "terms"} for a
     QuasiPeriodicProfile, else {"T", "k0", "cos", "sin"} for a
-    CurvatureProfile (the form CurvatureProfile.to_json writes)."""
+    CurvatureProfile (the form CurvatureProfile.to_json writes).  JSON of
+    any other shape raises ValueError naming the two forms."""
     d = json.loads(text)
-    if "terms" in d:
+    try:
+        if not isinstance(d, dict) or not all(
+                isinstance(d.get(key, 0.0), (int, float)) for key in ("T", "k0")):
+            raise TypeError
+        if "terms" not in d:
+            return CurvatureProfile(d["T"], d.get("k0", 0.0),
+                                    tuple(d.get("cos", ())), tuple(d.get("sin", ())))
         terms = tuple(tuple(t) for t in d["terms"])
-        if any(len(t) != 3 for t in terms):
-            raise ValueError("each profile term must be [amplitude, frequency, "
-                             f"phase]; got {d['terms']!r}")
-        return QuasiPeriodicProfile(d.get("k0", 0.0), terms)
-    return CurvatureProfile(d["T"], d.get("k0", 0.0),
-                            tuple(d.get("cos", ())), tuple(d.get("sin", ())))
+    except (TypeError, KeyError) as exc:
+        raise ValueError('a profile is a JSON object {"T", "k0", "cos", "sin"} '
+                         '(periodic, T required) or {"k0", "terms"} '
+                         f"(quasi-periodic); got {text}") from exc
+    if any(len(t) != 3 for t in terms):
+        raise ValueError("each profile term must be [amplitude, frequency, "
+                         f"phase]; got {d['terms']!r}")
+    return QuasiPeriodicProfile(d.get("k0", 0.0), terms)
 
 
 # ---------------------------------------------------------------------------

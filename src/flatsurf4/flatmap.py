@@ -7,9 +7,9 @@ A flat map satisfies, in the coordinates (u, v),
     <dFh,dFh> = du^2 - 2 cos(w) du dv + dv^2,      w_uv = 0,
 
 with w(u,v) = w1(u) + w2(v) separable.  Every constructor here produces
-maps of the product form F = L(u) * R(v), Fh = L(u) * xi0 * R(v), which
-carries exact analytic derivatives; verification always re-derives the
-relations by central differences instead.
+maps of the product form F = L(u) * R(v), Fh = L(u) * xi * R(v), held by
+ProductFactors, which carries exact analytic derivatives; verification
+always re-derives the relations by central differences instead.
 """
 
 import math
@@ -167,15 +167,56 @@ class GridSpec:
                 and abs(self.hu - other.hu) < 1e-12 and abs(self.hv - other.hv) < 1e-12)
 
 
+def _outer(a, b):  # the (na, nb, 4) grid of the products a_i b_j
+    return qmul(a[:, None, :], b[None, :, :])
+
+
+@dataclass(frozen=True)
+class ProductFactors:
+    """The factor curves of a product-form flat map F = L(u) R(v),
+    Fhat = L(u) xi R(v), the one place that knows this layout: L, Ld, Ldd
+    are (nu, 4) samples of the left factor and its first and second
+    u-derivatives, R, Rd (nv, 4) samples of the right factor and its
+    v-derivative, xi a unit pure quaternion.  No derivative is differenced.
+    """
+
+    L: np.ndarray
+    Ld: np.ndarray
+    Ldd: np.ndarray
+    xi: np.ndarray
+    R: np.ndarray
+    Rd: np.ndarray
+
+    def maps(self):
+        """(F, Fhat) on the whole grid."""
+        return _outer(self.L, self.R), _outer(qmul(self.L, self.xi), self.R)
+
+    def u_frame(self, rows):
+        """(F_u, Fh_u) on the grid rows `rows` (a row tile)."""
+        Ld = self.Ld[rows]
+        return _outer(Ld, self.R), _outer(qmul(Ld, self.xi), self.R)
+
+    def derivatives(self):
+        """(F_u, F_v, Fh_u, Fh_v) on the whole grid."""
+        Fu, Fhu = self.u_frame(slice(None))
+        return Fu, _outer(self.L, self.Rd), Fhu, _outer(qmul(self.L, self.xi), self.Rd)
+
+    def polar(self):
+        """The factors (L xi, L' xi, L'' xi, xi, R, R') of the polar map
+        (Fhat, -F) = (L xi R, L xi xi R)."""
+        return ProductFactors(*(qmul(x, self.xi) for x in (self.L, self.Ld, self.Ldd)),
+                              self.xi, self.R, self.Rd)
+
+
 @dataclass
 class FlatMapGrid:
     """Flat map sampled on the uniform grid spec.
 
     F and Fhat have shape (nu, nv, 4).  Every constructor builds the map
-    as a quaternion product L(u) * R(v) and keeps the factor curves with
-    their derivatives (and the angle function), the one source of the grid
-    derivatives.  A grid read back from CSV has no factors and so no
-    derivatives: only verify_flat_map and write_flatmap_csv apply to it.
+    from its ProductFactors and keeps them (and the angle function) in
+    product, the one source of the grid derivatives.  A grid read back
+    from CSV has product None and so no derivatives: only verify_flat_map
+    and write_flatmap_csv apply to it.
     """
 
     spec: GridSpec
@@ -184,36 +225,20 @@ class FlatMapGrid:
     omega_grid: np.ndarray
     omega_fn: Optional[AngleFunction] = None
     lattice: Optional[tuple] = None
-    # product-form factors: F = L R, Fhat = L xi0 R
-    left: Optional[np.ndarray] = None      # (Nu, 4)
-    left_d: Optional[np.ndarray] = None
-    left_dd: Optional[np.ndarray] = None
-    right: Optional[np.ndarray] = None     # (Nv, 4)
-    right_d: Optional[np.ndarray] = None
-    xi0: Optional[np.ndarray] = None
-
-    @property
-    def has_factors(self):
-        return self.left is not None and self.right is not None
+    product: Optional[ProductFactors] = None
 
     def factors(self):
-        """(L, L', L'', xi0, R, R'); the one check before any derivative:
-        a grid without factors (read from CSV) raises PreconditionViolated."""
-        if not self.has_factors:
+        """The ProductFactors; the one check before any derivative: a grid
+        without factors (read from CSV) raises PreconditionViolated."""
+        if self.product is None:
             raise PreconditionViolated(
                 "flat map has no factor curves (read from CSV?) and so no "
                 "derivatives; only verify_flat_map and write_flatmap_csv apply")
-        return (self.left, self.left_d, self.left_dd, self.xi0, self.right,
-                self.right_d)
-
-    def _outer(self, a, b):
-        return qmul(a[:, None, :], b[None, :, :])
+        return self.product
 
     def derivatives(self):
         """(F_u, F_v, Fh_u, Fh_v) from the factor curves."""
-        L, Ld, _, xi0, R, Rd = self.factors()
-        return (self._outer(Ld, R), self._outer(L, Rd),
-                self._outer(qmul(Ld, xi0), R), self._outer(qmul(L, xi0), Rd))
+        return self.factors().derivatives()
 
 
 def _dot(a, b):
@@ -224,7 +249,7 @@ def _dot(a, b):
 # constructors
 
 
-def _check_side_conditions(a1, a2, xi0):
+def _check_side_conditions(a1, a2, xi):
     tol = 1e-6
     d1, d2 = a1.deriv, a2.deriv
     r_start = max(float(np.linalg.norm(a1.samples[0] - QONE)),
@@ -232,51 +257,48 @@ def _check_side_conditions(a1, a2, xi0):
     if r_start > tol:
         raise PreconditionViolated(
             f"product curves must start at 1 (residual {r_start:.3e})", r_start)
-    if abs(qnorm(xi0) - 1.0) > 1e-9 or abs(xi0[0]) > 1e-9:
-        raise PreconditionViolated("xi0 must be a unit pure quaternion")
-    r_orth = max(abs(float(np.dot(xi0, d1[0]))), abs(float(np.dot(xi0, d2[0]))))
+    if abs(qnorm(xi) - 1.0) > 1e-9 or abs(xi[0]) > 1e-9:
+        raise PreconditionViolated("xi must be a unit pure quaternion")
+    r_orth = max(abs(float(np.dot(xi, d1[0]))), abs(float(np.dot(xi, d2[0]))))
     if r_orth > tol:
         raise PreconditionViolated(
-            f"xi0 must be orthogonal to both initial tangents (residual {r_orth:.3e})",
+            f"xi must be orthogonal to both initial tangents (residual {r_orth:.3e})",
             r_orth)
-    s1 = float(np.max(np.abs(_dot(d1, qmul(a1.samples, xi0)))))
-    s2 = float(np.max(np.abs(_dot(d2, qmul(xi0, a2.samples)))))
+    s1 = float(np.max(np.abs(_dot(d1, qmul(a1.samples, xi)))))
+    s2 = float(np.max(np.abs(_dot(d2, qmul(xi, a2.samples)))))
     if max(s1, s2) > tol:
         raise PreconditionViolated(
-            f"asymptotic side conditions fail: <a1',a1 xi0> max {s1:.3e}, "
-            f"<a2',xi0 a2> max {s2:.3e}", max(s1, s2))
+            f"asymptotic side conditions fail: <a1',a1 xi> max {s1:.3e}, "
+            f"<a2',xi a2> max {s2:.3e}", max(s1, s2))
 
 
-def bianchi_spivak_product(a1: S3Curve, a2: S3Curve, xi0=QJ):
-    """Flat map F = a1(u) a2(v), Fhat = a1(u) xi0 a2(v).
+def bianchi_spivak_product(a1: S3Curve, a2: S3Curve, xi=QJ):
+    """Flat map F = a1(u) a2(v), Fhat = a1(u) xi a2(v).
 
     Requires unit-speed curves through 1 whose side conditions
-    <a1', a1 xi0> = 0 = <a2', xi0 a2> hold within 1e-6.  The angle is
+    <a1', a1 xi> = 0 = <a2', xi a2> hold within 1e-6.  The angle is
     recovered pointwise from cos(w) = <F_u, F_v>, sin(w) = <F_u, Fh_v>,
     unwrapped along the axes into omega_grid.  The AngleFunction is the
     cubic Hermite interpolant of these node values and of the exact slopes
     from a1'' and a2'' (below), so each curve needs at least 2 samples.
     """
-    xi0 = np.asarray(xi0, dtype=float)
-    _check_side_conditions(a1, a2, xi0)
+    xi = np.asarray(xi, dtype=float)
+    _check_side_conditions(a1, a2, xi)
 
     L, R, d1, d2 = a1.samples, a2.samples, a1.deriv, a2.deriv
-    F = qmul(L[:, None, :], R[None, :, :])
-    Lx = qmul(L, xi0)
-    Fhat = qmul(Lx[:, None, :], R[None, :, :])
+    product = ProductFactors(L, d1, a1.deriv2, xi, R, d2)
+    F, Fhat = product.maps()
 
     # angle from the analytic derivatives (exact at the nodes)
-    Fu = qmul(d1[:, None, :], R[None, :, :])
-    Fv = qmul(L[:, None, :], d2[None, :, :])
-    Fhv = qmul(Lx[:, None, :], d2[None, :, :])
+    Fu, Fv, _, Fhv = product.derivatives()
     theta = np.arctan2(_dot(Fu, Fhv), _dot(Fu, Fv))
     w1 = np.unwrap(theta[:, 0])
     w2 = np.unwrap(theta[0, :]) - theta[0, 0]
     # the unit body velocities b1 = conj(a1) a1', c2 = a2' conj(a2) are
-    # orthogonal to xi0 and turn about it at the rates w1' and -w2'
+    # orthogonal to xi and turn about it at the rates w1' and -w2'
     La, Ra = qconj(L), qconj(R)
-    dw1 = _dot(qmul(La, a1.deriv2), qmul(xi0, qmul(La, d1)))
-    dw2 = -_dot(qmul(a2.deriv2, Ra), qmul(xi0, qmul(d2, Ra)))
+    dw1 = _dot(qmul(La, a1.deriv2), qmul(xi, qmul(La, d1)))
+    dw2 = -_dot(qmul(a2.deriv2, Ra), qmul(xi, qmul(d2, Ra)))
     omega_fn = AngleFunction(*_hermite(a1.u_grid, w1, dw1),
                              *_hermite(a2.u_grid, w2, dw2))
     omega_grid = w1[:, None] + w2[None, :]
@@ -287,26 +309,24 @@ def bianchi_spivak_product(a1: S3Curve, a2: S3Curve, xi0=QJ):
             f"recovered angle is not separable (residual {sep:.3e})", sep)
 
     spec = GridSpec(a1.u0, a2.u0, a1.h, a2.h, len(L), len(R))
-    return FlatMapGrid(spec, F, Fhat, omega_grid, omega_fn,
-                       left=L, left_d=d1,
-                       left_dd=a1.deriv2, right=R, right_d=d2, xi0=xi0)
+    return FlatMapGrid(spec, F, Fhat, omega_grid, omega_fn, product=product)
 
 
 HOPF_XI = np.array([0.0, 0.0, -1.0, 0.0])  # polar sign keeps w in (0, pi)
 
 
 def _hopf_factors(k, spec: GridSpec, a0=QONE):
-    """Factors of the Hopf surface L(u) e^{iv} of k: the lift (L, L', L'')
-    from a(u0) = a0 at spec.u_nodes, by ceil(hu / ODE_STEP) Magnus steps
-    per cell (copied, so no fine lift stays alive), and the fiber
-    (e^{iv}, i e^{iv}) at spec.v_nodes."""
+    """ProductFactors of the Hopf surface L(u) e^{iv} of k: the lift
+    (L, L', L'') from a(u0) = a0 at spec.u_nodes, by ceil(hu / ODE_STEP)
+    Magnus steps per cell (copied, so no fine lift stays alive), xi =
+    HOPF_XI and the fiber (e^{iv}, i e^{iv}) at spec.v_nodes."""
     sub = max(1, int(math.ceil(spec.hu / ODE_STEP - 1e-12)))
     lift = asymptotic_lift(k, (spec.u0, spec.u0 + spec.hu * (spec.nu - 1)),
                            spec.hu / sub, a0=a0)
     L, Ld, Ldd = (x[::sub].copy()
                   for x in (lift.samples, lift.deriv, lift.deriv2))
     R = fiber_circle(spec.v_nodes)
-    return L, Ld, Ldd, R, qmul(QI, R)
+    return ProductFactors(L, Ld, Ldd, HOPF_XI, R, qmul(QI, R))
 
 
 def _hopf_map(k, spec: GridSpec, a0=QONE):
@@ -314,21 +334,19 @@ def _hopf_map(k, spec: GridSpec, a0=QONE):
 
     lattice = (u span, 2 pi) is set only when the lift returns to its
     start and v spans 2 pi."""
-    L, Ld, Ldd, R, Rd = _hopf_factors(k, spec, a0)
-    F = qmul(L[:, None, :], R[None, :, :])
-    Fhat = qmul(qmul(L, HOPF_XI)[:, None, :], R[None, :, :])
+    product = _hopf_factors(k, spec, a0)
+    F, Fhat = product.maps()
     omega_fn = profile_angle(k)
     omega_grid = np.broadcast_to(
         np.asarray(omega_fn.f1(spec.u_nodes))[:, None], F.shape[:2]).copy()
 
     lattice = None
-    closure = max(float(np.linalg.norm(L[-1] - L[0])),
-                  float(np.linalg.norm(Ld[-1] - Ld[0])))
+    closure = max(float(np.linalg.norm(x[-1] - x[0]))
+                  for x in (product.L, product.Ld))
     if closure < 1e-6 and abs(spec.hv * (spec.nv - 1) - TWO_PI) < 1e-12:
         lattice = (spec.hu * (spec.nu - 1), TWO_PI)
     return FlatMapGrid(spec, F, Fhat, omega_grid, omega_fn, lattice=lattice,
-                       left=L, left_d=Ld, left_dd=Ldd, right=R, right_d=Rd,
-                       xi0=HOPF_XI)
+                       product=product)
 
 
 def hopf_flat_map(k, U, h=1e-2, v_range=(0.0, TWO_PI), hv=None):
@@ -375,7 +393,7 @@ def helix_product_map(r, u_range=(0.0, 1.0), v_range=(0.0, 1.0), h=1e-2):
     """Bianchi product of two helices with torsions +1/-1 and equal curvature.
 
     The resulting angle is w(u,v) = 2 mu (u+v) with mu = (r^2-1)/(2r).
-    xi0 = i: both helix body velocities stay on the j-k great circle.
+    xi = i: both helix body velocities stay on the j-k great circle.
     """
     from .curve import helix
     mu = (r * r - 1.0) / (2.0 * r)
@@ -383,7 +401,7 @@ def helix_product_map(r, u_range=(0.0, 1.0), v_range=(0.0, 1.0), h=1e-2):
     a1 = a1.left_translate(qinv(a1.samples[0]))
     a2 = helix(r, -1, (0.0, v_range[1] - v_range[0]), h)
     a2 = a2.right_translate(qinv(a2.samples[0]))
-    g = bianchi_spivak_product(a1, a2, xi0=QI)
+    g = bianchi_spivak_product(a1, a2, xi=QI)
     return g, mu
 
 
@@ -471,17 +489,9 @@ def verify_flat_map(g: FlatMapGrid) -> FlatMapReport:
 def polar_dual(g: FlatMapGrid) -> FlatMapGrid:
     """The polar flat map (F, Fh) -> (Fh, -F) with angle w + pi."""
     omega_fn = g.omega_fn.shifted(math.pi) if g.omega_fn is not None else None
-    lx = ld = ldd = None
-    if g.has_factors:
-        lx = qmul(g.left, g.xi0)
-        ld = qmul(g.left_d, g.xi0)
-        ldd = qmul(g.left_dd, g.xi0)
-    return FlatMapGrid(g.spec, g.Fhat.copy(), -g.F,
-                       g.omega_grid + math.pi, omega_fn, lattice=g.lattice,
-                       left=lx, left_d=ld, left_dd=ldd,
-                       right=None if g.right is None else g.right.copy(),
-                       right_d=None if g.right_d is None else g.right_d.copy(),
-                       xi0=None if g.xi0 is None else g.xi0.copy())
+    product = g.product.polar() if g.product is not None else None
+    return FlatMapGrid(g.spec, g.Fhat.copy(), -g.F, g.omega_grid + math.pi,
+                       omega_fn, g.lattice, product)
 
 
 def normal_shape_check(g: FlatMapGrid):

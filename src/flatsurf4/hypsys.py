@@ -9,6 +9,7 @@ solutions pulled back from an n-stretched Hopf surface, the closed-form
 families for linear angles, a quadrature transform producing new
 solutions from old ones, and a best-effort characteristic marcher.
 Every Hopf surface, stretched or not, is built by flatmap._hopf_factors,
+every solution read off a map is contracted on its flatmap.ProductFactors
 and every grid given by ranges follows GridSpec.from_ranges.
 """
 
@@ -21,7 +22,7 @@ import numpy as np
 from . import _fd as fd
 from .errors import (EqualSpeeds, GridMismatch, NonConstantAngle,
                      PathDependence)
-from .flatmap import (HOPF_XI, AngleFunction, FlatMapGrid, GridSpec,
+from .flatmap import (AngleFunction, FlatMapGrid, GridSpec, ProductFactors,
                       _hopf_factors)
 from .quat import qconj, qmul
 
@@ -102,24 +103,28 @@ def system_residual(sol: SolutionGrid, omega, derivatives="central"):
 
     derivatives="central" re-derives everything by central differences
     (the independent check); "analytic" uses the solution's stored
-    derivative arrays.
+    derivative arrays.  The grid is walked in row tiles
+    (fd.tiled_max_interior), so no grid-sized derivative is built.
     """
     w = _omega_grid(omega, sol.spec)
-    cw, sw = np.cos(w), np.sin(w)
-    if derivatives == "central":
-        au = fd.d1(sol.alpha, sol.spec.hu, axis=0)
-        bu = fd.d1(sol.beta, sol.spec.hu, axis=0)
-        av = fd.d1(sol.alpha, sol.spec.hv, axis=1)
-        bv = fd.d1(sol.beta, sol.spec.hv, axis=1)
-    elif derivatives == "analytic":
-        if sol.alpha_u is None or sol.alpha_v is None:
-            raise ValueError("solution carries no analytic derivatives")
-        au, bu, av, bv = sol.alpha_u, sol.beta_u, sol.alpha_v, sol.beta_v
-    else:
+    if derivatives not in ("central", "analytic"):
         raise ValueError("derivatives must be 'central' or 'analytic'")
-    r_alpha = fd.max_interior(av - cw * au - sw * bu)
-    r_beta = fd.max_interior(bv - sw * au + cw * bu)
-    return r_alpha, r_beta
+    if derivatives == "analytic" and (sol.alpha_u is None or sol.alpha_v is None):
+        raise ValueError("solution carries no analytic derivatives")
+    ab, hu, hv = (sol.alpha, sol.beta), sol.spec.hu, sol.spec.hv
+
+    def terms(rows, slab, core):
+        if derivatives == "central":
+            au, bu = (fd.d1(x[slab], hu, axis=0)[core] for x in ab)
+            av, bv = (fd.d1(x[rows], hv, axis=1) for x in ab)
+        else:
+            au, bu, av, bv = (x[rows] for x in (sol.alpha_u, sol.beta_u,
+                                                sol.alpha_v, sol.beta_v))
+        cw, sw = np.cos(w[rows]), np.sin(w[rows])
+        return {"alpha": av - cw * au - sw * bu, "beta": bv - sw * au + cw * bu}
+
+    m = fd.tiled_max_interior(w.shape, terms)
+    return m["alpha"], m["beta"]
 
 
 # ---------------------------------------------------------------------------
@@ -158,25 +163,23 @@ def wave_solution(omega0, f1, f2, spec: GridSpec):
 # geometric solutions <a, N> + rho
 
 
-def _factor_solution(spec: GridSpec, L, Ld, Ldd, xi, R, Rd, a, rho, n,
+def _factor_solution(spec: GridSpec, p: ProductFactors, a, rho, n,
                      provenance):
-    """(<a, L R> + rho, <a, L xi R>) and its derivatives, times n per order.
+    """(<a, F> + rho, <a, Fhat>) of the product map of p and its exact
+    derivatives, times n per order; beta is read off p.polar().
 
-    L, Ld, Ldd are (nu, 4) samples of a left factor and its first and
-    second u-derivatives, R, Rd (nv, 4) samples of the right factor and its
-    v-derivative; every derivative is exact, none is differenced.  Right
-    multiplication by r has adjoint right multiplication by conj(r), so
-    <a, L_i R_j> = <L_i, a conj(R_j)> and each field is one
+    Right multiplication by r has adjoint right multiplication by conj(r),
+    so <a, L_i R_j> = <L_i, a conj(R_j)> and each field is one
     (nu, 4) @ (4, nv) product: no (nu, nv, 4) array is built.
     """
-    aR = qmul(a, qconj(R)).T
-    aRd = qmul(a, qconj(Rd)).T
-    Lx, Ldx = qmul(L, xi), qmul(Ld, xi)
+    aR = qmul(a, qconj(p.R)).T
+    aRd = qmul(a, qconj(p.Rd)).T
+    q = p.polar()
     return SolutionGrid(
-        spec, L @ aR + rho, Lx @ aR, provenance,
-        alpha_u=n * (Ld @ aR), beta_u=n * (Ldx @ aR),
-        alpha_v=n * (L @ aRd), beta_v=n * (Lx @ aRd),
-        alpha_uu=n * n * (Ldd @ aR), beta_uu=n * n * (qmul(Ldd, xi) @ aR))
+        spec, p.L @ aR + rho, q.L @ aR, provenance,
+        alpha_u=n * (p.Ld @ aR), beta_u=n * (q.Ld @ aR),
+        alpha_v=n * (p.L @ aRd), beta_v=n * (q.L @ aRd),
+        alpha_uu=n * n * (p.Ldd @ aR), beta_uu=n * n * (q.Ldd @ aR))
 
 
 def geometric_solution(g: FlatMapGrid, a=(1.0, 0.0, 0.0, 0.0), rho=0.0):
@@ -187,7 +190,7 @@ def geometric_solution(g: FlatMapGrid, a=(1.0, 0.0, 0.0, 0.0), rho=0.0):
     contracted on the factor curves of g (FlatMapGrid.factors), so a grid
     read back from CSV raises PreconditionViolated.
     """
-    return _factor_solution(g.spec, *g.factors(), np.asarray(a, dtype=float),
+    return _factor_solution(g.spec, g.factors(), np.asarray(a, dtype=float),
                             rho, 1, "geometric")
 
 
@@ -212,8 +215,7 @@ def stretched_solution(k, n, spec: GridSpec, a=(1.0, 0.0, 0.0, 0.0), rho=0.0):
         raise ValueError("stretch factor n must be >= 2")
     stretched = GridSpec(n * spec.u0, n * spec.v0, n * spec.hu, n * spec.hv,
                          spec.nu, spec.nv)
-    L, Ld, Ldd, R, Rd = _hopf_factors(k.stretch(n), stretched)
-    return _factor_solution(spec, L, Ld, Ldd, HOPF_XI, R, Rd,
+    return _factor_solution(spec, _hopf_factors(k.stretch(n), stretched),
                             np.asarray(a, dtype=float), rho, n, "stretched")
 
 

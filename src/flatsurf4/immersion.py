@@ -24,7 +24,6 @@ from .errors import (DegenerateMetric, GridMismatch, NoLambdaFound,
                      PreconditionViolated)
 from .flatmap import FlatMapGrid, GridSpec, _write_grid_csv, verify_flat_map
 from .hypsys import DERIVATIVE_FIELDS, SolutionGrid
-from .quat import qmul
 
 K_TRIM = 4  # Brioschi needs second derivatives of first derivatives
 
@@ -68,13 +67,6 @@ def _angle_terms(gmap: FlatMapGrid):
             np.sin(w))
 
 
-def _u_frame(gmap: FlatMapGrid, rows):
-    """(F_u, Fh_u) on the grid rows `rows`, from the factor curves."""
-    _, Ld, _, xi0, R, _ = gmap.factors()
-    Ld = Ld[rows, None, :]
-    return qmul(Ld, R[None]), qmul(qmul(Ld, xi0), R[None])
-
-
 def _solution_rows(sol: SolutionGrid, rows):
     """sol on the grid rows `rows` (views, spec unchanged)."""
     return replace(sol, **{k: getattr(sol, k)[rows] for k in
@@ -110,7 +102,7 @@ def assemble(gmap: FlatMapGrid, sol: SolutionGrid) -> ImmersionGrid:
 
     f = np.empty(gmap.F.shape)
     for rows, _, _ in fd.row_tiles(gmap.spec.nu):
-        Nu_, Nhu_ = _u_frame(gmap, rows)
+        Nu_, Nhu_ = gmap.factors().u_frame(rows)
         f[rows] = (sol.alpha[rows, :, None] * gmap.F[rows]
                    + sol.beta[rows, :, None] * gmap.Fhat[rows]
                    + au[rows, :, None] * Nu_ + bu[rows, :, None] * Nhu_)
@@ -133,12 +125,12 @@ def tangency_check(im: ImmersionGrid, gmap: FlatMapGrid):
 
     f is differentiated by central differences, tile by tile
     (fd.row_tiles); the frame derivatives come from the factor curves of
-    the flat map.
+    the flat map (ProductFactors.u_frame).
     """
     f, hu, hv = im.f, im.spec.hu, im.spec.hv
 
     def terms(rows, slab, core):
-        Nu_, Nhu_ = _u_frame(gmap, rows)
+        Nu_, Nhu_ = gmap.factors().u_frame(rows)
         fu = fd.d1(f[slab], hu, axis=0)[core]
         fv = fd.d1(f[rows], hv, axis=1)
         ru = fu - im.A[rows, :, None] * Nu_ - im.B[rows, :, None] * Nhu_
@@ -167,8 +159,9 @@ def metric_identity_check(im: ImmersionGrid):
 
 
 def derived_solution(im: ImmersionGrid) -> SolutionGrid:
-    """The (A, B) grid as a SolutionGrid; it re-solves the system."""
-    return SolutionGrid(im.spec, im.A.copy(), im.B.copy(), "derived")
+    """The (A, B) grid as a SolutionGrid; it re-solves the system.  Its
+    alpha and beta are im.A and im.B themselves, not copies."""
+    return SolutionGrid(im.spec, im.A, im.B, "derived")
 
 
 # ---------------------------------------------------------------------------

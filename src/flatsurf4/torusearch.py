@@ -34,10 +34,10 @@ Q_MAX = 64
 RATIONAL_WINDOW = 1e-8
 
 
-def rationalize(x, q_max=Q_MAX, tol=RATIONAL_WINDOW):
-    """Best rational p/q with q <= q_max within tol of x, via convergents."""
-    frac = Fraction(x).limit_denominator(q_max)
-    if abs(x - float(frac)) <= tol:
+def rationalize(x):
+    """Best rational p/q, q <= Q_MAX, within RATIONAL_WINDOW of x (convergents)."""
+    frac = Fraction(x).limit_denominator(Q_MAX)
+    if abs(x - float(frac)) <= RATIONAL_WINDOW:
         return frac.numerator, frac.denominator
     return None
 
@@ -213,17 +213,17 @@ def single_harmonic_family(k0, T=math.pi):
     return lambda eps: CurvatureProfile(T, k0, (eps,))
 
 
-def circle_outcome(k0, n=2):
-    """The exact eps = 0 member of the family as a degenerate SearchOutcome.
+def circle_outcome(k0):
+    """The exact eps = 0 member of the family as a degenerate SearchOutcome (n = 2).
 
     The lift-monodromy phase is not differentiable in eps at 0 (it moves
     like |eps|), so a bisected near-zero root never closes as cleanly as
     the circle itself; control runs should start from this outcome.
     """
     profile = CurvatureProfile(math.pi, k0)
-    ach = holonomy(profile.stretch(n))
-    residual = holonomy_closure_residual(profile.stretch(n), 1)
-    return SearchOutcome(profile, n, ach, (0, 1), 0.0, 1, residual)
+    ach = holonomy(profile.stretch(2))
+    residual = holonomy_closure_residual(profile.stretch(2), 1)
+    return SearchOutcome(profile, 2, ach, (0, 1), 0.0, 1, residual)
 
 
 def search_rational(family: Callable[[float], CurvatureProfile], n, target,
@@ -288,9 +288,10 @@ def lift_monodromy(k, h=1e-3):
     return lift_product(k, k.base_period, h)
 
 
-def lift_closure_multiple(k, m_max=Q_MAX, tol=1e-6, h=1e-3):
-    """Smallest m <= m_max with Psi^m = 1, i.e. the lift closes over m T."""
-    psi = lift_monodromy(k, h)
+def lift_closure_multiple(k, m_max=Q_MAX, tol=1e-6):
+    """Smallest m <= m_max with Psi^m = 1 (Magnus steps 1e-3): the lift
+    closes over m T."""
+    psi = lift_monodromy(k)
     acc = psi.copy()
     one = np.array([1.0, 0.0, 0.0, 0.0])
     best = math.inf

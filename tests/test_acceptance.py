@@ -199,7 +199,7 @@ def test_criterion_6_flatness(clifford, release_torus):
     a1 = a1.left_translate(qinv(a1.samples[0]))
     a2 = mk_helix(rate_to_radius(2.0), -1, (0, 1), 0.01)
     a2 = a2.right_translate(qinv(a2.samples[0]))
-    g = bianchi_spivak_product(a1, a2, xi0=QI)
+    g = bianchi_spivak_product(a1, a2, xi=QI)
     sol = exponential_solution(2.0, 1.0, g.spec)
     vals["exponential cylinder"] = flatness_check(assemble(g, sol))
 

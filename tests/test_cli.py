@@ -247,6 +247,19 @@ def test_bad_input_gives_error_report(tmp_path, argv, needle):
     assert rep["command"] == argv[0]
 
 
+@pytest.mark.parametrize("command", ["holonomy", "build-cylinder"])
+@pytest.mark.parametrize("profile", ["[1,2]", "3", '{"T":"x"}',
+                                     '{"k0":0.5,"terms":5}', '{"k0":1}'])
+def test_profile_of_wrong_shape_names_both_forms(tmp_path, capsys, command,
+                                                 profile):
+    code, rep = _main_report(tmp_path, command, "--profile", profile)
+    assert code == 1
+    assert rep["error"] == "ValueError"
+    assert '{"T", "k0", "cos", "sin"}' in rep["message"]
+    assert '{"k0", "terms"}' in rep["message"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 NO_SCIPY_SCRIPT = """
 import sys
 from flatsurf4.cli import main

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from flatsurf4 import _fd as fd
 from flatsurf4.curve import CurvatureProfile, S3Curve, asymptotic_lift
 from flatsurf4.errors import PreconditionViolated
 from flatsurf4.flatmap import (
@@ -62,7 +63,7 @@ def test_helix_product_random_radii(r):
 def test_great_circle_product_is_clifford():
     a1 = fiber_curve_i(1.0, 0.01)
     a2 = fiber_curve_k(1.0, 0.01)
-    g = bianchi_spivak_product(a1, a2, xi0=QJ)
+    g = bianchi_spivak_product(a1, a2, xi=QJ)
     # constant angle pi/2 everywhere
     assert np.max(np.abs(g.omega_grid - math.pi / 2)) < 1e-12
     # closed form e^{iu} e^{kv}
@@ -87,10 +88,10 @@ def test_helix_product_angle_slopes_are_exact(r, span, h):
 
 def test_product_angle_slopes_follow_the_profile():
     # a1 the asymptotic lift of k: w1 = arccot(k) up to sign, so with
-    # xi0 = j the slope is w1' = k' / (1 + k^2)
+    # xi = j the slope is w1' = k' / (1 + k^2)
     k = CurvatureProfile(math.pi, 1.2, (0.4,))
     a1 = asymptotic_lift(k, (0.0, 2.0), 0.01)
-    g = bianchi_spivak_product(a1, fiber_curve_k(1.0, 0.01), xi0=QJ)
+    g = bianchi_spivak_product(a1, fiber_curve_k(1.0, 0.01), xi=QJ)
     slope = lambda u: k.deriv(u) / (1.0 + k.value(u) ** 2)
     u = g.spec.u_nodes
     assert np.max(np.abs(g.omega_fn.omega_u(u) - slope(u))) < 1e-12
@@ -103,7 +104,7 @@ def test_product_of_a_single_sample_is_refused():
     a1 = fiber_curve_i(0.0, 0.01)
     assert a1.n == 1
     with pytest.raises(PreconditionViolated, match="at least 2 samples"):
-        bianchi_spivak_product(a1, fiber_curve_k(1.0, 0.01), xi0=QJ)
+        bianchi_spivak_product(a1, fiber_curve_k(1.0, 0.01), xi=QJ)
 
 
 def test_product_precondition_start_point():
@@ -111,14 +112,14 @@ def test_product_precondition_start_point():
     a1 = helix(2.0, +1, (0, 0.5), 0.01)  # starts at (2,0,1,0)/sqrt5, not 1
     a2 = helix(2.0, -1, (0, 0.5), 0.01)
     with pytest.raises(PreconditionViolated):
-        bianchi_spivak_product(a1, a2, xi0=QI)
+        bianchi_spivak_product(a1, a2, xi=QI)
 
 
 def test_product_precondition_side_condition():
     a1 = fiber_curve_i(0.5, 0.01)
-    a2 = fiber_curve_i(0.5, 0.01)  # <a2', i a2> = 1: wrong family for xi0 = i
+    a2 = fiber_curve_i(0.5, 0.01)  # <a2', i a2> = 1: wrong family for xi = i
     with pytest.raises(PreconditionViolated):
-        bianchi_spivak_product(a1, a2, xi0=QI)
+        bianchi_spivak_product(a1, a2, xi=QI)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +180,6 @@ def test_verify_detects_corruption():
     k = CurvatureProfile(math.pi, 1.0)
     g = hopf_flat_map(k, TWO_PI, h=0.02)
     g.Fhat = g.F.copy()
-    g.left = None  # force finite differences on the corrupted arrays
     rep = verify_flat_map(g)
     assert abs(rep.residuals["orth_F_Fhat"] - 1.0) < 1e-9
 
@@ -199,6 +199,37 @@ def test_polar_duality():
     rep = verify_flat_map(gd)
     assert rep.max_flatmap_residual < 1e-5
     assert np.max(np.abs(gd.omega_grid - g.omega_grid - math.pi)) < 1e-12
+
+
+PRODUCT_MAPS = {
+    "helix": lambda: helix_product_map(2.0, (0, 1), (0, 1), h=0.01)[0],
+    "hopf": lambda: hopf_flat_map(CurvatureProfile(2.0, 0.5, (0.3,)), 2.0,
+                                  h=0.01, v_range=(0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("kind", PRODUCT_MAPS)
+def test_u_frame_is_rows_of_derivatives(kind):
+    g = PRODUCT_MAPS[kind]()
+    Fu, _, Fhu, _ = g.derivatives()
+    for rows in (slice(0, 1), slice(3, 17), slice(g.spec.nu - 5, g.spec.nu)):
+        Nu, Nhu = g.factors().u_frame(rows)
+        assert np.array_equal(Nu, Fu[rows]) and np.array_equal(Nhu, Fhu[rows])
+
+
+@pytest.mark.parametrize("kind", PRODUCT_MAPS)
+def test_polar_dual_factors_give_its_derivatives(kind):
+    # the polar factors (L xi, L' xi, L'' xi, xi, R, R') rebuild (Fhat, -F)
+    # and differentiate it like central differences of its grids do
+    gd = polar_dual(PRODUCT_MAPS[kind]())
+    F, Fhat = gd.factors().maps()
+    assert np.array_equal(F, gd.F)
+    assert np.max(np.abs(Fhat - gd.Fhat)) < 1e-12
+    hu, hv = gd.spec.hu, gd.spec.hv
+    central = (fd.d1(gd.F, hu, axis=0), fd.d1(gd.F, hv, axis=1),
+               fd.d1(gd.Fhat, hu, axis=0), fd.d1(gd.Fhat, hv, axis=1))
+    for exact, diff in zip(gd.derivatives(), central):
+        assert fd.max_interior(np.linalg.norm(exact - diff, axis=-1)) < 1e-6
 
 
 def test_normal_shape_ratios():
@@ -247,7 +278,8 @@ def test_hopf_map_owns_its_factor_curves():
     # strided views that keep the fine lift alive with the grid
     k = CurvatureProfile(2.0, 0.5, (0.3,))
     g = hopf_flat_map(k, 2.0, h=0.05, v_range=(0.0, 1.0))
-    for arr in (g.left, g.left_d, g.left_dd):
+    p = g.factors()
+    for arr in (p.L, p.Ld, p.Ldd):
         assert arr.shape == (g.spec.nu, 4)
         assert arr.base is None and arr.flags.c_contiguous
 

@@ -174,13 +174,27 @@ def test_geometric_solution_contracts_on_factors(kind):
         g = hopf_flat_map(CurvatureProfile(2.0, 0.5, (0.3,)), 4.0, h=0.05,
                           v_range=(0.0, 1.0), hv=0.02)
         g = polar_dual(g) if kind == "polar" else g
-    assert g.has_factors and g.left_dd is not None
+    p = g.factors()
     sol = geometric_solution(g, a=A_VEC, rho=RHO)
     Fu, Fv, Fhu, Fhv = g.derivatives()
     ref = (_a_dot(g.F) + RHO, _a_dot(g.Fhat), _a_dot(Fu), _a_dot(Fhu),
-           _a_dot(Fv), _a_dot(Fhv), _outer_dot(g.left_dd, g.right),
-           _outer_dot(qmul(g.left_dd, g.xi0), g.right))
+           _a_dot(Fv), _a_dot(Fhv), _outer_dot(p.Ldd, p.R),
+           _outer_dot(qmul(p.Ldd, p.xi), p.R))
     _assert_fields_close(sol, ref)
+
+
+@pytest.mark.parametrize("kind", ["helix", "hopf"])
+def test_geometric_solution_of_polar_dual_solves_shifted_system(kind):
+    # contracted on the polar factors, it solves the system for w + pi
+    if kind == "helix":
+        g, _ = helix_product_map(2.0, (0.0, 1.0), (0.0, 1.0), h=0.01)
+    else:
+        g = hopf_flat_map(CurvatureProfile(2.0, 0.5, (0.3,)), 2.0, h=0.01,
+                          v_range=(0.0, 1.0))
+    gd = polar_dual(g)
+    sol = geometric_solution(gd, a=A_VEC, rho=RHO)
+    assert max(system_residual(sol, gd.omega_fn)) < 1e-4
+    assert max(system_residual(sol, gd.omega_grid)) < 1e-4
 
 
 def test_csv_grid_has_no_derivatives(tmp_path):
@@ -191,7 +205,7 @@ def test_csv_grid_has_no_derivatives(tmp_path):
     path = tmp_path / "grid.csv"
     write_flatmap_csv(g, path)
     csv_grid = read_flatmap_csv(path)
-    assert not csv_grid.has_factors
+    assert csv_grid.product is None
     im = assemble(g, constant_solution(g.spec))
     for use in (lambda: geometric_solution(csv_grid, a=A_VEC, rho=RHO),
                 lambda: assemble(csv_grid, constant_solution(g.spec)),

@@ -153,7 +153,7 @@ def test_tangency_for_exponential_surface():
     a1 = a1.left_translate(qinv(a1.samples[0]))
     a2 = helix(rate_to_radius(2 * s_), -1, (0, 1), 0.01)
     a2 = a2.right_translate(qinv(a2.samples[0]))
-    g = bianchi_spivak_product(a1, a2, xi0=QI)
+    g = bianchi_spivak_product(a1, a2, xi=QI)
     u, v = g.spec.mesh()
     expect = 2 * r_ * u + 2 * s_ * v
     assert np.max(np.abs(g.omega_grid - expect)) < 1e-5
@@ -196,7 +196,9 @@ def test_metric_identity_on_constructed_surfaces(hopf_grid):
 def test_derived_AB_resolves_system(hopf_grid):
     sol = geometric_solution(hopf_grid, a=(1, 0, 0.5, 0), rho=0.2)
     im = assemble(hopf_grid, sol)
-    ra, rb = system_residual(derived_solution(im), hopf_grid.omega_fn)
+    derived = derived_solution(im)
+    assert derived.alpha is im.A and derived.beta is im.B  # not copies
+    ra, rb = system_residual(derived, hopf_grid.omega_fn)
     assert max(ra, rb) < 1e-3
 
 
@@ -234,7 +236,7 @@ def test_exponential_cylinder_is_flat():
     a1 = a1.left_translate(qinv(a1.samples[0]))
     a2 = helix(rate_to_radius(2.0), -1, (0, 1), 0.01)
     a2 = a2.right_translate(qinv(a2.samples[0]))
-    g = bianchi_spivak_product(a1, a2, xi0=QI)
+    g = bianchi_spivak_product(a1, a2, xi=QI)
     im = assemble(g, sol)
     assert flatness_check(im) < 1e-3
 

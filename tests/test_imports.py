@@ -7,7 +7,7 @@ is not checked for unused imports.  The package needs only numpy at run
 time (scipy is a test dependency), so an import of scipy anywhere in a
 module, inside a function too, is an error.
 
-Optional parameters were cut from 121 to 63, and settings such as the
+Optional parameters were cut from 121 to 59, and settings such as the
 tile height of the full-grid passes are module constants: the count of
 optional parameters may not grow, and no package file reads the
 environment.
@@ -76,7 +76,7 @@ def test_module_does_not_import_scipy(path):
     assert _scipy_imports(path.read_text()) == []
 
 
-MAX_OPTIONAL_PARAMETERS = 63
+MAX_OPTIONAL_PARAMETERS = 59
 
 
 def _optional_parameters(source):

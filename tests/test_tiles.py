@@ -14,10 +14,11 @@ import pytest
 from flatsurf4 import _fd as fd
 from flatsurf4.curve import CurvatureProfile
 from flatsurf4.flatmap import GridSpec, _hopf_map, verify_flat_map
-from flatsurf4.hypsys import stretched_solution
+from flatsurf4.hypsys import stretched_solution, system_residual
 from flatsurf4.immersion import (assemble, auto_lambda, brioschi_curvature,
-                                 lambda_rescale, metric_identity_check,
-                                 sphere_fit, tangency_check)
+                                 derived_solution, lambda_rescale,
+                                 metric_identity_check, sphere_fit,
+                                 tangency_check)
 
 K = CurvatureProfile(2.0, 0.5, (0.3,))
 GRIDS = {
@@ -40,7 +41,10 @@ def _results(spec):
            "K": brioschi_curvature(im.E, im.Fm, im.G, spec.hu, spec.hv),
            "sphere": (*fit.center, fit.radius, fit.rms_residual),
            "flatmap": list(rep.as_dict().values()),
-           "frame": rep.frame_residual}
+           "frame": rep.frame_residual,
+           "system_central": system_residual(derived_solution(im), g.omega_grid),
+           "system_analytic": system_residual(sol, g.omega_fn,
+                                              derivatives="analytic")}
     for name in ("f", "A", "B", "Ahat", "Bhat", "margin", "E", "Fm"):
         out[name] = getattr(im, name)
     return out

@@ -152,7 +152,7 @@ def test_rationalize():
     assert rationalize(0.25 + 5e-9) == (1, 4)
     assert rationalize(-2.0 / 7.0) == (-2, 7)
     assert rationalize(0.1427) is None            # near 1/7 but outside window
-    assert rationalize(1 / 65, q_max=64) is None  # denominator too large
+    assert rationalize(1 / 65) is None            # denominator above Q_MAX
 
 
 def test_closure_multiple():
@@ -352,8 +352,31 @@ def test_build_torus_peak_memory(release_outcome):
     assert peak <= 40 * im.A.nbytes, peak / im.A.nbytes
 
 
+def test_system_residual_peak_memory(release_outcome, monkeypatch):
+    # the build's residual of the derived (A, B) walks row tiles and reads
+    # A and B in place, so its own peak is a fraction of one grid array
+    real, seen = torusearch.system_residual, []
+
+    def measured(sol, omega):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = real(sol, omega)
+        seen.append(tracemalloc.get_traced_memory()[1] - before)
+        return out
+
+    monkeypatch.setattr(torusearch, "system_residual", measured)
+    tracemalloc.start()
+    try:
+        im, _ = build_perturbed_torus(release_outcome, nodes_per_period=64,
+                                      nv=128)
+    finally:
+        tracemalloc.stop()
+    assert len(seen) == 1
+    assert seen[0] <= 1.5 * im.A.nbytes, seen[0] / im.A.nbytes
+
+
 def test_build_torus_circle_control():
-    out = circle_outcome(1.0, 2)
+    out = circle_outcome(1.0)
     im, rep = build_perturbed_torus(out, lam=0.0, nodes_per_period=48, nv=96)
     assert "degenerate_product" in rep["flags"]
     assert rep["sphere_rms"] < 1e-6
