@@ -36,6 +36,7 @@ from .torusearch import (build_perturbed_cylinder, build_perturbed_torus,
 TWO_PI = 2.0 * math.pi
 STEP_KEYS = ("h", "hv")
 COUNT_KEYS = ("nv", "nodes_per_period")
+LENGTH_KEYS = {"u_range": 2, "v_range": 2, "u_window": 2, "y0": 2, "a": 4}
 
 NAMED_FUNCTIONS = {
     "sin": SmoothFn(np.sin, np.cos, lambda t: -np.sin(t), lambda t: -np.cos(t)),
@@ -123,10 +124,22 @@ class JobConfig:
                 raise ValueError(f"step size {key} must be positive, got {value!r}")
             if key in COUNT_KEYS and value is not None and not value > 0:
                 raise ValueError(f"node count {key} must be positive, got {value!r}")
+            if key == "drop_index" and not (type(value) is int and 0 <= value <= 3):
+                raise ValueError(f"drop_index must be 0, 1, 2 or 3, got {value!r}")
+            if key in LENGTH_KEYS and not _numbers(value, LENGTH_KEYS[key]):
+                raise ValueError(f"{key} must hold {LENGTH_KEYS[key]} numbers, "
+                                 f"got {value!r}")
 
     def path(self, name):
         self.out_dir.mkdir(parents=True, exist_ok=True)
         return self.out_dir / name
+
+
+def _numbers(value, n):
+    """True if value is a list or tuple of n real numbers."""
+    return (isinstance(value, (list, tuple)) and len(value) == n
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                    for x in value))
 
 
 def _parse_fraction(text):
@@ -466,6 +479,9 @@ def main(argv=None):
     try:
         if args.config:
             blob = json.loads(Path(args.config).read_text())
+            if not isinstance(blob, dict):
+                raise ValueError("config must be an object of command, params "
+                                 f"and out_dir, got {blob!r}")
             command, params = blob["command"], blob.get("params", {})
             out_dir = Path(blob.get("out_dir", args.out_dir))
         else:

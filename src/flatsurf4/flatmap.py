@@ -332,13 +332,15 @@ def _hopf_factors(k, spec: GridSpec, a0=QONE):
 def _hopf_map(k, spec: GridSpec, a0=QONE):
     """F = L e^{iv}, Fhat = L HOPF_XI e^{iv} on spec (see hopf_flat_map).
 
+    The angle w(u) depends on u alone, so omega_grid is a read-only
+    broadcast view of its u-column (strides[1] == 0), not a grid copy.
     lattice = (u span, 2 pi) is set only when the lift returns to its
     start and v spans 2 pi."""
     product = _hopf_factors(k, spec, a0)
     F, Fhat = product.maps()
     omega_fn = profile_angle(k)
     omega_grid = np.broadcast_to(
-        np.asarray(omega_fn.f1(spec.u_nodes))[:, None], F.shape[:2]).copy()
+        np.asarray(omega_fn.f1(spec.u_nodes))[:, None], F.shape[:2])
 
     lattice = None
     closure = max(float(np.linalg.norm(x[-1] - x[0]))

@@ -30,27 +30,22 @@ K_TRIM = 4  # Brioschi needs second derivatives of first derivatives
 
 @dataclass
 class ImmersionGrid:
+    """f and the per-node fields more readers need whole; <f_v, f_v> = E,
+    and tangency_check forms Ahat, Bhat from A, B and w tile by tile."""
     spec: GridSpec
     f: np.ndarray          # (Nu, Nv, 4)
     A: np.ndarray
     B: np.ndarray
-    Ahat: np.ndarray
-    Bhat: np.ndarray
     margin: np.ndarray     # (A^2-B^2) sin w - 2AB cos w
-    E: np.ndarray          # = G = A^2 + B^2
+    E: np.ndarray          # A^2 + B^2 = <f_u, f_u> = <f_v, f_v>
     Fm: np.ndarray         # (A^2-B^2) cos w + 2AB sin w
     K_est: Optional[np.ndarray] = None     # set by flatness_check
-
-    @property
-    def G(self):
-        """The metric coefficient <f_v, f_v>, which equals E."""
-        return self.E
 
     def margin_min(self):
         return float(np.min(fd.interior(self.margin)))
 
     def metric_min_eigenvalue(self):
-        """Smallest eigenvalue of [[E, F], [F, G]] over interior nodes."""
+        """Min eigenvalue E - |Fm| of [[E, Fm], [Fm, E]] over the interior."""
         return float(np.min(fd.interior(self.E - np.abs(self.Fm))))
 
     def max_radius(self):
@@ -94,8 +89,6 @@ def assemble(gmap: FlatMapGrid, sol: SolutionGrid) -> ImmersionGrid:
         raise GridMismatch("flat map and solution grids differ")
     wu, cw, sw = _angle_terms(gmap)
     au, bu, A, B, margin = _margin_terms(sol, wu, cw, sw)
-    Ahat = cw * A + sw * B
-    Bhat = sw * A - cw * B
     E = A * A + B * B
     Fm = (A * A - B * B) * cw + 2.0 * A * B * sw
     del wu, cw, sw  # freed before f is built
@@ -106,7 +99,7 @@ def assemble(gmap: FlatMapGrid, sol: SolutionGrid) -> ImmersionGrid:
         f[rows] = (sol.alpha[rows, :, None] * gmap.F[rows]
                    + sol.beta[rows, :, None] * gmap.Fhat[rows]
                    + au[rows, :, None] * Nu_ + bu[rows, :, None] * Nhu_)
-    return ImmersionGrid(gmap.spec, f, A, B, Ahat, Bhat, margin, E, Fm)
+    return ImmersionGrid(gmap.spec, f, A, B, margin, E, Fm)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +118,8 @@ def tangency_check(im: ImmersionGrid, gmap: FlatMapGrid):
 
     f is differentiated by central differences, tile by tile
     (fd.row_tiles); the frame derivatives come from the factor curves of
-    the flat map (ProductFactors.u_frame).
+    the flat map (ProductFactors.u_frame), and Ahat = A cos w + B sin w,
+    Bhat = A sin w - B cos w from im.A, im.B and gmap.omega_grid.
     """
     f, hu, hv = im.f, im.spec.hu, im.spec.hv
 
@@ -133,8 +127,11 @@ def tangency_check(im: ImmersionGrid, gmap: FlatMapGrid):
         Nu_, Nhu_ = gmap.factors().u_frame(rows)
         fu = fd.d1(f[slab], hu, axis=0)[core]
         fv = fd.d1(f[rows], hv, axis=1)
-        ru = fu - im.A[rows, :, None] * Nu_ - im.B[rows, :, None] * Nhu_
-        rv = fv - im.Ahat[rows, :, None] * Nu_ - im.Bhat[rows, :, None] * Nhu_
+        A, B, w = im.A[rows], im.B[rows], gmap.omega_grid[rows]
+        cw, sw = np.cos(w), np.sin(w)
+        Ahat, Bhat = cw * A + sw * B, sw * A - cw * B
+        ru = fu - A[:, :, None] * Nu_ - B[:, :, None] * Nhu_
+        rv = fv - Ahat[:, :, None] * Nu_ - Bhat[:, :, None] * Nhu_
         return {"u": np.linalg.norm(ru, axis=-1),
                 "v": np.linalg.norm(rv, axis=-1)}
 
@@ -143,8 +140,8 @@ def tangency_check(im: ImmersionGrid, gmap: FlatMapGrid):
 
 
 def metric_identity_check(im: ImmersionGrid):
-    """Finite-difference first fundamental form of f against (E, F, G),
-    tile by tile (fd.row_tiles)."""
+    """Finite-difference first fundamental form of f against E, Fm and
+    <f_v, f_v> = E, tile by tile (fd.row_tiles)."""
     f, hu, hv = im.f, im.spec.hu, im.spec.hv
     dot = lambda a, b: np.einsum("...k,...k->...", a, b)
 
@@ -152,7 +149,7 @@ def metric_identity_check(im: ImmersionGrid):
         fu = fd.d1(f[slab], hu, axis=0)[core]
         fv = fd.d1(f[rows], hv, axis=1)
         return {"E": dot(fu, fu) - im.E[rows], "F": dot(fu, fv) - im.Fm[rows],
-                "G": dot(fv, fv) - im.G[rows]}
+                "G": dot(fv, fv) - im.E[rows]}
 
     m = fd.tiled_max_interior(f.shape, terms)
     return max(m["E"], m["F"], m["G"])
@@ -204,7 +201,7 @@ def flatness_check(im: ImmersionGrid):
     """Max |K| over the valid interior, kept as im.K_est; raises
     DegenerateMetric if no node is valid."""
     if im.K_est is None:
-        im.K_est = brioschi_curvature(im.E, im.Fm, im.G, im.spec.hu, im.spec.hv)
+        im.K_est = brioschi_curvature(im.E, im.Fm, im.E, im.spec.hu, im.spec.hv)
     valid = np.isfinite(im.K_est)
     if not valid.any():
         raise DegenerateMetric("metric is singular on the whole tested region")

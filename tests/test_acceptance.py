@@ -1,5 +1,6 @@
 """Acceptance suite: the ten release criteria, one test per criterion,
-each printed as a PASS/FAIL line (run with pytest -s to see them inline).
+each printed as a PASS/FAIL line (run with pytest -s to see them inline),
+and the release torus's report pinned to its recorded values.
 
 Desk scale: every grid stays below 2048 x 512 nodes and the whole module
 runs in well under ten minutes.
@@ -303,3 +304,37 @@ def test_criterion_10_cylinder():
                  f"margin {rep['margin_min']:.3f}, eig "
                  f"{rep['metric_min_eigenvalue']:.3f}, max|f| "
                  f"{rep['max_radius']:.3f}, sphere {rep['sphere_rms']:.3f}")
+
+
+# every float of the release torus's report, as recorded at commit b5be79b;
+# a change of the build that is meant to change no result reproduces them
+RELEASE_REPORT = {
+    "closure_u": 4.001737096679176e-11,
+    "closure_v": 4.568913887488028e-16,
+    "derived_system_residual": 1.1070458272519068e-06,
+    "flatmap_max": 6.79016865356985e-06,
+    "frame_residual": 6.79016865356985e-06,
+    "gauss_K_max": 2.5004344928557213e-05,
+    "gauss_metric": 1.358033730181063e-05,
+    "lambda": 0.03125,
+    "lift_closure_gap": 1.9029237460546377e-11,
+    "margin_min": 0.22944741919748476,
+    "max_radius": 1.03125,
+    "metric_identity": 8.75212202045006e-06,
+    "metric_min_eigenvalue": 0.02595240283270206,
+    "omega_range": 1.0385853751368603,
+    "sin_omega_min": 0.3982572150623158,
+    "sphere_radius": 1.0012200617253506,
+    "sphere_rms": 0.01581016987067248,
+    "tangency_u": 4.663690607201326e-06,
+    "tangency_v": 1.8500032020196677e-07,
+    "u_period": 50.26548245743669,
+}
+
+
+def test_release_report_matches_recorded_values(release_torus):
+    _, rep = release_torus
+    floats = {k: v for k, v in rep.items() if isinstance(v, float)}
+    assert sorted(floats) == sorted(RELEASE_REPORT)
+    for key, value in RELEASE_REPORT.items():
+        assert abs(floats[key] - value) <= 1e-12, (key, floats[key], value)

@@ -238,6 +238,8 @@ def _main_report(tmp_path, *argv):
     (["solve", "--family", "quadrature", "--h", "1"], "has no interior"),
     (["build-cylinder", "--profile", '{"k0": 0.8, "terms": [[0.1, 2.0, 0.0]]}',
       "--h", "4", "--nv", "4"], "has no interior"),
+    (["build-cylinder", "--profile", '{"k0": 0.8, "terms": [[0.1, 2.0, 0.0]]}',
+      "--obj", "c.obj", "--drop-index", "7"], "drop_index must be 0, 1, 2 or 3"),
 ])
 def test_bad_input_gives_error_report(tmp_path, argv, needle):
     code, rep = _main_report(tmp_path, *argv)
@@ -258,6 +260,40 @@ def test_profile_of_wrong_shape_names_both_forms(tmp_path, capsys, command,
     assert '{"T", "k0", "cos", "sin"}' in rep["message"]
     assert '{"k0", "terms"}' in rep["message"]
     assert "Traceback" not in capsys.readouterr().err
+
+
+QUASI = '{"k0": 0.8, "terms": [[0.1, 2.0, 0.0]]}'
+WAVY = '{"T": 3.141592653589793, "k0": 1.2, "cos": [0.1]}'
+
+
+@pytest.mark.parametrize("blob,needle", [
+    ({"command": "build-cylinder", "params": {"profile": QUASI, "u_window": [1]}},
+     "u_window must hold 2 numbers"),
+    ({"command": "build-cylinder", "params": {"profile": QUASI, "u_window": "ab"}},
+     "u_window must hold 2 numbers"),
+    ({"command": "solve", "params": {"family": "wave", "u_range": [0]}},
+     "u_range must hold 2 numbers"),
+    ({"command": "solve", "params": {"family": "wave", "v_range": [0, 1, 2]}},
+     "v_range must hold 2 numbers"),
+    ({"command": "solve", "params": {"family": "geometric", "profile": WAVY,
+                                     "a": [1, 2]}}, "a must hold 4 numbers"),
+    ({"command": "solve", "params": {"family": "quadrature", "y0": [1, None]}},
+     "y0 must hold 2 numbers"),
+    ({"command": "build-cylinder", "params": {"profile": QUASI, "obj": "c.obj",
+                                              "drop_index": 1.0}},
+     "drop_index must be 0, 1, 2 or 3"),
+    ([1, 2], "config must be an object"),
+])
+def test_config_of_wrong_shape_gives_error_report(tmp_path, capsys, blob,
+                                                  needle):
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps(blob))
+    code, rep = _main_report(tmp_path, "--config", str(cfg_path))
+    assert code == 1
+    assert rep["error"] == "ValueError"
+    assert needle in rep["message"]
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "c.obj").exists()
 
 
 NO_SCIPY_SCRIPT = """
@@ -305,7 +341,7 @@ def test_unexpected_exception_still_reports(tmp_path):
     ("{not json", "JSONDecodeError"),
     ('{"params": {}}', "KeyError"),
     ('{"command": "helix", "params": []}', "ValueError"),
-    ('["helix"]', "TypeError"),
+    ('["helix"]', "ValueError"),
 ])
 def test_bad_config_file_gives_error_report(tmp_path, content, error):
     cfg_path = tmp_path / "job.json"

@@ -10,7 +10,7 @@ from flatsurf4.flatmap import (
     FlatMapGrid, GridSpec, bianchi_spivak_product, clifford_flat_map,
     constant_angle, helix_product_map, hopf_flat_map, linear_angle,
     normal_shape_check, polar_dual, profile_angle, read_flatmap_csv,
-    verify_flat_map, write_flatmap_csv,
+    verify_flat_map, write_flatmap_csv, _hopf_map,
 )
 from flatsurf4.quat import QI, QJ, hopf, qmul
 
@@ -282,6 +282,19 @@ def test_hopf_map_owns_its_factor_curves():
     for arr in (p.L, p.Ld, p.Ldd):
         assert arr.shape == (g.spec.nu, 4)
         assert arr.base is None and arr.flags.c_contiguous
+
+
+def test_hopf_map_angle_is_a_view_of_its_u_column():
+    # w depends on u alone: the grid is the u-column broadcast along v,
+    # read-only, so no (nu, nv) copy is kept and none can be written into
+    k = CurvatureProfile(2.0, 0.5, (0.3,))
+    spec = GridSpec.from_ranges((0.0, 2.0), (0.0, 1.0), 0.05)
+    w = _hopf_map(k, spec).omega_grid
+    assert w.shape == (spec.nu, spec.nv)
+    assert w.strides[1] == 0
+    assert not w.flags.writeable
+    expect = 0.5 * math.pi - np.arctan(k.value(spec.u_nodes))
+    assert np.max(np.abs(w - expect[:, None])) < 1e-12
 
 
 # ---------------------------------------------------------------------------

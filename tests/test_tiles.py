@@ -38,14 +38,14 @@ def _results(spec):
     out = {"lambda": lam, "max_radius": im.max_radius(),
            "tangency": tangency_check(im, g),
            "metric_identity": metric_identity_check(im),
-           "K": brioschi_curvature(im.E, im.Fm, im.G, spec.hu, spec.hv),
+           "K": brioschi_curvature(im.E, im.Fm, im.E, spec.hu, spec.hv),
            "sphere": (*fit.center, fit.radius, fit.rms_residual),
            "flatmap": list(rep.as_dict().values()),
            "frame": rep.frame_residual,
            "system_central": system_residual(derived_solution(im), g.omega_grid),
            "system_analytic": system_residual(sol, g.omega_fn,
                                               derivatives="analytic")}
-    for name in ("f", "A", "B", "Ahat", "Bhat", "margin", "E", "Fm"):
+    for name in ("f", "A", "B", "margin", "E", "Fm"):
         out[name] = getattr(im, name)
     return out
 

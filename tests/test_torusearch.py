@@ -352,27 +352,42 @@ def test_build_torus_peak_memory(release_outcome):
     assert peak <= 40 * im.A.nbytes, peak / im.A.nbytes
 
 
-def test_system_residual_peak_memory(release_outcome, monkeypatch):
-    # the build's residual of the derived (A, B) walks row tiles and reads
-    # A and B in place, so its own peak is a fraction of one grid array
-    real, seen = torusearch.system_residual, []
+def _own_peaks(monkeypatch, outcome, name):
+    """Build the (64, 128) torus of outcome; returns im and, for each call
+    of torusearch.<name>, its tracemalloc peak above the memory in use
+    when the call began."""
+    real, seen = getattr(torusearch, name), []
 
-    def measured(sol, omega):
+    def measured(*args):
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        out = real(sol, omega)
+        out = real(*args)
         seen.append(tracemalloc.get_traced_memory()[1] - before)
         return out
 
-    monkeypatch.setattr(torusearch, "system_residual", measured)
+    monkeypatch.setattr(torusearch, name, measured)
     tracemalloc.start()
     try:
-        im, _ = build_perturbed_torus(release_outcome, nodes_per_period=64,
-                                      nv=128)
+        im, _ = build_perturbed_torus(outcome, nodes_per_period=64, nv=128)
     finally:
         tracemalloc.stop()
+    return im, seen
+
+
+def test_system_residual_peak_memory(release_outcome, monkeypatch):
+    # the build's residual of the derived (A, B) walks row tiles and reads
+    # A and B in place, so its own peak is a fraction of one grid array
+    im, seen = _own_peaks(monkeypatch, release_outcome, "system_residual")
     assert len(seen) == 1
     assert seen[0] <= 1.5 * im.A.nbytes, seen[0] / im.A.nbytes
+
+
+def test_assemble_peak_memory(release_outcome, monkeypatch):
+    # assemble keeps f, A, B, margin, E and Fm; Ahat and Bhat are formed
+    # tile by tile where tangency_check reads them, so they add no grids
+    im, seen = _own_peaks(monkeypatch, release_outcome, "assemble")
+    assert len(seen) == 1
+    assert seen[0] <= 11 * im.A.nbytes, seen[0] / im.A.nbytes
 
 
 def test_build_torus_circle_control():

@@ -81,8 +81,8 @@ def test_immersion_csv_bytes(tmp_path, with_curvature):
     if with_curvature:  # NaN near the boundary, as brioschi_curvature leaves it
         K = np.full(shape, np.nan)
         K[4:-4, 4:-4] = _field(shape, 7)[4:-4, 4:-4]
-    im = ImmersionGrid(SPEC, _field(shape + (4,), 8), A, B, A, B, margin,
-                       A, B, K_est=K)
+    im = ImmersionGrid(SPEC, _field(shape + (4,), 8), A, B, margin, A, B,
+                       K_est=K)
     write_immersion_csv(im, tmp_path / "im.csv")
     K_col = K if with_curvature else np.full(shape, np.nan)
     expect = _csv(IMMERSION_HEADER,
