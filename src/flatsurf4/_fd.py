@@ -1,9 +1,9 @@
 """Finite-difference stencils shared by the verification routines, and the
 row tiles that every full-grid pass walks.
 
-Interior nodes use 4th-order central differences; the two nodes nearest
-each boundary fall back to numpy.gradient and are excluded from residual
-maxima (see INTERIOR_TRIM).
+Interior nodes use 4th-order central differences; the INTERIOR_TRIM nodes
+nearest each end of the axis are NaN, and so is every node of an axis
+shorter than 5.  Residual maxima exclude them (see INTERIOR_TRIM).
 
 A pass over a (nu, nv, ...) grid takes TILE_ROWS u-rows at a time
 (row_tiles), so that no temporary it builds is larger than a tile.  A
@@ -14,11 +14,8 @@ rows alone.  The results are those of the whole-grid pass, bit for bit:
 
 * the stencils read at most INTERIOR_TRIM rows on either side, so a tile
   row in the interior gets the same stencil on the same operands;
-* a row within INTERIOR_TRIM of the grid's edge lies in a slab clipped at
-  that edge, where numpy.gradient (also nested, in d2) reads the same rows
-  as on the whole grid;
-* only the slab's own edge rows fall back to numpy.gradient, and those
-  are the halo, which is cut;
+* a node within INTERIOR_TRIM of a slab's edge is NaN and is never read
+  by a maximum;
 * elementwise arithmetic does not depend on where an element sits in its
   array, and a maximum or minimum over tiles is that over the grid.
 """
@@ -38,7 +35,7 @@ def _axslice(ndim, axis, s):
 def d1(a, h, axis=0):
     """First derivative along axis, 4th-order central in the interior."""
     a = np.asarray(a, dtype=float)
-    out = np.gradient(a, h, axis=axis)
+    out = np.full(a.shape, np.nan)
     n = a.shape[axis]
     if n >= 5:
         sl = lambda s0, s1: _axslice(a.ndim, axis, slice(s0, s1))
@@ -52,7 +49,7 @@ def d1(a, h, axis=0):
 def d2(a, h, axis=0):
     """Second derivative along axis, 4th-order central in the interior."""
     a = np.asarray(a, dtype=float)
-    out = np.gradient(np.gradient(a, h, axis=axis), h, axis=axis)
+    out = np.full(a.shape, np.nan)
     n = a.shape[axis]
     if n >= 5:
         sl = lambda s0, s1: _axslice(a.ndim, axis, slice(s0, s1))

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .curve import (CurvatureProfile, frenet_s3, helix, helix_curvature,
-                    parse_profile)
+                    parse_profile, _real)
 from .errors import FlatSurfaceError, NotOnSphere, PoleOnSurface
 from .flatmap import (GridSpec, clifford_flat_map, helix_product_map,
                       hopf_flat_map, linear_angle, profile_angle,
@@ -56,7 +56,7 @@ def _stereographic(points):
     return points[..., :3] / (1.0 - points[..., 3])[..., None]
 
 
-def export_obj(im, path, projection="stereographic", drop_index=3):
+def export_obj(points, path, projection="stereographic", drop_index=3):
     """Write a triangulated OBJ of the surface under a 3D projection.
 
     projection="stereographic": the surface must sit on an affine 3-sphere
@@ -67,7 +67,7 @@ def export_obj(im, path, projection="stereographic", drop_index=3):
     The file holds one "v x y z" line per node in u-major order, 9
     significant digits each, then two "f a b c" triangles per grid cell.
     """
-    pts = im.f if hasattr(im, "f") else np.asarray(im, dtype=float)
+    pts = np.asarray(points, dtype=float)
     nu, nv = pts.shape[0], pts.shape[1]
     if projection == "stereographic":
         fit = sphere_fit(pts)
@@ -120,10 +120,12 @@ class JobConfig:
             raise ValueError("params must be an object of parameter names and "
                              f"values, got {self.params!r}")
         for key, value in self.params.items():
-            if key in STEP_KEYS and value is not None and not value > 0:
-                raise ValueError(f"step size {key} must be positive, got {value!r}")
-            if key in COUNT_KEYS and value is not None and not value > 0:
-                raise ValueError(f"node count {key} must be positive, got {value!r}")
+            if key in STEP_KEYS and not (value is None or _real(value) and value > 0):
+                raise ValueError(f"step size {key} must be a positive number, "
+                                 f"got {value!r}")
+            if key in COUNT_KEYS and not (value is None or type(value) is int and value > 0):
+                raise ValueError(f"node count {key} must be a positive integer, "
+                                 f"got {value!r}")
             if key == "drop_index" and not (type(value) is int and 0 <= value <= 3):
                 raise ValueError(f"drop_index must be 0, 1, 2 or 3, got {value!r}")
             if key in LENGTH_KEYS and not _numbers(value, LENGTH_KEYS[key]):
@@ -138,8 +140,7 @@ class JobConfig:
 def _numbers(value, n):
     """True if value is a list or tuple of n real numbers."""
     return (isinstance(value, (list, tuple)) and len(value) == n
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    for x in value))
+            and all(map(_real, value)))
 
 
 def _parse_fraction(text):
@@ -356,7 +357,7 @@ def _export_immersion(cfg, im, rep):
         write_immersion_csv(im, cfg.path(p["csv"]))
         rep["csv"] = str(cfg.path(p["csv"]))
     if p.get("obj"):
-        export_obj(im, cfg.path(p["obj"]), projection="drop",
+        export_obj(im.f, cfg.path(p["obj"]), projection="drop",
                    drop_index=p.get("drop_index", 3))
         rep["obj"] = str(cfg.path(p["obj"]))
     return rep

@@ -120,6 +120,11 @@ class QuasiPeriodicProfile:
         return kmax, kpmax
 
 
+def _real(x):
+    """True if x is an int or a float, and not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def parse_profile(text):
     """The profile of a JSON object: {"k0", "terms"} for a
     QuasiPeriodicProfile, else {"T", "k0", "cos", "sin"} for a
@@ -138,7 +143,7 @@ def parse_profile(text):
         raise ValueError('a profile is a JSON object {"T", "k0", "cos", "sin"} '
                          '(periodic, T required) or {"k0", "terms"} '
                          f"(quasi-periodic); got {text}") from exc
-    if any(len(t) != 3 for t in terms):
+    if any(len(t) != 3 or not all(map(_real, t)) for t in terms):
         raise ValueError("each profile term must be [amplitude, frequency, "
                          f"phase]; got {d['terms']!r}")
     return QuasiPeriodicProfile(d.get("k0", 0.0), terms)

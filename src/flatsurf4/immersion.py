@@ -165,30 +165,29 @@ def derived_solution(im: ImmersionGrid) -> SolutionGrid:
 # Gaussian curvature via the Brioschi formula
 
 
-def brioschi_curvature(E, F, G, hu, hv):
-    """Discrete Gaussian curvature of E du^2 + 2F du dv + G dv^2.
+def brioschi_curvature(E, F, hu, hv):
+    """Discrete Gaussian curvature of E (du^2 + dv^2) + 2F du dv.
 
-    Nodes where EG - F^2 <= 1e-8 (or too close to the boundary for the
+    Nodes where E^2 - F^2 <= 1e-8 (or too close to the boundary for the
     stencils) are NaN.  K is computed tile by tile (fd.row_tiles).
     """
     K = np.empty(E.shape)
     for rows, slab, core in fd.row_tiles(E.shape[0]):
         Eu, Ev = fd.d1(E[slab], hu, axis=0)[core], fd.d1(E[rows], hv, axis=1)
-        Gu, Gv = fd.d1(G[slab], hu, axis=0)[core], fd.d1(G[rows], hv, axis=1)
         Fu, Fv = fd.d1(F[slab], hu, axis=0)[core], fd.d1(F[rows], hv, axis=1)
         Evv = fd.d2(E[rows], hv, axis=1)
-        Guu = fd.d2(G[slab], hu, axis=0)[core]
+        Euu = fd.d2(E[slab], hu, axis=0)[core]
         Fuv = fd.d1(Fu, hv, axis=1)
-        Et, Ft, Gt = E[rows], F[rows], G[rows]
+        Et, Ft = E[rows], F[rows]
 
-        det = Et * Gt - Ft * Ft
+        det = Et * Et - Ft * Ft
         # expanded 3x3 determinants of the Brioschi matrices
-        det_m1 = ((-0.5 * Evv + Fuv - 0.5 * Guu) * (Et * Gt - Ft * Ft)
-                  - 0.5 * Eu * ((Fv - 0.5 * Gu) * Gt - 0.5 * Gv * Ft)
-                  + (Fu - 0.5 * Ev) * ((Fv - 0.5 * Gu) * Ft - 0.5 * Gv * Et))
+        det_m1 = ((-0.5 * Evv + Fuv - 0.5 * Euu) * det
+                  - 0.5 * Eu * ((Fv - 0.5 * Eu) * Et - 0.5 * Ev * Ft)
+                  + (Fu - 0.5 * Ev) * ((Fv - 0.5 * Eu) * Ft - 0.5 * Ev * Et))
         det_m2 = (0.0 * Et
-                  - 0.5 * Ev * (0.5 * Ev * Gt - 0.5 * Gu * Ft)
-                  + 0.5 * Gu * (0.5 * Ev * Ft - 0.5 * Gu * Et))
+                  - 0.5 * Ev * (0.5 * Ev * Et - 0.5 * Eu * Ft)
+                  + 0.5 * Eu * (0.5 * Ev * Ft - 0.5 * Eu * Et))
         with np.errstate(invalid="ignore", divide="ignore"):
             K[rows] = np.where(det > 1e-8, (det_m1 - det_m2) / det ** 2, np.nan)
     keep = np.zeros(K.shape, dtype=bool)
@@ -201,7 +200,7 @@ def flatness_check(im: ImmersionGrid):
     """Max |K| over the valid interior, kept as im.K_est; raises
     DegenerateMetric if no node is valid."""
     if im.K_est is None:
-        im.K_est = brioschi_curvature(im.E, im.Fm, im.E, im.spec.hu, im.spec.hv)
+        im.K_est = brioschi_curvature(im.E, im.Fm, im.spec.hu, im.spec.hv)
     valid = np.isfinite(im.K_est)
     if not valid.any():
         raise DegenerateMetric("metric is singular on the whole tested region")

@@ -240,6 +240,8 @@ def _main_report(tmp_path, *argv):
       "--h", "4", "--nv", "4"], "has no interior"),
     (["build-cylinder", "--profile", '{"k0": 0.8, "terms": [[0.1, 2.0, 0.0]]}',
       "--obj", "c.obj", "--drop-index", "7"], "drop_index must be 0, 1, 2 or 3"),
+    (["build-cylinder", "--profile", '{"k0":0.8,"terms":[["a",1,2]]}'],
+     "[amplitude, frequency, phase]"),
 ])
 def test_bad_input_gives_error_report(tmp_path, argv, needle):
     code, rep = _main_report(tmp_path, *argv)
@@ -283,6 +285,12 @@ WAVY = '{"T": 3.141592653589793, "k0": 1.2, "cos": [0.1]}'
                                               "drop_index": 1.0}},
      "drop_index must be 0, 1, 2 or 3"),
     ([1, 2], "config must be an object"),
+    ({"command": "build-cylinder", "params": {"profile": QUASI, "h": "0.1"}},
+     "step size h"),
+    ({"command": "build-cylinder", "params": {"profile": QUASI, "nv": 64.5}},
+     "node count nv"),
+    ({"command": "build-cylinder", "params": {"profile": QUASI, "nv": True,
+                                              "h": 0.1}}, "node count nv"),
 ])
 def test_config_of_wrong_shape_gives_error_report(tmp_path, capsys, blob,
                                                   needle):

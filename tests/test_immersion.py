@@ -304,9 +304,28 @@ def test_brioschi_on_known_nonflat_metric():
     v = np.arange(0, 1 + h / 2, h)
     U, V = u[:, None], v[None, :]
     lam = 4.0 / (1.0 + U ** 2 + V ** 2) ** 2 + 0 * V
-    K = brioschi_curvature(lam, np.zeros_like(lam), lam, h, h)
+    K = brioschi_curvature(lam, np.zeros_like(lam), h, h)
     valid = np.isfinite(K)
     assert np.max(np.abs(K[valid] - 1.0)) < 1e-6
+
+
+def test_brioschi_takes_each_derivative_once(monkeypatch):
+    # E is differenced for both E and G of E (du^2 + dv^2) + 2F du dv, so a
+    # one-tile grid makes 5 fd.d1 calls (E_u, E_v, F_u, F_v, F_uv) and 2
+    # fd.d2 calls (E_uu, E_vv)
+    calls = {"d1": 0, "d2": 0}
+    for name, stencil in [("d1", fd.d1), ("d2", fd.d2)]:
+        def counted(*args, name=name, stencil=stencil, **kwargs):
+            calls[name] += 1
+            return stencil(*args, **kwargs)
+        monkeypatch.setattr(fd, name, counted)
+    h = 0.05
+    u = np.arange(21) * h
+    E = 1.0 + 0.1 * np.sin(u[:, None] + 2 * u[None, :])
+    F = 0.05 * np.cos(u[:, None] - u[None, :])
+    K = brioschi_curvature(E, F, h, h)
+    assert calls == {"d1": 5, "d2": 2}
+    assert np.isfinite(K).sum() == (21 - 8) ** 2
 
 
 def test_flatness_degenerate_raises():

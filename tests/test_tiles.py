@@ -38,7 +38,7 @@ def _results(spec):
     out = {"lambda": lam, "max_radius": im.max_radius(),
            "tangency": tangency_check(im, g),
            "metric_identity": metric_identity_check(im),
-           "K": brioschi_curvature(im.E, im.Fm, im.E, spec.hu, spec.hv),
+           "K": brioschi_curvature(im.E, im.Fm, spec.hu, spec.hv),
            "sphere": (*fit.center, fit.radius, fit.rms_residual),
            "flatmap": list(rep.as_dict().values()),
            "frame": rep.frame_residual,
@@ -77,3 +77,40 @@ def test_row_tiles_cover_the_grid_once(monkeypatch):
     a = np.arange(8.0)
     for rows, slab, core in tiles:
         assert np.array_equal(a[slab][core], a[rows])
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("n", range(1, 10))
+def test_stencils_are_five_point_inside_and_nan_at_the_ends(n, axis):
+    # the stencil contract every tile relies on: the INTERIOR_TRIM nodes at
+    # each end of the axis (all of an axis shorter than 5) are NaN, and
+    # every other node is the written five-point formula, bit for bit
+    h = 0.1
+    a = np.random.default_rng(n).standard_normal((n, 3) if axis == 0 else (3, n))
+    x = np.moveaxis(a, axis, 0)
+    d1 = np.moveaxis(fd.d1(a, h, axis=axis), axis, 0)
+    d2 = np.moveaxis(fd.d2(a, h, axis=axis), axis, 0)
+    edge = np.ones(n, dtype=bool)
+    if n >= 5:
+        edge[2:n - 2] = False
+    for d in (d1, d2):
+        assert np.array_equal(np.isnan(d), np.broadcast_to(edge[:, None], d.shape))
+    i = np.arange(2, n - 2)
+    assert np.array_equal(
+        d1[i], (-x[i + 2] + 8 * x[i + 1] - 8 * x[i - 1] + x[i - 2]) / (12.0 * h))
+    assert np.array_equal(
+        d2[i], (-x[i + 2] + 16 * x[i + 1] - 30 * x[i] + 16 * x[i - 1]
+                - x[i - 2]) / (12.0 * h * h))
+
+
+def test_stencils_converge_at_fourth_order():
+    # on sin over [0, 2 pi] both grids hold the nodes where |sin| and |cos|
+    # peak, so halving h divides the largest error by 2^4
+    def errors(n):
+        u = np.linspace(0.0, 2 * np.pi, n + 1)
+        h = u[1] - u[0]
+        return (np.nanmax(np.abs(fd.d1(np.sin(u), h) - np.cos(u))),
+                np.nanmax(np.abs(fd.d2(np.sin(u), h) + np.sin(u))))
+
+    for coarse, fine in zip(errors(32), errors(64)):
+        assert np.log2(coarse / fine) >= 3.9
