@@ -12,13 +12,13 @@ from .errors import (ClosureFailure, DegenerateMetric, EqualSpeeds,
                      NoLambdaFound, NonConstantAngle, NoSignChange,
                      NotOnSphere, PathDependence, PoleOnSurface,
                      PreconditionViolated, SingularAfterRescale)
-from .flatmap import (AngleFunction, FlatMapGrid, bianchi_spivak_product,
-                      clifford_flat_map, constant_angle, helix_product_map,
-                      hopf_flat_map, linear_angle, normal_shape_check,
-                      polar_dual, profile_angle, read_flatmap_csv,
+from .flatmap import (AngleFunction, FlatMapGrid, SampledMaps,
+                      bianchi_spivak_product, clifford_flat_map,
+                      constant_angle, helix_product_map, hopf_flat_map,
+                      linear_angle, profile_angle, read_flatmap_csv,
                       verify_flat_map, write_flatmap_csv)
-from .hypsys import (GridSpec, SmoothFn, SolutionGrid, constant_solution,
-                     exponential_solution, geometric_solution,
+from .hypsys import (FactorSolution, GridSpec, SmoothFn, SolutionGrid,
+                     constant_solution, exponential_solution, geometric_solution,
                      helical_angle_solution, quadrature_transform,
                      solve_numeric, stretched_solution, system_residual,
                      wave_solution, zero_solution)

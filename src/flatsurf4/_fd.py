@@ -18,6 +18,15 @@ rows alone.  The results are those of the whole-grid pass, bit for bit:
   by a maximum;
 * elementwise arithmetic does not depend on where an element sits in its
   array, and a maximum or minimum over tiles is that over the grid.
+
+A field that is a product of a (nu, .) factor and a (., nv) factor is
+formed per tile too, never whole: F and Fhat (flatmap.ProductFactors.maps,
+elementwise quaternion products) and the fields of a solution held as
+factors (hypsys.FactorSolution.tile, (rows, 4) @ (4, nv) products).  The
+matrix products are taken on the tile's slab and cut to core: a one-row
+product (the last tile of a grid of k TILE_ROWS + 1 rows) takes another
+BLAS path and may change the last bit, while the slab's rows match the
+product of the whole grid under single-threaded BLAS.
 """
 
 import numpy as np

@@ -108,6 +108,18 @@ def revolution_radii(xyz):
 # job configuration
 
 
+class _Params(dict):
+    """The parameters of one job: a required key that is missing raises a
+    ValueError naming the command and the key."""
+
+    def __init__(self, command, params):
+        super().__init__(params)
+        self.command = command
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.command} needs the parameter {key!r}")
+
+
 @dataclass
 class JobConfig:
     command: str
@@ -119,6 +131,7 @@ class JobConfig:
         if not isinstance(self.params, dict):
             raise ValueError("params must be an object of parameter names and "
                              f"values, got {self.params!r}")
+        self.params = _Params(self.command, self.params)
         for key, value in self.params.items():
             if key in STEP_KEYS and not (value is None or _real(value) and value > 0):
                 raise ValueError(f"step size {key} must be a positive number, "
@@ -204,7 +217,7 @@ def _cmd_clifford(cfg):
         write_flatmap_csv(g, cfg.path(cfg.params["csv"]))
         rep["csv"] = str(cfg.path(cfg.params["csv"]))
     if cfg.params.get("obj"):
-        xyz = export_obj(g.F, cfg.path(cfg.params["obj"]))
+        xyz = export_obj(g.maps(slice(None))[0], cfg.path(cfg.params["obj"]))
         R, r_minor = revolution_radii(xyz)
         rep["obj"] = str(cfg.path(cfg.params["obj"]))
         rep["revolution_R"] = R
@@ -282,7 +295,7 @@ def _cmd_solve(cfg):
         omega = g.omega_fn
     elif family == "stretched":
         k = parse_profile(p["profile"])
-        sol = stretched_solution(k, p.get("n", 2), spec)
+        sol = stretched_solution(k, p.get("n", 2), spec).grid()
         omega = profile_angle(k)
     elif family == "helical":
         mu = p.get("mu", 0.75)
@@ -314,7 +327,8 @@ def _cmd_solve(cfg):
         rep["residual_alpha_analytic"] = ra2
         rep["residual_beta_analytic"] = rb2
     csv = cfg.path(p.get("csv", "solution.csv"))
-    _write_grid_csv(csv, "u,v,alpha,beta", sol.spec, sol.alpha, sol.beta)
+    _write_grid_csv(csv, "u,v,alpha,beta", sol.spec,
+                    lambda rows: (sol.alpha[rows], sol.beta[rows]))
     rep["csv"] = str(csv)
     return rep
 

@@ -170,7 +170,9 @@ class S3Curve:
             raise ValueError("samples must have shape (N, 4)")
         if self.h <= 0:
             raise ValueError("step must be positive")
-        err = np.max(np.abs(qnorm(self.samples) - 1.0))
+        # |q|^2 by einsum, so no (N, 4) temporary is built
+        err = np.max(np.abs(np.sqrt(np.einsum("ij,ij->i", self.samples,
+                                              self.samples)) - 1.0))
         if err > 1e-9:
             raise ValueError(f"samples drifted off S^3 by {err:.3e}")
 
@@ -286,21 +288,24 @@ def _transport(wfun, u0, length, h, a0=QONE, nodes=False):
     steps = max(1, round(length / h)) Magnus-4 steps of size
     hs = length / steps, combined in blocks of _BLOCK.  Returns (a, hs)
     where a is the end value, or with nodes=True the (steps + 1, 4) array
-    of every node (not renormalized).
+    of every node (not renormalized), written block by block.
     """
     steps = max(1, int(round(length / h)))
     hs = length / steps
     acc = np.asarray(a0, dtype=float)
-    out = [acc[None]]
+    if nodes:
+        a = np.empty((steps + 1, 4))
+        a[0] = acc
     for j0 in range(0, steps, _BLOCK):
-        u = u0 + hs * np.arange(j0, min(j0 + _BLOCK, steps))
-        f = _magnus_factors(wfun, u, hs)
+        j1 = min(j0 + _BLOCK, steps)
+        f = _magnus_factors(wfun, u0 + hs * np.arange(j0, j1), hs)
         if nodes:
-            out.append(qmul(acc, _prefix_products(f)))
-            acc = out[-1][-1]
+            a[j0 + 1:j1 + 1] = qmul(acc, _prefix_products(f))
+            acc = a[j1]
         else:
             acc = qmul(acc, _tree_product(f))
-    a = np.concatenate(out) if nodes else acc
+    if not nodes:
+        a = acc
     if not np.all(np.isfinite(a)):
         raise IntegrationFailure("Magnus transport produced non-finite values")
     return a, hs
@@ -345,16 +350,21 @@ def asymptotic_lift(k, u_range=(0.0, TWO_PI), h=1e-3, a0=QONE):
     renormalized once after the scan; deriv and deriv2 are the analytic
     a w and a (w' - 1) (using w^2 = -1) at the nodes.  The Hopf projection
     traverses a curve of geodesic curvature k(u) at speed
-    2/sqrt(1+k(u)^2).
+    2/sqrt(1+k(u)^2).  The nodes are renormalized in place and the
+    derivatives formed _BLOCK nodes at a time, so the lift holds its three
+    (N, 4) arrays and temporaries of one block only.
     """
     u0, u1 = u_range
     out, hu = _transport(_lift_velocity(k.value), u0, u1 - u0, h,
                          qnormalize(a0), nodes=True)
-    out = qnormalize(out)
-    u_nodes = u0 + hu * np.arange(out.shape[0])
-    p, q, dp, dq = lift_body_velocity(k.value(u_nodes), k.deriv(u_nodes))
-    deriv = qmul(out, pure(_ik(p, q)))
-    deriv2 = -out + qmul(out, pure(_ik(dp, dq)))
+    out /= qnorm(out)[:, None]
+    deriv, deriv2 = np.empty_like(out), np.empty_like(out)
+    for j0 in range(0, out.shape[0], _BLOCK):
+        b = slice(j0, j0 + _BLOCK)
+        u_nodes = u0 + hu * np.arange(j0, min(j0 + _BLOCK, out.shape[0]))
+        p, q, dp, dq = lift_body_velocity(k.value(u_nodes), k.deriv(u_nodes))
+        deriv[b] = qmul(out[b], pure(_ik(p, q)))
+        deriv2[b] = -out[b] + qmul(out[b], pure(_ik(dp, dq)))
     return S3Curve(out, hu, deriv, deriv2, u0)
 
 
@@ -390,7 +400,9 @@ def frenet_s3(curve: S3Curve):
 
     Uses the intrinsic frame: kappa = |sigma'' + sigma|, torsion from the
     binormal completing (sigma, T, N) to a positively oriented R^4 frame.
-    Returns (kappa, tau) arrays on the interior nodes (two trimmed per side).
+    Every derivative is the fourth-order stencil of _fd, and the ends where
+    it has none are trimmed: T and N lose two nodes per side, and N' two
+    more of N's, so (kappa, tau) are on the nodes four in from each end.
     """
     s = curve.samples
     h = curve.h
@@ -399,8 +411,8 @@ def frenet_s3(curve: S3Curve):
     acc = fd.d2(s, h)[2:-2] + sig  # covariant acceleration in S^3
     kappa = np.linalg.norm(acc, axis=-1)
     N = acc / kappa[:, None]
-    B = _cross4(sig, T, N)
+    B = _cross4(*(x[2:-2] for x in (sig, T, N)))
     B /= np.linalg.norm(B, axis=-1)[:, None]
-    dN = np.gradient(N, h, axis=0)
+    dN = fd.d1(N, h)[2:-2]
     tau = np.einsum("ij,ij->i", dN, B)
-    return kappa, tau
+    return kappa[2:-2], tau

@@ -8,8 +8,9 @@ A flat map satisfies, in the coordinates (u, v),
 
 with w(u,v) = w1(u) + w2(v) separable.  Every constructor here produces
 maps of the product form F = L(u) * R(v), Fh = L(u) * xi * R(v), held by
-ProductFactors, which carries exact analytic derivatives; verification
-always re-derives the relations by central differences instead.
+ProductFactors, which carries exact analytic derivatives and gives F and
+Fh on any grid rows, so no grid of F or Fh is stored; verification always
+re-derives the relations by central differences instead.
 """
 
 import math
@@ -187,9 +188,12 @@ class ProductFactors:
     R: np.ndarray
     Rd: np.ndarray
 
-    def maps(self):
-        """(F, Fhat) on the whole grid."""
-        return _outer(self.L, self.R), _outer(qmul(self.L, self.xi), self.R)
+    def maps(self, rows):
+        """(F, Fhat) on the grid rows `rows` (a row tile, or slice(None) for
+        the whole grid); qmul is elementwise, so a tile's values are those
+        of the whole grid, bit for bit."""
+        L = self.L[rows]
+        return _outer(L, self.R), _outer(qmul(L, self.xi), self.R)
 
     def u_frame(self, rows):
         """(F_u, Fh_u) on the grid rows `rows` (a row tile)."""
@@ -208,24 +212,46 @@ class ProductFactors:
                               self.xi, self.R, self.Rd)
 
 
+@dataclass(frozen=True)
+class SampledMaps:
+    """F and Fhat held whole as (nu, nv, 4) samples: the maps of a grid read
+    back from CSV, which has no factor curves."""
+
+    F: np.ndarray
+    Fhat: np.ndarray
+
+    def maps(self, rows):
+        """(F, Fhat) on the grid rows `rows`."""
+        return self.F[rows], self.Fhat[rows]
+
+
 @dataclass
 class FlatMapGrid:
     """Flat map sampled on the uniform grid spec.
 
-    F and Fhat have shape (nu, nv, 4).  Every constructor builds the map
-    from its ProductFactors and keeps them (and the angle function) in
-    product, the one source of the grid derivatives.  A grid read back
-    from CSV has product None and so no derivatives: only verify_flat_map
-    and write_flatmap_csv apply to it.
+    source gives (F, Fhat), each (nu, nv, 4), on any grid rows (maps): every
+    constructor keeps the map's ProductFactors there, so no (nu, nv, 4)
+    array is stored and each reader forms the rows it reads, tile by tile;
+    a grid read back from CSV keeps its SampledMaps.  The factors (with the
+    angle function) are the one source of the grid derivatives, so a grid
+    without them (product is None) has none: only verify_flat_map and
+    write_flatmap_csv apply to it.
     """
 
     spec: GridSpec
-    F: np.ndarray
-    Fhat: np.ndarray
+    source: object  # ProductFactors, or SampledMaps for a grid read from CSV
     omega_grid: np.ndarray
     omega_fn: Optional[AngleFunction] = None
     lattice: Optional[tuple] = None
-    product: Optional[ProductFactors] = None
+
+    @property
+    def product(self):
+        """The ProductFactors of the map, or None for sampled maps."""
+        return self.source if isinstance(self.source, ProductFactors) else None
+
+    def maps(self, rows):
+        """(F, Fhat) on the grid rows `rows` (a row tile, or slice(None))."""
+        return self.source.maps(rows)
 
     def factors(self):
         """The ProductFactors; the one check before any derivative: a grid
@@ -287,7 +313,6 @@ def bianchi_spivak_product(a1: S3Curve, a2: S3Curve, xi=QJ):
 
     L, R, d1, d2 = a1.samples, a2.samples, a1.deriv, a2.deriv
     product = ProductFactors(L, d1, a1.deriv2, xi, R, d2)
-    F, Fhat = product.maps()
 
     # angle from the analytic derivatives (exact at the nodes)
     Fu, Fv, _, Fhv = product.derivatives()
@@ -309,7 +334,7 @@ def bianchi_spivak_product(a1: S3Curve, a2: S3Curve, xi=QJ):
             f"recovered angle is not separable (residual {sep:.3e})", sep)
 
     spec = GridSpec(a1.u0, a2.u0, a1.h, a2.h, len(L), len(R))
-    return FlatMapGrid(spec, F, Fhat, omega_grid, omega_fn, product=product)
+    return FlatMapGrid(spec, product, omega_grid, omega_fn)
 
 
 HOPF_XI = np.array([0.0, 0.0, -1.0, 0.0])  # polar sign keeps w in (0, pi)
@@ -337,18 +362,16 @@ def _hopf_map(k, spec: GridSpec, a0=QONE):
     lattice = (u span, 2 pi) is set only when the lift returns to its
     start and v spans 2 pi."""
     product = _hopf_factors(k, spec, a0)
-    F, Fhat = product.maps()
     omega_fn = profile_angle(k)
     omega_grid = np.broadcast_to(
-        np.asarray(omega_fn.f1(spec.u_nodes))[:, None], F.shape[:2])
+        np.asarray(omega_fn.f1(spec.u_nodes))[:, None], (spec.nu, spec.nv))
 
     lattice = None
     closure = max(float(np.linalg.norm(x[-1] - x[0]))
                   for x in (product.L, product.Ld))
     if closure < 1e-6 and abs(spec.hv * (spec.nv - 1) - TWO_PI) < 1e-12:
         lattice = (spec.hu * (spec.nu - 1), TWO_PI)
-    return FlatMapGrid(spec, F, Fhat, omega_grid, omega_fn, lattice=lattice,
-                       product=product)
+    return FlatMapGrid(spec, product, omega_grid, omega_fn, lattice)
 
 
 def hopf_flat_map(k, U, h=1e-2, v_range=(0.0, TWO_PI), hv=None):
@@ -436,16 +459,17 @@ def verify_flat_map(g: FlatMapGrid) -> FlatMapReport:
     defect |<dF,dF> + <dFh,dFh> - 2(du^2+dv^2)| and the frame residual,
     the max deviation of the Gram matrix of {F, Fhat, F_u, Fhat_u} from
     I_4, which as_dict leaves out.  The grid is walked in row tiles
-    (fd.row_tiles), so no grid-sized derivative is built.
+    (fd.row_tiles), and F and Fhat are read on each tile's slab (g.maps),
+    so no grid-sized array is built.
     """
-    F, Fh, w = g.F, g.Fhat, g.omega_grid
-    hu, hv = g.spec.hu, g.spec.hv
+    w, hu, hv = g.omega_grid, g.spec.hu, g.spec.hv
 
     def terms(rows, slab, core):
-        Ft, Fht = F[rows], Fh[rows]
-        Fu = fd.d1(F[slab], hu, axis=0)[core]
+        F, Fh = g.maps(slab)
+        Ft, Fht = F[core], Fh[core]
+        Fu = fd.d1(F, hu, axis=0)[core]
         Fv = fd.d1(Ft, hv, axis=1)
-        Fhu = fd.d1(Fh[slab], hu, axis=0)[core]
+        Fhu = fd.d1(Fh, hu, axis=0)[core]
         Fhv = fd.d1(Fht, hv, axis=1)
         cw, sw = np.cos(w[rows]), np.sin(w[rows])
         return {
@@ -492,42 +516,6 @@ def verify_flat_map(g: FlatMapGrid) -> FlatMapReport:
     return FlatMapReport(res, gauss, frame_res)
 
 
-def polar_dual(g: FlatMapGrid) -> FlatMapGrid:
-    """The polar flat map (F, Fh) -> (Fh, -F) with angle w + pi."""
-    omega_fn = g.omega_fn.shifted(math.pi) if g.omega_fn is not None else None
-    product = g.product.polar() if g.product is not None else None
-    return FlatMapGrid(g.spec, g.Fhat.copy(), -g.F, g.omega_grid + math.pi,
-                       omega_fn, g.lattice, product)
-
-
-def normal_shape_check(g: FlatMapGrid):
-    """Product of the polar-map eigenvalue ratios; equals -1 on flat maps.
-
-    Writes (Fh_u, Fh_v) in the tangent basis (F_u, F_v) and returns the
-    max deviation |det M + 1| over interior nodes where |sin w| >= 0.1.
-    """
-    Fu, Fv, Fhu, Fhv = g.derivatives()
-    E = _dot(Fu, Fu)
-    Fm = _dot(Fu, Fv)
-    G = _dot(Fv, Fv)
-    det_gram = E * G - Fm * Fm
-    # components of Fh_u, Fh_v against the Gram matrix of (F_u, F_v)
-    b1u, b2u = _dot(Fhu, Fu), _dot(Fhu, Fv)
-    b1v, b2v = _dot(Fhv, Fu), _dot(Fhv, Fv)
-    m11 = (G * b1u - Fm * b2u)
-    m21 = (E * b2u - Fm * b1u)
-    m12 = (G * b1v - Fm * b2v)
-    m22 = (E * b2v - Fm * b1v)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        detM = (m11 * m22 - m12 * m21) / det_gram ** 2
-    mask = np.abs(np.sin(g.omega_grid)) >= 0.1
-    mask = fd.interior(mask)
-    vals = fd.interior(detM)[mask]
-    if vals.size == 0:
-        raise ValueError("no interior nodes with sin w bounded away from 0")
-    return float(np.max(np.abs(vals + 1.0)))
-
-
 # ---------------------------------------------------------------------------
 # CSV serialization (17 significant digits, bit-exact round trip)
 
@@ -552,16 +540,20 @@ def _write_rows(fh, n, rows, fmt="%.17g", sep=",", prefix=""):
         fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
-def _write_grid_csv(path, header, spec: GridSpec, *fields):
+def _write_grid_csv(path, header, spec: GridSpec, fields):
     """CSV of a grid: the header line, then u, v and the fields per node.
 
-    fields are (nu, nv) or (nu, nv, k) arrays; rows are in u-major order.
+    fields(rows) returns the fields on the grid rows `rows` (a slice), each
+    of shape (rows, nv) or (rows, nv, k), so a field formed per row tile is
+    formed only for the rows of each block; rows are in u-major order.
     """
     u, v = spec.u_nodes, spec.v_nodes
 
     def rows(lo, hi):
         i, j = np.divmod(np.arange(lo, hi), spec.nv)
-        return np.column_stack([u[i], v[j]] + [f[i, j] for f in fields])
+        i0 = int(i[0])
+        block = fields(slice(i0, int(i[-1]) + 1))
+        return np.column_stack([u[i], v[j]] + [f[i - i0, j] for f in block])
 
     with open(path, "w") as fh:
         fh.write(header + "\n")
@@ -570,7 +562,8 @@ def _write_grid_csv(path, header, spec: GridSpec, *fields):
 
 def write_flatmap_csv(g: FlatMapGrid, path):
     """Write g as CSV with the columns of FLATMAP_HEADER (see GridSpec)."""
-    _write_grid_csv(path, FLATMAP_HEADER, g.spec, g.F, g.Fhat, g.omega_grid)
+    _write_grid_csv(path, FLATMAP_HEADER, g.spec,
+                    lambda rows: (*g.maps(rows), g.omega_grid[rows]))
 
 
 def _infer_axis(values, name):
@@ -599,4 +592,4 @@ def read_flatmap_csv(path) -> FlatMapGrid:
     Fhat = data[:, 6:10].reshape(nu, nv, 4)
     omega = data[:, 10].reshape(nu, nv)
     return FlatMapGrid(GridSpec(float(u_nodes[0]), float(v_nodes[0]), hu, hv,
-                                nu, nv), F, Fhat, omega)
+                                nu, nv), SampledMaps(F, Fhat), omega)

@@ -69,6 +69,13 @@ class SolutionGrid:
     def has_analytic_derivatives(self):
         return self.alpha_u is not None and self.alpha_uu is not None
 
+    def tile(self, rows, slab, core):
+        """The solution on the rows of one row tile (fd.row_tiles): views,
+        spec unchanged."""
+        return replace(self, **{k: getattr(self, k)[rows] for k in
+                                ("alpha", "beta") + DERIVATIVE_FIELDS
+                                if getattr(self, k) is not None})
+
     def combine(self, other, a=1.0, b=1.0):
         """Linear combination a*self + b*other (the system is linear)."""
         if not self.spec.same_geometry(other.spec):
@@ -163,23 +170,61 @@ def wave_solution(omega0, f1, f2, spec: GridSpec):
 # geometric solutions <a, N> + rho
 
 
-def _factor_solution(spec: GridSpec, p: ProductFactors, a, rho, n,
-                     provenance):
+@dataclass(frozen=True)
+class FactorSolution:
     """(<a, F> + rho, <a, Fhat>) of the product map of p and its exact
-    derivatives, times n per order; beta is read off p.polar().
+    derivatives, times n per order, held as factors: every field is one
+    (nu, 4) factor of p or of q = p.polar() (beta is read off the polar map)
+    times the (4, nv) block aR = (a conj(R_j))_j, or aRd = (a conj(R'_j))_j
+    for the v-derivatives.
 
     Right multiplication by r has adjoint right multiplication by conj(r),
-    so <a, L_i R_j> = <L_i, a conj(R_j)> and each field is one
-    (nu, 4) @ (4, nv) product: no (nu, nv, 4) array is built.
+    so <a, L_i R_j> = <L_i, a conj(R_j)>: no (nu, nv, 4) array is built.
+    tile gives the fields that the representation formula reads on one row
+    tile; grid gives the SolutionGrid of all eight fields.
     """
-    aR = qmul(a, qconj(p.R)).T
-    aRd = qmul(a, qconj(p.Rd)).T
-    q = p.polar()
-    return SolutionGrid(
-        spec, p.L @ aR + rho, q.L @ aR, provenance,
-        alpha_u=n * (p.Ld @ aR), beta_u=n * (q.Ld @ aR),
-        alpha_v=n * (p.L @ aRd), beta_v=n * (q.L @ aRd),
-        alpha_uu=n * n * (p.Ldd @ aR), beta_uu=n * n * (q.Ldd @ aR))
+
+    spec: GridSpec
+    p: ProductFactors
+    q: ProductFactors
+    aR: np.ndarray
+    aRd: np.ndarray
+    n: int
+    rho: float
+    provenance: str
+
+    def _fields(self, product):
+        """The SolutionGrid of alpha, beta and their first and second
+        u-derivatives, product(X) being the contraction of a (nu, 4)
+        factor X with aR on the rows wanted."""
+        p, q, n = self.p, self.q, self.n
+        return SolutionGrid(
+            self.spec, product(p.L) + self.rho, product(q.L), self.provenance,
+            alpha_u=n * product(p.Ld), beta_u=n * product(q.Ld),
+            alpha_uu=n * n * product(p.Ldd), beta_uu=n * n * product(q.Ldd))
+
+    def tile(self, rows, slab, core):
+        """The fields on the rows of one row tile (fd.row_tiles), without
+        the v-derivatives, which no assembly reads.  Each product is taken
+        on the tile's slab and cut to core, which matches the whole-grid
+        product of single-threaded BLAS bit for bit: the product of a
+        single row (the last tile of a grid of k TILE_ROWS + 1 rows) takes
+        another BLAS path."""
+        return self._fields(lambda X: (X[slab] @ self.aR)[core])
+
+    def grid(self):
+        """The SolutionGrid of all eight fields on the whole grid."""
+        sol = self._fields(lambda X: X @ self.aR)
+        sol.alpha_v = self.n * (self.p.L @ self.aRd)
+        sol.beta_v = self.n * (self.q.L @ self.aRd)
+        return sol
+
+
+def _factor_solution(spec: GridSpec, p: ProductFactors, a, rho, n,
+                     provenance):
+    """The FactorSolution of the product map of p, a and rho."""
+    return FactorSolution(spec, p, p.polar(), qmul(a, qconj(p.R)).T,
+                          qmul(a, qconj(p.Rd)).T, n, rho, provenance)
 
 
 def geometric_solution(g: FlatMapGrid, a=(1.0, 0.0, 0.0, 0.0), rho=0.0):
@@ -191,7 +236,7 @@ def geometric_solution(g: FlatMapGrid, a=(1.0, 0.0, 0.0, 0.0), rho=0.0):
     read back from CSV raises PreconditionViolated.
     """
     return _factor_solution(g.spec, g.factors(), np.asarray(a, dtype=float),
-                            rho, 1, "geometric")
+                            rho, 1, "geometric").grid()
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +244,9 @@ def geometric_solution(g: FlatMapGrid, a=(1.0, 0.0, 0.0, 0.0), rho=0.0):
 
 
 def stretched_solution(k, n, spec: GridSpec, a=(1.0, 0.0, 0.0, 0.0), rho=0.0):
-    """Geometric solution of the n-stretched Hopf surface, read at (nu, nv).
+    """Geometric solution of the n-stretched Hopf surface, read at (nu, nv),
+    as a FactorSolution: its fields are formed per row tile where they are
+    read (FactorSolution.tile), or whole by FactorSolution.grid.
 
     Takes (alpha~, beta~) = (<a,N~>+rho, <a,N~hat>) on the Hopf map N~ of
     the stretched profile k~(u) = k(u/n) and returns

@@ -31,7 +31,9 @@ K_TRIM = 4  # Brioschi needs second derivatives of first derivatives
 @dataclass
 class ImmersionGrid:
     """f and the per-node fields more readers need whole; <f_v, f_v> = E,
-    and tangency_check forms Ahat, Bhat from A, B and w tile by tile."""
+    and tangency_check forms Ahat, Bhat from A, B and w tile by tile.
+    assemble forms each row tile of them from tiles of the solution and of
+    the flat map, so these (and K_est) are the only grids a build holds."""
     spec: GridSpec
     f: np.ndarray          # (Nu, Nv, 4)
     A: np.ndarray
@@ -55,18 +57,15 @@ class ImmersionGrid:
 
 def _angle_terms(gmap: FlatMapGrid):
     """(w_u, cos w, sin w) on the grid of the flat map; w_u is one (nu, 1)
-    column, since w_u depends on u alone."""
+    column, since w_u depends on u alone.  When omega_grid is a broadcast
+    view of its u-column (a Hopf map), cos w and sin w are taken on that
+    column and broadcast too, with the same values, so they hold no grid."""
     gmap.factors()  # product-form maps carry their angle function
     w = gmap.omega_grid
-    return (gmap.omega_fn.omega_u(gmap.spec.u_nodes)[:, None], np.cos(w),
-            np.sin(w))
-
-
-def _solution_rows(sol: SolutionGrid, rows):
-    """sol on the grid rows `rows` (views, spec unchanged)."""
-    return replace(sol, **{k: getattr(sol, k)[rows] for k in
-                           ("alpha", "beta") + DERIVATIVE_FIELDS
-                           if getattr(sol, k) is not None})
+    col = w[:, :1] if w.strides[1] == 0 else w
+    return (gmap.omega_fn.omega_u(gmap.spec.u_nodes)[:, None],
+            np.broadcast_to(np.cos(col), w.shape),
+            np.broadcast_to(np.sin(col), w.shape))
 
 
 def _margin_terms(sol: SolutionGrid, wu, cw, sw):
@@ -83,22 +82,37 @@ def _margin_terms(sol: SolutionGrid, wu, cw, sw):
     return au, bu, A, B, margin
 
 
-def assemble(gmap: FlatMapGrid, sol: SolutionGrid) -> ImmersionGrid:
-    """Evaluate the representation formula on matching grids."""
+def assemble(gmap: FlatMapGrid, sol) -> ImmersionGrid:
+    """Evaluate the representation formula on matching grids.
+
+    sol is a SolutionGrid, a hypsys.FactorSolution or a lambda_rescale of
+    one; it is read tile by tile (sol.tile), and so are the flat map
+    (gmap.maps) and its u-frame, so the only grids built are those the
+    ImmersionGrid keeps.
+    """
     if not sol.spec.same_geometry(gmap.spec):
         raise GridMismatch("flat map and solution grids differ")
     wu, cw, sw = _angle_terms(gmap)
-    au, bu, A, B, margin = _margin_terms(sol, wu, cw, sw)
-    E = A * A + B * B
-    Fm = (A * A - B * B) * cw + 2.0 * A * B * sw
-    del wu, cw, sw  # freed before f is built
-
-    f = np.empty(gmap.F.shape)
-    for rows, _, _ in fd.row_tiles(gmap.spec.nu):
+    shape = (gmap.spec.nu, gmap.spec.nv)
+    f = np.empty(shape + (4,))
+    A, B, margin, E, Fm = (np.empty(shape) for _ in range(5))
+    for rows, slab, core in fd.row_tiles(gmap.spec.nu):
+        part = sol.tile(rows, slab, core)
+        c, s = cw[rows], sw[rows]
+        au, bu, At, Bt, margin[rows] = _margin_terms(part, wu[rows], c, s)
+        A[rows], B[rows] = At, Bt
+        E[rows] = At * At + Bt * Bt
+        Fm[rows] = (At * At - Bt * Bt) * c + 2.0 * At * Bt * s
+        # f = alpha N + beta Nh + alpha_u N_u + beta_u Nh_u, summed in
+        # that order into the tile of f
+        ft = f[rows]
+        N, Nh = gmap.maps(rows)
+        np.multiply(part.alpha[:, :, None], N, out=ft)
+        ft += part.beta[:, :, None] * Nh
+        del N, Nh
         Nu_, Nhu_ = gmap.factors().u_frame(rows)
-        f[rows] = (sol.alpha[rows, :, None] * gmap.F[rows]
-                   + sol.beta[rows, :, None] * gmap.Fhat[rows]
-                   + au[rows, :, None] * Nu_ + bu[rows, :, None] * Nhu_)
+        ft += au[:, :, None] * Nu_
+        ft += bu[:, :, None] * Nhu_
     return ImmersionGrid(gmap.spec, f, A, B, margin, E, Fm)
 
 
@@ -119,16 +133,16 @@ def tangency_check(im: ImmersionGrid, gmap: FlatMapGrid):
     f is differentiated by central differences, tile by tile
     (fd.row_tiles); the frame derivatives come from the factor curves of
     the flat map (ProductFactors.u_frame), and Ahat = A cos w + B sin w,
-    Bhat = A sin w - B cos w from im.A, im.B and gmap.omega_grid.
+    Bhat = A sin w - B cos w from im.A, im.B and the angle terms of gmap.
     """
     f, hu, hv = im.f, im.spec.hu, im.spec.hv
+    _, cos_w, sin_w = _angle_terms(gmap)
 
     def terms(rows, slab, core):
         Nu_, Nhu_ = gmap.factors().u_frame(rows)
         fu = fd.d1(f[slab], hu, axis=0)[core]
         fv = fd.d1(f[rows], hv, axis=1)
-        A, B, w = im.A[rows], im.B[rows], gmap.omega_grid[rows]
-        cw, sw = np.cos(w), np.sin(w)
+        A, B, cw, sw = im.A[rows], im.B[rows], cos_w[rows], sin_w[rows]
         Ahat, Bhat = cw * A + sw * B, sw * A - cw * B
         ru = fu - A[:, :, None] * Nu_ - B[:, :, None] * Nhu_
         rv = fv - Ahat[:, :, None] * Nu_ - Bhat[:, :, None] * Nhu_
@@ -218,31 +232,43 @@ class SphereFit:
     rms_residual: float
 
 
+def _sphere_normal_equations(grid):
+    """(M, r) of the least-squares system M x = r of sphere_fit for the
+    (rows, per row, 4) points grid: with the rows a_p = (2 p, 1) and
+    b_p = |p|^2, M = sum a_p a_p^T and r = sum b_p a_p, summed one grid row
+    at a time in row order (a tile's rows by one batched product each), so
+    that no (N, 5) matrix is built and the tile height changes no bit."""
+    M, r = np.zeros((5, 5)), np.zeros((5, 1))
+    for rows, _, _ in fd.row_tiles(grid.shape[0]):
+        pts = grid[rows]
+        a = np.concatenate([2.0 * pts, np.ones(pts.shape[:2] + (1,))], axis=-1)
+        at = np.swapaxes(a, 1, 2)
+        b = np.einsum("ijk,ijk->ij", pts, pts)[..., None]
+        for Mi, ri in zip(at @ a, at @ b):
+            M += Mi
+            r += ri
+    return M, r[:, 0]
+
+
 def sphere_fit(im_or_points) -> SphereFit:
     """Least-squares affine 3-sphere through the sampled surface.
 
     Solves |f|^2 = 2 <f, a> + (rho^2 - |a|^2) in the unknowns (a, const)
     with a tiny ridge so exactly spherical data stays well posed, then
-    reports the rms of |f - a| - rho.  The distances are taken in tiles of
-    rows of the first axis (fd.row_tiles).
+    reports the rms of |f - a| - rho.  The normal equations are summed and
+    the distances taken in tiles of rows of the first axis (fd.row_tiles).
     """
     pts = im_or_points.f if hasattr(im_or_points, "f") else im_or_points
     pts = np.asarray(pts, dtype=float)
-    flat = pts.reshape(-1, 4)
-    if flat.shape[0] < 5:
+    # a grid's u-rows, or a list of points as one row
+    grid = pts.reshape((len(pts), -1, 4) if pts.ndim > 2 else (1, -1, 4))
+    if grid.shape[0] * grid.shape[1] < 5:
         raise ValueError("sphere fit needs at least 5 points")
-    A = np.empty((flat.shape[0], 5))
-    np.multiply(2.0, flat, out=A[:, :4])
-    A[:, 4] = 1.0
-    b = np.einsum("ij,ij->i", flat, flat)
-    M = A.T @ A + 1e-12 * np.eye(5)
-    x = np.linalg.solve(M, A.T @ b)
-    del A, b
+    M, r = _sphere_normal_equations(grid)
+    x = np.linalg.solve(M + 1e-12 * np.eye(5), r)
     center = x[:4]
     rad2 = x[4] + float(center @ center)
     radius = math.sqrt(max(rad2, 0.0))
-    # a grid's u-rows, or one point per row for a list of points
-    grid = flat.reshape(len(pts) if pts.ndim > 2 else len(flat), -1, 4)
     dist = np.empty(grid.shape[:2])
     for rows, _, _ in fd.row_tiles(grid.shape[0]):
         dist[rows] = np.linalg.norm(grid[rows] - center, axis=-1) - radius
@@ -254,16 +280,36 @@ def sphere_fit(im_or_points) -> SphereFit:
 # lambda rescaling (the collapse toward the unperturbed Hopf surface)
 
 
-def lambda_rescale(sol: SolutionGrid, lam) -> SolutionGrid:
-    """(alpha, beta) -> (1 + lam alpha, lam beta); still a solution."""
+@dataclass(frozen=True)
+class _Rescaled:
+    """lambda_rescale of a solution that is read tile by tile: each tile is
+    rescaled where it is read."""
+
+    spec: GridSpec
+    sol: object
+    lam: float
+
+    def tile(self, rows, slab, core):
+        return lambda_rescale(self.sol.tile(rows, slab, core), self.lam)
+
+
+def lambda_rescale(sol, lam):
+    """(alpha, beta) -> (1 + lam alpha, lam beta); still a solution.
+
+    A SolutionGrid is rescaled whole; any other solution (a
+    hypsys.FactorSolution) tile by tile where assemble reads it, with the
+    same arithmetic on each node.
+    """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
+    if not isinstance(sol, SolutionGrid):
+        return _Rescaled(sol.spec, sol, lam)
     scale = lambda arr: None if arr is None else lam * arr
     return replace(sol, alpha=1.0 + lam * sol.alpha, beta=lam * sol.beta,
                    **{k: scale(getattr(sol, k)) for k in DERIVATIVE_FIELDS})
 
 
-def auto_lambda(gmap: FlatMapGrid, sol: SolutionGrid):
+def auto_lambda(gmap: FlatMapGrid, sol):
     """Halve lambda from 1 until min margin > 0.5 * min sin w.
 
     Under (1 + lam alpha, lam beta) the margin at each node is quadratic
@@ -273,25 +319,25 @@ def auto_lambda(gmap: FlatMapGrid, sol: SolutionGrid):
     halving evaluates the margin by the same code as assemble, and the
     margin tested here is the one assemble would report.  As lambda -> 0
     the margin converges uniformly to sin w, so this terminates whenever
-    sin w is bounded away from zero on the grid.  Each halving takes the
-    minimum tile by tile (fd.row_tiles), so no rescaled copy of the whole
-    solution is made.
+    sin w is bounded away from zero on the grid.  sol is read as assemble
+    reads it: each halving reads it tile by tile (sol.tile, fd.row_tiles),
+    rescales the tile and takes its minimum, so neither a whole solution
+    nor a rescaled copy is held.
     """
     if not sol.spec.same_geometry(gmap.spec):
         raise GridMismatch("flat map and solution grids differ")
-    s_min = float(np.min(np.sin(fd.interior(gmap.omega_grid))))
+    wu, cw, sw = _angle_terms(gmap)
+    s_min = float(np.min(fd.interior(sw)))
     if s_min <= 0.0:
         raise NoLambdaFound(
             f"min sin w = {s_min:.3e} is not positive; no margin target exists")
-    wu, cw, sw = _angle_terms(gmap)
     nu = gmap.spec.nu
-    tiles = [(rows, _solution_rows(sol, rows)) for rows, _, _ in fd.row_tiles(nu)]
     lam = 1.0
     while lam >= 1e-12:
         minima = []
-        for rows, part in tiles:
-            margin = _margin_terms(lambda_rescale(part, lam), wu[rows],
-                                   cw[rows], sw[rows])[-1]
+        for rows, slab, core in fd.row_tiles(nu):
+            part = lambda_rescale(sol.tile(rows, slab, core), lam)
+            margin = _margin_terms(part, wu[rows], cw[rows], sw[rows])[-1]
             minima.append(np.min(fd.tile_interior(margin, rows, nu),
                                  initial=np.inf))
         if float(np.min(minima)) > 0.5 * s_min:
@@ -315,5 +361,6 @@ def write_immersion_csv(im: ImmersionGrid, path):
     everywhere when flatness_check has not run on im).
     """
     K = im.K_est if im.K_est is not None else np.full_like(im.A, np.nan)
-    _write_grid_csv(path, IMMERSION_HEADER, im.spec, im.f, im.A, im.B,
-                    im.margin, K)
+    _write_grid_csv(path, IMMERSION_HEADER, im.spec,
+                    lambda rows: (im.f[rows], im.A[rows], im.B[rows],
+                                  im.margin[rows], K[rows]))

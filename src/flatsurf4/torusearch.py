@@ -312,12 +312,12 @@ def lift_closure_multiple(k, m_max=Q_MAX, tol=1e-6):
 
 def _assemble_stretched(gmap: FlatMapGrid, k, n, lam):
     """(immersion, diagnostics) of the n-stretched solution on gmap's grid;
-    lambda comes from auto_lambda when lam is None."""
+    lambda comes from auto_lambda when lam is None.  The solution is held
+    as its factors (hypsys.FactorSolution), and auto_lambda and assemble
+    form and rescale it tile by tile, as they form F and Fhat."""
     sol = stretched_solution(k, n, gmap.spec)
     lam = auto_lambda(gmap, sol) if lam is None else float(lam)
-    sol = lambda_rescale(sol, lam)  # the unscaled solution is freed here
-    im = assemble(gmap, sol)
-    del sol  # and the scaled one before the diagnostics
+    im = assemble(gmap, lambda_rescale(sol, lam))
     return im, _diagnostics(gmap, im, lam)
 
 

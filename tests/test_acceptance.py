@@ -132,7 +132,7 @@ def test_criterion_4_system_residuals(hopf_wavy, helix_product):
     rows.append(("geometric", max(system_residual(sol, hopf_wavy.omega_fn)), 1e-4))
 
     k = CurvatureProfile(2.0, 0.5, (0.2,))
-    sol = stretched_solution(k, 2, hopf_wavy.spec)
+    sol = stretched_solution(k, 2, hopf_wavy.spec).grid()
     from flatsurf4.flatmap import profile_angle
     rows.append(("stretched", max(system_residual(sol, profile_angle(k))), 1e-4))
 

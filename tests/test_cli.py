@@ -251,6 +251,28 @@ def test_bad_input_gives_error_report(tmp_path, argv, needle):
     assert rep["command"] == argv[0]
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["solve", "--family", "geometric", "--h", "0.02"], "profile"),
+    (["build-cylinder", "--n", "3", "--lam", "0.02", "--h", "0.05", "--nv", "64"],
+     "profile"),
+    (["build-torus", "--k0", "1.21321612108222", "--target", "1/4"], "bracket"),
+    (["search-rational", "--k0", "1.0", "--bracket", "0.9,1.2"], "target"),
+    (["hopf-torus", "--h", "0.05"], "profile"),
+    (["holonomy", "--n", "2"], "profile"),
+    (["helix", "--h", "0.01"], "r"),
+    (["verify"], "input"),
+    (["solve", "--h", "0.02"], "family"),
+])
+def test_missing_required_key_names_command_and_key(tmp_path, capsys, argv,
+                                                    key):
+    code, rep = _main_report(tmp_path, *argv)
+    assert code == 1
+    assert rep["error"] == "ValueError"
+    assert rep["message"] == f"{argv[0]} needs the parameter {key!r}"
+    assert rep["command"] == argv[0]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["holonomy", "build-cylinder"])
 @pytest.mark.parametrize("profile", ["[1,2]", "3", '{"T":"x"}',
                                      '{"k0":0.5,"terms":5}', '{"k0":1}'])

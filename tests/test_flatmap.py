@@ -7,12 +7,14 @@ from flatsurf4 import _fd as fd
 from flatsurf4.curve import CurvatureProfile, S3Curve, asymptotic_lift
 from flatsurf4.errors import PreconditionViolated
 from flatsurf4.flatmap import (
-    FlatMapGrid, GridSpec, bianchi_spivak_product, clifford_flat_map,
-    constant_angle, helix_product_map, hopf_flat_map, linear_angle,
-    normal_shape_check, polar_dual, profile_angle, read_flatmap_csv,
-    verify_flat_map, write_flatmap_csv, _hopf_map,
+    FlatMapGrid, GridSpec, SampledMaps, bianchi_spivak_product,
+    clifford_flat_map, constant_angle, helix_product_map, hopf_flat_map,
+    linear_angle, profile_angle, read_flatmap_csv, verify_flat_map,
+    write_flatmap_csv, _hopf_map,
 )
 from flatsurf4.quat import QI, QJ, hopf, qmul
+
+from flatmap_checks import normal_shape_check, polar_dual
 
 TWO_PI = 2 * math.pi
 
@@ -74,7 +76,7 @@ def test_great_circle_product_is_clifford():
                        np.sin(u) * np.cos(v),
                        -np.sin(u) * np.sin(v),
                        np.cos(u) * np.sin(v)], axis=-1)
-    assert np.max(np.abs(g.F - expect)) < 1e-12
+    assert np.max(np.abs(g.maps(slice(None))[0] - expect)) < 1e-12
     assert verify_flat_map(g).max_flatmap_residual < 1e-8
 
 
@@ -161,7 +163,7 @@ def test_hopf_map_nonconstant_profile():
 def test_hopf_map_fibers_project_to_points():
     k = CurvatureProfile(2.0, 0.5, (0.3,))
     g = hopf_flat_map(k, 2.0, h=0.02, v_range=(0.0, 1.0))
-    proj = hopf(g.F)
+    proj = hopf(g.maps(slice(None))[0])
     spread = proj.max(axis=1) - proj.min(axis=1)
     assert np.max(spread) < 1e-8
 
@@ -179,15 +181,17 @@ def test_hopf_map_rejects_partial_period():
 def test_verify_detects_corruption():
     k = CurvatureProfile(math.pi, 1.0)
     g = hopf_flat_map(k, TWO_PI, h=0.02)
-    g.Fhat = g.F.copy()
+    F = g.maps(slice(None))[0]
+    g = FlatMapGrid(g.spec, SampledMaps(F, F.copy()), g.omega_grid)
     rep = verify_flat_map(g)
     assert abs(rep.residuals["orth_F_Fhat"] - 1.0) < 1e-9
 
 
 @pytest.mark.parametrize("nu,nv", [(1, 9), (2, 9), (9, 4)])
 def test_verify_refuses_a_grid_without_interior(nu, nv):
-    g = FlatMapGrid(GridSpec(0.0, 0.0, 0.1, 0.1, nu, nv), np.zeros((nu, nv, 4)),
-                    np.zeros((nu, nv, 4)), np.zeros((nu, nv)))
+    g = FlatMapGrid(GridSpec(0.0, 0.0, 0.1, 0.1, nu, nv),
+                    SampledMaps(np.zeros((nu, nv, 4)), np.zeros((nu, nv, 4))),
+                    np.zeros((nu, nv)))
     with pytest.raises(ValueError, match=f"a grid of {nu} x {nv} nodes has no "
                                          "interior; residuals need at least 5"):
         verify_flat_map(g)
@@ -221,13 +225,15 @@ def test_u_frame_is_rows_of_derivatives(kind):
 def test_polar_dual_factors_give_its_derivatives(kind):
     # the polar factors (L xi, L' xi, L'' xi, xi, R, R') rebuild (Fhat, -F)
     # and differentiate it like central differences of its grids do
-    gd = polar_dual(PRODUCT_MAPS[kind]())
-    F, Fhat = gd.factors().maps()
-    assert np.array_equal(F, gd.F)
-    assert np.max(np.abs(Fhat - gd.Fhat)) < 1e-12
+    g = PRODUCT_MAPS[kind]()
+    gd = polar_dual(g)
+    F, Fhat = gd.factors().maps(slice(None))
+    G, Ghat = g.maps(slice(None))
+    assert np.array_equal(F, Ghat)
+    assert np.max(np.abs(Fhat + G)) < 1e-12
     hu, hv = gd.spec.hu, gd.spec.hv
-    central = (fd.d1(gd.F, hu, axis=0), fd.d1(gd.F, hv, axis=1),
-               fd.d1(gd.Fhat, hu, axis=0), fd.d1(gd.Fhat, hv, axis=1))
+    central = (fd.d1(F, hu, axis=0), fd.d1(F, hv, axis=1),
+               fd.d1(Fhat, hu, axis=0), fd.d1(Fhat, hv, axis=1))
     for exact, diff in zip(gd.derivatives(), central):
         assert fd.max_interior(np.linalg.norm(exact - diff, axis=-1)) < 1e-6
 
@@ -241,9 +247,9 @@ def test_normal_shape_ratios():
 
 
 def test_clifford_standard_pose():
-    g = clifford_flat_map(h=0.05)
-    z1 = np.hypot(g.F[..., 0], g.F[..., 1])
-    z2 = np.hypot(g.F[..., 2], g.F[..., 3])
+    F = clifford_flat_map(h=0.05).maps(slice(None))[0]
+    z1 = np.hypot(F[..., 0], F[..., 1])
+    z2 = np.hypot(F[..., 2], F[..., 3])
     assert np.max(np.abs(z1 - 1 / math.sqrt(2))) < 1e-9
     assert np.max(np.abs(z2 - 1 / math.sqrt(2))) < 1e-9
 
@@ -258,10 +264,11 @@ def test_clifford_any_u_window(tmp_path):
     assert g.lattice is None
     i0 = 50  # ref node with u = 1.0
     assert np.max(np.abs(g.spec.u_nodes - ref.spec.u_nodes[i0:])) < 1e-12
-    assert np.max(np.abs(g.F - ref.F[i0:])) < 1e-12
-    assert np.max(np.abs(g.Fhat - ref.Fhat[i0:])) < 1e-12
-    z1 = np.hypot(g.F[..., 0], g.F[..., 1])
-    z2 = np.hypot(g.F[..., 2], g.F[..., 3])
+    F, Fhat = g.maps(slice(None))
+    assert np.max(np.abs(F - ref.maps(slice(i0, None))[0])) < 1e-12
+    assert np.max(np.abs(Fhat - ref.maps(slice(i0, None))[1])) < 1e-12
+    z1 = np.hypot(F[..., 0], F[..., 1])
+    z2 = np.hypot(F[..., 2], F[..., 3])
     assert np.max(np.abs(z1 - 1 / math.sqrt(2))) < 1e-9
     assert np.max(np.abs(z2 - 1 / math.sqrt(2))) < 1e-9
     path = tmp_path / "clifford.csv"
@@ -270,7 +277,7 @@ def test_clifford_any_u_window(tmp_path):
     assert float(first_row.split(",")[0]) == 1.0
     g2 = read_flatmap_csv(path)
     assert g2.spec.u0 == 1.0
-    assert np.array_equal(g2.F, g.F)
+    assert np.array_equal(g2.maps(slice(None))[0], F)
 
 
 def test_hopf_map_owns_its_factor_curves():
@@ -340,9 +347,10 @@ def test_flatmap_csv_roundtrip(tmp_path):
     path = tmp_path / "grid.csv"
     write_flatmap_csv(g, path)
     g2 = read_flatmap_csv(path)
-    assert g2.F.shape == g.F.shape
-    assert np.array_equal(g2.F, g.F)
-    assert np.array_equal(g2.Fhat, g.Fhat)
+    (F, Fhat), (F2, Fhat2) = g.maps(slice(None)), g2.maps(slice(None))
+    assert F2.shape == F.shape
+    assert np.array_equal(F2, F)
+    assert np.array_equal(Fhat2, Fhat)
     assert np.array_equal(g2.omega_grid, g.omega_grid)
     assert g2.spec.hu == pytest.approx(g.spec.hu, abs=1e-15)
     # a reloaded grid still verifies through finite differences

@@ -7,9 +7,9 @@ from flatsurf4.curve import CurvatureProfile, asymptotic_lift
 from flatsurf4.errors import (EqualSpeeds, GridMismatch, NonConstantAngle,
                               PathDependence, PreconditionViolated)
 from flatsurf4.flatmap import (ODE_STEP, constant_angle, helix_product_map,
-                               hopf_flat_map, linear_angle, normal_shape_check,
-                               polar_dual, profile_angle, read_flatmap_csv,
-                               verify_flat_map, write_flatmap_csv)
+                               hopf_flat_map, linear_angle, profile_angle,
+                               read_flatmap_csv, verify_flat_map,
+                               write_flatmap_csv)
 from flatsurf4.hypsys import (DERIVATIVE_FIELDS, GridSpec, SmoothFn,
                               SolutionGrid, _cum_u, constant_solution,
                               exponential_solution, geometric_solution,
@@ -18,6 +18,8 @@ from flatsurf4.hypsys import (DERIVATIVE_FIELDS, GridSpec, SmoothFn,
                               wave_solution, zero_solution)
 from flatsurf4.immersion import assemble, tangency_check
 from flatsurf4.quat import qmul
+
+from flatmap_checks import normal_shape_check, polar_dual
 
 TWO_PI = 2 * math.pi
 
@@ -177,7 +179,8 @@ def test_geometric_solution_contracts_on_factors(kind):
     p = g.factors()
     sol = geometric_solution(g, a=A_VEC, rho=RHO)
     Fu, Fv, Fhu, Fhv = g.derivatives()
-    ref = (_a_dot(g.F) + RHO, _a_dot(g.Fhat), _a_dot(Fu), _a_dot(Fhu),
+    F, Fhat = g.maps(slice(None))
+    ref = (_a_dot(F) + RHO, _a_dot(Fhat), _a_dot(Fu), _a_dot(Fhu),
            _a_dot(Fv), _a_dot(Fhv), _outer_dot(p.Ldd, p.R),
            _outer_dot(qmul(p.Ldd, p.xi), p.R))
     _assert_fields_close(sol, ref)
@@ -226,7 +229,7 @@ def test_stretched_solution_contracts_on_factors():
     spec = GridSpec.from_ranges((0.3, 2.3), (0.0, TWO_PI), 0.05, TWO_PI / 64)
     sub = round(n * spec.hu / ODE_STEP)
     # the reference lift takes the same ODE_STEP-sized steps, sub per grid step
-    sol = stretched_solution(k, n, spec, a=A_VEC, rho=RHO)
+    sol = stretched_solution(k, n, spec, a=A_VEC, rho=RHO).grid()
     lift = asymptotic_lift(k.stretch(n), (n * spec.u0, n * spec.u_nodes[-1]),
                            n * spec.hu / sub)
     L, Ld, Ldd = (x[::sub] for x in (lift.samples, lift.deriv, lift.deriv2))
@@ -250,7 +253,7 @@ def test_stretched_solution_is_geometric_solution_of_stretched_map():
     n, T = 2, 2.0
     k = CurvatureProfile(T, 0.5, (0.2,), (0.1,))
     spec = GridSpec.from_ranges((0.0, T), (0.0, 1.0), 0.02, 0.05)
-    sol = stretched_solution(k, n, spec, a=A_VEC, rho=RHO)
+    sol = stretched_solution(k, n, spec, a=A_VEC, rho=RHO).grid()
     g = hopf_flat_map(k.stretch(n), n * T, h=n * spec.hu, hv=n * spec.hv,
                       v_range=(0.0, n * 1.0))
     geo = geometric_solution(g, a=A_VEC, rho=RHO)
@@ -262,7 +265,7 @@ def test_stretched_solution_is_geometric_solution_of_stretched_map():
 def test_stretched_constant_profile_still_solves():
     k = CurvatureProfile(math.pi, 1.0)
     spec = GridSpec.from_ranges((0, math.pi), (0, 1), 0.01)
-    sol = stretched_solution(k, 2, spec)
+    sol = stretched_solution(k, 2, spec).grid()
     ra, rb = system_residual(sol, profile_angle(k))
     assert max(ra, rb) < 1e-4
 
@@ -271,7 +274,7 @@ def test_stretched_nonconstant_profile():
     T = 2.0
     k = CurvatureProfile(T, 0.5, (0.2,))
     spec = GridSpec.from_ranges((0, T), (0, 1), 0.01)
-    sol = stretched_solution(k, 2, spec)
+    sol = stretched_solution(k, 2, spec).grid()
     ra, rb = system_residual(sol, profile_angle(k))
     assert max(ra, rb) < 1e-4
     ra2, rb2 = system_residual(sol, profile_angle(k), derivatives="analytic")
@@ -284,7 +287,7 @@ def test_stretched_solution_v_frequency_is_n():
     n = 2
     k = CurvatureProfile(2.0, 0.5, (0.2,))
     spec = GridSpec.from_ranges((0, 2), (0, TWO_PI), 0.02, TWO_PI / 128)
-    sol = stretched_solution(k, n, spec)
+    sol = stretched_solution(k, n, spec).grid()
     row = sol.alpha[17, :-1] - np.mean(sol.alpha[17, :-1])
     power = np.abs(np.fft.rfft(row)) ** 2
     assert np.argmax(power[1:]) + 1 == n

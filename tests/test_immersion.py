@@ -7,8 +7,9 @@ from flatsurf4 import _fd as fd
 from flatsurf4.curve import CurvatureProfile
 from flatsurf4.errors import (DegenerateMetric, GridMismatch, NoLambdaFound,
                               PreconditionViolated)
-from flatsurf4.flatmap import (clifford_flat_map, helix_product_map,
-                               hopf_flat_map, linear_angle, verify_flat_map)
+from flatsurf4.flatmap import (FlatMapGrid, SampledMaps, clifford_flat_map,
+                               helix_product_map, hopf_flat_map, linear_angle,
+                               verify_flat_map)
 from flatsurf4.hypsys import (GridSpec, SmoothFn, constant_solution,
                               exponential_solution, geometric_solution,
                               helical_angle_solution, solve_numeric,
@@ -44,7 +45,7 @@ def clifford():
 def test_constant_solution_reproduces_the_flat_map(hopf_grid):
     sol = constant_solution(hopf_grid.spec, 1.0, 0.0)
     im = assemble(hopf_grid, sol)
-    assert np.max(np.abs(im.f - hopf_grid.F)) < 1e-12
+    assert np.max(np.abs(im.f - hopf_grid.maps(slice(None))[0])) < 1e-12
     assert np.max(np.abs(np.linalg.norm(im.f, axis=-1) - 1.0)) < 1e-9
     assert np.max(np.abs(im.A - 1.0)) < 1e-12
     assert np.max(np.abs(im.B)) < 1e-12
@@ -94,9 +95,10 @@ def test_frame_orthonormal_on_helix_product():
 def _frame_reference(gmap):
     """The frame check written out over all 16 entries of the Gram matrix,
     with its own differences of F and Fhat along u."""
-    Nu_ = fd.d1(gmap.F, gmap.spec.hu, axis=0)
-    Nhu_ = fd.d1(gmap.Fhat, gmap.spec.hu, axis=0)
-    frame = (gmap.F, gmap.Fhat, Nu_, Nhu_)
+    F, Fhat = gmap.maps(slice(None))
+    Nu_ = fd.d1(F, gmap.spec.hu, axis=0)
+    Nhu_ = fd.d1(Fhat, gmap.spec.hu, axis=0)
+    frame = (F, Fhat, Nu_, Nhu_)
     dev = 0.0
     for i, x in enumerate(frame):
         for j, y in enumerate(frame):
@@ -115,9 +117,8 @@ def test_frame_residual_matches_reference(clifford, hopf_grid):
 
 
 def test_frame_detects_corruption(clifford):
-    import copy
-    g = copy.copy(clifford)
-    g.Fhat = g.F
+    F = clifford.maps(slice(None))[0]
+    g = FlatMapGrid(clifford.spec, SampledMaps(F, F), clifford.omega_grid)
     assert verify_frame(g) > 0.9
 
 
@@ -170,7 +171,7 @@ def test_tangents_orthogonal_to_normals(hopf_grid):
     fu = fd.d1(im.f, im.spec.hu, axis=0)
     fv = fd.d1(im.f, im.spec.hv, axis=1)
     for tangent in (fu, fv):
-        for normal in (hopf_grid.F, hopf_grid.Fhat):
+        for normal in hopf_grid.maps(slice(None)):
             dots = np.einsum("...k,...k->...", tangent, normal)
             assert fd.max_interior(dots) < 1e-4
 

@@ -5,7 +5,10 @@ Each tiled function runs with tiles of 1, 2, 3 and 5 rows and with one
 tile taller than the grid (the whole-grid pass), on a Hopf map whose nu is
 a multiple of none of 2, 3 and 5, and on the smallest grid that has an
 interior (5 x 5).  Results are compared with np.array_equal, NaN positions
-included.
+included.  The tiles formed from factors (the flat map's F and Fhat, the
+stretched solution's fields) are also checked at the real tile height on a
+grid of k TILE_ROWS + 1 rows, whose last tile is a single row, against the
+whole-grid products.
 """
 
 import numpy as np
@@ -13,18 +16,40 @@ import pytest
 
 from flatsurf4 import _fd as fd
 from flatsurf4.curve import CurvatureProfile
-from flatsurf4.flatmap import GridSpec, _hopf_map, verify_flat_map
+from flatsurf4.flatmap import GridSpec, _hopf_map, _outer, verify_flat_map
 from flatsurf4.hypsys import stretched_solution, system_residual
-from flatsurf4.immersion import (assemble, auto_lambda, brioschi_curvature,
+from flatsurf4.immersion import (_sphere_normal_equations, assemble,
+                                 auto_lambda, brioschi_curvature,
                                  derived_solution, lambda_rescale,
                                  metric_identity_check, sphere_fit,
                                  tangency_check)
+from flatsurf4.quat import qmul
 
 K = CurvatureProfile(2.0, 0.5, (0.3,))
 GRIDS = {
     "49x41": GridSpec.from_ranges((0.0, 2.0), (0.0, 1.0), 2.0 / 48, 1.0 / 40),
     "5x5": GridSpec.from_ranges((0.0, 0.2), (0.0, 0.2), 0.05),
 }
+
+
+SOLUTION_TILE_FIELDS = ("alpha", "beta", "alpha_u", "beta_u", "alpha_uu",
+                        "beta_uu")
+
+
+def _tiled(spec, tile):
+    """The arrays of tile(rows, slab, core), a tuple of arrays on the tile's
+    rows, stacked over the tiles of spec's grid."""
+    parts = [tile(*t) for t in fd.row_tiles(spec.nu)]
+    return [np.concatenate(arrays) for arrays in zip(*parts)]
+
+
+def _factor_tiles(g, sol):
+    """F and Fhat of the flat map g and the fields of the FactorSolution
+    sol, each formed tile by tile and stacked."""
+    maps = _tiled(g.spec, lambda rows, slab, core: g.maps(rows))
+    fields = _tiled(g.spec, lambda *t: [getattr(sol.tile(*t), name)
+                                        for name in SOLUTION_TILE_FIELDS])
+    return dict(zip(("F", "Fhat") + SOLUTION_TILE_FIELDS, maps + fields))
 
 
 def _results(spec):
@@ -43,10 +68,12 @@ def _results(spec):
            "flatmap": list(rep.as_dict().values()),
            "frame": rep.frame_residual,
            "system_central": system_residual(derived_solution(im), g.omega_grid),
-           "system_analytic": system_residual(sol, g.omega_fn,
-                                              derivatives="analytic")}
+           "system_analytic": system_residual(sol.grid(), g.omega_fn,
+                                              derivatives="analytic"),
+           "sphere_sums": np.column_stack(_sphere_normal_equations(im.f))}
     for name in ("f", "A", "B", "margin", "E", "Fm"):
         out[name] = getattr(im, name)
+    out.update(_factor_tiles(g, sol))
     return out
 
 
@@ -61,6 +88,30 @@ def test_tile_height_changes_no_bit(grid, monkeypatch):
         for name, ref in whole.items():
             assert np.array_equal(np.asarray(tiled[name]), np.asarray(ref),
                                   equal_nan=True), (rows, name)
+
+
+def test_factor_tiles_match_whole_grid_products():
+    # nu = 2 TILE_ROWS + 1: the last tile is one row, whose product alone
+    # would take another BLAS path; the slab's product cut to the tile is
+    # that of the whole grid, bit for bit
+    spec = GridSpec.from_ranges((0.0, 2.0), (0.0, 1.0), 2.0 / (2 * fd.TILE_ROWS),
+                                1.0 / 40)
+    assert spec.nu == 2 * fd.TILE_ROWS + 1
+    assert [r.stop - r.start for r, _, _ in fd.row_tiles(spec.nu)][-1] == 1
+    g = _hopf_map(K, spec)
+    sol = stretched_solution(K, 2, spec)
+    p, q, aR, n = sol.p, sol.q, sol.aR, sol.n
+    L, R, xi = g.factors().L, g.factors().R, g.factors().xi
+    whole = {"F": _outer(L, R), "Fhat": _outer(qmul(L, xi), R),
+             "alpha": p.L @ aR + sol.rho, "beta": q.L @ aR,
+             "alpha_u": n * (p.Ld @ aR), "beta_u": n * (q.Ld @ aR),
+             "alpha_uu": n * n * (p.Ldd @ aR), "beta_uu": n * n * (q.Ldd @ aR)}
+    tiled = _factor_tiles(g, sol)
+    grid = sol.grid()
+    for name, ref in whole.items():
+        assert np.array_equal(tiled[name], ref), name
+        if name in SOLUTION_TILE_FIELDS:
+            assert np.array_equal(getattr(grid, name), ref), name
 
 
 def test_grids_are_the_intended_ones():

@@ -12,7 +12,7 @@ import pytest
 from flatsurf4.cli import NAMED_FUNCTIONS, JobConfig, export_obj, run
 from flatsurf4.curve import helix
 from flatsurf4.flatmap import (BLOCK_ROWS, FLATMAP_HEADER, FlatMapGrid,
-                               GridSpec, write_flatmap_csv)
+                               GridSpec, SampledMaps, write_flatmap_csv)
 from flatsurf4.hypsys import wave_solution
 from flatsurf4.immersion import (IMMERSION_HEADER, ImmersionGrid,
                                  write_immersion_csv)
@@ -66,10 +66,10 @@ def _field(shape, seed):
 
 def test_flatmap_csv_bytes(tmp_path):
     shape = (SPEC.nu, SPEC.nv)
-    g = FlatMapGrid(SPEC, _field(shape + (4,), 1), _field(shape + (4,), 2),
-                    _field(shape, 3))
+    F, Fhat = _field(shape + (4,), 1), _field(shape + (4,), 2)
+    g = FlatMapGrid(SPEC, SampledMaps(F, Fhat), _field(shape, 3))
     write_flatmap_csv(g, tmp_path / "g.csv")
-    expect = _csv(FLATMAP_HEADER, _grid_rows(SPEC, g.F, g.Fhat, g.omega_grid))
+    expect = _csv(FLATMAP_HEADER, _grid_rows(SPEC, F, Fhat, g.omega_grid))
     assert (tmp_path / "g.csv").read_bytes() == expect
 
 
