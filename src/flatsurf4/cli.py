@@ -1,7 +1,8 @@
 """Batch front end: one job per process, JSON reports, CSV/OBJ artifacts.
 
-Subcommands: helix | clifford | hopf-torus | flatmap-verify | solve |
-build-torus | build-cylinder | holonomy | search-rational | verify.
+COMMANDS lists the subcommands, each with its handler and the table of its
+keys, where each key's kind (what its values must be) and default live: the
+tables build the flags, and JobConfig checks every job against them.
 Every numeric result lands in a JSON report (sorted keys, so identical
 configs produce byte-identical reports); grids are written as CSV with
 17-significant-digit floats and surfaces optionally as OBJ meshes.
@@ -12,6 +13,7 @@ import json
 import math
 import sys
 import traceback
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,11 +34,6 @@ from .immersion import sphere_fit, write_immersion_csv
 from .quat import QK
 from .torusearch import (build_perturbed_cylinder, build_perturbed_torus,
                          holonomy, search_rational, single_harmonic_family)
-
-TWO_PI = 2.0 * math.pi
-STEP_KEYS = ("h", "hv")
-COUNT_KEYS = ("nv", "nodes_per_period")
-LENGTH_KEYS = {"u_range": 2, "v_range": 2, "u_window": 2, "y0": 2, "a": 4}
 
 NAMED_FUNCTIONS = {
     "sin": SmoothFn(np.sin, np.cos, lambda t: -np.sin(t), lambda t: -np.cos(t)),
@@ -108,20 +105,62 @@ def revolution_radii(xyz):
 # job configuration
 
 
+# A parameter's kind: test(value) is true of the values that rule describes
+# ("{key}" stands for the key); convert reads the text of its flag.
+Kind = namedtuple("Kind", "test rule convert")
+
+
+def numbers(n):
+    """The kind of a list of n real numbers; its flag takes a JSON list."""
+    return Kind(lambda v: isinstance(v, (list, tuple)) and len(v) == n
+                and all(map(_real, v)), f"{{key}} must hold {n} numbers", json.loads)
+
+
+def choice(*options):
+    """The kind of a value equal to one of options and of the same type."""
+    listed = ", ".join(map(repr, options[:-1])) + f" or {options[-1]!r}"
+    return Kind(lambda v: (type(v), v) in [(type(o), o) for o in options],
+                "{key} must be " + listed, type(options[0]))
+
+
+STEP = Kind(lambda v: _real(v) and v > 0,
+            "step size {key} must be a positive number", float)
+COUNT = Kind(lambda v: type(v) is int and v > 0, "{key} must be a positive integer", int)
+NODES = COUNT._replace(rule="node count " + COUNT.rule)
+REAL = Kind(_real, "{key} must be a number", float)
+TEXT = Kind(lambda v: isinstance(v, str), "{key} must be a string", str)
+FUNCTION = choice(*NAMED_FUNCTIONS)
+REQUIRED = object()  # the default of a key that a job cannot run without
+
+
 class _Params(dict):
-    """The parameters of one job: a required key that is missing raises a
-    ValueError naming the command and the key."""
+    """The parameters of one job but those set to None; a missing required
+    key raises a ValueError naming the command and the key."""
 
     def __init__(self, command, params):
-        super().__init__(params)
+        super().__init__((k, v) for k, v in params.items() if v is not None)
         self.command = command
 
     def __missing__(self, key):
         raise ValueError(f"{self.command} needs the parameter {key!r}")
 
+    def fill(self, table):
+        """Check the given keys of table, fill in the others; returns table."""
+        for key, (kind, default) in table.items():
+            if key in self:
+                if not kind.test(self[key]):
+                    raise ValueError(kind.rule.format(key=key)
+                                     + f", got {self[key]!r}")
+            elif default is REQUIRED:
+                self.__missing__(key)
+            elif default is not None:
+                self[key] = default
+        return table
+
 
 @dataclass
 class JobConfig:
+    """One job, checked against its command's table before any work."""
     command: str
     params: dict = field(default_factory=dict)
     out_dir: Path = Path(".")
@@ -131,29 +170,20 @@ class JobConfig:
         if not isinstance(self.params, dict):
             raise ValueError("params must be an object of parameter names and "
                              f"values, got {self.params!r}")
-        self.params = _Params(self.command, self.params)
-        for key, value in self.params.items():
-            if key in STEP_KEYS and not (value is None or _real(value) and value > 0):
-                raise ValueError(f"step size {key} must be a positive number, "
-                                 f"got {value!r}")
-            if key in COUNT_KEYS and not (value is None or type(value) is int and value > 0):
-                raise ValueError(f"node count {key} must be a positive integer, "
-                                 f"got {value!r}")
-            if key == "drop_index" and not (type(value) is int and 0 <= value <= 3):
-                raise ValueError(f"drop_index must be 0, 1, 2 or 3, got {value!r}")
-            if key in LENGTH_KEYS and not _numbers(value, LENGTH_KEYS[key]):
-                raise ValueError(f"{key} must hold {LENGTH_KEYS[key]} numbers, "
-                                 f"got {value!r}")
+        p = self.params = _Params(self.command, self.params)
+        if self.command not in COMMANDS:
+            return  # run reports the unknown command
+        table = p.fill(COMMANDS[self.command][1])
+        if self.command == "flatmap-verify":
+            table = {**table, **p.fill(FLATMAP_KINDS[p["kind"]][1])}
+        unknown = sorted(set(p) - set(table))
+        if unknown:
+            raise ValueError(f"{self.command} has no parameter {unknown[0]!r}; "
+                             f"it takes {', '.join(sorted(table))}")
 
     def path(self, name):
         self.out_dir.mkdir(parents=True, exist_ok=True)
         return self.out_dir / name
-
-
-def _numbers(value, n):
-    """True if value is a list or tuple of n real numbers."""
-    return (isinstance(value, (list, tuple)) and len(value) == n
-            and all(map(_real, value)))
 
 
 def _parse_fraction(text):
@@ -186,13 +216,12 @@ def _parse_bracket(text):
 
 
 def _cmd_helix(cfg):
-    r = cfg.params["r"]
-    tau = cfg.params.get("tau", 1)
-    h = cfg.params.get("h", 1e-3)
-    s_max = cfg.params.get("s_max", TWO_PI * r)
-    c = helix(r, tau, (0.0, s_max), h)
+    p = cfg.params
+    r = p["r"]
+    s_max = 2.0 * math.pi * r if p.get("s_max") is None else p["s_max"]
+    c = helix(r, p["tau"], (0.0, s_max), p["h"])
     kappa, tau_meas = frenet_s3(c)
-    csv = cfg.path(cfg.params.get("csv", "helix.csv"))
+    csv = cfg.path(p["csv"])
     s, q = c.u_grid, c.samples
     with open(csv, "w") as fh:
         fh.write("s,x1,x2,x3,x4\n")
@@ -210,8 +239,7 @@ def _cmd_helix(cfg):
 
 
 def _cmd_clifford(cfg):
-    h = cfg.params.get("h", 0.02)
-    g = clifford_flat_map(h=h)
+    g = clifford_flat_map(h=cfg.params["h"])
     rep = verify_flat_map(g).as_dict()
     if cfg.params.get("csv"):
         write_flatmap_csv(g, cfg.path(cfg.params["csv"]))
@@ -227,37 +255,26 @@ def _cmd_clifford(cfg):
 
 
 def _cmd_hopf_torus(cfg):
-    k = _periodic_profile(cfg.params["profile"])
-    periods = cfg.params.get("periods", 1)
-    h = cfg.params.get("h", 0.01)
-    g = hopf_flat_map(k, periods * k.base_period, h=h,
-                      hv=cfg.params.get("hv", h))
+    p = cfg.params
+    k = _periodic_profile(p["profile"])
+    g = hopf_flat_map(k, p["periods"] * k.base_period, h=p["h"], hv=p.get("hv"))
     rep = verify_flat_map(g).as_dict()
     rep["omega_min"] = float(np.min(g.omega_grid))
     rep["omega_max"] = float(np.max(g.omega_grid))
-    if cfg.params.get("csv"):
-        write_flatmap_csv(g, cfg.path(cfg.params["csv"]))
-        rep["csv"] = str(cfg.path(cfg.params["csv"]))
+    if p.get("csv"):
+        write_flatmap_csv(g, cfg.path(p["csv"]))
+        rep["csv"] = str(cfg.path(p["csv"]))
     return rep
 
 
-def _cmd_flatmap_verify(cfg):
-    kind = cfg.params.get("kind", "hopf")
-    if kind == "hopf":
-        return _cmd_hopf_torus(cfg)
-    if kind == "clifford":
-        return _cmd_clifford(cfg)
-    if kind == "helix-product":
-        r = cfg.params["r"]
-        span = cfg.params.get("span", 1.0)
-        h = cfg.params.get("h", 0.01)
-        g, mu = helix_product_map(r, (0, span), (0, span), h=h)
-        rep = verify_flat_map(g).as_dict()
-        expect = 2 * mu * np.add(*g.spec.mesh())
-        rep["mu"] = mu
-        rep["angle_dev_from_linear"] = float(np.max(np.abs(g.omega_grid - expect)))
-        return rep
-    raise ValueError(f"unknown flat map kind: {kind}")
+def _cmd_helix_product(cfg):
+    p = cfg.params
+    g, mu = helix_product_map(p["r"], (0, p["span"]), (0, p["span"]), h=p["h"])
+    rep = verify_flat_map(g).as_dict()
+    expect = 2 * mu * np.add(*g.spec.mesh())
+    rep["mu"] = mu
+    rep["angle_dev_from_linear"] = float(np.max(np.abs(g.omega_grid - expect)))
+    return rep
 
 
 def _cmd_verify(cfg):
@@ -267,58 +284,37 @@ def _cmd_verify(cfg):
     return rep
 
 
-def _fn(name):
-    try:
-        return NAMED_FUNCTIONS[name]
-    except KeyError:
-        raise ValueError(f"unknown function name: {name}; "
-                         f"choose from {sorted(NAMED_FUNCTIONS)}")
-
-
 def _cmd_solve(cfg):
     p = cfg.params
     family = p["family"]
-    h = p.get("h", 0.01)
-    spec = GridSpec.from_ranges(p.get("u_range", (0.0, 1.0)),
-                                p.get("v_range", (0.0, 1.0)), h,
-                                p.get("hv"))
+    spec = GridSpec.from_ranges(p["u_range"], p["v_range"], p["h"], p.get("hv"))
     if family == "wave":
-        omega0 = p.get("omega0", 0.0)
-        sol = wave_solution(omega0, _fn(p.get("f1", "sin")),
-                            _fn(p.get("f2", "cos")), spec)
-        omega = linear_angle(0.0, 0.0, omega0)
+        sol = wave_solution(p["omega0"], NAMED_FUNCTIONS[p["f1"]],
+                            NAMED_FUNCTIONS[p["f2"]], spec)
+        omega = linear_angle(0.0, 0.0, p["omega0"])
     elif family == "geometric":
-        k = parse_profile(p["profile"])
-        g = _hopf_map(k, spec)
-        sol = geometric_solution(g, tuple(p.get("a", (1, 0, 0, 0))),
-                                 p.get("rho", 0.0))
+        g = _hopf_map(parse_profile(p["profile"]), spec)
+        sol = geometric_solution(g, tuple(p["a"]), p["rho"])
         omega = g.omega_fn
     elif family == "stretched":
         k = parse_profile(p["profile"])
-        sol = stretched_solution(k, p.get("n", 2), spec).grid()
+        sol = stretched_solution(k, p["n"], spec).grid()
         omega = profile_angle(k)
     elif family == "helical":
-        mu = p.get("mu", 0.75)
-        sol = helical_angle_solution(mu, _fn(p.get("g", "sin")),
-                                     _fn(p.get("h_fn", "zero")), spec)
-        omega = linear_angle(2 * mu, 2 * mu)
+        sol = helical_angle_solution(p["mu"], NAMED_FUNCTIONS[p["g"]],
+                                     NAMED_FUNCTIONS[p["h_fn"]], spec)
+        omega = linear_angle(2 * p["mu"], 2 * p["mu"])
     elif family == "exponential":
-        r, s = p.get("r", 2.0), p.get("s", 1.0)
-        sol = exponential_solution(r, s, spec)
-        omega = linear_angle(2 * r, 2 * s)
+        sol = exponential_solution(p["r"], p["s"], spec)
+        omega = linear_angle(2 * p["r"], 2 * p["s"])
     elif family == "quadrature":
-        cu, cv = p.get("cu", 1.0), p.get("cv", 1.0)
-        omega = linear_angle(cu, cv)
-        sol = quadrature_transform(zero_solution(spec), omega,
-                                   y0=p.get("y0", (1.0, 0.0)))
-    elif family == "numeric":
-        k = parse_profile(p["profile"])
-        g = _hopf_map(k, spec)
-        ref = geometric_solution(g, tuple(p.get("a", (1, 0, 0, 0))))
+        omega = linear_angle(p["cu"], p["cv"])
+        sol = quadrature_transform(zero_solution(spec), omega, y0=p["y0"])
+    else:  # numeric
+        g = _hopf_map(parse_profile(p["profile"]), spec)
+        ref = geometric_solution(g, tuple(p["a"]))
         sol = solve_numeric(g.omega_fn, spec, ref.alpha[:, 0], ref.beta[:, 0])
         omega = g.omega_fn
-    else:
-        raise ValueError(f"unknown solution family: {family}")
 
     ra, rb = system_residual(sol, omega)
     rep = {"family": family, "residual_alpha": ra, "residual_beta": rb}
@@ -326,7 +322,7 @@ def _cmd_solve(cfg):
         ra2, rb2 = system_residual(sol, omega, derivatives="analytic")
         rep["residual_alpha_analytic"] = ra2
         rep["residual_beta_analytic"] = rb2
-    csv = cfg.path(p.get("csv", "solution.csv"))
+    csv = cfg.path(p["csv"])
     _write_grid_csv(csv, "u,v,alpha,beta", sol.spec,
                     lambda rows: (sol.alpha[rows], sol.beta[rows]))
     rep["csv"] = str(csv)
@@ -335,9 +331,8 @@ def _cmd_solve(cfg):
 
 def _cmd_holonomy(cfg):
     k = _periodic_profile(cfg.params["profile"])
-    n = cfg.params.get("n", 1)
-    res = holonomy(k if n == 1 else k.stretch(n),
-                   h=cfg.params.get("h", 1e-3))
+    n = cfg.params["n"]
+    res = holonomy(k if n == 1 else k.stretch(n), h=cfg.params["h"])
     return {
         "theta": res.theta,
         "theta_over_pi": res.theta_over_pi,
@@ -350,9 +345,9 @@ def _cmd_holonomy(cfg):
 def _search(p):
     """The search of search-rational and build-torus: the single-harmonic
     family k0 + eps cos(2 pi u / T) tuned onto a_n = target."""
-    fam = single_harmonic_family(p["k0"], p.get("T", math.pi))
-    return search_rational(fam, p.get("n", 2), _parse_fraction(p["target"]),
-                           _parse_bracket(p["bracket"]), h=p.get("h", 1e-3))
+    fam = single_harmonic_family(p["k0"], p["T"])
+    return search_rational(fam, p["n"], _parse_fraction(p["target"]),
+                           _parse_bracket(p["bracket"]), h=p["h"])
 
 
 def _cmd_search_rational(cfg):
@@ -372,7 +367,7 @@ def _export_immersion(cfg, im, rep):
         rep["csv"] = str(cfg.path(p["csv"]))
     if p.get("obj"):
         export_obj(im.f, cfg.path(p["obj"]), projection="drop",
-                   drop_index=p.get("drop_index", 3))
+                   drop_index=p["drop_index"])
         rep["obj"] = str(cfg.path(p["obj"]))
     return rep
 
@@ -380,10 +375,8 @@ def _export_immersion(cfg, im, rep):
 def _cmd_build_torus(cfg):
     p = cfg.params
     out = _search(p)
-    im, rep = build_perturbed_torus(
-        out, lam=p.get("lam"),
-        nodes_per_period=p.get("nodes_per_period", 96),
-        nv=p.get("nv", 192))
+    im, rep = build_perturbed_torus(out, lam=p.get("lam"), nv=p["nv"],
+                                    nodes_per_period=p["nodes_per_period"])
     rep["search_parameter"] = out.parameter
     rep["theta_over_pi"] = out.achieved.theta_over_pi
     return _export_immersion(cfg, im, rep)
@@ -392,24 +385,54 @@ def _cmd_build_torus(cfg):
 def _cmd_build_cylinder(cfg):
     p = cfg.params
     im, rep = build_perturbed_cylinder(
-        parse_profile(p["profile"]), n=p.get("n", 2), lam=p.get("lam"),
-        u_window=tuple(p.get("u_window", (0.0, 4 * math.pi))),
-        h=p.get("h", 0.02), nv=p.get("nv", 128))
+        parse_profile(p["profile"]), n=p["n"], lam=p.get("lam"),
+        u_window=tuple(p["u_window"]), h=p["h"], nv=p["nv"])
     return _export_immersion(cfg, im, rep)
 
 
+# Each command: its handler and its table, key -> (kind, default).  REQUIRED
+# marks a key no job of the command runs without; a default of None leaves
+# the key unset, read with get, or with [] where only some jobs need it.
+SEARCH = {"k0": (REAL, REQUIRED), "T": (REAL, math.pi), "n": (COUNT, 2),
+          "target": (TEXT, REQUIRED), "bracket": (TEXT, REQUIRED), "h": (STEP, 1e-3)}
+EXPORT = {"csv": (TEXT, None), "obj": (TEXT, None), "drop_index": (choice(0, 1, 2, 3), 3)}
 COMMANDS = {
-    "helix": _cmd_helix,
-    "clifford": _cmd_clifford,
-    "hopf-torus": _cmd_hopf_torus,
-    "flatmap-verify": _cmd_flatmap_verify,
-    "solve": _cmd_solve,
-    "build-torus": _cmd_build_torus,
-    "build-cylinder": _cmd_build_cylinder,
-    "holonomy": _cmd_holonomy,
-    "search-rational": _cmd_search_rational,
-    "verify": _cmd_verify,
+    "helix": (_cmd_helix, {
+        "r": (REAL, REQUIRED), "tau": (choice(1, -1), 1), "h": (STEP, 1e-3),
+        "s_max": (REAL, None), "csv": (TEXT, "helix.csv")}),
+    "clifford": (_cmd_clifford, {
+        "h": (STEP, 0.02), "csv": (TEXT, None), "obj": (TEXT, None)}),
+    "hopf-torus": (_cmd_hopf_torus, {
+        "profile": (TEXT, REQUIRED), "periods": (COUNT, 1), "h": (STEP, 0.01),
+        "hv": (STEP, None), "csv": (TEXT, None)}),
+    "flatmap-verify": (lambda cfg: FLATMAP_KINDS[cfg.params["kind"]][0](cfg), {
+        "kind": (choice("hopf", "clifford", "helix-product"), "hopf")}),
+    "solve": (_cmd_solve, {
+        "family": (choice("wave", "geometric", "stretched", "helical", "exponential",
+                          "quadrature", "numeric"), REQUIRED),
+        "h": (STEP, 0.01), "hv": (STEP, None), "u_range": (numbers(2), (0.0, 1.0)),
+        "v_range": (numbers(2), (0.0, 1.0)), "omega0": (REAL, 0.0),
+        "f1": (FUNCTION, "sin"), "f2": (FUNCTION, "cos"), "profile": (TEXT, None),
+        "a": (numbers(4), (1, 0, 0, 0)), "rho": (REAL, 0.0), "n": (COUNT, 2),
+        "mu": (REAL, 0.75), "g": (FUNCTION, "sin"), "h_fn": (FUNCTION, "zero"),
+        "r": (REAL, 2.0), "s": (REAL, 1.0), "cu": (REAL, 1.0), "cv": (REAL, 1.0),
+        "y0": (numbers(2), (1.0, 0.0)), "csv": (TEXT, "solution.csv")}),
+    "build-torus": (_cmd_build_torus, {
+        **SEARCH, "lam": (REAL, None), "nodes_per_period": (NODES, 96),
+        "nv": (NODES, 192), **EXPORT}),
+    "build-cylinder": (_cmd_build_cylinder, {
+        "profile": (TEXT, REQUIRED), "n": (COUNT, 2), "lam": (REAL, None),
+        "u_window": (numbers(2), (0.0, 4 * math.pi)), "h": (STEP, 0.02),
+        "nv": (NODES, 128), **EXPORT}),
+    "holonomy": (_cmd_holonomy, {
+        "profile": (TEXT, REQUIRED), "n": (COUNT, 1), "h": (STEP, 1e-3)}),
+    "search-rational": (_cmd_search_rational, SEARCH),
+    "verify": (_cmd_verify, {"input": (TEXT, REQUIRED)}),
 }
+# flatmap-verify --kind: the handler and the table of each kind
+FLATMAP_KINDS = {"hopf": COMMANDS["hopf-torus"], "clifford": COMMANDS["clifford"],
+                 "helix-product": (_cmd_helix_product, {
+                     "r": (REAL, REQUIRED), "span": (REAL, 1.0), "h": (STEP, 0.01)})}
 
 
 def _error_report(exc, command):
@@ -429,12 +452,10 @@ def run(cfg: JobConfig):
     ends the job without a report; one of an unexpected type is a fault in
     the program, and its traceback also goes to stderr.
     """
-    try:
-        handler = COMMANDS[cfg.command]
-    except KeyError:
+    if cfg.command not in COMMANDS:
         return 2, {"error": "UnknownCommand", "message": cfg.command}
     try:
-        report = handler(cfg)
+        report = COMMANDS[cfg.command][0](cfg)
         report["command"] = cfg.command
         return 0, report
     except (FlatSurfaceError, ValueError, KeyError, OSError) as exc:
@@ -445,6 +466,8 @@ def run(cfg: JobConfig):
 
 
 def _build_parser():
+    """Each command's flags are the keys of its table.  They only convert
+    text; JobConfig checks and fills in values, so a bad one is reported."""
     ap = argparse.ArgumentParser(
         prog="flatsurf4",
         description="flat surfaces in R^4: Hopf tori, flat maps, perturbed tori")
@@ -452,36 +475,13 @@ def _build_parser():
     ap.add_argument("--out-dir", default=".")
     ap.add_argument("--report", default="report.json")
     sub = ap.add_subparsers(dest="command")
-
-    def add(name, *specs):
-        sp = sub.add_parser(name)
-        for flag, kw in specs:
-            sp.add_argument(flag, **kw)
-        return sp
-
-    f = dict(type=float)
-    i = dict(type=int)
-    s = dict()
-    add("helix", ("--r", f), ("--tau", dict(type=int, default=1)),
-        ("--s-max", f), ("--h", f), ("--csv", s))
-    add("clifford", ("--h", f), ("--csv", s), ("--obj", s))
-    add("hopf-torus", ("--profile", s), ("--periods", i), ("--h", f),
-        ("--hv", f), ("--csv", s))
-    add("flatmap-verify", ("--kind", s), ("--r", f), ("--span", f),
-        ("--h", f), ("--profile", s), ("--periods", i))
-    add("solve", ("--family", s), ("--h", f), ("--hv", f), ("--omega0", f),
-        ("--f1", s), ("--f2", s), ("--g", s), ("--h-fn", s), ("--mu", f),
-        ("--r", f), ("--s", f), ("--cu", f), ("--cv", f), ("--n", i),
-        ("--profile", s), ("--rho", f), ("--csv", s))
-    add("build-torus", ("--k0", f), ("--T", f), ("--target", s),
-        ("--bracket", s), ("--n", i), ("--lam", f), ("--nodes-per-period", i),
-        ("--nv", i), ("--h", f), ("--csv", s), ("--obj", s), ("--drop-index", i))
-    add("build-cylinder", ("--profile", s), ("--n", i), ("--lam", f),
-        ("--h", f), ("--nv", i), ("--csv", s), ("--obj", s), ("--drop-index", i))
-    add("holonomy", ("--profile", s), ("--n", i), ("--h", f))
-    add("search-rational", ("--k0", f), ("--T", f), ("--target", s),
-        ("--bracket", s), ("--n", i), ("--h", f))
-    add("verify", ("--input", s))
+    for command, entry in COMMANDS.items():
+        kinds = FLATMAP_KINDS.values() if command == "flatmap-verify" else ()
+        flags = {key: kind for _, table in [entry, *kinds]
+                 for key, (kind, _) in table.items()}
+        sp = sub.add_parser(command)
+        for key, kind in flags.items():
+            sp.add_argument("--" + key.replace("_", "-"), type=kind.convert)
     return ap
 
 
@@ -500,19 +500,18 @@ def main(argv=None):
             command, params = blob["command"], blob.get("params", {})
             out_dir = Path(blob.get("out_dir", args.out_dir))
         else:
-            params = {k.replace("-", "_"): v for k, v in vars(args).items()
-                      if k not in ("command", "config", "out_dir", "report")
-                      and v is not None}
+            params = {k: v for k, v in vars(args).items()
+                      if k not in ("command", "config", "out_dir", "report")}
         cfg = JobConfig(command, params, out_dir)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         # unreadable config file, or a parameter that failed its check
         code, report = 1, _error_report(exc, command)
     else:
         code, report = run(cfg)
-    report_path = out_dir / args.report
+    text = json.dumps(report, indent=2, sort_keys=True)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(report, indent=2, sort_keys=True))
+    (out_dir / args.report).write_text(text + "\n")
+    print(text)
     return code
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import flatsurf4
+from flatsurf4 import cli
 from flatsurf4.cli import (JobConfig, export_obj, main, revolution_radii, run,
                            _stereographic)
 from flatsurf4.curve import CurvatureProfile, asymptotic_lift
@@ -313,6 +314,19 @@ WAVY = '{"T": 3.141592653589793, "k0": 1.2, "cos": [0.1]}'
      "node count nv"),
     ({"command": "build-cylinder", "params": {"profile": QUASI, "nv": True,
                                               "h": 0.1}}, "node count nv"),
+    ({"command": "helix", "params": {"r": "2"}}, "r must be a number, got '2'"),
+    ({"command": "build-cylinder", "params": {"profile": QUASI, "obj": "c.obj",
+                                              "u_windw": [1, 3]}},
+     "build-cylinder has no parameter 'u_windw'; it takes csv, drop_index, h, "
+     "lam, n, nv, obj, profile, u_window"),
+    ({"command": "build-cylinder", "params": {"profile": QUASI, "n": 2.5}},
+     "n must be a positive integer, got 2.5"),
+    ({"command": "build-cylinder", "params": {"profile": QUASI, "h": 0.1,
+                                              "nv": 8, "csv": True}},
+     "csv must be a string, got True"),
+    ({"command": "build-cylinder", "params": {"profile": {"k0": 0.8,
+                                                          "terms": []}}},
+     "profile must be a string"),
 ])
 def test_config_of_wrong_shape_gives_error_report(tmp_path, capsys, blob,
                                                   needle):
@@ -355,15 +369,46 @@ def test_cli_jobs_load_no_scipy(tmp_path):
         assert "error" not in json.loads((out / "report.json").read_text())
 
 
-def test_unexpected_exception_still_reports(tmp_path):
-    # a parameter of the wrong type fails inside the command, not in a check
+def test_unexpected_exception_still_reports(tmp_path, capsys, monkeypatch):
+    # a fault in a command's code, not in its input
+    def divide(cfg):
+        return 1 / 0
+    monkeypatch.setitem(cli.COMMANDS, "helix", (divide, cli.COMMANDS["helix"][1]))
     cfg_path = tmp_path / "job.json"
-    cfg_path.write_text(json.dumps({"command": "helix", "params": {"r": "2"},
+    cfg_path.write_text(json.dumps({"command": "helix", "params": {"r": 2.0},
                                     "out_dir": str(tmp_path)}))
     assert main(["--config", str(cfg_path)]) == 1
     rep = json.loads((tmp_path / "report.json").read_text())
-    assert rep["error"] == "TypeError"
+    assert rep["error"] == "ZeroDivisionError"
     assert rep["command"] == "helix" and rep["message"]
+    assert "Traceback" in capsys.readouterr().err
+
+
+def test_null_value_counts_as_absent_key(tmp_path):
+    profile = json.dumps({"T": math.pi, "k0": 1.0, "cos": [], "sin": []})
+    reports = []
+    for name, params in [("null", {"profile": profile, "h": None}),
+                         ("absent", {"profile": profile})]:
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps({"command": "holonomy", "params": params}))
+        assert _main_report(tmp_path / name, "--config", str(cfg_path))[0] == 0
+        reports.append((tmp_path / name / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("argv,name,lines", [
+    # h = 0.02 for clifford: 315 x 315 nodes, a v line each, 2 f lines a cell
+    (["--kind", "clifford", "--obj", "c.obj"], "c.obj", 315 ** 2 + 2 * 314 ** 2),
+    # h = 0.01 for hopf: 201 x 629 nodes and a header
+    (["--kind", "hopf", "--profile", '{"T": 2.0, "k0": 0.5, "cos": [0.3]}',
+      "--csv", "x.csv"], "x.csv", 201 * 629 + 1),
+])
+def test_flatmap_verify_takes_the_flags_of_its_kind(tmp_path, argv, name,
+                                                    lines):
+    code, rep = _main_report(tmp_path, "flatmap-verify", *argv)
+    assert code == 0
+    assert rep[name.split(".")[1]] == str(tmp_path / name)
+    assert len((tmp_path / name).read_text().splitlines()) == lines
 
 
 @pytest.mark.parametrize("content,error", [

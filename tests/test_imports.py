@@ -10,13 +10,16 @@ module, inside a function too, is an error.
 Optional parameters were cut from 121 to 59, and settings such as the
 tile height of the full-grid passes are module constants: the count of
 optional parameters may not grow, and no package file reads the
-environment.
+environment.  The CLI's flags are the keys of its parameter tables, and
+the count of (command, key) pairs may not grow either.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from flatsurf4 import cli
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "flatsurf4"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -120,3 +123,21 @@ def test_optional_parameters_do_not_grow():
 @pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
 def test_module_does_not_read_the_environment(path):
     assert _environment_reads(path.read_text()) == []
+
+
+# (command, key) pairs of the CLI: the keys the handlers read when the
+# tables replaced the hand-written flags and checks
+MAX_COMMAND_KEYS = 74
+
+
+def test_cli_flags_are_the_parameter_tables():
+    parser = cli._build_parser()
+    top = set(vars(parser.parse_args([])))
+    count = 0
+    for command, (_, table) in cli.COMMANDS.items():
+        kinds = cli.FLATMAP_KINDS.values() if command == "flatmap-verify" else ()
+        keys = set(table).union(*(kind_table for _, kind_table in kinds))
+        flags = set(vars(parser.parse_args([command]))) - top
+        assert flags == keys, command
+        count += len(flags)
+    assert count <= MAX_COMMAND_KEYS
