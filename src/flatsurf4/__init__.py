@@ -14,9 +14,9 @@ from .errors import (ClosureFailure, DegenerateMetric, EqualSpeeds,
                      PreconditionViolated, SingularAfterRescale)
 from .flatmap import (AngleFunction, FlatMapGrid, SampledMaps,
                       bianchi_spivak_product, clifford_flat_map,
-                      constant_angle, helix_product_map, hopf_flat_map,
-                      linear_angle, profile_angle, read_flatmap_csv,
-                      verify_flat_map, write_flatmap_csv)
+                      helix_product_map, hopf_flat_map, linear_angle,
+                      profile_angle, read_flatmap_csv, verify_flat_map,
+                      write_flatmap_csv)
 from .hypsys import (FactorSolution, GridSpec, SmoothFn, SolutionGrid,
                      constant_solution, exponential_solution, geometric_solution,
                      helical_angle_solution, quadrature_transform,

@@ -2,8 +2,9 @@
 
 COMMANDS lists the subcommands, each with its handler and the table of its
 keys, where each key's kind (what its values must be) and default live: the
-tables build the flags, and JobConfig checks every job against them.
-Every numeric result lands in a JSON report (sorted keys, so identical
+tables build the flags, and JobConfig checks every job against them.  A
+command with a selector key (flatmap-verify --kind, solve --family) also
+takes the keys of the table its value selects (SELECTORS).  Every numeric result lands in a JSON report (sorted keys, so identical
 configs produce byte-identical reports); grids are written as CSV with
 17-significant-digit floats and surfaces optionally as OBJ meshes.
 """
@@ -174,8 +175,9 @@ class JobConfig:
         if self.command not in COMMANDS:
             return  # run reports the unknown command
         table = p.fill(COMMANDS[self.command][1])
-        if self.command == "flatmap-verify":
-            table = {**table, **p.fill(FLATMAP_KINDS[p["kind"]][1])}
+        if self.command in SELECTORS:
+            key, variants = SELECTORS[self.command]
+            table = {**table, **p.fill(variants[p[key]][1])}
         unknown = sorted(set(p) - set(table))
         if unknown:
             raise ValueError(f"{self.command} has no parameter {unknown[0]!r}; "
@@ -225,8 +227,8 @@ def _cmd_helix(cfg):
     s, q = c.u_grid, c.samples
     with open(csv, "w") as fh:
         fh.write("s,x1,x2,x3,x4\n")
-        _write_rows(fh, len(q),
-                    lambda lo, hi: np.column_stack([s[lo:hi], q[lo:hi]]))
+        _write_rows(fh, len(q), lambda lo, hi: np.column_stack([s[lo:hi], q[lo:hi]]),
+                    "%.17g", ",", "")
     return {
         "kappa": float(np.median(kappa)),
         "kappa_expected": helix_curvature(r),
@@ -284,40 +286,51 @@ def _cmd_verify(cfg):
     return rep
 
 
+def _wave(p, spec):
+    return (wave_solution(p["omega0"], NAMED_FUNCTIONS[p["f1"]],
+                          NAMED_FUNCTIONS[p["f2"]], spec),
+            linear_angle(0.0, 0.0, p["omega0"]))
+
+
+def _geometric(p, spec):
+    g = _hopf_map(parse_profile(p["profile"]), spec)
+    return geometric_solution(g, tuple(p["a"]), p["rho"]), g.omega_fn
+
+
+def _stretched(p, spec):
+    k = parse_profile(p["profile"])
+    return stretched_solution(k, p["n"], spec).grid(), profile_angle(k)
+
+
+def _helical(p, spec):
+    return (helical_angle_solution(p["mu"], NAMED_FUNCTIONS[p["g"]],
+                                   NAMED_FUNCTIONS[p["h_fn"]], spec),
+            linear_angle(2 * p["mu"], 2 * p["mu"]))
+
+
+def _exponential(p, spec):
+    return (exponential_solution(p["r"], p["s"], spec),
+            linear_angle(2 * p["r"], 2 * p["s"]))
+
+
+def _quadrature(p, spec):
+    omega = linear_angle(p["cu"], p["cv"])
+    return quadrature_transform(zero_solution(spec), omega, y0=p["y0"]), omega
+
+
+def _numeric(p, spec):
+    g = _hopf_map(parse_profile(p["profile"]), spec)
+    ref = geometric_solution(g, tuple(p["a"]))
+    return (solve_numeric(g.omega_fn, spec, ref.alpha[:, 0], ref.beta[:, 0]),
+            g.omega_fn)
+
+
 def _cmd_solve(cfg):
     p = cfg.params
-    family = p["family"]
     spec = GridSpec.from_ranges(p["u_range"], p["v_range"], p["h"], p.get("hv"))
-    if family == "wave":
-        sol = wave_solution(p["omega0"], NAMED_FUNCTIONS[p["f1"]],
-                            NAMED_FUNCTIONS[p["f2"]], spec)
-        omega = linear_angle(0.0, 0.0, p["omega0"])
-    elif family == "geometric":
-        g = _hopf_map(parse_profile(p["profile"]), spec)
-        sol = geometric_solution(g, tuple(p["a"]), p["rho"])
-        omega = g.omega_fn
-    elif family == "stretched":
-        k = parse_profile(p["profile"])
-        sol = stretched_solution(k, p["n"], spec).grid()
-        omega = profile_angle(k)
-    elif family == "helical":
-        sol = helical_angle_solution(p["mu"], NAMED_FUNCTIONS[p["g"]],
-                                     NAMED_FUNCTIONS[p["h_fn"]], spec)
-        omega = linear_angle(2 * p["mu"], 2 * p["mu"])
-    elif family == "exponential":
-        sol = exponential_solution(p["r"], p["s"], spec)
-        omega = linear_angle(2 * p["r"], 2 * p["s"])
-    elif family == "quadrature":
-        omega = linear_angle(p["cu"], p["cv"])
-        sol = quadrature_transform(zero_solution(spec), omega, y0=p["y0"])
-    else:  # numeric
-        g = _hopf_map(parse_profile(p["profile"]), spec)
-        ref = geometric_solution(g, tuple(p["a"]))
-        sol = solve_numeric(g.omega_fn, spec, ref.alpha[:, 0], ref.beta[:, 0])
-        omega = g.omega_fn
-
+    sol, omega = SOLVE_FAMILIES[p["family"]][0](p, spec)
     ra, rb = system_residual(sol, omega)
-    rep = {"family": family, "residual_alpha": ra, "residual_beta": rb}
+    rep = {"family": p["family"], "residual_alpha": ra, "residual_beta": rb}
     if sol.has_analytic_derivatives and sol.alpha_v is not None:
         ra2, rb2 = system_residual(sol, omega, derivatives="analytic")
         rep["residual_alpha_analytic"] = ra2
@@ -396,6 +409,21 @@ def _cmd_build_cylinder(cfg):
 SEARCH = {"k0": (REAL, REQUIRED), "T": (REAL, math.pi), "n": (COUNT, 2),
           "target": (TEXT, REQUIRED), "bracket": (TEXT, REQUIRED), "h": (STEP, 1e-3)}
 EXPORT = {"csv": (TEXT, None), "obj": (TEXT, None), "drop_index": (choice(0, 1, 2, 3), 3)}
+# solve --family: the solution and angle of each family, (p, spec) ->
+# (sol, omega), and the table of the keys it reads
+HOPF = {"profile": (TEXT, REQUIRED), "a": (numbers(4), (1, 0, 0, 0))}
+SOLVE_FAMILIES = {
+    "wave": (_wave, {"omega0": (REAL, 0.0), "f1": (FUNCTION, "sin"),
+                     "f2": (FUNCTION, "cos")}),
+    "geometric": (_geometric, {**HOPF, "rho": (REAL, 0.0)}),
+    "stretched": (_stretched, {"profile": (TEXT, REQUIRED), "n": (COUNT, 2)}),
+    "helical": (_helical, {"mu": (REAL, 0.75), "g": (FUNCTION, "sin"),
+                           "h_fn": (FUNCTION, "zero")}),
+    "exponential": (_exponential, {"r": (REAL, 2.0), "s": (REAL, 1.0)}),
+    "quadrature": (_quadrature, {"cu": (REAL, 1.0), "cv": (REAL, 1.0),
+                                 "y0": (numbers(2), (1.0, 0.0))}),
+    "numeric": (_numeric, HOPF),
+}
 COMMANDS = {
     "helix": (_cmd_helix, {
         "r": (REAL, REQUIRED), "tau": (choice(1, -1), 1), "h": (STEP, 1e-3),
@@ -408,15 +436,9 @@ COMMANDS = {
     "flatmap-verify": (lambda cfg: FLATMAP_KINDS[cfg.params["kind"]][0](cfg), {
         "kind": (choice("hopf", "clifford", "helix-product"), "hopf")}),
     "solve": (_cmd_solve, {
-        "family": (choice("wave", "geometric", "stretched", "helical", "exponential",
-                          "quadrature", "numeric"), REQUIRED),
+        "family": (choice(*SOLVE_FAMILIES), REQUIRED),
         "h": (STEP, 0.01), "hv": (STEP, None), "u_range": (numbers(2), (0.0, 1.0)),
-        "v_range": (numbers(2), (0.0, 1.0)), "omega0": (REAL, 0.0),
-        "f1": (FUNCTION, "sin"), "f2": (FUNCTION, "cos"), "profile": (TEXT, None),
-        "a": (numbers(4), (1, 0, 0, 0)), "rho": (REAL, 0.0), "n": (COUNT, 2),
-        "mu": (REAL, 0.75), "g": (FUNCTION, "sin"), "h_fn": (FUNCTION, "zero"),
-        "r": (REAL, 2.0), "s": (REAL, 1.0), "cu": (REAL, 1.0), "cv": (REAL, 1.0),
-        "y0": (numbers(2), (1.0, 0.0)), "csv": (TEXT, "solution.csv")}),
+        "v_range": (numbers(2), (0.0, 1.0)), "csv": (TEXT, "solution.csv")}),
     "build-torus": (_cmd_build_torus, {
         **SEARCH, "lam": (REAL, None), "nodes_per_period": (NODES, 96),
         "nv": (NODES, 192), **EXPORT}),
@@ -433,6 +455,10 @@ COMMANDS = {
 FLATMAP_KINDS = {"hopf": COMMANDS["hopf-torus"], "clifford": COMMANDS["clifford"],
                  "helix-product": (_cmd_helix_product, {
                      "r": (REAL, REQUIRED), "span": (REAL, 1.0), "h": (STEP, 0.01)})}
+# A command with a selector key also takes the keys of the table that the
+# selector's value picks: command -> (selector key, {value: (handler, table)})
+SELECTORS = {"flatmap-verify": ("kind", FLATMAP_KINDS),
+             "solve": ("family", SOLVE_FAMILIES)}
 
 
 def _error_report(exc, command):
@@ -476,8 +502,8 @@ def _build_parser():
     ap.add_argument("--report", default="report.json")
     sub = ap.add_subparsers(dest="command")
     for command, entry in COMMANDS.items():
-        kinds = FLATMAP_KINDS.values() if command == "flatmap-verify" else ()
-        flags = {key: kind for _, table in [entry, *kinds]
+        variants = SELECTORS[command][1].values() if command in SELECTORS else ()
+        flags = {key: kind for _, table in [entry, *variants]
                  for key, (kind, _) in table.items()}
         sp = sub.add_parser(command)
         for key, kind in flags.items():

@@ -14,6 +14,7 @@ re-derives the relations by central differences instead.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -52,17 +53,6 @@ class AngleFunction:
 
     def omega_v(self, v):
         return np.asarray(self.df2(v))
-
-    def shifted(self, delta):
-        f1, df1 = self.f1, self.df1
-        return AngleFunction(lambda u: np.asarray(f1(u)) + delta, df1,
-                             self.f2, self.df2)
-
-
-def constant_angle(w0):
-    z = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    return AngleFunction(lambda u: np.full_like(np.asarray(u, dtype=float), w0),
-                         z, z, z)
 
 
 def linear_angle(cu, cv, c0=0.0):
@@ -524,15 +514,14 @@ FLATMAP_HEADER = "u,v,F1,F2,F3,F4,Fh1,Fh2,Fh3,Fh4,omega"
 BLOCK_ROWS = 4096
 
 
-def _write_rows(fh, n, rows, fmt="%.17g", sep=",", prefix=""):
+def _write_rows(fh, n, rows, fmt, sep, prefix):
     """Write the rows of the items 0..n-1 to the open text file fh.
 
     rows(lo, hi) returns the rows of items lo..hi-1 as one 2-D array; each
-    row is written as prefix, then its entries in fmt joined by sep.  The
-    default is the CSV row: 17 significant digits, so floats read back bit
-    for bit.  Items are taken BLOCK_ROWS at a time and each block is
-    formatted by one %-operation, which gives the same bytes as formatting
-    row by row; neither the whole table nor the whole file is held at once.
+    row is written as prefix, then its entries in fmt joined by sep.  Items
+    are taken BLOCK_ROWS at a time and each block is formatted by one
+    %-operation, which gives the same bytes as formatting row by row;
+    neither the whole table nor the whole file is held at once.
     """
     for lo in range(0, n, BLOCK_ROWS):
         block = rows(lo, min(lo + BLOCK_ROWS, n))
@@ -541,23 +530,31 @@ def _write_rows(fh, n, rows, fmt="%.17g", sep=",", prefix=""):
 
 
 def _write_grid_csv(path, header, spec: GridSpec, fields):
-    """CSV of a grid: the header line, then u, v and the fields per node.
+    """CSV of a grid: the header line, then u, v and the fields per node,
+    each float with 17 significant digits (%.17g), rows in u-major order.
 
     fields(rows) returns the fields on the grid rows `rows` (a slice), each
     of shape (rows, nv) or (rows, nv, k), so a field formed per row tile is
-    formed only for the rows of each block; rows are in u-major order.
+    formed only for the rows of each block.  Blocks hold whole u rows, about
+    BLOCK_ROWS nodes.  Each u and v value is formatted once: parts[j] is
+    the format of the tail of a row at v_j, and a u row is its u string
+    joined with parts, so one %-operation per block formats only the fields,
+    with the same bytes as formatting row by row.
     """
-    u, v = spec.u_nodes, spec.v_nodes
-
-    def rows(lo, hi):
-        i, j = np.divmod(np.arange(lo, hi), spec.nv)
-        i0 = int(i[0])
-        block = fields(slice(i0, int(i[-1]) + 1))
-        return np.column_stack([u[i], v[j]] + [f[i - i0, j] for f in block])
-
+    nv = spec.nv
+    u_strings = ["%.17g" % u for u in spec.u_nodes.tolist()]
+    step, parts = max(1, BLOCK_ROWS // nv), None
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        _write_rows(fh, spec.nu * spec.nv, rows)
+        for lo in range(0, spec.nu, step):
+            hi = min(lo + step, spec.nu)
+            block = np.concatenate([np.reshape(f, (hi - lo, nv, -1))
+                                    for f in fields(slice(lo, hi))], axis=2)
+            if parts is None:
+                tail = ",%.17g" * block.shape[2] + "\n"
+                parts = ["," + "%.17g" % v + tail for v in spec.v_nodes.tolist()]
+            fh.write("".join(u + u.join(parts) for u in u_strings[lo:hi])
+                     % tuple(block.ravel().tolist()))
 
 
 def write_flatmap_csv(g: FlatMapGrid, path):
@@ -579,8 +576,18 @@ def _infer_axis(values, name):
 
 
 def read_flatmap_csv(path) -> FlatMapGrid:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    data = np.atleast_2d(data)
+    """The flat map of a CSV written by write_flatmap_csv, bit for bit: F and
+    Fhat as SampledMaps, no factor curves.  A file without rows, or with
+    rows of other than the columns of FLATMAP_HEADER, raises ValueError."""
+    with warnings.catch_warnings():  # numpy warns of a file without rows
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    rows, cols = data.shape
+    ncols = len(FLATMAP_HEADER.split(","))
+    if rows == 0 or cols != ncols:
+        found = f"{rows} rows of {cols} columns" if rows else "no rows"
+        raise ValueError(f"{path}: a flat-map CSV needs rows of the {ncols} "
+                         f"columns {FLATMAP_HEADER}; found {found}")
     u_nodes, hu = _infer_axis(data[:, 0], "u")
     v_nodes, hv = _infer_axis(data[:, 1], "v")
     nu, nv = len(u_nodes), len(v_nodes)

@@ -76,21 +76,6 @@ class SolutionGrid:
                                 ("alpha", "beta") + DERIVATIVE_FIELDS
                                 if getattr(self, k) is not None})
 
-    def combine(self, other, a=1.0, b=1.0):
-        """Linear combination a*self + b*other (the system is linear)."""
-        if not self.spec.same_geometry(other.spec):
-            raise GridMismatch("solution grids differ in geometry")
-
-        def mix(x, y):
-            if x is None or y is None:
-                return None
-            return a * x + b * y
-
-        return replace(
-            self, provenance=f"{self.provenance}+{other.provenance}",
-            **{k: mix(getattr(self, k), getattr(other, k))
-               for k in ("alpha", "beta") + DERIVATIVE_FIELDS})
-
 
 def _omega_grid(omega, spec: GridSpec):
     if isinstance(omega, AngleFunction):

@@ -213,19 +213,6 @@ def single_harmonic_family(k0, T=math.pi):
     return lambda eps: CurvatureProfile(T, k0, (eps,))
 
 
-def circle_outcome(k0):
-    """The exact eps = 0 member of the family as a degenerate SearchOutcome (n = 2).
-
-    The lift-monodromy phase is not differentiable in eps at 0 (it moves
-    like |eps|), so a bisected near-zero root never closes as cleanly as
-    the circle itself; control runs should start from this outcome.
-    """
-    profile = CurvatureProfile(math.pi, k0)
-    ach = holonomy(profile.stretch(2))
-    residual = holonomy_closure_residual(profile.stretch(2), 1)
-    return SearchOutcome(profile, 2, ach, (0, 1), 0.0, 1, residual)
-
-
 def search_rational(family: Callable[[float], CurvatureProfile], n, target,
                     bracket, h=1e-3) -> SearchOutcome:
     """Solve a_n(k_eps) = p/q for the family parameter by Brent's method

@@ -1,23 +1,43 @@
-"""Flat-map constructions that only the tests use: the polar flat map and
-the normal shape check of a flat map's derivatives."""
+"""Constructions that only the tests use: the constant and shifted angle
+functions, the polar flat map, the normal shape check of a flat map's
+derivatives, linear combinations of solutions and the circle member of the
+search family."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from flatsurf4 import _fd as fd
-from flatsurf4.flatmap import FlatMapGrid
+from flatsurf4.curve import CurvatureProfile
+from flatsurf4.errors import GridMismatch
+from flatsurf4.flatmap import AngleFunction, FlatMapGrid
+from flatsurf4.hypsys import DERIVATIVE_FIELDS, SolutionGrid
+from flatsurf4.torusearch import (SearchOutcome, holonomy,
+                                  holonomy_closure_residual)
 
 
 def _dot(a, b):
     return np.einsum("...i,...i->...", a, b)
 
 
+def constant_angle(w0):
+    z = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+    return AngleFunction(lambda u: np.full_like(np.asarray(u, dtype=float), w0),
+                         z, z, z)
+
+
+def shifted(w: AngleFunction, delta):
+    """The angle w + delta."""
+    return AngleFunction(lambda u: np.asarray(w.f1(u)) + delta, w.df1,
+                         w.f2, w.df2)
+
+
 def polar_dual(g: FlatMapGrid) -> FlatMapGrid:
     """The polar flat map (F, Fh) -> (Fh, -F) with angle w + pi, built on
     the polar factors (ProductFactors.polar) of g."""
     return FlatMapGrid(g.spec, g.factors().polar(), g.omega_grid + math.pi,
-                       g.omega_fn.shifted(math.pi), g.lattice)
+                       shifted(g.omega_fn, math.pi), g.lattice)
 
 
 def normal_shape_check(g: FlatMapGrid):
@@ -46,3 +66,32 @@ def normal_shape_check(g: FlatMapGrid):
     if vals.size == 0:
         raise ValueError("no interior nodes with sin w bounded away from 0")
     return float(np.max(np.abs(vals + 1.0)))
+
+
+def combine(x: SolutionGrid, y: SolutionGrid, a=1.0, b=1.0) -> SolutionGrid:
+    """Linear combination a*x + b*y (the system is linear)."""
+    if not x.spec.same_geometry(y.spec):
+        raise GridMismatch("solution grids differ in geometry")
+
+    def mix(p, q):
+        if p is None or q is None:
+            return None
+        return a * p + b * q
+
+    return replace(
+        x, provenance=f"{x.provenance}+{y.provenance}",
+        **{k: mix(getattr(x, k), getattr(y, k))
+           for k in ("alpha", "beta") + DERIVATIVE_FIELDS})
+
+
+def circle_outcome(k0):
+    """The exact eps = 0 member of the family as a degenerate SearchOutcome (n = 2).
+
+    The lift-monodromy phase is not differentiable in eps at 0 (it moves
+    like |eps|), so a bisected near-zero root never closes as cleanly as
+    the circle itself; control runs should start from this outcome.
+    """
+    profile = CurvatureProfile(math.pi, k0)
+    ach = holonomy(profile.stretch(2))
+    residual = holonomy_closure_residual(profile.stretch(2), 1)
+    return SearchOutcome(profile, 2, ach, (0, 1), 0.0, 1, residual)

@@ -125,12 +125,14 @@ def test_cmd_solve_geometric_and_numeric(tmp_path):
 def test_cmd_solve_honours_range_starts(tmp_path, family, n):
     # the Hopf surface's lift starts at 1 at u_range[0]: the CSV's u column
     # runs over u_range, its v column starts at v_range[0], and alpha at
-    # v0 is <1, a(n u) e^{i n v0}> for the lift a of k(u/n) from n u0
+    # v0 is <1, a(n u) e^{i n v0}> for the lift a of k(u/n) from n u0; only
+    # the stretched family takes n
     k = CurvatureProfile(2.0, 0.5, (0.3,))
+    stretch = {"n": n} if family == "stretched" else {}
     code, rep = run(JobConfig("solve",
                               {"family": family, "profile": k.to_json(),
                                "u_range": (1.0, 2.0), "v_range": (0.5, 1.0),
-                               "h": 0.01, "n": n}, tmp_path))
+                               "h": 0.01, **stretch}, tmp_path))
     assert code == 0
     data = np.loadtxt(tmp_path / "solution.csv", delimiter=",", skiprows=1)
     assert data[0, 0] == 1.0 and data[-1, 0] == 2.0
@@ -208,6 +210,9 @@ def test_main_config_file(tmp_path):
     assert report["kappa"] == pytest.approx(1.5, abs=1e-5)
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
 def _main_report(tmp_path, *argv):
     code = main(["--out-dir", str(tmp_path), *argv])
     return code, json.loads((tmp_path / "report.json").read_text())
@@ -243,13 +248,21 @@ def _main_report(tmp_path, *argv):
       "--obj", "c.obj", "--drop-index", "7"], "drop_index must be 0, 1, 2 or 3"),
     (["build-cylinder", "--profile", '{"k0":0.8,"terms":[["a",1,2]]}'],
      "[amplitude, frequency, phase]"),
+    (["verify", "--input", str(DATA / "header_only.csv")],
+     "header_only.csv: a flat-map CSV needs rows of the 11 columns "
+     "u,v,F1,F2,F3,F4,Fh1,Fh2,Fh3,Fh4,omega; found no rows"),
+    (["verify", "--input", str(DATA / "solve.csv")],
+     "solve.csv: a flat-map CSV needs rows of the 11 columns "
+     "u,v,F1,F2,F3,F4,Fh1,Fh2,Fh3,Fh4,omega; found 4 rows of 4 columns"),
 ])
-def test_bad_input_gives_error_report(tmp_path, argv, needle):
+def test_bad_input_gives_error_report(tmp_path, capsys, argv, needle):
     code, rep = _main_report(tmp_path, *argv)
     assert code == 1
     assert rep["error"] == "ValueError"
     assert needle in rep["message"]
     assert rep["command"] == argv[0]
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Warning" not in err
 
 
 @pytest.mark.parametrize("argv,key", [
@@ -409,6 +422,26 @@ def test_flatmap_verify_takes_the_flags_of_its_kind(tmp_path, argv, name,
     assert code == 0
     assert rep[name.split(".")[1]] == str(tmp_path / name)
     assert len((tmp_path / name).read_text().splitlines()) == lines
+
+
+@pytest.mark.parametrize("argv,key,takes", [
+    (["--family", "wave", "--profile", '{"T":2,"k0":0.5,"cos":[0.3]}'],
+     "profile", "f1, f2, omega0"),
+    (["--family", "numeric", "--profile", WAVY, "--rho", "0.5"], "rho",
+     "a, profile"),
+    (["--family", "geometric", "--profile", WAVY, "--n", "2"], "n",
+     "a, profile, rho"),
+    (["--family", "exponential", "--cu", "1"], "cu", "r, s"),
+])
+def test_solve_takes_the_keys_of_its_family(tmp_path, capsys, argv, key, takes):
+    code, rep = _main_report(tmp_path, "solve", "--h", "0.02", *argv)
+    assert code == 1
+    assert rep["error"] == "ValueError"
+    common = ["csv", "family", "h", "hv", "u_range", "v_range"]
+    assert rep["message"] == (f"solve has no parameter {key!r}; it takes "
+                              + ", ".join(sorted(common + takes.split(", "))))
+    assert not (tmp_path / "solution.csv").exists()
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content,error", [

@@ -8,13 +8,14 @@ from flatsurf4.curve import CurvatureProfile, S3Curve, asymptotic_lift
 from flatsurf4.errors import PreconditionViolated
 from flatsurf4.flatmap import (
     FlatMapGrid, GridSpec, SampledMaps, bianchi_spivak_product,
-    clifford_flat_map, constant_angle, helix_product_map, hopf_flat_map,
+    clifford_flat_map, helix_product_map, hopf_flat_map,
     linear_angle, profile_angle, read_flatmap_csv, verify_flat_map,
     write_flatmap_csv, _hopf_map,
 )
 from flatsurf4.quat import QI, QJ, hopf, qmul
 
-from flatmap_checks import normal_shape_check, polar_dual
+from flatmap_checks import (constant_angle, normal_shape_check, polar_dual,
+                            shifted)
 
 TWO_PI = 2 * math.pi
 
@@ -322,7 +323,7 @@ def test_angle_function_forms():
 
 def test_angle_shift():
     b = linear_angle(2.0, 3.0)
-    bs = b.shifted(math.pi)
+    bs = shifted(b, math.pi)
     assert bs.omega(0.1, 0.2) == pytest.approx(b.omega(0.1, 0.2) + math.pi)
 
 

@@ -6,7 +6,7 @@ import pytest
 from flatsurf4.curve import CurvatureProfile, asymptotic_lift
 from flatsurf4.errors import (EqualSpeeds, GridMismatch, NonConstantAngle,
                               PathDependence, PreconditionViolated)
-from flatsurf4.flatmap import (ODE_STEP, constant_angle, helix_product_map,
+from flatsurf4.flatmap import (ODE_STEP, helix_product_map,
                                hopf_flat_map, linear_angle, profile_angle,
                                read_flatmap_csv, verify_flat_map,
                                write_flatmap_csv)
@@ -19,7 +19,8 @@ from flatsurf4.hypsys import (DERIVATIVE_FIELDS, GridSpec, SmoothFn,
 from flatsurf4.immersion import assemble, tangency_check
 from flatsurf4.quat import qmul
 
-from flatmap_checks import normal_shape_check, polar_dual
+from flatmap_checks import (combine, constant_angle, normal_shape_check,
+                            polar_dual)
 
 TWO_PI = 2 * math.pi
 
@@ -88,7 +89,7 @@ def test_combine_of_wave_solutions():
     x = wave_solution(0.7, SIN, COS, SPEC)
     y = wave_solution(0.7, COS, ONE, SPEC)
     a, b = 0.3, -1.7
-    z = x.combine(y, a, b)
+    z = combine(x, y, a, b)
     ra, rb = system_residual(z, constant_angle(0.7), derivatives="analytic")
     assert ra <= 1e-10 and rb <= 1e-10
     for name in ("alpha", "beta") + DERIVATIVE_FIELDS:
@@ -97,7 +98,7 @@ def test_combine_of_wave_solutions():
     assert z.spec == SPEC and z.provenance == "wave+wave"
     other = GridSpec.from_ranges((0, 1), (0, 1), 0.02)
     with pytest.raises(GridMismatch):
-        x.combine(wave_solution(0.7, SIN, COS, other))
+        combine(x, wave_solution(0.7, SIN, COS, other))
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +128,7 @@ def test_geometric_linear_combination():
     g = hopf_flat_map(k, 4.0, h=0.01, v_range=(0.0, 1.0))
     s1 = geometric_solution(g, a=(1, 0, 0, 0))
     s2 = geometric_solution(g, a=(0, 0, 1, 0), rho=0.5)
-    combo = s1.combine(s2, 2.0, -3.0)
+    combo = combine(s1, s2, 2.0, -3.0)
     ra, rb = system_residual(combo, g.omega_fn)
     assert max(ra, rb) < 1e-4
 
@@ -140,7 +141,7 @@ def test_linearity_of_residual():
     r1 = max(system_residual(s1, g.omega_fn))
     r2 = max(system_residual(s2, g.omega_fn))
     a, b = 1.7, -0.6
-    rc = max(system_residual(s1.combine(s2, a, b), g.omega_fn))
+    rc = max(system_residual(combine(s1, s2, a, b), g.omega_fn))
     assert rc <= abs(a) * r1 + abs(b) * r2 + 1e-12
 
 

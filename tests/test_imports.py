@@ -7,11 +7,12 @@ is not checked for unused imports.  The package needs only numpy at run
 time (scipy is a test dependency), so an import of scipy anywhere in a
 module, inside a function too, is an error.
 
-Optional parameters were cut from 121 to 59, and settings such as the
+Optional parameters were cut from 121 to 54, and settings such as the
 tile height of the full-grid passes are module constants: the count of
 optional parameters may not grow, and no package file reads the
-environment.  The CLI's flags are the keys of its parameter tables, and
-the count of (command, key) pairs may not grow either.
+environment.  The CLI's flags are the keys of its parameter tables (with
+the tables of every variant of a selector key: flatmap-verify --kind and
+solve --family), and the count of (command, key) pairs may not grow either.
 """
 
 import ast
@@ -79,7 +80,7 @@ def test_module_does_not_import_scipy(path):
     assert _scipy_imports(path.read_text()) == []
 
 
-MAX_OPTIONAL_PARAMETERS = 59
+MAX_OPTIONAL_PARAMETERS = 54
 
 
 def _optional_parameters(source):
@@ -134,9 +135,12 @@ def test_cli_flags_are_the_parameter_tables():
     parser = cli._build_parser()
     top = set(vars(parser.parse_args([])))
     count = 0
+    assert set(cli.SELECTORS) == {"flatmap-verify", "solve"}
     for command, (_, table) in cli.COMMANDS.items():
-        kinds = cli.FLATMAP_KINDS.values() if command == "flatmap-verify" else ()
-        keys = set(table).union(*(kind_table for _, kind_table in kinds))
+        selector, variants = cli.SELECTORS.get(command, (None, {}))
+        if selector:  # the selector's choices are its variants
+            assert all(table[selector][0].test(v) for v in variants), command
+        keys = set(table).union(*(v_table for _, v_table in variants.values()))
         flags = set(vars(parser.parse_args([command]))) - top
         assert flags == keys, command
         count += len(flags)

@@ -16,13 +16,15 @@ from flatsurf4.immersion import (assemble, auto_lambda, lambda_rescale,
                                  sphere_fit)
 from flatsurf4.quat import ad, pure, vec
 from flatsurf4.torusearch import (SearchOutcome, a_n, build_perturbed_cylinder,
-                                  build_perturbed_torus, circle_outcome,
+                                  build_perturbed_torus,
                                   closure_multiple, holonomy,
                                   holonomy_closure_residual,
                                   lift_closure_multiple, lift_monodromy,
                                   rationalize,
                                   search_rational, single_harmonic_family,
                                   _brentq)
+
+from flatmap_checks import circle_outcome
 
 T = math.pi
 

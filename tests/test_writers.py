@@ -3,16 +3,19 @@
 The reference functions below format one row at a time, as the package
 did before its writers formatted rows in blocks; the files must match
 them byte for byte, across block boundaries and for NaN, -0.0, tiny and
-whole-number values.
+whole-number values, whatever the grid's shape and nodes.  A written flat
+map reads back bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from flatsurf4.cli import NAMED_FUNCTIONS, JobConfig, export_obj, run
-from flatsurf4.curve import helix
+from flatsurf4.curve import helix, parse_profile
 from flatsurf4.flatmap import (BLOCK_ROWS, FLATMAP_HEADER, FlatMapGrid,
-                               GridSpec, SampledMaps, write_flatmap_csv)
+                               GridSpec, SampledMaps, hopf_flat_map,
+                               read_flatmap_csv, write_flatmap_csv,
+                               _write_grid_csv)
 from flatsurf4.hypsys import wave_solution
 from flatsurf4.immersion import (IMMERSION_HEADER, ImmersionGrid,
                                  write_immersion_csv)
@@ -71,6 +74,45 @@ def test_flatmap_csv_bytes(tmp_path):
     write_flatmap_csv(g, tmp_path / "g.csv")
     expect = _csv(FLATMAP_HEADER, _grid_rows(SPEC, F, Fhat, g.omega_grid))
     assert (tmp_path / "g.csv").read_bytes() == expect
+
+
+@pytest.mark.parametrize("spec", [
+    # more v nodes than BLOCK_ROWS: each block holds one u row
+    GridSpec(0.0, -1.0, 0.5, 1e-3, 3, BLOCK_ROWS + 5),
+    # an nv that does not divide BLOCK_ROWS, over three blocks
+    GridSpec(0.0, 0.0, 0.25, 0.5, 2 * (BLOCK_ROWS // 13) + 5, 13),
+    # one u row
+    GridSpec(2.0, 0.0, 1.0, 0.1, 1, 50),
+    # negative u0, steps without a finite decimal expansion
+    GridSpec(-1.3, -0.7, 1.0 / 3.0, 2.0 / 7.0, 40, 11),
+], ids=["nv_above_block", "nv_not_dividing", "one_u_row", "negative_u0"])
+def test_grid_csv_bytes_for_any_shape(tmp_path, spec):
+    shape = (spec.nu, spec.nv)
+    F, Fhat = _field(shape + (4,), 11), _field(shape + (4,), 12)
+    # the Hopf angle is a broadcast view of its u column
+    omega = np.broadcast_to(_field((spec.nu, 1), 13), shape)
+    write_flatmap_csv(FlatMapGrid(spec, SampledMaps(F, Fhat), omega),
+                      tmp_path / "g.csv")
+    assert (tmp_path / "g.csv").read_bytes() == _csv(
+        FLATMAP_HEADER, _grid_rows(spec, F, Fhat, omega))
+    a, b = _field(shape, 14), _field(shape, 15)
+    _write_grid_csv(tmp_path / "s.csv", "u,v,alpha,beta", spec,
+                    lambda rows: (a[rows], b[rows]))
+    assert (tmp_path / "s.csv").read_bytes() == _csv(
+        "u,v,alpha,beta", _grid_rows(spec, a, b))
+
+
+def test_hopf_csv_reads_back_bit_for_bit(tmp_path):
+    # the benchmark's roundtrip map: 401 x 315 nodes
+    k = parse_profile('{"T":2,"k0":0.5,"cos":[0.3]}')
+    g = hopf_flat_map(k, 2 * k.base_period, h=0.01, hv=0.02)
+    write_flatmap_csv(g, tmp_path / "hopf.csv")
+    g2 = read_flatmap_csv(tmp_path / "hopf.csv")
+    assert (g2.spec.nu, g2.spec.nv) == (401, 315)
+    assert g2.spec == g.spec
+    for got, want in zip(g2.maps(slice(None)), g.maps(slice(None))):
+        assert np.array_equal(got, want)
+    assert np.array_equal(g2.omega_grid, g.omega_grid)
 
 
 @pytest.mark.parametrize("with_curvature", [True, False])
