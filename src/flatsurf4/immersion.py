@@ -15,7 +15,6 @@ where the margin vanishes.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -30,25 +29,49 @@ K_TRIM = 4  # Brioschi needs second derivatives of first derivatives
 
 @dataclass
 class ImmersionGrid:
-    """f and the per-node fields more readers need whole; <f_v, f_v> = E,
-    and tangency_check forms Ahat, Bhat from A, B and w tile by tile.
-    assemble forms each row tile of them from tiles of the solution and of
-    the flat map, so these (and K_est) are the only grids a build holds."""
+    """f, the coefficients A, B and the angle terms cos w, sin w of the flat
+    map (read-only broadcast views for a Hopf map).  Every other per-node
+    field is an elementwise function of A, B and w, formed by metric(rows)
+    and margin(rows) on the rows a reader asks for, so f, A and B are the
+    only grids an immersion holds."""
     spec: GridSpec
     f: np.ndarray          # (Nu, Nv, 4)
     A: np.ndarray
     B: np.ndarray
-    margin: np.ndarray     # (A^2-B^2) sin w - 2AB cos w
-    E: np.ndarray          # A^2 + B^2 = <f_u, f_u> = <f_v, f_v>
-    Fm: np.ndarray         # (A^2-B^2) cos w + 2AB sin w
-    K_est: Optional[np.ndarray] = None     # set by flatness_check
+    cos_w: np.ndarray
+    sin_w: np.ndarray
+
+    def metric(self, rows):
+        """(E, Fm) on the u-rows rows (a slice): E = A^2 + B^2 =
+        <f_u, f_u> = <f_v, f_v> and Fm = (A^2-B^2) cos w + 2AB sin w =
+        <f_u, f_v>."""
+        A, B, cw, sw = (x[rows] for x in (self.A, self.B, self.cos_w,
+                                           self.sin_w))
+        return A * A + B * B, (A * A - B * B) * cw + 2.0 * A * B * sw
+
+    def margin(self, rows):
+        """The margin (A^2-B^2) sin w - 2AB cos w on the u-rows rows."""
+        return _margin(*(x[rows] for x in (self.A, self.B, self.cos_w,
+                                           self.sin_w)))
+
+    def _interior_min(self, field):
+        """Min over the grid's interior of field(rows), an array on the
+        u-rows rows, tile by tile (fd.row_tiles)."""
+        nu = self.spec.nu
+        fd._check_interior(nu, self.spec.nv)
+        return float(np.min([
+            np.min(fd.tile_interior(field(rows), rows, nu), initial=np.inf)
+            for rows, _, _ in fd.row_tiles(nu)]))
 
     def margin_min(self):
-        return float(np.min(fd.interior(self.margin)))
+        return self._interior_min(self.margin)
 
     def metric_min_eigenvalue(self):
         """Min eigenvalue E - |Fm| of [[E, Fm], [Fm, E]] over the interior."""
-        return float(np.min(fd.interior(self.E - np.abs(self.Fm))))
+        def eigenvalue(rows):
+            E, Fm = self.metric(rows)
+            return E - np.abs(Fm)
+        return self._interior_min(eigenvalue)
 
     def max_radius(self):
         return float(np.max([np.max(np.linalg.norm(self.f[rows], axis=-1))
@@ -68,18 +91,21 @@ def _angle_terms(gmap: FlatMapGrid):
             np.broadcast_to(np.sin(col), w.shape))
 
 
-def _margin_terms(sol: SolutionGrid, wu, cw, sw):
-    """(alpha_u, beta_u, A, B, margin) of a solution with analytic
-    derivatives; no f is built."""
+def _coefficients(sol: SolutionGrid, wu):
+    """(alpha_u, beta_u, A, B) of a solution with analytic derivatives."""
     if not sol.has_analytic_derivatives:
         raise PreconditionViolated(
             f"the {sol.provenance!r} solution carries no analytic "
             "derivatives, which the representation formula needs")
     au, bu = sol.alpha_u, sol.beta_u
-    A = sol.alpha + sol.alpha_uu + wu * bu
-    B = sol.beta + sol.beta_uu - wu * au
-    margin = (A * A - B * B) * sw - 2.0 * A * B * cw
-    return au, bu, A, B, margin
+    return (au, bu, sol.alpha + sol.alpha_uu + wu * bu,
+            sol.beta + sol.beta_uu - wu * au)
+
+
+def _margin(A, B, cw, sw):
+    """The margin (A^2-B^2) sin w - 2AB cos w, nonzero where the node is
+    regular."""
+    return (A * A - B * B) * sw - 2.0 * A * B * cw
 
 
 def assemble(gmap: FlatMapGrid, sol) -> ImmersionGrid:
@@ -87,22 +113,16 @@ def assemble(gmap: FlatMapGrid, sol) -> ImmersionGrid:
 
     sol is a SolutionGrid, a hypsys.FactorSolution or a lambda_rescale of
     one; it is read tile by tile (sol.tile), and so are the flat map
-    (gmap.maps) and its u-frame, so the only grids built are those the
-    ImmersionGrid keeps.
+    (gmap.maps) and its u-frame, so the only grids built are f, A and B.
     """
     if not sol.spec.same_geometry(gmap.spec):
         raise GridMismatch("flat map and solution grids differ")
     wu, cw, sw = _angle_terms(gmap)
     shape = (gmap.spec.nu, gmap.spec.nv)
-    f = np.empty(shape + (4,))
-    A, B, margin, E, Fm = (np.empty(shape) for _ in range(5))
+    f, A, B = np.empty(shape + (4,)), np.empty(shape), np.empty(shape)
     for rows, slab, core in fd.row_tiles(gmap.spec.nu):
         part = sol.tile(rows, slab, core)
-        c, s = cw[rows], sw[rows]
-        au, bu, At, Bt, margin[rows] = _margin_terms(part, wu[rows], c, s)
-        A[rows], B[rows] = At, Bt
-        E[rows] = At * At + Bt * Bt
-        Fm[rows] = (At * At - Bt * Bt) * c + 2.0 * At * Bt * s
+        au, bu, A[rows], B[rows] = _coefficients(part, wu[rows])
         # f = alpha N + beta Nh + alpha_u N_u + beta_u Nh_u, summed in
         # that order into the tile of f
         ft = f[rows]
@@ -113,7 +133,7 @@ def assemble(gmap: FlatMapGrid, sol) -> ImmersionGrid:
         Nu_, Nhu_ = gmap.factors().u_frame(rows)
         ft += au[:, :, None] * Nu_
         ft += bu[:, :, None] * Nhu_
-    return ImmersionGrid(gmap.spec, f, A, B, margin, E, Fm)
+    return ImmersionGrid(gmap.spec, f, A, B, cw, sw)
 
 
 # ---------------------------------------------------------------------------
@@ -133,16 +153,15 @@ def tangency_check(im: ImmersionGrid, gmap: FlatMapGrid):
     f is differentiated by central differences, tile by tile
     (fd.row_tiles); the frame derivatives come from the factor curves of
     the flat map (ProductFactors.u_frame), and Ahat = A cos w + B sin w,
-    Bhat = A sin w - B cos w from im.A, im.B and the angle terms of gmap.
+    Bhat = A sin w - B cos w from the fields of im.
     """
     f, hu, hv = im.f, im.spec.hu, im.spec.hv
-    _, cos_w, sin_w = _angle_terms(gmap)
 
     def terms(rows, slab, core):
         Nu_, Nhu_ = gmap.factors().u_frame(rows)
         fu = fd.d1(f[slab], hu, axis=0)[core]
         fv = fd.d1(f[rows], hv, axis=1)
-        A, B, cw, sw = im.A[rows], im.B[rows], cos_w[rows], sin_w[rows]
+        A, B, cw, sw = im.A[rows], im.B[rows], im.cos_w[rows], im.sin_w[rows]
         Ahat, Bhat = cw * A + sw * B, sw * A - cw * B
         ru = fu - A[:, :, None] * Nu_ - B[:, :, None] * Nhu_
         rv = fv - Ahat[:, :, None] * Nu_ - Bhat[:, :, None] * Nhu_
@@ -162,8 +181,9 @@ def metric_identity_check(im: ImmersionGrid):
     def terms(rows, slab, core):
         fu = fd.d1(f[slab], hu, axis=0)[core]
         fv = fd.d1(f[rows], hv, axis=1)
-        return {"E": dot(fu, fu) - im.E[rows], "F": dot(fu, fv) - im.Fm[rows],
-                "G": dot(fv, fv) - im.E[rows]}
+        E, Fm = im.metric(rows)
+        return {"E": dot(fu, fu) - E, "F": dot(fu, fv) - Fm,
+                "G": dot(fv, fv) - E}
 
     m = fd.tiled_max_interior(f.shape, terms)
     return max(m["E"], m["F"], m["G"])
@@ -210,15 +230,35 @@ def brioschi_curvature(E, F, hu, hv):
     return K
 
 
+def _curvature_tiles(im: ImmersionGrid):
+    """Yield (rows, K on rows) over the row tiles of im, with K the
+    brioschi_curvature of im.metric.  Each tile's K is taken on its rows
+    widened by K_TRIM rows on each side (clipped to the grid), where the
+    metric is formed, and cut back to the tile: brioschi_curvature leaves
+    its K_TRIM edge rows NaN and reads no further than that, so the tile's
+    K is that of the whole grid, bit for bit."""
+    nu, hu, hv = im.spec.nu, im.spec.hu, im.spec.hv
+    for rows, _, _ in fd.row_tiles(nu):
+        s0 = max(rows.start - K_TRIM, 0)
+        E, Fm = im.metric(slice(s0, min(rows.stop + K_TRIM, nu)))
+        K = brioschi_curvature(E, Fm, hu, hv)
+        yield rows, K[rows.start - s0:rows.stop - s0]
+
+
 def flatness_check(im: ImmersionGrid):
-    """Max |K| over the valid interior, kept as im.K_est; raises
-    DegenerateMetric if no node is valid."""
-    if im.K_est is None:
-        im.K_est = brioschi_curvature(im.E, im.Fm, im.spec.hu, im.spec.hv)
-    valid = np.isfinite(im.K_est)
-    if not valid.any():
+    """Max |K| over the nodes with a curvature estimate, taken tile by tile
+    (no K grid is kept).  A grid with fewer than 2 K_TRIM + 1 nodes in a
+    direction raises ValueError; DegenerateMetric if no node is valid."""
+    nu, nv = im.spec.nu, im.spec.nv
+    if min(nu, nv) <= 2 * K_TRIM:
+        raise ValueError(f"a grid of {nu} x {nv} nodes is too small for the "
+                         f"curvature; the Brioschi stencils need at least "
+                         f"{2 * K_TRIM + 1} nodes per direction")
+    maxima = [np.max(np.abs(K[np.isfinite(K)]), initial=-np.inf)
+              for _, K in _curvature_tiles(im)]
+    if max(maxima) == -np.inf:
         raise DegenerateMetric("metric is singular on the whole tested region")
-    return float(np.max(np.abs(im.K_est[valid])))
+    return float(max(maxima))
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +312,8 @@ def sphere_fit(im_or_points) -> SphereFit:
     dist = np.empty(grid.shape[:2])
     for rows, _, _ in fd.row_tiles(grid.shape[0]):
         dist[rows] = np.linalg.norm(grid[rows] - center, axis=-1) - radius
-    return SphereFit(center, radius,
-                     float(np.sqrt(np.mean(dist.reshape(-1) ** 2))))
+    dist **= 2
+    return SphereFit(center, radius, float(np.sqrt(np.mean(dist.reshape(-1)))))
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +356,9 @@ def auto_lambda(gmap: FlatMapGrid, sol):
     in lambda, sin w + 2 lam (A1 sin w - B1 cos w) + lam^2 margin_1 with
     (A1, B1) the coefficients of the unscaled solution, and it depends
     only on A, B and w.  So no f and no frame derivative is built: each
-    halving evaluates the margin by the same code as assemble, and the
-    margin tested here is the one assemble would report.  As lambda -> 0
+    halving forms A, B and the margin by the same code as assemble and
+    ImmersionGrid.margin, and the margin tested here is the one the
+    assembled immersion would report.  As lambda -> 0
     the margin converges uniformly to sin w, so this terminates whenever
     sin w is bounded away from zero on the grid.  sol is read as assemble
     reads it: each halving reads it tile by tile (sol.tile, fd.row_tiles),
@@ -337,7 +378,8 @@ def auto_lambda(gmap: FlatMapGrid, sol):
         minima = []
         for rows, slab, core in fd.row_tiles(nu):
             part = lambda_rescale(sol.tile(rows, slab, core), lam)
-            margin = _margin_terms(part, wu[rows], cw[rows], sw[rows])[-1]
+            A, B = _coefficients(part, wu[rows])[2:]
+            margin = _margin(A, B, cw[rows], sw[rows])
             minima.append(np.min(fd.tile_interior(margin, rows, nu),
                                  initial=np.inf))
         if float(np.min(minima)) > 0.5 * s_min:
@@ -357,10 +399,16 @@ IMMERSION_HEADER = "u,v,x1,x2,x3,x4,A,B,margin,K"
 def write_immersion_csv(im: ImmersionGrid, path):
     """Write im as CSV with the columns of IMMERSION_HEADER (see GridSpec).
 
-    K is NaN where no curvature estimate exists (near the boundary, or
-    everywhere when flatness_check has not run on im).
+    The margin is formed per block of rows (im.margin).  K is the Brioschi
+    curvature of the metric, the estimate flatness_check takes its maximum
+    of, formed in one tiled pass (_curvature_tiles) before the rows are
+    written; it is NaN where no estimate exists: within K_TRIM nodes of the
+    boundary (so everywhere on a grid too small for the stencils) and where
+    the metric is singular.
     """
-    K = im.K_est if im.K_est is not None else np.full_like(im.A, np.nan)
+    K = np.empty(im.A.shape)
+    for rows, Kt in _curvature_tiles(im):
+        K[rows] = Kt
     _write_grid_csv(path, IMMERSION_HEADER, im.spec,
                     lambda rows: (im.f[rows], im.A[rows], im.B[rows],
-                                  im.margin[rows], K[rows]))
+                                  im.margin(rows), K[rows]))

@@ -301,14 +301,19 @@ def _assemble_stretched(gmap: FlatMapGrid, k, n, lam):
     """(immersion, diagnostics) of the n-stretched solution on gmap's grid;
     lambda comes from auto_lambda when lam is None.  The solution is held
     as its factors (hypsys.FactorSolution), and auto_lambda and assemble
-    form and rescale it tile by tile, as they form F and Fhat."""
+    form and rescale it tile by tile, as they form F and Fhat.  The flat
+    map is checked first: verify_flat_map needs no immersion, so its tile
+    temporaries never sit on top of f, A and B."""
+    fm = verify_flat_map(gmap)
     sol = stretched_solution(k, n, gmap.spec)
     lam = auto_lambda(gmap, sol) if lam is None else float(lam)
     im = assemble(gmap, lambda_rescale(sol, lam))
-    return im, _diagnostics(gmap, im, lam)
+    return im, _diagnostics(gmap, im, lam, fm)
 
 
-def _diagnostics(gmap: FlatMapGrid, im: ImmersionGrid, lam):
+def _diagnostics(gmap: FlatMapGrid, im: ImmersionGrid, lam, fm):
+    """The report of a build: lam, the checks of im on gmap, and fm, the
+    verify_flat_map report of gmap."""
     rep = {}
     rep["lambda"] = lam
     rep["margin_min"] = im.margin_min()
@@ -324,7 +329,6 @@ def _diagnostics(gmap: FlatMapGrid, im: ImmersionGrid, lam):
     rep["metric_identity"] = metric_identity_check(im)
     ra, rb = system_residual(derived_solution(im), gmap.omega_grid)
     rep["derived_system_residual"] = max(ra, rb)
-    fm = verify_flat_map(gmap)
     rep["frame_residual"] = fm.frame_residual
     rep["flatmap_max"] = fm.max_flatmap_residual
     rep["gauss_metric"] = fm.gauss_metric

@@ -283,7 +283,7 @@ def test_criterion_9_lambda_collapse(release_outcome):
     devs = []
     for lam in (1.0, 0.5, 0.25, 0.125):
         im = assemble(g, lambda_rescale(sol, lam))
-        devs.append(float(np.max(np.abs(im.margin - sw))))
+        devs.append(float(np.max(np.abs(im.margin(slice(None)) - sw))))
     ok = all(devs[i + 1] < devs[i] for i in range(3))
     assert _line(9, "lambda collapse", ok,
                  "devs " + " -> ".join(f"{d:.3f}" for d in devs))

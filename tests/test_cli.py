@@ -254,6 +254,14 @@ def _main_report(tmp_path, *argv):
     (["verify", "--input", str(DATA / "solve.csv")],
      "solve.csv: a flat-map CSV needs rows of the 11 columns "
      "u,v,F1,F2,F3,F4,Fh1,Fh2,Fh3,Fh4,omega; found 4 rows of 4 columns"),
+    (["build-torus", "--k0", "1.21321612108222", "--T", "3.141592653589793",
+      "--n", "2", "--target", "1/4", "--bracket", "0.9,1.2",
+      "--nodes-per-period", "2", "--nv", "4"],
+     "a grid of 33 x 5 nodes is too small for the curvature; the Brioschi "
+     "stencils need at least 9 nodes per direction"),
+    (["build-cylinder", "--profile", '{"k0":0.8,"terms":[[0.15,2.0,0.0]]}',
+      "--h", "0.5", "--nv", "6"],
+     "a grid of 26 x 7 nodes is too small for the curvature"),
 ])
 def test_bad_input_gives_error_report(tmp_path, capsys, argv, needle):
     code, rep = _main_report(tmp_path, *argv)

@@ -50,7 +50,8 @@ def test_constant_solution_reproduces_the_flat_map(hopf_grid):
     assert np.max(np.abs(im.A - 1.0)) < 1e-12
     assert np.max(np.abs(im.B)) < 1e-12
     # margin = sin w, strictly positive for 0 < w < pi
-    assert np.max(np.abs(im.margin - np.sin(hopf_grid.omega_grid))) < 1e-12
+    margin = im.margin(slice(None))
+    assert np.max(np.abs(margin - np.sin(hopf_grid.omega_grid))) < 1e-12
     assert im.margin_min() > 0
 
 
@@ -73,10 +74,11 @@ def test_assemble_rejects_solution_without_derivatives(hopf_grid):
 def test_metric_arrays_identities(hopf_grid):
     sol = geometric_solution(hopf_grid, a=(0.3, -0.2, 0.5, 0.1), rho=0.7)
     im = assemble(hopf_grid, sol)
+    (E, Fm), margin = im.metric(slice(None)), im.margin(slice(None))
     # E = A^2 + B^2
-    assert np.max(np.abs(im.E - (im.A ** 2 + im.B ** 2))) < 1e-14
+    assert np.max(np.abs(E - (im.A ** 2 + im.B ** 2))) < 1e-14
     # E^2 = F^2 + margin^2: the metric degenerates exactly on the margin zeros
-    assert np.max(np.abs(im.E ** 2 - im.Fm ** 2 - im.margin ** 2)) < 1e-10
+    assert np.max(np.abs(E ** 2 - Fm ** 2 - margin ** 2)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +256,9 @@ def test_helical_family_regularity_factors():
     p, m = U + V, U - V
     Gp = mu ** 2 * np.cos(p)            # G' for g = sin
     R = 2 * mu * mu ** 2 * np.sin(p) + mu ** 2 * np.cos(m)
-    assert np.max(np.abs(im.E - ((2 * Gp) ** 2 + R ** 2))) < 1e-12
-    assert np.max(np.abs(im.margin - 2 * (2 * Gp) * R)) < 1e-12
+    E, margin = im.metric(slice(None))[0], im.margin(slice(None))
+    assert np.max(np.abs(E - ((2 * Gp) ** 2 + R ** 2))) < 1e-12
+    assert np.max(np.abs(margin - 2 * (2 * Gp) * R)) < 1e-12
 
 
 def test_helical_family_degenerates_without_g():
@@ -267,7 +270,7 @@ def test_helical_family_degenerates_without_g():
     spec = g.spec
     ZERO = SmoothFn(*(lambda t: np.zeros_like(np.asarray(t, dtype=float)),) * 4)
     im = assemble(g, helical_angle_solution(mu, ZERO, COS, spec))
-    assert np.max(np.abs(im.margin)) < 1e-12
+    assert np.max(np.abs(im.margin(slice(None)))) < 1e-12
     fu = fd.d1(im.f, spec.hu, axis=0)
     fv = fd.d1(im.f, spec.hv, axis=1)
     assert fd.max_interior(np.linalg.norm(fu + fv, axis=-1)) < 1e-10
@@ -335,9 +338,25 @@ def test_flatness_degenerate_raises():
     E = np.zeros((n, n))
     from flatsurf4.immersion import ImmersionGrid
     im = ImmersionGrid(GridSpec(0, 0, h, h, n, n), np.zeros((n, n, 4)),
-                       E, E, E, E, E)
+                       E, E, E, E)
     with pytest.raises(DegenerateMetric):
         flatness_check(im)
+
+
+@pytest.mark.parametrize("nu,nv", [(8, 21), (21, 8)])
+def test_flatness_needs_nine_nodes_per_direction(nu, nv):
+    # the Brioschi stencils have no interior below 2 K_TRIM + 1 nodes; that
+    # is a grid too small for the check, not a singular metric
+    from flatsurf4.immersion import ImmersionGrid
+    one = np.ones((nu, nv))
+    im = ImmersionGrid(GridSpec(0, 0, 0.05, 0.05, nu, nv),
+                       np.zeros((nu, nv, 4)), one, 0 * one, 0 * one, one)
+    with pytest.raises(ValueError, match=f"{nu} x {nv} nodes.*at least 9"):
+        flatness_check(im)
+    one = np.ones((9, 9))
+    big = ImmersionGrid(GridSpec(0, 0, 0.05, 0.05, 9, 9), np.zeros((9, 9, 4)),
+                        one, 0 * one, 0 * one, one)
+    assert flatness_check(big) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +401,8 @@ def test_lambda_zero_is_constant_solution(hopf_grid):
     assert np.max(np.abs(r0.alpha - 1.0)) == 0.0
     assert np.max(np.abs(r0.beta)) == 0.0
     im = assemble(hopf_grid, r0)
-    assert np.max(np.abs(im.margin - np.sin(hopf_grid.omega_grid))) < 1e-12
+    margin = im.margin(slice(None))
+    assert np.max(np.abs(margin - np.sin(hopf_grid.omega_grid))) < 1e-12
 
 
 def test_rescaled_residual_scales_linearly(hopf_grid):
@@ -399,7 +419,7 @@ def test_margin_collapses_to_sin_omega(hopf_grid):
     devs = []
     for lam in (1.0, 0.5, 0.25, 0.125):
         im = assemble(hopf_grid, lambda_rescale(sol, lam))
-        devs.append(np.max(np.abs(im.margin - sw)))
+        devs.append(np.max(np.abs(im.margin(slice(None)) - sw)))
     assert all(devs[i + 1] < devs[i] for i in range(3))
 
 

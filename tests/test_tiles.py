@@ -5,9 +5,11 @@ Each tiled function runs with tiles of 1, 2, 3 and 5 rows and with one
 tile taller than the grid (the whole-grid pass), on a Hopf map whose nu is
 a multiple of none of 2, 3 and 5, and on the smallest grid that has an
 interior (5 x 5).  Results are compared with np.array_equal, NaN positions
-included.  The tiles formed from factors (the flat map's F and Fhat, the
-stretched solution's fields) are also checked at the real tile height on a
-grid of k TILE_ROWS + 1 rows, whose last tile is a single row, against the
+included.  The curvature's tiles (_curvature_tiles) widen each tile by
+K_TRIM rows, so they too must match the whole-grid brioschi_curvature.
+The tiles formed from factors (the flat map's F and Fhat, the stretched
+solution's fields) are also checked at the real tile height on a grid of
+k TILE_ROWS + 1 rows, whose last tile is a single row, against the
 whole-grid products.
 """
 
@@ -18,11 +20,12 @@ from flatsurf4 import _fd as fd
 from flatsurf4.curve import CurvatureProfile
 from flatsurf4.flatmap import GridSpec, _hopf_map, _outer, verify_flat_map
 from flatsurf4.hypsys import stretched_solution, system_residual
-from flatsurf4.immersion import (_sphere_normal_equations, assemble,
+from flatsurf4.immersion import (K_TRIM, _curvature_tiles,
+                                 _sphere_normal_equations, assemble,
                                  auto_lambda, brioschi_curvature,
-                                 derived_solution, lambda_rescale,
-                                 metric_identity_check, sphere_fit,
-                                 tangency_check)
+                                 derived_solution, flatness_check,
+                                 lambda_rescale, metric_identity_check,
+                                 sphere_fit, tangency_check)
 from flatsurf4.quat import qmul
 
 K = CurvatureProfile(2.0, 0.5, (0.3,))
@@ -60,10 +63,15 @@ def _results(spec):
     im = assemble(g, lambda_rescale(sol, lam))
     fit = sphere_fit(im)
     rep = verify_flat_map(g)
+    small = min(spec.nu, spec.nv) <= 2 * K_TRIM  # no curvature interior
     out = {"lambda": lam, "max_radius": im.max_radius(),
+           "margin_min": im.margin_min(),
+           "metric_min_eigenvalue": im.metric_min_eigenvalue(),
+           "gauss_K_max": np.nan if small else flatness_check(im),
            "tangency": tangency_check(im, g),
            "metric_identity": metric_identity_check(im),
-           "K": brioschi_curvature(im.E, im.Fm, spec.hu, spec.hv),
+           "K": brioschi_curvature(*im.metric(slice(None)), spec.hu, spec.hv),
+           "K_tiles": np.concatenate([K for _, K in _curvature_tiles(im)]),
            "sphere": (*fit.center, fit.radius, fit.rms_residual),
            "flatmap": list(rep.as_dict().values()),
            "frame": rep.frame_residual,
@@ -71,8 +79,10 @@ def _results(spec):
            "system_analytic": system_residual(sol.grid(), g.omega_fn,
                                               derivatives="analytic"),
            "sphere_sums": np.column_stack(_sphere_normal_equations(im.f))}
-    for name in ("f", "A", "B", "margin", "E", "Fm"):
+    for name in ("f", "A", "B"):
         out[name] = getattr(im, name)
+    out.update(zip(("E", "Fm"), im.metric(slice(None))))
+    out["margin"] = im.margin(slice(None))
     out.update(_factor_tiles(g, sol))
     return out
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -341,58 +342,104 @@ def test_release_torus_residuals_are_fourth_order(release_outcome,
         assert math.log2(coarse[key] / fine[key]) >= 3.5, key
 
 
-def test_build_torus_peak_memory(release_outcome):
-    # the full-grid passes walk row tiles, and F, Fhat and the scaled
-    # solution are formed per tile from their factors, so the build holds
-    # f (4 grid arrays), A, B, margin, E, Fm and K (6) and tile temporaries;
-    # at (64, 128) the fine lift of the stretched map (3 arrays of 99 nodes
-    # per grid row) comes close to that
-    tracemalloc.start()
-    try:
-        im, _ = build_perturbed_torus(release_outcome, nodes_per_period=64,
-                                      nv=128)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 14 * im.A.nbytes, peak / im.A.nbytes
+# the stages of a torus build whose memory is measured: functions that
+# build_perturbed_torus, _assemble_stretched and _diagnostics call by their
+# torusearch names, and the ImmersionGrid methods _diagnostics calls
+TORUSEARCH_STAGES = ("hopf_flat_map", "verify_flat_map", "stretched_solution",
+                     "auto_lambda", "assemble", "flatness_check", "sphere_fit",
+                     "tangency_check", "metric_identity_check",
+                     "system_residual")
+GRID_STAGES = ("margin_min", "metric_min_eigenvalue", "max_radius")
 
 
-def _own_peaks(monkeypatch, outcome, name):
-    """Build the (64, 128) torus of outcome; returns im and, for each call
-    of torusearch.<name>, its tracemalloc peak above the memory in use
-    when the call began."""
-    real, seen = getattr(torusearch, name), []
+def stage_table(outcome, nodes_per_period, nv):
+    """Build the torus of outcome under tracemalloc.  Returns im, the whole
+    build's peak and, for each stage, a list with one (start, own) pair per
+    call: start is the memory in use when the call began and own the
+    call's peak above start, all in units of im.A.nbytes."""
+    calls, peaks = {}, []
 
-    def measured(*args):
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        out = real(*args)
-        seen.append(tracemalloc.get_traced_memory()[1] - before)
-        return out
+    def measured(name, fn):
+        def wrapper(*args, **kwargs):
+            start, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak)  # the peak since the last stage began
+            tracemalloc.reset_peak()
+            out = fn(*args, **kwargs)
+            calls.setdefault(name, []).append(
+                (start, tracemalloc.get_traced_memory()[1] - start))
+            return out
+        return wrapper
 
-    monkeypatch.setattr(torusearch, name, measured)
-    tracemalloc.start()
-    try:
-        im, _ = build_perturbed_torus(outcome, nodes_per_period=64, nv=128)
-    finally:
-        tracemalloc.stop()
-    return im, seen
+    with pytest.MonkeyPatch.context() as m:
+        for owner, names in ((torusearch, TORUSEARCH_STAGES),
+                             (immersion.ImmersionGrid, GRID_STAGES)):
+            for name in names:
+                m.setattr(owner, name, measured(name, getattr(owner, name)))
+        tracemalloc.start()
+        try:
+            im, _ = build_perturbed_torus(outcome, nv=nv,
+                                          nodes_per_period=nodes_per_period)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    unit = im.A.nbytes
+    table = {name: [(start / unit, own / unit) for start, own in pairs]
+             for name, pairs in calls.items()}
+    return im, max(peaks) / unit, table
 
 
-def test_system_residual_peak_memory(release_outcome, monkeypatch):
+@pytest.fixture(scope="module")
+def stages_64(release_outcome):
+    return stage_table(release_outcome, 64, 128)
+
+
+@pytest.fixture(scope="module")
+def stages_release(release_outcome):
+    return stage_table(release_outcome, 96, 192)
+
+
+def test_every_stage_runs_once(stages_64):
+    _, _, table = stages_64
+    assert {name: len(c) for name, c in table.items()} == dict.fromkeys(
+        TORUSEARCH_STAGES + GRID_STAGES, 1)
+
+
+def test_build_torus_peak_memory(stages_64):
+    # the full-grid passes walk row tiles, F, Fhat and the scaled solution
+    # are formed per tile from their factors, and the immersion keeps only
+    # f (4 grid arrays), A and B; at (64, 128) the floor is set by the fine
+    # lift of the stretched map (3 arrays of 99 nodes per grid row) in
+    # stretched_solution, not by the grids
+    _, peak, _ = stages_64
+    assert peak <= 11.5, peak
+
+
+def test_release_build_peak_memory(stages_release):
+    _, peak, _ = stages_release
+    assert peak <= 8.5, peak
+
+
+def test_system_residual_peak_memory(stages_64):
     # the build's residual of the derived (A, B) walks row tiles and reads
     # A and B in place, so its own peak is a fraction of one grid array
-    im, seen = _own_peaks(monkeypatch, release_outcome, "system_residual")
-    assert len(seen) == 1
-    assert seen[0] <= 1.5 * im.A.nbytes, seen[0] / im.A.nbytes
+    (_, own), = stages_64[2]["system_residual"]
+    assert own <= 1.5, own
 
 
-def test_assemble_peak_memory(release_outcome, monkeypatch):
-    # assemble keeps f, A, B, margin, E and Fm; Ahat and Bhat are formed
-    # tile by tile where tangency_check reads them, so they add no grids
-    im, seen = _own_peaks(monkeypatch, release_outcome, "assemble")
-    assert len(seen) == 1
-    assert seen[0] <= 11 * im.A.nbytes, seen[0] / im.A.nbytes
+def test_assemble_peak_memory(stages_64):
+    # assemble builds f, A and B; margin, E and Fm are formed per tile where
+    # they are read, and Ahat and Bhat where tangency_check reads them
+    (_, own), = stages_64[2]["assemble"]
+    assert own <= 8.5, own
+
+
+def test_immersion_owns_only_f_a_and_b(stages_release):
+    # the angle terms of a Hopf map are broadcast views of one u column
+    im = stages_release[0]
+    owned = [a for a in (getattr(im, f.name) for f in dataclasses.fields(im))
+             if isinstance(a, np.ndarray) and a.flags.owndata]
+    assert sum(a.nbytes for a in owned) <= 6 * im.A.nbytes
+    assert im.cos_w.strides[1] == im.sin_w.strides[1] == 0
 
 
 def test_build_torus_circle_control():

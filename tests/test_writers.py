@@ -18,7 +18,7 @@ from flatsurf4.flatmap import (BLOCK_ROWS, FLATMAP_HEADER, FlatMapGrid,
                                _write_grid_csv)
 from flatsurf4.hypsys import wave_solution
 from flatsurf4.immersion import (IMMERSION_HEADER, ImmersionGrid,
-                                 write_immersion_csv)
+                                 brioschi_curvature, write_immersion_csv)
 
 SPECIAL = (np.nan, -0.0, 1e-300, 3.0, -2.0, 0.0, 1.0 / 3.0, 1e300, np.inf)
 NV = 7
@@ -117,18 +117,24 @@ def test_hopf_csv_reads_back_bit_for_bit(tmp_path):
 
 @pytest.mark.parametrize("with_curvature", [True, False])
 def test_immersion_csv_bytes(tmp_path, with_curvature):
-    shape = (SPEC.nu, SPEC.nv)
-    A, B, margin = (_field(shape, s) for s in (4, 5, 6))
-    K = None
-    if with_curvature:  # NaN near the boundary, as brioschi_curvature leaves it
-        K = np.full(shape, np.nan)
-        K[4:-4, 4:-4] = _field(shape, 7)[4:-4, 4:-4]
-    im = ImmersionGrid(SPEC, _field(shape + (4,), 8), A, B, margin, A, B,
-                       K_est=K)
-    write_immersion_csv(im, tmp_path / "im.csv")
-    K_col = K if with_curvature else np.full(shape, np.nan)
+    # margin and K are formed from A, B and w as the file is written; K is
+    # the Brioschi curvature of the metric, NaN near the boundary and on a
+    # grid too small for its stencils (SPEC has 7 v nodes, K needs 9)
+    spec = (GridSpec(-1.0, 2.0, 0.5, 0.25, BLOCK_ROWS // 11 + 3, 11)
+            if with_curvature else SPEC)
+    shape = (spec.nu, spec.nv)
+    A, B, w = (_field(shape, s) for s in (4, 5, 6))
+    with np.errstate(all="ignore"):  # the special values overflow
+        cw, sw = np.cos(w), np.sin(w)
+        im = ImmersionGrid(spec, _field(shape + (4,), 8), A, B, cw, sw)
+        write_immersion_csv(im, tmp_path / "im.csv")
+        E = A * A + B * B
+        Fm = (A * A - B * B) * cw + 2.0 * A * B * sw
+        margin = (A * A - B * B) * sw - 2.0 * A * B * cw
+        K = brioschi_curvature(E, Fm, spec.hu, spec.hv)
+    assert np.isfinite(K).any() == with_curvature
     expect = _csv(IMMERSION_HEADER,
-                  _grid_rows(SPEC, im.f, A, B, margin, K_col))
+                  _grid_rows(spec, im.f, A, B, margin, K))
     assert (tmp_path / "im.csv").read_bytes() == expect
 
 
