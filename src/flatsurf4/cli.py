@@ -23,10 +23,11 @@ import numpy as np
 from .curve import (CurvatureProfile, frenet_s3, helix, helix_curvature,
                     parse_profile, _real)
 from .errors import FlatSurfaceError, NotOnSphere, PoleOnSurface
-from .flatmap import (GridSpec, clifford_flat_map, helix_product_map,
-                      hopf_flat_map, linear_angle, profile_angle,
-                      read_flatmap_csv, verify_flat_map, write_flatmap_csv,
-                      _hopf_map, _write_grid_csv, _write_rows)
+from .flatmap import (BLOCK_ROWS, GridSpec, clifford_flat_map,
+                      helix_product_map, hopf_flat_map, linear_angle,
+                      profile_angle, read_flatmap_csv, verify_flat_map,
+                      write_flatmap_csv, _hopf_map, _write_grid_csv,
+                      _write_halves, _write_rows)
 from .hypsys import (SmoothFn, exponential_solution,
                      geometric_solution, helical_angle_solution,
                      quadrature_transform, solve_numeric, stretched_solution,
@@ -64,6 +65,9 @@ def export_obj(points, path, projection="stereographic", drop_index=3):
     projection="drop": simply drops coordinate drop_index.
     The file holds one "v x y z" line per node in u-major order, 9
     significant digits each, then two "f a b c" triangles per grid cell.
+    It is written by _write_halves over one index space, the nodes and then
+    the cells: this process writes the first half of it, and on two CPUs a
+    forked child the second.
     """
     pts = np.asarray(points, dtype=float)
     nu, nv = pts.shape[0], pts.shape[1]
@@ -89,10 +93,16 @@ def export_obj(points, path, projection="stereographic", drop_index=3):
         return np.stack([a, a + nv, a + nv + 1, a, a + nv + 1, a + 1],
                         axis=1).reshape(-1, 3)
 
-    flat = xyz.reshape(-1, 3)
-    with open(path, "w") as fh:
-        _write_rows(fh, nu * nv, lambda lo, hi: flat[lo:hi], "%.9g", " ", "v ")
-        _write_rows(fh, (nu - 1) * (nv - 1), faces, "%d", " ", "f ")
+    flat, nodes = xyz.reshape(-1, 3), nu * nv
+
+    def part(fh, lo, hi):
+        # items lo..hi-1 of the nodes, then the cells
+        _write_rows(fh, min(lo, nodes), min(hi, nodes),
+                    lambda a, b: flat[a:b], "%.9g", " ", "v ")
+        _write_rows(fh, max(lo, nodes) - nodes, max(hi, nodes) - nodes,
+                    faces, "%d", " ", "f ")
+
+    _write_halves(path, "", nodes + (nu - 1) * (nv - 1), BLOCK_ROWS, part)
     return xyz
 
 
@@ -225,10 +235,13 @@ def _cmd_helix(cfg):
     kappa, tau_meas = frenet_s3(c)
     csv = cfg.path(p["csv"])
     s, q = c.u_grid, c.samples
-    with open(csv, "w") as fh:
-        fh.write("s,x1,x2,x3,x4\n")
-        _write_rows(fh, len(q), lambda lo, hi: np.column_stack([s[lo:hi], q[lo:hi]]),
+
+    def part(fh, first, last):
+        _write_rows(fh, first, last,
+                    lambda lo, hi: np.column_stack([s[lo:hi], q[lo:hi]]),
                     "%.17g", ",", "")
+
+    _write_halves(csv, "s,x1,x2,x3,x4\n", len(q), BLOCK_ROWS, part)
     return {
         "kappa": float(np.median(kappa)),
         "kappa_expected": helix_curvature(r),

@@ -14,6 +14,9 @@ re-derives the relations by central differences instead.
 """
 
 import math
+import os
+import shutil
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -507,24 +510,87 @@ def verify_flat_map(g: FlatMapGrid) -> FlatMapReport:
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization (17 significant digits, bit-exact round trip)
+# CSV serialization (17 significant digits, bit-exact round trip).  Every
+# CSV and OBJ file is written by _write_halves: on two or more allowed CPUs
+# a forked child formats the second half of the file while this process
+# writes the header and the first half, then appends the child's half.
 
 
 FLATMAP_HEADER = "u,v,F1,F2,F3,F4,Fh1,Fh2,Fh3,Fh4,omega"
 BLOCK_ROWS = 4096
 
 
-def _write_rows(fh, n, rows, fmt, sep, prefix):
-    """Write the rows of the items 0..n-1 to the open text file fh.
+def _write_halves(path, header, n, block, part):
+    """Write the text file path: header, then the items 0..n-1.
+
+    part(fh, lo, hi) writes the items lo..hi-1 to the open text file fh;
+    block is the number of items the writer formats at a time.  The file is
+    header, part(fh, 0, mid) and part(fh, mid, n), with mid = n // 2.
+    Where os.fork exists, at least two CPUs are allowed, n exceeds one
+    block and this process runs one thread, a forked child writes the
+    second half to the sibling file path.<child pid>.part while this
+    process writes the header and the first half; this process then reaps
+    the child and appends the sibling's bytes.  If the child failed, this
+    process writes the second half itself.  The sibling is removed on every
+    path, and the child never returns into the caller.  Otherwise, or if
+    the fork fails, both halves are written here.
+    """
+    mid = n // 2
+    # a child forked beside other threads may wait forever on a lock one of
+    # them held, so only a single-threaded process forks
+    split = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+             and len(os.sched_getaffinity(0)) >= 2 and n > block
+             and threading.active_count() == 1)
+    with open(path, "w") as fh:
+        try:
+            pid = os.fork() if split else None
+        except OSError:  # no process to spare
+            pid = None
+        if pid is None:
+            fh.write(header)
+            part(fh, 0, n)
+            return
+        if pid == 0:
+            code = 1
+            try:
+                with open(f"{path}.{os.getpid()}.part", "w") as out:
+                    part(out, mid, n)
+                code = 0
+            finally:
+                os._exit(code)
+        sibling = f"{path}.{pid}.part"
+        try:
+            try:
+                fh.write(header)
+                part(fh, 0, mid)
+            finally:
+                status = os.waitpid(pid, 0)[1]
+            if status == 0:
+                fh.flush()
+                with open(sibling, "rb") as src:
+                    shutil.copyfileobj(src, fh.buffer)
+            else:
+                part(fh, mid, n)
+        finally:
+            try:
+                os.remove(sibling)
+            except FileNotFoundError:
+                pass
+
+
+def _write_rows(fh, first, last, rows, fmt, sep, prefix):
+    """Write the rows of the items first..last-1 to the open text file fh.
 
     rows(lo, hi) returns the rows of items lo..hi-1 as one 2-D array; each
     row is written as prefix, then its entries in fmt joined by sep.  Items
     are taken BLOCK_ROWS at a time and each block is formatted by one
     %-operation, which gives the same bytes as formatting row by row;
-    neither the whole table nor the whole file is held at once.
+    neither the whole table nor the whole file is held at once.  Writers
+    call it from a part of _write_halves, so the process that writes a half
+    of the file (this one, or the forked child) formats that half's rows.
     """
-    for lo in range(0, n, BLOCK_ROWS):
-        block = rows(lo, min(lo + BLOCK_ROWS, n))
+    for lo in range(first, last, BLOCK_ROWS):
+        block = rows(lo, min(lo + BLOCK_ROWS, last))
         row_fmt = prefix + sep.join([fmt] * block.shape[1]) + "\n"
         fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
@@ -534,27 +600,31 @@ def _write_grid_csv(path, header, spec: GridSpec, fields):
     each float with 17 significant digits (%.17g), rows in u-major order.
 
     fields(rows) returns the fields on the grid rows `rows` (a slice), each
-    of shape (rows, nv) or (rows, nv, k), so a field formed per row tile is
-    formed only for the rows of each block.  Blocks hold whole u rows, about
-    BLOCK_ROWS nodes.  Each u and v value is formatted once: parts[j] is
-    the format of the tail of a row at v_j, and a u row is its u string
-    joined with parts, so one %-operation per block formats only the fields,
-    with the same bytes as formatting row by row.
+    of shape (rows, nv) or (rows, nv, k), with the columns of header after
+    u and v, so a field formed per row tile is formed only for the rows of
+    each block.  Blocks hold whole u rows, about BLOCK_ROWS nodes.  Each u
+    and v value is formatted once: parts[j] is the format of the tail of a
+    row at v_j, and a u row is its u string joined with parts, so one
+    %-operation per block formats only the fields, with the same bytes as
+    formatting row by row.  The file is written by _write_halves, split
+    between u rows: this process forms and writes the fields of the first
+    half of the u rows, and on two CPUs a forked child those of the second.
     """
     nv = spec.nv
     u_strings = ["%.17g" % u for u in spec.u_nodes.tolist()]
-    step, parts = max(1, BLOCK_ROWS // nv), None
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, spec.nu, step):
-            hi = min(lo + step, spec.nu)
+    tail = ",%.17g" * (header.count(",") - 1) + "\n"
+    parts = ["," + "%.17g" % v + tail for v in spec.v_nodes.tolist()]
+    step = max(1, BLOCK_ROWS // nv)
+
+    def part(fh, first, last):
+        for lo in range(first, last, step):
+            hi = min(lo + step, last)
             block = np.concatenate([np.reshape(f, (hi - lo, nv, -1))
                                     for f in fields(slice(lo, hi))], axis=2)
-            if parts is None:
-                tail = ",%.17g" * block.shape[2] + "\n"
-                parts = ["," + "%.17g" % v + tail for v in spec.v_nodes.tolist()]
             fh.write("".join(u + u.join(parts) for u in u_strings[lo:hi])
                      % tuple(block.ravel().tolist()))
+
+    _write_halves(path, header + "\n", spec.nu, step, part)
 
 
 def write_flatmap_csv(g: FlatMapGrid, path):

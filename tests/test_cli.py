@@ -213,6 +213,11 @@ def test_main_config_file(tmp_path):
 DATA = Path(__file__).resolve().parent / "data"
 
 
+# the message of each OSError a bad output path gives, and its type
+OS_ERRORS = {"No such file or directory": "FileNotFoundError",
+             "Is a directory": "IsADirectoryError"}
+
+
 def _main_report(tmp_path, *argv):
     code = main(["--out-dir", str(tmp_path), *argv])
     return code, json.loads((tmp_path / "report.json").read_text())
@@ -262,15 +267,30 @@ def _main_report(tmp_path, *argv):
     (["build-cylinder", "--profile", '{"k0":0.8,"terms":[[0.15,2.0,0.0]]}',
       "--h", "0.5", "--nv", "6"],
      "a grid of 26 x 7 nodes is too small for the curvature"),
+    # output paths that cannot be written: in a missing directory, or the
+    # output directory itself
+    (["build-cylinder", "--profile", '{"k0":0.8,"terms":[[0.15,2.0,0.0]]}',
+      "--h", "0.1", "--nv", "32", "--csv", "missing/c.csv"],
+     "No such file or directory"),
+    (["build-cylinder", "--profile", '{"k0":0.8,"terms":[[0.15,2.0,0.0]]}',
+      "--h", "0.1", "--nv", "32", "--csv", "."], "Is a directory"),
+    (["hopf-torus", "--profile", '{"T":2,"k0":0.5,"cos":[0.3]}',
+      "--csv", "missing/h.csv"], "No such file or directory"),
+    (["hopf-torus", "--profile", '{"T":2,"k0":0.5,"cos":[0.3]}',
+      "--csv", "."], "Is a directory"),
 ])
 def test_bad_input_gives_error_report(tmp_path, capsys, argv, needle):
     code, rep = _main_report(tmp_path, *argv)
     assert code == 1
-    assert rep["error"] == "ValueError"
+    assert rep["error"] == OS_ERRORS.get(needle, "ValueError")
     assert needle in rep["message"]
     assert rep["command"] == argv[0]
     err = capsys.readouterr().err
     assert "Traceback" not in err and "Warning" not in err
+    # no child process or half-file is left
+    assert not list(tmp_path.rglob("*.part"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("argv,key", [

@@ -4,18 +4,24 @@ The reference functions below format one row at a time, as the package
 did before its writers formatted rows in blocks; the files must match
 them byte for byte, across block boundaries and for NaN, -0.0, tiny and
 whole-number values, whatever the grid's shape and nodes.  A written flat
-map reads back bit for bit.
+map reads back bit for bit.  Each file is the same whether it is written
+by one process or in two halves, the second by a forked child, and no
+child or half-file is left behind when either half fails.
 """
+
+import os
+import threading
 
 import numpy as np
 import pytest
 
+import flatsurf4.cli as cli
 from flatsurf4.cli import NAMED_FUNCTIONS, JobConfig, export_obj, run
 from flatsurf4.curve import helix, parse_profile
 from flatsurf4.flatmap import (BLOCK_ROWS, FLATMAP_HEADER, FlatMapGrid,
                                GridSpec, SampledMaps, hopf_flat_map,
                                read_flatmap_csv, write_flatmap_csv,
-                               _write_grid_csv)
+                               _write_grid_csv, _write_halves)
 from flatsurf4.hypsys import wave_solution
 from flatsurf4.immersion import (IMMERSION_HEADER, ImmersionGrid,
                                  brioschi_curvature, write_immersion_csv)
@@ -122,20 +128,27 @@ def test_immersion_csv_bytes(tmp_path, with_curvature):
     # grid too small for its stencils (SPEC has 7 v nodes, K needs 9)
     spec = (GridSpec(-1.0, 2.0, 0.5, 0.25, BLOCK_ROWS // 11 + 3, 11)
             if with_curvature else SPEC)
+    K = _check_immersion_csv(tmp_path / "im.csv", spec, 4)
+    assert np.isfinite(K).any() == with_curvature
+
+
+def _check_immersion_csv(path, spec, seed):
+    """Write an immersion of random fields to path and check its bytes;
+    returns the K column."""
     shape = (spec.nu, spec.nv)
-    A, B, w = (_field(shape, s) for s in (4, 5, 6))
+    A, B, w = (_field(shape, s) for s in (seed, seed + 1, seed + 2))
     with np.errstate(all="ignore"):  # the special values overflow
         cw, sw = np.cos(w), np.sin(w)
-        im = ImmersionGrid(spec, _field(shape + (4,), 8), A, B, cw, sw)
-        write_immersion_csv(im, tmp_path / "im.csv")
+        im = ImmersionGrid(spec, _field(shape + (4,), seed + 4), A, B, cw, sw)
+        write_immersion_csv(im, path)
         E = A * A + B * B
         Fm = (A * A - B * B) * cw + 2.0 * A * B * sw
         margin = (A * A - B * B) * sw - 2.0 * A * B * cw
         K = brioschi_curvature(E, Fm, spec.hu, spec.hv)
-    assert np.isfinite(K).any() == with_curvature
     expect = _csv(IMMERSION_HEADER,
                   _grid_rows(spec, im.f, A, B, margin, K))
-    assert (tmp_path / "im.csv").read_bytes() == expect
+    assert path.read_bytes() == expect
+    return K
 
 
 def test_solve_csv_bytes(tmp_path):
@@ -167,3 +180,174 @@ def test_obj_bytes(tmp_path, shape):
     xyz = export_obj(pts, tmp_path / "m.obj", projection="drop", drop_index=1)
     assert np.array_equal(xyz, np.delete(pts, 1, axis=-1), equal_nan=True)
     assert (tmp_path / "m.obj").read_bytes() == _obj(xyz)
+
+
+# ---------------------------------------------------------------------------
+# the same bytes in two halves
+
+
+def _allow_cpus(monkeypatch, n):
+    """Allow n CPUs; returns the list of the forks made from now on."""
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _nothing_left(directory):
+    """Every child is reaped and no half-file is left in directory."""
+    assert not list(directory.glob("*.part"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(params=[1, 2], ids=["one_cpu", "two_cpus"])
+def cpus(request, monkeypatch, tmp_path):
+    """(allowed CPUs, forks made); checks that nothing is left after."""
+    yield request.param, _allow_cpus(monkeypatch, request.param)
+    _nothing_left(tmp_path)
+
+
+@pytest.mark.parametrize("nu", [
+    # a whole number of blocks plus an odd count of u rows
+    2 * (BLOCK_ROWS // NV) + 3,
+    # exactly one block: written in one process
+    BLOCK_ROWS // NV,
+    # one block and one u row
+    BLOCK_ROWS // NV + 1,
+], ids=["odd_rows", "one_block", "one_block_and_a_row"])
+def test_split_grid_csv_same_bytes(tmp_path, cpus, nu):
+    n_cpus, forks = cpus
+    spec = GridSpec(-1.0, 2.0, 0.5, 0.25, nu, NV)
+    shape = (nu, NV)
+    F, Fhat = _field(shape + (4,), 21), _field(shape + (4,), 22)
+    g = FlatMapGrid(spec, SampledMaps(F, Fhat), _field(shape, 23))
+    write_flatmap_csv(g, tmp_path / "g.csv")
+    assert (tmp_path / "g.csv").read_bytes() == _csv(
+        FLATMAP_HEADER, _grid_rows(spec, F, Fhat, g.omega_grid))
+    assert len(forks) == (n_cpus == 2 and nu > BLOCK_ROWS // NV)
+
+
+def test_split_immersion_csv_same_bytes(tmp_path, cpus):
+    n_cpus, forks = cpus
+    spec = GridSpec(-1.0, 2.0, 0.5, 0.25, 2 * (BLOCK_ROWS // 11) + 1, 11)
+    K = _check_immersion_csv(tmp_path / "im.csv", spec, 24)
+    assert np.isfinite(K).any()
+    assert len(forks) == (n_cpus == 2)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (80, 61)])
+def test_split_obj_same_bytes(tmp_path, cpus, shape):
+    n_cpus, forks = cpus
+    pts = _field(shape + (4,), 28)
+    xyz = export_obj(pts, tmp_path / "m.obj", projection="drop", drop_index=2)
+    assert (tmp_path / "m.obj").read_bytes() == _obj(xyz)
+    assert len(forks) == (n_cpus == 2 and shape == (80, 61))
+
+
+def test_split_helix_csv_same_bytes(tmp_path, cpus):
+    n_cpus, forks = cpus
+    code, rep = run(JobConfig("helix", {"r": 2.0, "s_max": 2.0, "h": 4e-4},
+                              tmp_path))
+    assert code == 0
+    c = helix(2.0, 1, (0.0, 2.0), 4e-4)
+    assert c.n > BLOCK_ROWS and c.n % 2 == 1
+    assert (tmp_path / "helix.csv").read_bytes() == _csv(
+        "s,x1,x2,x3,x4", ([s, *q] for s, q in zip(c.u_grid, c.samples)))
+    assert len(forks) == (n_cpus == 2)
+
+
+@pytest.mark.parametrize("at", ["in_nodes", "on_boundary", "in_cells"])
+def test_obj_split_anywhere_same_bytes(tmp_path, monkeypatch, at):
+    # export_obj splits its index space (nodes, then cells) in the middle,
+    # which lies among the nodes; route the split through the real writer
+    # at any index, so the child writes from a node, the first cell or a
+    # later cell on
+    forks = _allow_cpus(monkeypatch, 2)
+    nu, nv = 9, 7
+    n_nodes, n_cells = nu * nv, (nu - 1) * (nv - 1)
+    mid = {"in_nodes": n_nodes - 5, "on_boundary": n_nodes,
+           "in_cells": n_nodes + n_cells // 3}[at]
+
+    def write_at_mid(path, header, n, block, part):
+        assert n == n_nodes + n_cells
+        ends = (0, mid, n)
+        _write_halves(path, header, 2, 1,
+                      lambda fh, lo, hi: part(fh, ends[lo], ends[hi]))
+
+    monkeypatch.setattr(cli, "_write_halves", write_at_mid)
+    pts = _field((nu, nv, 4), 29)
+    xyz = export_obj(pts, tmp_path / "m.obj", projection="drop", drop_index=0)
+    assert (tmp_path / "m.obj").read_bytes() == _obj(xyz)
+    assert len(forks) == 1
+    _nothing_left(tmp_path)
+
+
+def _numbers(fh, lo, hi):
+    fh.write("".join(f"{i}\n" for i in range(lo, hi)))
+
+
+NUMBERS = "n\n" + "".join(f"{i}\n" for i in range(9))
+
+
+def test_no_fork_beside_another_thread(tmp_path, monkeypatch):
+    forks = _allow_cpus(monkeypatch, 2)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait, args=(10,))
+    thread.start()
+    try:
+        _write_halves(tmp_path / "n.txt", "n\n", 9, 4, _numbers)
+    finally:
+        done.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    assert (tmp_path / "n.txt").read_text() == NUMBERS
+    assert forks == []
+
+
+def test_failed_fork_writes_both_halves_here(tmp_path, monkeypatch):
+    _allow_cpus(monkeypatch, 2)
+
+    def fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", fork)
+    _write_halves(tmp_path / "n.txt", "n\n", 9, 4, _numbers)
+    assert (tmp_path / "n.txt").read_text() == NUMBERS
+    _nothing_left(tmp_path)
+
+
+def test_child_failure_parent_writes_second_half(tmp_path, monkeypatch):
+    forks = _allow_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def part(fh, lo, hi):
+        _numbers(fh, lo, lo + 1)
+        if os.getpid() != parent:
+            raise RuntimeError("the child fails after one line")
+        _numbers(fh, lo + 1, hi)
+
+    _write_halves(tmp_path / "n.txt", "n\n", 9, 4, part)
+    assert (tmp_path / "n.txt").read_text() == NUMBERS
+    assert len(forks) == 1
+    _nothing_left(tmp_path)
+
+
+def test_parent_failure_propagates(tmp_path, monkeypatch):
+    forks = _allow_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def part(fh, lo, hi):
+        _numbers(fh, lo, hi)
+        if os.getpid() == parent:
+            raise RuntimeError("the parent fails")
+
+    with pytest.raises(RuntimeError, match="the parent fails"):
+        _write_halves(tmp_path / "n.txt", "n\n", 9, 4, part)
+    assert len(forks) == 1
+    _nothing_left(tmp_path)
