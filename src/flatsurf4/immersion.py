@@ -54,29 +54,6 @@ class ImmersionGrid:
         return _margin(*(x[rows] for x in (self.A, self.B, self.cos_w,
                                            self.sin_w)))
 
-    def _interior_min(self, field):
-        """Min over the grid's interior of field(rows), an array on the
-        u-rows rows, tile by tile (fd.row_tiles)."""
-        nu = self.spec.nu
-        fd._check_interior(nu, self.spec.nv)
-        return float(np.min([
-            np.min(fd.tile_interior(field(rows), rows, nu), initial=np.inf)
-            for rows, _, _ in fd.row_tiles(nu)]))
-
-    def margin_min(self):
-        return self._interior_min(self.margin)
-
-    def metric_min_eigenvalue(self):
-        """Min eigenvalue E - |Fm| of [[E, Fm], [Fm, E]] over the interior."""
-        def eigenvalue(rows):
-            E, Fm = self.metric(rows)
-            return E - np.abs(Fm)
-        return self._interior_min(eigenvalue)
-
-    def max_radius(self):
-        return float(np.max([np.max(np.linalg.norm(self.f[rows], axis=-1))
-                             for rows, _, _ in fd.row_tiles(self.spec.nu)]))
-
 
 def _angle_terms(gmap: FlatMapGrid):
     """(w_u, cos w, sin w) on the grid of the flat map; w_u is one (nu, 1)
@@ -203,62 +180,78 @@ def brioschi_curvature(E, F, hu, hv):
     """Discrete Gaussian curvature of E (du^2 + dv^2) + 2F du dv.
 
     Nodes where E^2 - F^2 <= 1e-8 (or too close to the boundary for the
-    stencils) are NaN.  K is computed tile by tile (fd.row_tiles).
+    stencils) are NaN.  K is computed on the whole arrays given; a full
+    grid is walked in row tiles by _metric_tiles, which hands it slabs.
     """
-    K = np.empty(E.shape)
-    for rows, slab, core in fd.row_tiles(E.shape[0]):
-        Eu, Ev = fd.d1(E[slab], hu, axis=0)[core], fd.d1(E[rows], hv, axis=1)
-        Fu, Fv = fd.d1(F[slab], hu, axis=0)[core], fd.d1(F[rows], hv, axis=1)
-        Evv = fd.d2(E[rows], hv, axis=1)
-        Euu = fd.d2(E[slab], hu, axis=0)[core]
-        Fuv = fd.d1(Fu, hv, axis=1)
-        Et, Ft = E[rows], F[rows]
+    Eu, Ev = fd.d1(E, hu, axis=0), fd.d1(E, hv, axis=1)
+    Fu, Fv = fd.d1(F, hu, axis=0), fd.d1(F, hv, axis=1)
+    Evv, Euu = fd.d2(E, hv, axis=1), fd.d2(E, hu, axis=0)
+    Fuv = fd.d1(Fu, hv, axis=1)
 
-        det = Et * Et - Ft * Ft
-        # expanded 3x3 determinants of the Brioschi matrices
-        det_m1 = ((-0.5 * Evv + Fuv - 0.5 * Euu) * det
-                  - 0.5 * Eu * ((Fv - 0.5 * Eu) * Et - 0.5 * Ev * Ft)
-                  + (Fu - 0.5 * Ev) * ((Fv - 0.5 * Eu) * Ft - 0.5 * Ev * Et))
-        det_m2 = (0.0 * Et
-                  - 0.5 * Ev * (0.5 * Ev * Et - 0.5 * Eu * Ft)
-                  + 0.5 * Eu * (0.5 * Ev * Ft - 0.5 * Eu * Et))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            K[rows] = np.where(det > 1e-8, (det_m1 - det_m2) / det ** 2, np.nan)
+    det = E * E - F * F
+    # expanded 3x3 determinants of the Brioschi matrices
+    det_m1 = ((-0.5 * Evv + Fuv - 0.5 * Euu) * det
+              - 0.5 * Eu * ((Fv - 0.5 * Eu) * E - 0.5 * Ev * F)
+              + (Fu - 0.5 * Ev) * ((Fv - 0.5 * Eu) * F - 0.5 * Ev * E))
+    det_m2 = (0.0 * E
+              - 0.5 * Ev * (0.5 * Ev * E - 0.5 * Eu * F)
+              + 0.5 * Eu * (0.5 * Ev * F - 0.5 * Eu * E))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        K = np.where(det > 1e-8, (det_m1 - det_m2) / det ** 2, np.nan)
     keep = np.zeros(K.shape, dtype=bool)
     keep[K_TRIM:K.shape[0] - K_TRIM, K_TRIM:K.shape[1] - K_TRIM] = True
     K[~keep] = np.nan
     return K
 
 
-def _curvature_tiles(im: ImmersionGrid):
-    """Yield (rows, K on rows) over the row tiles of im, with K the
-    brioschi_curvature of im.metric.  Each tile's K is taken on its rows
-    widened by K_TRIM rows on each side (clipped to the grid), where the
-    metric is formed, and cut back to the tile: brioschi_curvature leaves
-    its K_TRIM edge rows NaN and reads no further than that, so the tile's
-    K is that of the whole grid, bit for bit."""
+def _metric_tiles(im: ImmersionGrid):
+    """Yield (rows, E, Fm, K) over the row tiles of im, with (E, Fm) =
+    im.metric(rows) and K its brioschi_curvature.  The metric is formed
+    once, on the tile's rows widened by K_TRIM rows on each side (clipped
+    to the grid); K is taken on that slab, and all three are cut back to
+    the tile: brioschi_curvature leaves its K_TRIM edge rows NaN and reads
+    no further than that, so the tile's K is that of the whole grid, bit
+    for bit."""
     nu, hu, hv = im.spec.nu, im.spec.hu, im.spec.hv
     for rows, _, _ in fd.row_tiles(nu):
         s0 = max(rows.start - K_TRIM, 0)
         E, Fm = im.metric(slice(s0, min(rows.stop + K_TRIM, nu)))
         K = brioschi_curvature(E, Fm, hu, hv)
-        yield rows, K[rows.start - s0:rows.stop - s0]
+        core = slice(rows.start - s0, rows.stop - s0)
+        yield rows, E[core], Fm[core], K[core]
 
 
-def flatness_check(im: ImmersionGrid):
-    """Max |K| over the nodes with a curvature estimate, taken tile by tile
-    (no K grid is kept).  A grid with fewer than 2 K_TRIM + 1 nodes in a
-    direction raises ValueError; DegenerateMetric if no node is valid."""
+def metric_checks(im: ImmersionGrid):
+    """{margin_min, metric_min_eigenvalue, gauss_K_max, max_radius} of im,
+    from one walk over its row tiles (_metric_tiles); no grid is kept.
+
+    The margin and the metric's min eigenvalue E - |Fm| are minima over
+    the grid's interior, gauss_K_max the max |K| over the nodes with a
+    curvature estimate, max_radius the max |f| over all nodes.  A grid
+    without an interior raises ValueError, as does one with fewer than
+    2 K_TRIM + 1 nodes in a direction; DegenerateMetric if no node has a
+    curvature estimate.
+    """
     nu, nv = im.spec.nu, im.spec.nv
+    fd._check_interior(nu, nv)
     if min(nu, nv) <= 2 * K_TRIM:
         raise ValueError(f"a grid of {nu} x {nv} nodes is too small for the "
                          f"curvature; the Brioschi stencils need at least "
                          f"{2 * K_TRIM + 1} nodes per direction")
-    maxima = [np.max(np.abs(K[np.isfinite(K)]), initial=-np.inf)
-              for _, K in _curvature_tiles(im)]
-    if max(maxima) == -np.inf:
+    tiles = []
+    for rows, E, Fm, K in _metric_tiles(im):
+        inner = lambda x: fd.tile_interior(x, rows, nu)
+        tiles.append((np.min(inner(im.margin(rows)), initial=np.inf),
+                      np.min(inner(E - np.abs(Fm)), initial=np.inf),
+                      np.max(np.abs(K[np.isfinite(K)]), initial=-np.inf),
+                      np.max(np.linalg.norm(im.f[rows], axis=-1))))
+    margin, eigenvalue, curvature, radius = zip(*tiles)
+    if max(curvature) == -np.inf:
         raise DegenerateMetric("metric is singular on the whole tested region")
-    return float(max(maxima))
+    return {"margin_min": float(np.min(margin)),
+            "metric_min_eigenvalue": float(np.min(eigenvalue)),
+            "gauss_K_max": float(max(curvature)),
+            "max_radius": float(np.max(radius))}
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +393,14 @@ def write_immersion_csv(im: ImmersionGrid, path):
     """Write im as CSV with the columns of IMMERSION_HEADER (see GridSpec).
 
     The margin is formed per block of rows (im.margin).  K is the Brioschi
-    curvature of the metric, the estimate flatness_check takes its maximum
-    of, formed in one tiled pass (_curvature_tiles) before the rows are
+    curvature of the metric, the estimate metric_checks takes its maximum
+    of, formed in one tiled pass (_metric_tiles) before the rows are
     written; it is NaN where no estimate exists: within K_TRIM nodes of the
     boundary (so everywhere on a grid too small for the stencils) and where
     the metric is singular.
     """
     K = np.empty(im.A.shape)
-    for rows, Kt in _curvature_tiles(im):
+    for rows, _, _, Kt in _metric_tiles(im):
         K[rows] = Kt
     _write_grid_csv(path, IMMERSION_HEADER, im.spec,
                     lambda rows: (im.f[rows], im.A[rows], im.B[rows],

@@ -19,18 +19,19 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .curve import CurvatureProfile, asymptotic_lift, lift_product
+from .curve import CurvatureProfile, lift_product
 from .errors import ClosureFailure, NoSignChange, SingularAfterRescale
 from .flatmap import (FlatMapGrid, GridSpec, _hopf_map, hopf_flat_map,
                       verify_flat_map)
 from .hypsys import stretched_solution, system_residual
 from .immersion import (ImmersionGrid, assemble, auto_lambda, derived_solution,
-                        flatness_check, lambda_rescale, metric_identity_check,
+                        lambda_rescale, metric_checks, metric_identity_check,
                         sphere_fit, tangency_check)
 from .quat import qmul, rotation_matrix
 
 TWO_PI = 2.0 * math.pi
 Q_MAX = 64
+LIFT_CLOSURE_TOL = 1e-6  # |Psi^m - 1| at which the lift counts as closed
 RATIONAL_WINDOW = 1e-8
 
 
@@ -113,17 +114,9 @@ def holonomy_closure_residual(k, multiples=1, h=1e-3):
 
     This is the brute-force closure check: integrate straight through
     (no monodromy shortcut; Magnus-4 steps of size h over all the periods)
-    and measure the endpoint frame mismatch.  For a sequence of multiples
-    the lift is integrated once, to the largest, with round(T / h) steps
-    per base period T so that every multiple falls on a node, and one gap
-    per entry is returned.
+    and measure the endpoint frame mismatch.
     """
-    if np.ndim(multiples) == 0:
-        return _frame_gap(lift_product(k, multiples * k.base_period, h))
-    T = k.base_period
-    steps = max(1, int(round(T / h)))
-    nodes = asymptotic_lift(k, (0.0, max(multiples) * T), T / steps).samples
-    return [_frame_gap(nodes[m * steps]) for m in multiples]
+    return _frame_gap(lift_product(k, multiples * k.base_period, h))
 
 
 def closure_multiple(p, q):
@@ -275,21 +268,21 @@ def lift_monodromy(k, h=1e-3):
     return lift_product(k, k.base_period, h)
 
 
-def lift_closure_multiple(k, m_max=Q_MAX, tol=1e-6):
-    """Smallest m <= m_max with Psi^m = 1 (Magnus steps 1e-3): the lift
-    closes over m T."""
+def lift_closure_multiple(k):
+    """Smallest m <= Q_MAX with |Psi^m - 1| < LIFT_CLOSURE_TOL (Magnus
+    steps 1e-3): the lift closes over m T."""
     psi = lift_monodromy(k)
     acc = psi.copy()
     one = np.array([1.0, 0.0, 0.0, 0.0])
     best = math.inf
-    for m in range(1, m_max + 1):
+    for m in range(1, Q_MAX + 1):
         gap = float(np.linalg.norm(acc - one))
         best = min(best, gap)
-        if gap < tol:
+        if gap < LIFT_CLOSURE_TOL:
             return m, gap
         acc = qmul(acc, psi)
     raise ClosureFailure(
-        f"lift fails to close within {m_max} periods (best gap {best:.3e})",
+        f"lift fails to close within {Q_MAX} periods (best gap {best:.3e})",
         best_residual=best)
 
 
@@ -314,15 +307,10 @@ def _assemble_stretched(gmap: FlatMapGrid, k, n, lam):
 def _diagnostics(gmap: FlatMapGrid, im: ImmersionGrid, lam, fm):
     """The report of a build: lam, the checks of im on gmap, and fm, the
     verify_flat_map report of gmap."""
-    rep = {}
-    rep["lambda"] = lam
-    rep["margin_min"] = im.margin_min()
-    rep["metric_min_eigenvalue"] = im.metric_min_eigenvalue()
-    rep["gauss_K_max"] = flatness_check(im)
+    rep = {"lambda": lam, **metric_checks(im)}
     fit = sphere_fit(im)
     rep["sphere_rms"] = fit.rms_residual
     rep["sphere_radius"] = fit.radius
-    rep["max_radius"] = im.max_radius()
     ru, rv = tangency_check(im, gmap)
     rep["tangency_u"] = ru
     rep["tangency_v"] = rv

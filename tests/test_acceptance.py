@@ -22,8 +22,8 @@ from flatsurf4.hypsys import (GridSpec, SmoothFn, constant_solution,
                               helical_angle_solution, quadrature_transform,
                               stretched_solution, system_residual,
                               wave_solution, zero_solution)
-from flatsurf4.immersion import (assemble, derived_solution, flatness_check,
-                                 lambda_rescale, metric_identity_check,
+from flatsurf4.immersion import (assemble, derived_solution, lambda_rescale,
+                                 metric_checks, metric_identity_check,
                                  sphere_fit, tangency_check)
 from flatsurf4.torusearch import (a_n, build_perturbed_cylinder,
                                   build_perturbed_torus,
@@ -183,11 +183,12 @@ def test_criterion_5_representation_diagnostics(hopf_const, hopf_wavy,
 def test_criterion_6_flatness(clifford, release_torus):
     vals = {}
     im = assemble(clifford, constant_solution(clifford.spec))
-    vals["clifford"] = flatness_check(im)
+    vals["clifford"] = metric_checks(im)["gauss_K_max"]
 
     spec = clifford.spec
     sol = lambda_rescale(wave_solution(math.pi / 2, SIN, COS, spec), 0.25)
-    vals["product-of-curves"] = flatness_check(assemble(clifford, sol))
+    vals["product-of-curves"] = metric_checks(
+        assemble(clifford, sol))["gauss_K_max"]
 
     from flatsurf4.curve import helix as mk_helix
     from flatsurf4.flatmap import bianchi_spivak_product
@@ -202,7 +203,8 @@ def test_criterion_6_flatness(clifford, release_torus):
     a2 = a2.right_translate(qinv(a2.samples[0]))
     g = bianchi_spivak_product(a1, a2, xi=QI)
     sol = exponential_solution(2.0, 1.0, g.spec)
-    vals["exponential cylinder"] = flatness_check(assemble(g, sol))
+    vals["exponential cylinder"] = metric_checks(
+        assemble(g, sol))["gauss_K_max"]
 
     _, rep = release_torus
     vals["perturbed Hopf torus"] = rep["gauss_K_max"]
@@ -240,8 +242,8 @@ def test_criterion_7_holonomy_and_property_P(release_outcome):
         assert dist >= 1e-2
         ks = k.stretch(2)
         best_far = min(best_far,
-                       min(holonomy_closure_residual(ks, range(1, 17),
-                                                     h=4e-3)))
+                       min(holonomy_closure_residual(ks, m, h=4e-3)
+                           for m in range(1, 17)))
 
     ok = circle_dev < 1e-6 and worst_rational < 1e-3 and best_far > 1e-2
     assert _line(7, "holonomy / property (P)", ok,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flatsurf4 import _fd as fd
+from flatsurf4 import immersion
 from flatsurf4.curve import CurvatureProfile
 from flatsurf4.errors import (DegenerateMetric, GridMismatch, NoLambdaFound,
                               PreconditionViolated)
@@ -16,8 +17,8 @@ from flatsurf4.hypsys import (GridSpec, SmoothFn, constant_solution,
                               stretched_solution, system_residual,
                               wave_solution)
 from flatsurf4.immersion import (assemble, auto_lambda, brioschi_curvature,
-                                 derived_solution, flatness_check,
-                                 lambda_rescale, metric_identity_check,
+                                 derived_solution, lambda_rescale,
+                                 metric_checks, metric_identity_check,
                                  sphere_fit, tangency_check, verify_frame,
                                  write_immersion_csv)
 
@@ -52,7 +53,7 @@ def test_constant_solution_reproduces_the_flat_map(hopf_grid):
     # margin = sin w, strictly positive for 0 < w < pi
     margin = im.margin(slice(None))
     assert np.max(np.abs(margin - np.sin(hopf_grid.omega_grid))) < 1e-12
-    assert im.margin_min() > 0
+    assert metric_checks(im)["margin_min"] > 0
 
 
 def test_assemble_rejects_mismatched_grids(hopf_grid):
@@ -163,7 +164,7 @@ def test_tangency_for_exponential_surface():
     ru, rv = tangency_check(im, g)
     assert ru < 1e-4 and rv < 1e-4
     # the paper's regularity claim for this family: margin never vanishes
-    assert im.margin_min() > 0
+    assert metric_checks(im)["margin_min"] > 0
 
 
 def test_tangents_orthogonal_to_normals(hopf_grid):
@@ -210,7 +211,7 @@ def test_derived_AB_resolves_system(hopf_grid):
 def test_clifford_torus_is_flat(clifford):
     sol = constant_solution(clifford.spec)
     im = assemble(clifford, sol)
-    assert flatness_check(im) < 1e-4
+    assert metric_checks(im)["gauss_K_max"] < 1e-4
 
 
 def test_product_of_curves_torus_is_flat(clifford):
@@ -219,8 +220,9 @@ def test_product_of_curves_torus_is_flat(clifford):
     sol = wave_solution(math.pi / 2, SIN, COS, spec)
     sol = lambda_rescale(sol, 0.25)
     im = assemble(clifford, sol)
-    assert im.margin_min() > 0
-    assert flatness_check(im) < 1e-3
+    checks = metric_checks(im)
+    assert checks["margin_min"] > 0
+    assert checks["gauss_K_max"] < 1e-3
 
 
 def test_exponential_cylinder_is_flat():
@@ -239,7 +241,7 @@ def test_exponential_cylinder_is_flat():
     a2 = a2.right_translate(qinv(a2.samples[0]))
     g = bianchi_spivak_product(a1, a2, xi=QI)
     im = assemble(g, sol)
-    assert flatness_check(im) < 1e-3
+    assert metric_checks(im)["gauss_K_max"] < 1e-3
 
 
 def test_helical_family_regularity_factors():
@@ -314,9 +316,9 @@ def test_brioschi_on_known_nonflat_metric():
 
 
 def test_brioschi_takes_each_derivative_once(monkeypatch):
-    # E is differenced for both E and G of E (du^2 + dv^2) + 2F du dv, so a
-    # one-tile grid makes 5 fd.d1 calls (E_u, E_v, F_u, F_v, F_uv) and 2
-    # fd.d2 calls (E_uu, E_vv)
+    # E is differenced for both E and G of E (du^2 + dv^2) + 2F du dv, and
+    # the arrays given are not tiled again, so a call makes 5 fd.d1 calls
+    # (E_u, E_v, F_u, F_v, F_uv) and 2 fd.d2 calls (E_uu, E_vv)
     calls = {"d1": 0, "d2": 0}
     for name, stencil in [("d1", fd.d1), ("d2", fd.d2)]:
         def counted(*args, name=name, stencil=stencil, **kwargs):
@@ -332,6 +334,22 @@ def test_brioschi_takes_each_derivative_once(monkeypatch):
     assert np.isfinite(K).sum() == (21 - 8) ** 2
 
 
+def test_metric_checks_walk_the_row_tiles_once(hopf_grid, monkeypatch):
+    # the margin, the metric eigenvalue, K and |f| come from one walk, and
+    # each tile's slab goes to brioschi_curvature whole
+    im = assemble(hopf_grid, constant_solution(hopf_grid.spec))
+    ntiles = len(list(fd.row_tiles(im.spec.nu)))
+    assert ntiles >= 3
+    calls = {"row_tiles": 0, "brioschi_curvature": 0}
+    for owner, name in ((fd, "row_tiles"), (immersion, "brioschi_curvature")):
+        def counted(*args, name=name, fn=getattr(owner, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+    metric_checks(im)
+    assert calls == {"row_tiles": 1, "brioschi_curvature": ntiles}
+
+
 def test_flatness_degenerate_raises():
     h = 0.05
     n = 21
@@ -340,7 +358,7 @@ def test_flatness_degenerate_raises():
     im = ImmersionGrid(GridSpec(0, 0, h, h, n, n), np.zeros((n, n, 4)),
                        E, E, E, E)
     with pytest.raises(DegenerateMetric):
-        flatness_check(im)
+        metric_checks(im)
 
 
 @pytest.mark.parametrize("nu,nv", [(8, 21), (21, 8)])
@@ -352,11 +370,11 @@ def test_flatness_needs_nine_nodes_per_direction(nu, nv):
     im = ImmersionGrid(GridSpec(0, 0, 0.05, 0.05, nu, nv),
                        np.zeros((nu, nv, 4)), one, 0 * one, 0 * one, one)
     with pytest.raises(ValueError, match=f"{nu} x {nv} nodes.*at least 9"):
-        flatness_check(im)
+        metric_checks(im)
     one = np.ones((9, 9))
     big = ImmersionGrid(GridSpec(0, 0, 0.05, 0.05, 9, 9), np.zeros((9, 9, 4)),
                         one, 0 * one, 0 * one, one)
-    assert flatness_check(big) == 0.0
+    assert metric_checks(big)["gauss_K_max"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +447,14 @@ def test_auto_lambda_margin_policy(hopf_grid):
     lam = auto_lambda(hopf_grid, sol)
     s_min = float(np.min(np.sin(hopf_grid.omega_grid)))
     im = assemble(hopf_grid, lambda_rescale(sol, lam))
-    assert im.margin_min() > 0.5 * s_min
+    assert metric_checks(im)["margin_min"] > 0.5 * s_min
     assert 0 < lam <= 1.0
 
 
 def test_csv_export(tmp_path, hopf_grid):
     sol = constant_solution(hopf_grid.spec)
     im = assemble(hopf_grid, sol)
-    flatness_check(im)
+    metric_checks(im)
     path = tmp_path / "im.csv"
     write_immersion_csv(im, path)
     first = path.read_text().splitlines()

@@ -80,7 +80,7 @@ def test_module_does_not_import_scipy(path):
     assert _scipy_imports(path.read_text()) == []
 
 
-MAX_OPTIONAL_PARAMETERS = 54
+MAX_OPTIONAL_PARAMETERS = 52
 
 
 def _optional_parameters(source):

@@ -5,8 +5,10 @@ Each tiled function runs with tiles of 1, 2, 3 and 5 rows and with one
 tile taller than the grid (the whole-grid pass), on a Hopf map whose nu is
 a multiple of none of 2, 3 and 5, and on the smallest grid that has an
 interior (5 x 5).  Results are compared with np.array_equal, NaN positions
-included.  The curvature's tiles (_curvature_tiles) widen each tile by
-K_TRIM rows, so they too must match the whole-grid brioschi_curvature.
+included.  The metric's tiles (_metric_tiles, which metric_checks and the
+immersion CSV walk) widen each tile by K_TRIM rows for the curvature, so
+their stacked E, Fm and K must match the whole-grid metric and
+brioschi_curvature.
 The tiles formed from factors (the flat map's F and Fhat, the stretched
 solution's fields) are also checked at the real tile height on a grid of
 k TILE_ROWS + 1 rows, whose last tile is a single row, against the
@@ -20,11 +22,11 @@ from flatsurf4 import _fd as fd
 from flatsurf4.curve import CurvatureProfile
 from flatsurf4.flatmap import GridSpec, _hopf_map, _outer, verify_flat_map
 from flatsurf4.hypsys import stretched_solution, system_residual
-from flatsurf4.immersion import (K_TRIM, _curvature_tiles,
+from flatsurf4.immersion import (K_TRIM, _metric_tiles,
                                  _sphere_normal_equations, assemble,
                                  auto_lambda, brioschi_curvature,
-                                 derived_solution, flatness_check,
-                                 lambda_rescale, metric_identity_check,
+                                 derived_solution, lambda_rescale,
+                                 metric_checks, metric_identity_check,
                                  sphere_fit, tangency_check)
 from flatsurf4.quat import qmul
 
@@ -64,14 +66,10 @@ def _results(spec):
     fit = sphere_fit(im)
     rep = verify_flat_map(g)
     small = min(spec.nu, spec.nv) <= 2 * K_TRIM  # no curvature interior
-    out = {"lambda": lam, "max_radius": im.max_radius(),
-           "margin_min": im.margin_min(),
-           "metric_min_eigenvalue": im.metric_min_eigenvalue(),
-           "gauss_K_max": np.nan if small else flatness_check(im),
+    out = {"lambda": lam,
+           "metric_checks": [] if small else list(metric_checks(im).values()),
            "tangency": tangency_check(im, g),
            "metric_identity": metric_identity_check(im),
-           "K": brioschi_curvature(*im.metric(slice(None)), spec.hu, spec.hv),
-           "K_tiles": np.concatenate([K for _, K in _curvature_tiles(im)]),
            "sphere": (*fit.center, fit.radius, fit.rms_residual),
            "flatmap": list(rep.as_dict().values()),
            "frame": rep.frame_residual,
@@ -82,6 +80,10 @@ def _results(spec):
     for name in ("f", "A", "B"):
         out[name] = getattr(im, name)
     out.update(zip(("E", "Fm"), im.metric(slice(None))))
+    out["K"] = brioschi_curvature(out["E"], out["Fm"], spec.hu, spec.hv)
+    stacked = zip(*(t[1:] for t in _metric_tiles(im)))
+    out.update(zip(("E_tiles", "Fm_tiles", "K_tiles"),
+                   map(np.concatenate, stacked)))
     out["margin"] = im.margin(slice(None))
     out.update(_factor_tiles(g, sol))
     return out
@@ -97,6 +99,9 @@ def test_tile_height_changes_no_bit(grid, monkeypatch):
         tiled = _results(spec)
         for name, ref in whole.items():
             assert np.array_equal(np.asarray(tiled[name]), np.asarray(ref),
+                                  equal_nan=True), (rows, name)
+        for name in ("E", "Fm", "K"):  # the metric's tiles stack to the grid
+            assert np.array_equal(tiled[name + "_tiles"], whole[name],
                                   equal_nan=True), (rows, name)
 
 

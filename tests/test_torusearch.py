@@ -267,18 +267,6 @@ def test_property_p_rational_side(release_outcome):
         assert residual < 1e-3
 
 
-def test_closure_residual_of_a_sequence_reads_one_pass():
-    # one lift, integrated straight through to the largest multiple, gives
-    # the gap of every multiple; an int keeps the per-multiple integration
-    ks = CurvatureProfile(T, K0_STAR, (0.5,)).stretch(2)
-    gaps = holonomy_closure_residual(ks, [3, 1, 2], h=4e-3)
-    assert len(gaps) == 3 and all(isinstance(g, float) for g in gaps)
-    for m, gap in zip([3, 1, 2], gaps):
-        single = holonomy_closure_residual(ks, m, h=4e-3)
-        assert isinstance(single, float)
-        assert gap == pytest.approx(single, abs=1e-10)
-
-
 def test_property_p_far_side():
     # profiles with a_2 at distance >= 1e-2 from all rationals q <= 8
     # stay open after any m <= 16 periods
@@ -289,7 +277,8 @@ def test_property_p_far_side():
                    for p in range(-q, q + 1))
         assert dist >= 1e-2
         ks = k.stretch(2)
-        best = min(holonomy_closure_residual(ks, range(1, 17), h=4e-3))
+        best = min(holonomy_closure_residual(ks, m, h=4e-3)
+                   for m in range(1, 17))
         assert best > 1e-2
 
 
@@ -305,7 +294,7 @@ def test_lift_closure_circle():
 def test_lift_closure_failure():
     k = CurvatureProfile(T, 1.0, (0.5,))
     with pytest.raises(ClosureFailure):
-        lift_closure_multiple(k, m_max=16, tol=1e-8)
+        lift_closure_multiple(k)
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +333,11 @@ def test_release_torus_residuals_are_fourth_order(release_outcome,
 
 # the stages of a torus build whose memory is measured: functions that
 # build_perturbed_torus, _assemble_stretched and _diagnostics call by their
-# torusearch names, and the ImmersionGrid methods _diagnostics calls
+# torusearch names
 TORUSEARCH_STAGES = ("hopf_flat_map", "verify_flat_map", "stretched_solution",
-                     "auto_lambda", "assemble", "flatness_check", "sphere_fit",
+                     "auto_lambda", "assemble", "metric_checks", "sphere_fit",
                      "tangency_check", "metric_identity_check",
                      "system_residual")
-GRID_STAGES = ("margin_min", "metric_min_eigenvalue", "max_radius")
 
 
 def stage_table(outcome, nodes_per_period, nv):
@@ -371,10 +359,8 @@ def stage_table(outcome, nodes_per_period, nv):
         return wrapper
 
     with pytest.MonkeyPatch.context() as m:
-        for owner, names in ((torusearch, TORUSEARCH_STAGES),
-                             (immersion.ImmersionGrid, GRID_STAGES)):
-            for name in names:
-                m.setattr(owner, name, measured(name, getattr(owner, name)))
+        for name in TORUSEARCH_STAGES:
+            m.setattr(torusearch, name, measured(name, getattr(torusearch, name)))
         tracemalloc.start()
         try:
             im, _ = build_perturbed_torus(outcome, nv=nv,
@@ -401,7 +387,7 @@ def stages_release(release_outcome):
 def test_every_stage_runs_once(stages_64):
     _, _, table = stages_64
     assert {name: len(c) for name, c in table.items()} == dict.fromkeys(
-        TORUSEARCH_STAGES + GRID_STAGES, 1)
+        TORUSEARCH_STAGES, 1)
 
 
 def test_build_torus_peak_memory(stages_64):
@@ -508,7 +494,8 @@ def _auto_lambda_inputs(monkeypatch, build):
 
 
 def _assembled_margin(gmap, sol, lam):
-    return assemble(gmap, lambda_rescale(sol, lam)).margin_min()
+    margin = assemble(gmap, lambda_rescale(sol, lam)).margin(slice(None))
+    return float(np.min(fd.interior(margin)))
 
 
 def _check_auto_lambda(gmap, sol):
