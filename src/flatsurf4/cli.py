@@ -15,7 +15,7 @@ import math
 import sys
 import traceback
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -332,7 +332,9 @@ def _quadrature(p, spec):
 
 
 def _numeric(p, spec):
-    g = _hopf_map(parse_profile(p["profile"]), spec)
+    # the initial data is column 0 of a geometric solution; two columns,
+    # not one, keep the contraction on the BLAS path of a whole grid
+    g = _hopf_map(parse_profile(p["profile"]), replace(spec, nv=2))
     ref = geometric_solution(g, tuple(p["a"]))
     return (solve_numeric(g.omega_fn, spec, ref.alpha[:, 0], ref.beta[:, 0]),
             g.omega_fn)

@@ -184,10 +184,6 @@ class S3Curve:
     def u_grid(self):
         return self.u0 + self.h * np.arange(self.n)
 
-    @property
-    def length(self):
-        return self.h * (self.n - 1)
-
     def left_translate(self, q):
         """q * a(u); preserves arclength and left body velocity."""
         return S3Curve(qmul(q, self.samples), self.h, qmul(q, self.deriv),

@@ -121,7 +121,9 @@ class GridSpec:
     one, and two grids match when same_geometry holds.  Grids are written
     as CSV with a header line, then one row per node in u-major order (v
     varies fastest), each float with 17 significant digits so that it
-    reads back bit for bit.
+    reads back bit for bit.  read_flatmap_csv requires this layout: it
+    takes the grid from the first row and column and refuses rows in any
+    other order.
     """
 
     u0: float
@@ -235,7 +237,6 @@ class FlatMapGrid:
     source: object  # ProductFactors, or SampledMaps for a grid read from CSV
     omega_grid: np.ndarray
     omega_fn: Optional[AngleFunction] = None
-    lattice: Optional[tuple] = None
 
     @property
     def product(self):
@@ -351,20 +352,11 @@ def _hopf_map(k, spec: GridSpec, a0=QONE):
     """F = L e^{iv}, Fhat = L HOPF_XI e^{iv} on spec (see hopf_flat_map).
 
     The angle w(u) depends on u alone, so omega_grid is a read-only
-    broadcast view of its u-column (strides[1] == 0), not a grid copy.
-    lattice = (u span, 2 pi) is set only when the lift returns to its
-    start and v spans 2 pi."""
-    product = _hopf_factors(k, spec, a0)
+    broadcast view of its u-column (strides[1] == 0), not a grid copy."""
     omega_fn = profile_angle(k)
     omega_grid = np.broadcast_to(
         np.asarray(omega_fn.f1(spec.u_nodes))[:, None], (spec.nu, spec.nv))
-
-    lattice = None
-    closure = max(float(np.linalg.norm(x[-1] - x[0]))
-                  for x in (product.L, product.Ld))
-    if closure < 1e-6 and abs(spec.hv * (spec.nv - 1) - TWO_PI) < 1e-12:
-        lattice = (spec.hu * (spec.nu - 1), TWO_PI)
-    return FlatMapGrid(spec, product, omega_grid, omega_fn, lattice)
+    return FlatMapGrid(spec, _hopf_factors(k, spec, a0), omega_grid, omega_fn)
 
 
 def hopf_flat_map(k, U, h=1e-2, v_range=(0.0, TWO_PI), hv=None):
@@ -379,7 +371,9 @@ def hopf_flat_map(k, U, h=1e-2, v_range=(0.0, TWO_PI), hv=None):
 
     U must be a whole number of k.base_period (when k has one): a partial
     period of a non-constant profile cannot close the torus, so it is
-    refused.  Whether the map closes is decided separately (see _hopf_map).
+    refused.  Whether the lift closes is not decided here: the torus build
+    finds its closure multiple (torusearch.lift_closure_multiple) and
+    reports closure_u and closure_v.
     """
     T = getattr(k, "base_period", None)
     if T is not None:
@@ -396,9 +390,7 @@ def clifford_flat_map(h=1e-2, u_range=(0.0, TWO_PI), v_range=(0.0, TWO_PI)):
     is the torus |z1| = |z2| = 1/sqrt(2), z1 = x1 + i x2, z2 = x3 + i x4.
     The profile is constant, so any u-window is a true piece of the map:
     the grid starts at u0 = u_range[0] and a given (u, v) is the same point
-    whatever window is asked for.  lattice is set only when the lift closes
-    and v spans 2 pi, as for the default 2 pi x 2 pi window; a u-window
-    whose length is no multiple of 2 pi leaves it None.
+    whatever window is asked for.
     """
     u0 = u_range[0]
     a0 = qmul(0.5 * np.array([1.0, 1.0, 1.0, 1.0]),
@@ -633,22 +625,16 @@ def write_flatmap_csv(g: FlatMapGrid, path):
                     lambda rows: (*g.maps(rows), g.omega_grid[rows]))
 
 
-def _infer_axis(values, name):
-    nodes = np.unique(values)
-    if len(nodes) > 1:
-        steps = np.diff(nodes)
-        if np.max(np.abs(steps - steps[0])) > 1e-9 * max(1.0, abs(steps[0])):
-            raise ValueError(f"non-uniform {name} grid in CSV")
-        h = float(steps[0])
-    else:
-        h = 1.0
-    return nodes, h
-
-
 def read_flatmap_csv(path) -> FlatMapGrid:
-    """The flat map of a CSV written by write_flatmap_csv, bit for bit: F and
-    Fhat as SampledMaps, no factor curves.  A file without rows, or with
-    rows of other than the columns of FLATMAP_HEADER, raises ValueError."""
+    """The flat map of a CSV written by write_flatmap_csv, bit for bit: F,
+    Fhat and omega are views of the table as SampledMaps, no factor curves.
+
+    The rows must be in the u-major order of GridSpec: nv is the length of
+    the first run of equal u, u0, v0 and the steps come from the first row
+    and column (step 1.0 on an axis of one node).  A file without rows, with
+    rows of other than the columns of FLATMAP_HEADER, with a row count that
+    is not nu nv, a step that is not positive, or u and v columns that are
+    not that grid's nodes within 1e-9 of max(1, step), raises ValueError."""
     with warnings.catch_warnings():  # numpy warns of a file without rows
         warnings.simplefilter("ignore", UserWarning)
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -658,15 +644,22 @@ def read_flatmap_csv(path) -> FlatMapGrid:
         found = f"{rows} rows of {cols} columns" if rows else "no rows"
         raise ValueError(f"{path}: a flat-map CSV needs rows of the {ncols} "
                          f"columns {FLATMAP_HEADER}; found {found}")
-    u_nodes, hu = _infer_axis(data[:, 0], "u")
-    v_nodes, hv = _infer_axis(data[:, 1], "v")
-    nu, nv = len(u_nodes), len(v_nodes)
-    if nu * nv != data.shape[0]:
-        raise ValueError("CSV rows do not fill a full rectangle")
-    order = np.lexsort((data[:, 1], data[:, 0]))
-    data = data[order]
-    F = data[:, 2:6].reshape(nu, nv, 4)
-    Fhat = data[:, 6:10].reshape(nu, nv, 4)
-    omega = data[:, 10].reshape(nu, nv)
-    return FlatMapGrid(GridSpec(float(u_nodes[0]), float(v_nodes[0]), hu, hv,
-                                nu, nv), SampledMaps(F, Fhat), omega)
+    u, v = data[:, 0], data[:, 1]
+    nv = int(np.argmax(u != u[0])) or rows
+    nu = rows // nv
+    hu = float(u[nv] - u[0]) if nu > 1 else 1.0
+    hv = float(v[1] - v[0]) if nv > 1 else 1.0
+    spec = GridSpec(float(u[0]), float(v[0]), hu, hv, nu, nv)
+
+    def on_nodes(x, nodes, h):
+        return np.all(np.abs(x.reshape(nu, nv) - nodes) <= 1e-9 * max(1.0, h))
+
+    if not (nu * nv == rows and hu > 0 and hv > 0
+            and on_nodes(u, spec.u_nodes[:, None], hu)
+            and on_nodes(v, spec.v_nodes, hv)):
+        raise ValueError(f"{path}: the {rows} rows are not the u-major nodes of "
+                         f"a uniform grid (nv = {nv} from the first run of "
+                         f"equal u); see GridSpec")
+    table = data.reshape(nu, nv, ncols)
+    return FlatMapGrid(spec, SampledMaps(table[..., 2:6], table[..., 6:10]),
+                       table[..., 10])

@@ -322,7 +322,7 @@ def _diagnostics(gmap: FlatMapGrid, im: ImmersionGrid, lam, fm):
     rep["gauss_metric"] = fm.gauss_metric
     w = gmap.omega_grid
     rep["omega_range"] = float(np.max(w) - np.min(w))
-    rep["sin_omega_min"] = float(np.min(np.sin(w)))
+    rep["sin_omega_min"] = float(np.min(im.sin_w))
     return rep
 
 

@@ -37,7 +37,7 @@ def polar_dual(g: FlatMapGrid) -> FlatMapGrid:
     """The polar flat map (F, Fh) -> (Fh, -F) with angle w + pi, built on
     the polar factors (ProductFactors.polar) of g."""
     return FlatMapGrid(g.spec, g.factors().polar(), g.omega_grid + math.pi,
-                       shifted(g.omega_fn, math.pi), g.lattice)
+                       shifted(g.omega_fn, math.pi))
 
 
 def normal_shape_check(g: FlatMapGrid):

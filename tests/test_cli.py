@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +79,9 @@ def test_cmd_hopf_torus_and_verify(tmp_path):
     code2, rep2 = run(JobConfig("verify",
                                 {"input": str(tmp_path / "grid.csv")}, tmp_path))
     assert code2 == 0
-    assert rep2["flatmap_max"] < 1e-3  # finite differences on the reloaded grid
+    # the grid reads back bit for bit, so its residuals are the written ones
+    assert rep2["flatmap_max"] == rep["flatmap_max"]
+    assert (rep2["nu"], rep2["nv"]) == (201, 315)  # U = 4 and 2 pi at h = 0.02
 
 
 def test_cmd_flatmap_verify_helix_product(tmp_path):
@@ -143,6 +146,22 @@ def test_cmd_solve_honours_range_starts(tmp_path, family, n):
     expect = a[:, 0] * math.cos(v0) - a[:, 1] * math.sin(v0)
     assert np.max(np.abs(data[data[:, 1] == 0.5, 2] - expect)) < 1e-12
     assert rep["residual_alpha"] < (0.1 if family == "numeric" else 1e-4)
+
+
+def test_cmd_solve_numeric_peak_memory(tmp_path):
+    # the benchmark's roundtrip solve, 801 x 401 nodes: its initial data is
+    # column 0 of a two-column geometric solution
+    tracemalloc.start()
+    try:
+        code, rep = run(JobConfig("solve", {
+            "family": "numeric", "profile": '{"T":2,"k0":0.5,"cos":[0.3]}',
+            "u_range": (0.0, 2.0), "v_range": (0.0, 1.0), "h": 0.0025},
+            tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and rep["residual_alpha"] < 0.1
+    assert peak <= 5 * 801 * 401 * 8
 
 
 def test_cmd_build_cylinder_honours_window_start(tmp_path):

@@ -134,7 +134,6 @@ def test_hopf_map_clifford_angle():
     g = hopf_flat_map(k, TWO_PI, h=0.02)
     assert np.max(np.abs(g.omega_grid - math.pi / 2)) < 1e-12
     assert verify_flat_map(g).max_flatmap_residual < 1e-6
-    assert g.lattice == (TWO_PI, TWO_PI)
 
 
 def test_hopf_map_constant_k1_angle():
@@ -262,7 +261,6 @@ def test_clifford_any_u_window(tmp_path):
     ref = clifford_flat_map(h=0.02, u_range=(0.0, 2.0), v_range=(0.0, 1.0))
     assert g.spec.u0 == 1.0
     assert g.spec.nu == 51
-    assert g.lattice is None
     i0 = 50  # ref node with u = 1.0
     assert np.max(np.abs(g.spec.u_nodes - ref.spec.u_nodes[i0:])) < 1e-12
     F, Fhat = g.maps(slice(None))

@@ -6,11 +6,15 @@ them byte for byte, across block boundaries and for NaN, -0.0, tiny and
 whole-number values, whatever the grid's shape and nodes.  A written flat
 map reads back bit for bit.  Each file is the same whether it is written
 by one process or in two halves, the second by a forked child, and no
-child or half-file is left behind when either half fails.
+child or half-file is left behind when either half fails.  The reader
+takes the u-major rows as written and refuses rows in any other order.
 """
 
+import json
 import os
+import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +123,76 @@ def test_hopf_csv_reads_back_bit_for_bit(tmp_path):
     for got, want in zip(g2.maps(slice(None)), g.maps(slice(None))):
         assert np.array_equal(got, want)
     assert np.array_equal(g2.omega_grid, g.omega_grid)
+
+
+SPEC_6x5 = GridSpec(-1.25, -0.5, 0.25, 0.125, 6, 5)
+
+
+def _write_sampled(path, spec):
+    shape = (spec.nu, spec.nv)
+    F, Fhat = _field(shape + (4,), 21), _field(shape + (4,), 22)
+    g = FlatMapGrid(spec, SampledMaps(F, Fhat), _field(shape, 23))
+    write_flatmap_csv(g, path)
+    return g
+
+
+def _reorder(path, how):
+    """path, a file of SPEC_6x5, with its rows shuffled, cut inside the last
+    u row, or written v-major (u varying fastest)."""
+    header, *rows = path.read_text().splitlines(keepends=True)
+    if how == "shuffled":
+        rows = [rows[i] for i in np.random.default_rng(5).permutation(len(rows))]
+    elif how == "truncated":
+        rows = rows[:-1]
+    else:
+        nu, nv = SPEC_6x5.nu, SPEC_6x5.nv
+        rows = [rows[i * nv + j] for j in range(nv) for i in range(nu)]
+    bad = path.with_name(f"{how}.csv")
+    bad.write_text(header + "".join(rows))
+    return bad
+
+
+@pytest.mark.parametrize("how", ["shuffled", "truncated", "v_major"])
+def test_reader_refuses_rows_out_of_u_major_order(tmp_path, how):
+    _write_sampled(tmp_path / "g.csv", SPEC_6x5)
+    bad = _reorder(tmp_path / "g.csv", how)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: .* not the u-major nodes"):
+        read_flatmap_csv(bad)
+    # verify turns it into a JSON error report
+    code = cli.main(["--out-dir", str(tmp_path / "out"), "verify",
+                     "--input", str(bad)])
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert code == 1
+    assert rep["error"] == "ValueError" and str(bad) in rep["message"]
+
+
+@pytest.mark.parametrize("nu,nv", [(1, 1), (1, 6), (6, 1)])
+def test_reader_single_node_axes(tmp_path, nu, nv):
+    # an axis of one node reads back with step 1.0
+    spec = GridSpec(2.0, -0.5, 0.25, 0.125, nu, nv)
+    g = _write_sampled(tmp_path / "g.csv", spec)
+    g2 = read_flatmap_csv(tmp_path / "g.csv")
+    assert g2.spec == GridSpec(2.0, -0.5, 0.25 if nu > 1 else 1.0,
+                               0.125 if nv > 1 else 1.0, nu, nv)
+    for got, want in zip(g2.maps(slice(None)), g.maps(slice(None))):
+        assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(g2.omega_grid, g.omega_grid, equal_nan=True)
+
+
+def test_reader_holds_little_beside_its_table(tmp_path):
+    # F, Fhat and omega are views of the parsed table
+    k = parse_profile('{"T":2,"k0":0.5,"cos":[0.3]}')
+    g = hopf_flat_map(k, 2 * k.base_period, h=0.02, hv=0.04)
+    write_flatmap_csv(g, tmp_path / "hopf.csv")
+    tracemalloc.start()
+    try:
+        g2 = read_flatmap_csv(tmp_path / "hopf.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = g2.spec.nu * g2.spec.nv * len(FLATMAP_HEADER.split(",")) * 8
+    assert (g2.spec.nu, g2.spec.nv) == (201, 158)
+    assert peak - table <= 0.5 * table
 
 
 @pytest.mark.parametrize("with_curvature", [True, False])
