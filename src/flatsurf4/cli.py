@@ -50,6 +50,11 @@ NAMED_FUNCTIONS = {
 # OBJ export
 
 
+# A node's "v" line (three %.9g) costs about this many times a cell's two
+# "f" lines (six %d), measured by formatting the benchmark cylinder's lines
+OBJ_NODE_COST = 1.4
+
+
 def _stereographic(points):
     """Stereographic projection of the unit 3-sphere from the pole +e_4."""
     return points[..., :3] / (1.0 - points[..., 3])[..., None]
@@ -65,9 +70,12 @@ def export_obj(points, path, projection="stereographic", drop_index=3):
     projection="drop": simply drops coordinate drop_index.
     The file holds one "v x y z" line per node in u-major order, 9
     significant digits each, then two "f a b c" triangles per grid cell.
-    It is written by _write_halves over one index space, the nodes and then
-    the cells: this process writes the first half of it, and on two CPUs a
-    forked child the second.
+    It is written by _write_halves, which splits the index space of the
+    items (the nodes, then the cells) at its middle: this process writes
+    the first half, and on two CPUs a forked child the second.  A node's
+    line costs OBJ_NODE_COST times a cell's two, so index i stands for the
+    item item(i), a stretch of the items that puts the middle at the node
+    where the two halves cost the same.
     """
     pts = np.asarray(points, dtype=float)
     nu, nv = pts.shape[0], pts.shape[1]
@@ -94,15 +102,24 @@ def export_obj(points, path, projection="stereographic", drop_index=3):
                         axis=1).reshape(-1, 3)
 
     flat, nodes = xyz.reshape(-1, 3), nu * nv
+    n = nodes + (nu - 1) * (nv - 1)
+    # the items (nodes first) of half the file's cost; there are fewer cells
+    # than nodes, so this falls among the nodes
+    mid, split = n // 2, round(0.5 * (nodes + (n - nodes) / OBJ_NODE_COST))
+
+    def item(i):
+        return (i * split // mid if i < mid
+                else split + (i - mid) * (n - split) // (n - mid))
 
     def part(fh, lo, hi):
-        # items lo..hi-1 of the nodes, then the cells
+        # the items item(lo)..item(hi)-1 of the nodes, then the cells
+        lo, hi = item(lo), item(hi)
         _write_rows(fh, min(lo, nodes), min(hi, nodes),
                     lambda a, b: flat[a:b], "%.9g", " ", "v ")
         _write_rows(fh, max(lo, nodes) - nodes, max(hi, nodes) - nodes,
                     faces, "%d", " ", "f ")
 
-    _write_halves(path, "", nodes + (nu - 1) * (nv - 1), BLOCK_ROWS, part)
+    _write_halves(path, "", n, BLOCK_ROWS, part)
     return xyz
 
 

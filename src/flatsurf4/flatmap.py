@@ -16,7 +16,6 @@ re-derives the relations by central differences instead.
 import math
 import os
 import shutil
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -24,6 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _fd as fd
+from ._fork import Forked, can_fork
 from .curve import CurvatureProfile, S3Curve, asymptotic_lift
 from .errors import PreconditionViolated
 from .quat import QI, QJ, QONE, fiber_circle, qconj, qinv, qmul, qnorm
@@ -504,8 +504,9 @@ def verify_flat_map(g: FlatMapGrid) -> FlatMapReport:
 # ---------------------------------------------------------------------------
 # CSV serialization (17 significant digits, bit-exact round trip).  Every
 # CSV and OBJ file is written by _write_halves: on two or more allowed CPUs
-# a forked child formats the second half of the file while this process
-# writes the header and the first half, then appends the child's half.
+# a forked child (_fork.Forked) formats the second half of the file while
+# this process writes the header and the first half, then appends the
+# child's half.
 
 
 FLATMAP_HEADER = "u,v,F1,F2,F3,F4,Fh1,Fh2,Fh3,Fh4,omega"
@@ -518,51 +519,34 @@ def _write_halves(path, header, n, block, part):
     part(fh, lo, hi) writes the items lo..hi-1 to the open text file fh;
     block is the number of items the writer formats at a time.  The file is
     header, part(fh, 0, mid) and part(fh, mid, n), with mid = n // 2.
-    Where os.fork exists, at least two CPUs are allowed, n exceeds one
-    block and this process runs one thread, a forked child writes the
-    second half to the sibling file path.<child pid>.part while this
-    process writes the header and the first half; this process then reaps
-    the child and appends the sibling's bytes.  If the child failed, this
-    process writes the second half itself.  The sibling is removed on every
-    path, and the child never returns into the caller.  Otherwise, or if
-    the fork fails, both halves are written here.
+    Where n exceeds one block and a child may be forked (_fork.can_fork), a
+    forked child (_fork.Forked) writes the second half to the sibling file
+    path.<this pid>.part while this process writes the header and the first
+    half; this process then appends the sibling's bytes.  If the fork or
+    the child failed, this process writes the second half itself; if this
+    process's half fails, the child is killed.  The sibling is removed on
+    every path.  Otherwise both halves are written here.
     """
     mid = n // 2
-    # a child forked beside other threads may wait forever on a lock one of
-    # them held, so only a single-threaded process forks
-    split = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-             and len(os.sched_getaffinity(0)) >= 2 and n > block
-             and threading.active_count() == 1)
+    sibling = f"{path}.{os.getpid()}.part"
+
+    def second_half():
+        with open(sibling, "w") as out:
+            part(out, mid, n)
+
     with open(path, "w") as fh:
-        try:
-            pid = os.fork() if split else None
-        except OSError:  # no process to spare
-            pid = None
-        if pid is None:
+        if n <= block or not can_fork():
             fh.write(header)
             part(fh, 0, n)
             return
-        if pid == 0:
-            code = 1
-            try:
-                with open(f"{path}.{os.getpid()}.part", "w") as out:
-                    part(out, mid, n)
-                code = 0
-            finally:
-                os._exit(code)
-        sibling = f"{path}.{pid}.part"
         try:
-            try:
+            with Forked.after(second_half) as child:
                 fh.write(header)
                 part(fh, 0, mid)
-            finally:
-                status = os.waitpid(pid, 0)[1]
-            if status == 0:
-                fh.flush()
-                with open(sibling, "rb") as src:
-                    shutil.copyfileobj(src, fh.buffer)
-            else:
-                part(fh, mid, n)
+                child.result()
+            fh.flush()
+            with open(sibling, "rb") as src:
+                shutil.copyfileobj(src, fh.buffer)
         finally:
             try:
                 os.remove(sibling)

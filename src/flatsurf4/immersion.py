@@ -204,21 +204,22 @@ def brioschi_curvature(E, F, hu, hv):
     return K
 
 
-def _metric_tiles(im: ImmersionGrid):
-    """Yield (rows, E, Fm, K) over the row tiles of im, with (E, Fm) =
-    im.metric(rows) and K its brioschi_curvature.  The metric is formed
-    once, on the tile's rows widened by K_TRIM rows on each side (clipped
-    to the grid); K is taken on that slab, and all three are cut back to
-    the tile: brioschi_curvature leaves its K_TRIM edge rows NaN and reads
-    no further than that, so the tile's K is that of the whole grid, bit
-    for bit."""
+def _metric_tiles(im: ImmersionGrid, rows):
+    """Yield (tile, E, Fm, K) over the row tiles of the u-rows rows (a
+    slice with start and stop) of im, with (E, Fm) = im.metric(tile) and K
+    its brioschi_curvature.  The metric is formed once, on the tile's rows
+    widened by K_TRIM rows on each side (clipped to the grid); K is taken
+    on that slab, and all three are cut back to the tile:
+    brioschi_curvature leaves its K_TRIM edge rows NaN and reads no further
+    than that, so the tile's K is that of the whole grid, bit for bit."""
     nu, hu, hv = im.spec.nu, im.spec.hu, im.spec.hv
-    for rows, _, _ in fd.row_tiles(nu):
-        s0 = max(rows.start - K_TRIM, 0)
-        E, Fm = im.metric(slice(s0, min(rows.stop + K_TRIM, nu)))
+    for t, _, _ in fd.row_tiles(rows.stop - rows.start):
+        tile = slice(rows.start + t.start, rows.start + t.stop)
+        s0 = max(tile.start - K_TRIM, 0)
+        E, Fm = im.metric(slice(s0, min(tile.stop + K_TRIM, nu)))
         K = brioschi_curvature(E, Fm, hu, hv)
-        core = slice(rows.start - s0, rows.stop - s0)
-        yield rows, E[core], Fm[core], K[core]
+        core = slice(tile.start - s0, tile.stop - s0)
+        yield tile, E[core], Fm[core], K[core]
 
 
 def metric_checks(im: ImmersionGrid):
@@ -239,7 +240,7 @@ def metric_checks(im: ImmersionGrid):
                          f"curvature; the Brioschi stencils need at least "
                          f"{2 * K_TRIM + 1} nodes per direction")
     tiles = []
-    for rows, E, Fm, K in _metric_tiles(im):
+    for rows, E, Fm, K in _metric_tiles(im, slice(0, nu)):
         inner = lambda x: fd.tile_interior(x, rows, nu)
         tiles.append((np.min(inner(im.margin(rows)), initial=np.inf),
                       np.min(inner(E - np.abs(Fm)), initial=np.inf),
@@ -392,16 +393,17 @@ IMMERSION_HEADER = "u,v,x1,x2,x3,x4,A,B,margin,K"
 def write_immersion_csv(im: ImmersionGrid, path):
     """Write im as CSV with the columns of IMMERSION_HEADER (see GridSpec).
 
-    The margin is formed per block of rows (im.margin).  K is the Brioschi
+    The margin and K are formed per block of rows, by the process that
+    writes the block (this one, or the forked child of _write_halves): the
+    margin by im.margin, K by a _metric_tiles walk over the block, so no
+    process forms K for rows it does not write.  K is the Brioschi
     curvature of the metric, the estimate metric_checks takes its maximum
-    of, formed in one tiled pass (_metric_tiles) before the rows are
-    written; it is NaN where no estimate exists: within K_TRIM nodes of the
+    of; it is NaN where no estimate exists: within K_TRIM nodes of the
     boundary (so everywhere on a grid too small for the stencils) and where
     the metric is singular.
     """
-    K = np.empty(im.A.shape)
-    for rows, _, _, Kt in _metric_tiles(im):
-        K[rows] = Kt
-    _write_grid_csv(path, IMMERSION_HEADER, im.spec,
-                    lambda rows: (im.f[rows], im.A[rows], im.B[rows],
-                                  im.margin(rows), K[rows]))
+    def fields(rows):
+        K = np.concatenate([K for *_, K in _metric_tiles(im, rows)])
+        return im.f[rows], im.A[rows], im.B[rows], im.margin(rows), K
+
+    _write_grid_csv(path, IMMERSION_HEADER, im.spec, fields)

@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._fork import Forked
 from .curve import CurvatureProfile, lift_product
 from .errors import ClosureFailure, NoSignChange, SingularAfterRescale
 from .flatmap import (FlatMapGrid, GridSpec, _hopf_map, hopf_flat_map,
@@ -294,29 +295,41 @@ def _assemble_stretched(gmap: FlatMapGrid, k, n, lam):
     """(immersion, diagnostics) of the n-stretched solution on gmap's grid;
     lambda comes from auto_lambda when lam is None.  The solution is held
     as its factors (hypsys.FactorSolution), and auto_lambda and assemble
-    form and rescale it tile by tile, as they form F and Fhat.  The flat
-    map is checked first: verify_flat_map needs no immersion, so its tile
-    temporaries never sit on top of f, A and B."""
-    fm = verify_flat_map(gmap)
-    sol = stretched_solution(k, n, gmap.spec)
-    lam = auto_lambda(gmap, sol) if lam is None else float(lam)
-    im = assemble(gmap, lambda_rescale(sol, lam))
+    form and rescale it tile by tile, as they form F and Fhat.
+
+    The flat map is checked first: verify_flat_map needs no immersion.  On
+    two allowed CPUs a forked child (_fork.Forked) runs it while this
+    process solves, picks lambda and assembles, and only its small report
+    comes back; on one CPU it runs here before the solution.  Either way
+    its tile temporaries never sit on top of f, A and B, and its error wins
+    over one of the assembly."""
+    with Forked.before(verify_flat_map, gmap) as check:
+        sol = stretched_solution(k, n, gmap.spec)
+        lam = auto_lambda(gmap, sol) if lam is None else float(lam)
+        im = assemble(gmap, lambda_rescale(sol, lam))
+        fm = check.result()
     return im, _diagnostics(gmap, im, lam, fm)
 
 
 def _diagnostics(gmap: FlatMapGrid, im: ImmersionGrid, lam, fm):
     """The report of a build: lam, the checks of im on gmap, and fm, the
-    verify_flat_map report of gmap."""
-    rep = {"lambda": lam, **metric_checks(im)}
-    fit = sphere_fit(im)
-    rep["sphere_rms"] = fit.rms_residual
-    rep["sphere_radius"] = fit.radius
-    ru, rv = tangency_check(im, gmap)
-    rep["tangency_u"] = ru
-    rep["tangency_v"] = rv
-    rep["metric_identity"] = metric_identity_check(im)
-    ra, rb = system_residual(derived_solution(im), gmap.omega_grid)
-    rep["derived_system_residual"] = max(ra, rb)
+    verify_flat_map report of gmap.
+
+    The two checks that difference f (tangency_check and
+    metric_identity_check) come last: on two allowed CPUs a forked child
+    runs them while this process runs metric_checks, sphere_fit and
+    system_residual, and each sends back two or three floats.  An error of
+    this process's checks wins; the child is then killed and reaped."""
+    with Forked.after(lambda: (tangency_check(im, gmap),
+                               metric_identity_check(im))) as checks:
+        rep = {"lambda": lam, **metric_checks(im)}
+        fit = sphere_fit(im)
+        rep["sphere_rms"] = fit.rms_residual
+        rep["sphere_radius"] = fit.radius
+        ra, rb = system_residual(derived_solution(im), gmap.omega_grid)
+        rep["derived_system_residual"] = max(ra, rb)
+        (rep["tangency_u"], rep["tangency_v"]), rep["metric_identity"] = (
+            checks.result())
     rep["frame_residual"] = fm.frame_residual
     rep["flatmap_max"] = fm.max_flatmap_residual
     rep["gauss_metric"] = fm.gauss_metric

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -15,6 +16,8 @@ from flatsurf4.cli import (JobConfig, export_obj, main, revolution_radii, run,
                            _stereographic)
 from flatsurf4.curve import CurvatureProfile, asymptotic_lift
 from flatsurf4.errors import NotOnSphere, PoleOnSurface
+
+from test_writers import _allow_cpus
 
 
 def test_stereographic_point():
@@ -515,3 +518,63 @@ def test_error_report_carries_scan(tmp_path):
     assert rep["error"] == "NoSignChange"
     assert len(rep["scan"]) >= 10
     assert all(len(pt) == 2 and abs(pt[1]) < 0.25 for pt in rep["scan"])
+
+
+TWO_CORE_JOBS = {
+    "torus": ["build-torus", "--k0", "1.21321612108222", "--target", "1/4",
+              "--bracket", "0.9,1.2", "--nodes-per-period", "32", "--nv", "64",
+              "--csv", "t.csv", "--obj", "t.obj"],
+    "cylinder": ["build-cylinder", "--profile",
+                 '{"k0":0.8,"terms":[[0.15,2.0,0.3],[0.1,2.8284271247461903,1.0]]}',
+                 "--h", "0.04", "--nv", "64", "--csv", "c.csv", "--obj", "c.obj"],
+}
+
+
+@pytest.mark.parametrize("job", TWO_CORE_JOBS)
+def test_build_outputs_same_on_one_and_two_cpus(tmp_path, job):
+    # on two CPUs the build's checks run in forked children and the files
+    # are written in two halves; every byte is that of one CPU
+    out, files = tmp_path / "out", {}
+    for cpus in (1, 2):
+        with pytest.MonkeyPatch.context() as m:
+            forks = _allow_cpus(m, cpus)
+            assert main(["--out-dir", str(out), *TWO_CORE_JOBS[job]]) == 0
+        files[cpus] = {p.name: p.read_bytes() for p in out.iterdir()}
+        for p in out.iterdir():
+            p.unlink()
+        # two forks in the build, one for each file of more than one block
+        assert len(forks) == (cpus - 1) * 4, forks
+    assert sorted(files[1]) == sorted(["report.json", *(
+        a for a in TWO_CORE_JOBS[job] if a.endswith((".csv", ".obj")))])
+    assert "error" not in json.loads(files[1]["report.json"])
+    assert files[1] == files[2]
+
+
+@pytest.mark.parametrize("shape", [(629, 257), (80, 61), (2, 2), (1, 3)])
+def test_obj_halves_cost_the_same(tmp_path, monkeypatch, shape):
+    # a node's line costs OBJ_NODE_COST times a cell's two, so the first
+    # half holds fewer items than the second; the file is the same
+    halves = []
+
+    def record(path, header, n, block, part):
+        for lo, hi in ((0, n // 2), (n // 2, n)):
+            buf = io.StringIO()
+            part(buf, lo, hi)
+            lines = buf.getvalue().splitlines()
+            halves.append((sum(ln[0] == "v" for ln in lines),
+                           sum(ln[0] == "f" for ln in lines) // 2))
+        with open(path, "w") as fh:
+            fh.write(header)
+            part(fh, 0, n)
+
+    monkeypatch.setattr(cli, "_write_halves", record)
+    pts = np.random.default_rng(3).standard_normal(shape + (4,))
+    export_obj(pts, tmp_path / "m.obj", projection="drop", drop_index=3)
+    (v1, c1), (v2, c2) = halves
+    nu, nv = shape
+    assert (v1 + v2, c1 + c2) == (nu * nv, (nu - 1) * (nv - 1))
+    assert v1 <= nu * nv and c1 == 0
+    cost = lambda v, c: cli.OBJ_NODE_COST * v + c
+    assert abs(cost(v1, c1) - cost(v2, c2)) <= cli.OBJ_NODE_COST
+    assert (tmp_path / "m.obj").read_text().splitlines()[:nu * nv] == [
+        "v %.9g %.9g %.9g" % tuple(p) for p in pts[..., :3].reshape(-1, 3)]

@@ -6,8 +6,9 @@ tile taller than the grid (the whole-grid pass), on a Hopf map whose nu is
 a multiple of none of 2, 3 and 5, and on the smallest grid that has an
 interior (5 x 5).  Results are compared with np.array_equal, NaN positions
 included.  The metric's tiles (_metric_tiles, which metric_checks and the
-immersion CSV walk) widen each tile by K_TRIM rows for the curvature, so
-their stacked E, Fm and K must match the whole-grid metric and
+immersion CSV walk, the CSV over each block of rows it writes) widen each
+tile by K_TRIM rows for the curvature, so their stacked E, Fm and K, and
+the K of blocks of 7 rows, must match the whole-grid metric and
 brioschi_curvature.
 The tiles formed from factors (the flat map's F and Fhat, the stretched
 solution's fields) are also checked at the real tile height on a grid of
@@ -81,9 +82,13 @@ def _results(spec):
         out[name] = getattr(im, name)
     out.update(zip(("E", "Fm"), im.metric(slice(None))))
     out["K"] = brioschi_curvature(out["E"], out["Fm"], spec.hu, spec.hv)
-    stacked = zip(*(t[1:] for t in _metric_tiles(im)))
+    stacked = zip(*(t[1:] for t in _metric_tiles(im, slice(0, spec.nu))))
     out.update(zip(("E_tiles", "Fm_tiles", "K_tiles"),
                    map(np.concatenate, stacked)))
+    # K walked block by block, as the immersion CSV forms it
+    out["K_blocks"] = np.concatenate([
+        K for lo in range(0, spec.nu, 7)
+        for *_, K in _metric_tiles(im, slice(lo, min(lo + 7, spec.nu)))])
     out["margin"] = im.margin(slice(None))
     out.update(_factor_tiles(g, sol))
     return out
@@ -103,6 +108,7 @@ def test_tile_height_changes_no_bit(grid, monkeypatch):
         for name in ("E", "Fm", "K"):  # the metric's tiles stack to the grid
             assert np.array_equal(tiled[name + "_tiles"], whole[name],
                                   equal_nan=True), (rows, name)
+        assert np.array_equal(tiled["K_blocks"], whole["K"], equal_nan=True)
 
 
 def test_factor_tiles_match_whole_grid_products():

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import os
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from flatsurf4.torusearch import (SearchOutcome, a_n, build_perturbed_cylinder,
                                   _brentq)
 
 from flatmap_checks import circle_outcome
+from test_writers import _allow_cpus
 
 T = math.pi
 
@@ -341,10 +344,12 @@ TORUSEARCH_STAGES = ("hopf_flat_map", "verify_flat_map", "stretched_solution",
 
 
 def stage_table(outcome, nodes_per_period, nv):
-    """Build the torus of outcome under tracemalloc.  Returns im, the whole
-    build's peak and, for each stage, a list with one (start, own) pair per
-    call: start is the memory in use when the call began and own the
-    call's peak above start, all in units of im.A.nbytes."""
+    """Build the torus of outcome under tracemalloc, with one CPU allowed,
+    so that no stage runs in a forked child, where it is not measured.
+    Returns im, the whole build's peak and, for each stage, a list with one
+    (start, own) pair per call: start is the memory in use when the call
+    began and own the call's peak above start, all in units of
+    im.A.nbytes."""
     calls, peaks = {}, []
 
     def measured(name, fn):
@@ -359,6 +364,7 @@ def stage_table(outcome, nodes_per_period, nv):
         return wrapper
 
     with pytest.MonkeyPatch.context() as m:
+        _allow_cpus(m, 1)
         for name in TORUSEARCH_STAGES:
             m.setattr(torusearch, name, measured(name, getattr(torusearch, name)))
         tracemalloc.start()
@@ -388,6 +394,75 @@ def test_every_stage_runs_once(stages_64):
     _, _, table = stages_64
     assert {name: len(c) for name, c in table.items()} == dict.fromkeys(
         TORUSEARCH_STAGES, 1)
+
+
+def test_every_stage_runs_once_across_parent_and_child(release_outcome,
+                                                        tmp_path, monkeypatch):
+    # on two CPUs the flat-map check and the two checks that difference f
+    # run in forked children, one fork each; every stage still runs once.
+    # Each call, here or in a child, appends its name and pid to a file
+    forks = _allow_cpus(monkeypatch, 2)
+    log = tmp_path / "stages.txt"
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{name} {os.getpid()}\n")
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in TORUSEARCH_STAGES:
+        monkeypatch.setattr(torusearch, name,
+                            counted(name, getattr(torusearch, name)))
+    build_perturbed_torus(release_outcome, nodes_per_period=32, nv=64)
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert Counter(name for name, _ in calls) == dict.fromkeys(
+        TORUSEARCH_STAGES, 1)
+    assert {name for name, pid in calls if int(pid) != os.getpid()} == {
+        "verify_flat_map", "tangency_check", "metric_identity_check"}
+    assert len(forks) == 2
+
+
+def _fail(monkeypatch, name):
+    message = f"{name} fails"
+
+    def fails(*args, **kwargs):
+        raise RuntimeError(message)
+
+    monkeypatch.setattr(torusearch, name, fails)
+    return message
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("first,second", [
+    # the flat-map check comes before the assembly: its error wins
+    ("verify_flat_map", "stretched_solution"),
+    ("verify_flat_map", "assemble"),
+    # the checks that difference f come after the other checks: theirs lose
+    ("metric_checks", "tangency_check"),
+    ("system_residual", "metric_identity_check"),
+])
+def test_build_raises_the_error_of_the_serial_order(release_outcome,
+                                                    monkeypatch, cpus, first,
+                                                    second):
+    forks = _allow_cpus(monkeypatch, cpus)
+    want = _fail(monkeypatch, first)
+    _fail(monkeypatch, second)
+    with pytest.raises(RuntimeError, match=f"^{want}$"):
+        build_perturbed_torus(release_outcome, nodes_per_period=32, nv=64)
+    assert len(forks) <= 2 * (cpus - 1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("name", ["verify_flat_map", "tangency_check"])
+def test_build_raises_the_error_of_a_forked_stage(release_outcome, monkeypatch,
+                                                  cpus, name):
+    _allow_cpus(monkeypatch, cpus)
+    want = _fail(monkeypatch, name)
+    with pytest.raises(RuntimeError, match=f"^{want}$"):
+        build_perturbed_torus(release_outcome, nodes_per_period=32, nv=64)
 
 
 def test_build_torus_peak_memory(stages_64):
