@@ -1,7 +1,7 @@
 """A stage computed by a forked child beside this process's own work.
 
 A build has stages that only read what this process already holds and
-return a small record (the flat-map check, the tangency checks), and a
+return a small record (the flat-map check, the tangency check), and a
 writer formats one half of a file while the other half is formatted here.
 On a host with two allowed CPUs a forked child computes such a stage while
 this process goes on with the next: the child reads the parent's arrays

@@ -399,8 +399,13 @@ def frenet_s3(curve: S3Curve):
     Every derivative is the fourth-order stencil of _fd, and the ends where
     it has none are trimmed: T and N lose two nodes per side, and N' two
     more of N's, so (kappa, tau) are on the nodes four in from each end.
+    A curve of fewer than 9 samples keeps no node and raises ValueError.
     """
     s = curve.samples
+    if len(s) < 9:
+        raise ValueError(f"a curve of {len(s)} samples is too short for its "
+                         "curvature and torsion, which trim 4 nodes at each "
+                         "end; at least 9 samples are needed")
     h = curve.h
     sig = s[2:-2]
     T = fd.d1(s, h)[2:-2]

@@ -617,8 +617,10 @@ def read_flatmap_csv(path) -> FlatMapGrid:
     the first run of equal u, u0, v0 and the steps come from the first row
     and column (step 1.0 on an axis of one node).  A file without rows, with
     rows of other than the columns of FLATMAP_HEADER, with a row count that
-    is not nu nv, a step that is not positive, or u and v columns that are
-    not that grid's nodes within 1e-9 of max(1, step), raises ValueError."""
+    is not nu nv, a step that is not positive, u and v columns that are
+    not that grid's nodes within 1e-9 of max(1, step), or a value that is
+    not finite (NaN or infinite; the message names its line, the header
+    being line 1) raises ValueError."""
     with warnings.catch_warnings():  # numpy warns of a file without rows
         warnings.simplefilter("ignore", UserWarning)
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -644,6 +646,11 @@ def read_flatmap_csv(path) -> FlatMapGrid:
         raise ValueError(f"{path}: the {rows} rows are not the u-major nodes of "
                          f"a uniform grid (nv = {nv} from the first run of "
                          f"equal u); see GridSpec")
+    # min and max propagate NaN: two reductions, no array
+    if not (np.isfinite(data.min()) and np.isfinite(data.max())):
+        line = int(np.argmax(~np.isfinite(data).all(axis=1))) + 2
+        raise ValueError(f"{path}: line {line} holds a value that is not "
+                         "finite; F, Fhat and omega must be finite")
     table = data.reshape(nu, nv, ncols)
     return FlatMapGrid(spec, SampledMaps(table[..., 2:6], table[..., 6:10]),
                        table[..., 10])

@@ -11,6 +11,10 @@ f_u = A N_u + B Nhat_u, f_v = Ahat N_u + Bhat Nhat_u, the induced metric is
 and the node is regular iff the margin (A^2-B^2) sin w - 2AB cos w is
 nonzero.  Note E^2 = F^2 + margin^2, so the metric degenerates exactly
 where the margin vanishes.
+
+An assembled immersion is checked in two walks over its row tiles:
+metric_checks over its metric, tangency_check over f (differenced once
+per tile for the tangency and the metric-identity residuals).
 """
 
 import math
@@ -125,14 +129,19 @@ def verify_frame(gmap: FlatMapGrid) -> float:
 
 
 def tangency_check(im: ImmersionGrid, gmap: FlatMapGrid):
-    """Residuals of f_u = A N_u + B Nh_u and f_v = Ahat N_u + Bhat Nh_u.
+    """{tangency_u, tangency_v, metric_identity} of im on gmap, from one
+    walk over the row tiles of f (fd.row_tiles) that differences each tile
+    once along u (on its slab) and once along v; no grid is kept.
 
-    f is differentiated by central differences, tile by tile
-    (fd.row_tiles); the frame derivatives come from the factor curves of
-    the flat map (ProductFactors.u_frame), and Ahat = A cos w + B sin w,
-    Bhat = A sin w - B cos w from the fields of im.
+    tangency_u and tangency_v are the max residuals of f_u = A N_u + B Nh_u
+    and f_v = Ahat N_u + Bhat Nh_u, with the frame derivatives from the
+    factor curves of the flat map (ProductFactors.u_frame) and
+    Ahat = A cos w + B sin w, Bhat = A sin w - B cos w from the fields of
+    im; metric_identity is the max deviation of <f_u, f_u>, <f_u, f_v> and
+    <f_v, f_v> from E, Fm and E (im.metric).
     """
     f, hu, hv = im.f, im.spec.hu, im.spec.hv
+    dot = lambda a, b: np.einsum("...k,...k->...", a, b)
 
     def terms(rows, slab, core):
         Nu_, Nhu_ = gmap.factors().u_frame(rows)
@@ -142,28 +151,20 @@ def tangency_check(im: ImmersionGrid, gmap: FlatMapGrid):
         Ahat, Bhat = cw * A + sw * B, sw * A - cw * B
         ru = fu - A[:, :, None] * Nu_ - B[:, :, None] * Nhu_
         rv = fv - Ahat[:, :, None] * Nu_ - Bhat[:, :, None] * Nhu_
-        return {"u": np.linalg.norm(ru, axis=-1),
-                "v": np.linalg.norm(rv, axis=-1)}
-
-    m = fd.tiled_max_interior(f.shape, terms)
-    return m["u"], m["v"]
-
-
-def metric_identity_check(im: ImmersionGrid):
-    """Finite-difference first fundamental form of f against E, Fm and
-    <f_v, f_v> = E, tile by tile (fd.row_tiles)."""
-    f, hu, hv = im.f, im.spec.hu, im.spec.hv
-    dot = lambda a, b: np.einsum("...k,...k->...", a, b)
-
-    def terms(rows, slab, core):
-        fu = fd.d1(f[slab], hu, axis=0)[core]
-        fv = fd.d1(f[rows], hv, axis=1)
         E, Fm = im.metric(rows)
-        return {"E": dot(fu, fu) - E, "F": dot(fu, fv) - Fm,
-                "G": dot(fv, fv) - E}
+        return {"u": np.linalg.norm(ru, axis=-1),
+                "v": np.linalg.norm(rv, axis=-1), "E": dot(fu, fu) - E,
+                "F": dot(fu, fv) - Fm, "G": dot(fv, fv) - E}
 
     m = fd.tiled_max_interior(f.shape, terms)
-    return max(m["E"], m["F"], m["G"])
+    return {"tangency_u": m["u"], "tangency_v": m["v"],
+            "metric_identity": max(m["E"], m["F"], m["G"])}
+
+
+def metric_identity_check(im: ImmersionGrid, gmap: FlatMapGrid) -> float:
+    """tangency_check(im, gmap)["metric_identity"].  Kept as a function
+    because the benchmark's tracer times it by name."""
+    return tangency_check(im, gmap)["metric_identity"]
 
 
 def derived_solution(im: ImmersionGrid) -> SolutionGrid:
@@ -284,18 +285,15 @@ def _sphere_normal_equations(grid):
     return M, r[:, 0]
 
 
-def sphere_fit(im_or_points) -> SphereFit:
-    """Least-squares affine 3-sphere through the sampled surface.
+def sphere_fit(grid) -> SphereFit:
+    """Least-squares affine 3-sphere through the (nu, nv, 4) point grid of
+    a sampled surface (an immersion's f).
 
     Solves |f|^2 = 2 <f, a> + (rho^2 - |a|^2) in the unknowns (a, const)
     with a tiny ridge so exactly spherical data stays well posed, then
     reports the rms of |f - a| - rho.  The normal equations are summed and
-    the distances taken in tiles of rows of the first axis (fd.row_tiles).
+    the distances taken in tiles of u-rows (fd.row_tiles).
     """
-    pts = im_or_points.f if hasattr(im_or_points, "f") else im_or_points
-    pts = np.asarray(pts, dtype=float)
-    # a grid's u-rows, or a list of points as one row
-    grid = pts.reshape((len(pts), -1, 4) if pts.ndim > 2 else (1, -1, 4))
     if grid.shape[0] * grid.shape[1] < 5:
         raise ValueError("sphere fit needs at least 5 points")
     M, r = _sphere_normal_equations(grid)

@@ -26,8 +26,8 @@ from .flatmap import (FlatMapGrid, GridSpec, _hopf_map, hopf_flat_map,
                       verify_flat_map)
 from .hypsys import stretched_solution, system_residual
 from .immersion import (ImmersionGrid, assemble, auto_lambda, derived_solution,
-                        lambda_rescale, metric_checks, metric_identity_check,
-                        sphere_fit, tangency_check)
+                        lambda_rescale, metric_checks, sphere_fit,
+                        tangency_check)
 from .quat import qmul, rotation_matrix
 
 TWO_PI = 2.0 * math.pi
@@ -315,21 +315,19 @@ def _diagnostics(gmap: FlatMapGrid, im: ImmersionGrid, lam, fm):
     """The report of a build: lam, the checks of im on gmap, and fm, the
     verify_flat_map report of gmap.
 
-    The two checks that difference f (tangency_check and
-    metric_identity_check) come last: on two allowed CPUs a forked child
-    runs them while this process runs metric_checks, sphere_fit and
-    system_residual, and each sends back two or three floats.  An error of
-    this process's checks wins; the child is then killed and reaped."""
-    with Forked.after(lambda: (tangency_check(im, gmap),
-                               metric_identity_check(im))) as checks:
+    The one walk that differences f (tangency_check) comes last: on two
+    allowed CPUs a forked child runs it while this process runs
+    metric_checks, sphere_fit and system_residual, and it sends back its
+    three keys (tangency_u, tangency_v, metric_identity).  An error of this
+    process's checks wins; the child is then killed and reaped."""
+    with Forked.after(tangency_check, im, gmap) as checks:
         rep = {"lambda": lam, **metric_checks(im)}
-        fit = sphere_fit(im)
+        fit = sphere_fit(im.f)
         rep["sphere_rms"] = fit.rms_residual
         rep["sphere_radius"] = fit.radius
         ra, rb = system_residual(derived_solution(im), gmap.omega_grid)
         rep["derived_system_residual"] = max(ra, rb)
-        (rep["tangency_u"], rep["tangency_v"]), rep["metric_identity"] = (
-            checks.result())
+        rep.update(checks.result())
     rep["frame_residual"] = fm.frame_residual
     rep["flatmap_max"] = fm.max_flatmap_residual
     rep["gauss_metric"] = fm.gauss_metric

@@ -23,8 +23,7 @@ from flatsurf4.hypsys import (GridSpec, SmoothFn, constant_solution,
                               stretched_solution, system_residual,
                               wave_solution, zero_solution)
 from flatsurf4.immersion import (assemble, derived_solution, lambda_rescale,
-                                 metric_checks, metric_identity_check,
-                                 sphere_fit, tangency_check)
+                                 metric_checks, sphere_fit, tangency_check)
 from flatsurf4.torusearch import (a_n, build_perturbed_cylinder,
                                   build_perturbed_torus,
                                   holonomy_closure_residual, search_rational,
@@ -168,9 +167,9 @@ def test_criterion_5_representation_diagnostics(hopf_const, hopf_wavy,
     worst_t, worst_m, worst_ab = 0.0, 0.0, 0.0
     for name, gmap, sol in surfaces:
         im = assemble(gmap, sol)
-        ru, rv = tangency_check(im, gmap)
-        worst_t = max(worst_t, ru, rv)
-        worst_m = max(worst_m, metric_identity_check(im))
+        rep = tangency_check(im, gmap)
+        worst_t = max(worst_t, rep["tangency_u"], rep["tangency_v"])
+        worst_m = max(worst_m, rep["metric_identity"])
         worst_ab = max(worst_ab,
                        max(system_residual(derived_solution(im),
                                            gmap.omega_grid)))

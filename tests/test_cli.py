@@ -64,6 +64,28 @@ def test_cmd_helix(tmp_path):
     assert (tmp_path / "helix.csv").exists()
 
 
+@pytest.mark.parametrize("s_max,samples", [(0.005, 6), (0.008, 9)])
+def test_cmd_helix_needs_nine_samples(tmp_path, s_max, samples):
+    # frenet_s3 trims 4 nodes at each end: 6 samples get an error report and
+    # no numpy warning, 9 keep one node with the helix's curvature
+    src = Path(flatsurf4.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatsurf4.cli", "--out-dir", str(tmp_path),
+         "helix", "--r", "2", "--s-max", str(s_max), "--h", "0.001"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stderr == ""
+    rep = json.loads((tmp_path / "report.json").read_text())
+    if samples < 9:
+        assert proc.returncode == 1
+        assert rep["error"] == "ValueError"
+        assert rep["message"].startswith(f"a curve of {samples} samples")
+        assert "at least 9 samples" in rep["message"]
+    else:
+        assert proc.returncode == 0
+        assert rep["kappa"] == pytest.approx(1.5, abs=1e-6)
+
+
 def test_cmd_clifford_export_ratio(tmp_path):
     code, rep = run(JobConfig("clifford",
                               {"h": 0.05, "obj": "clifford.obj"}, tmp_path))

@@ -132,8 +132,8 @@ def test_frame_detects_corruption(clifford):
 def test_tangency_for_constant_solution(hopf_grid):
     sol = constant_solution(hopf_grid.spec)
     im = assemble(hopf_grid, sol)
-    ru, rv = tangency_check(im, hopf_grid)
-    assert ru < 1e-5 and rv < 1e-5
+    rep = tangency_check(im, hopf_grid)
+    assert rep["tangency_u"] < 1e-5 and rep["tangency_v"] < 1e-5
 
 
 def test_tangency_for_exponential_surface():
@@ -161,8 +161,8 @@ def test_tangency_for_exponential_surface():
     assert np.max(np.abs(g.omega_grid - expect)) < 1e-5
 
     im = assemble(g, sol)
-    ru, rv = tangency_check(im, g)
-    assert ru < 1e-4 and rv < 1e-4
+    rep = tangency_check(im, g)
+    assert rep["tangency_u"] < 1e-4 and rep["tangency_v"] < 1e-4
     # the paper's regularity claim for this family: margin never vanishes
     assert metric_checks(im)["margin_min"] > 0
 
@@ -192,7 +192,9 @@ def test_metric_identity_on_constructed_surfaces(hopf_grid):
                                              g2.spec)))
     for g, sol in cases:
         im = assemble(g, sol)
-        assert metric_identity_check(im) < 1e-4
+        residual = tangency_check(im, g)["metric_identity"]
+        assert residual < 1e-4
+        assert metric_identity_check(im, g) == residual
 
 
 def test_derived_AB_resolves_system(hopf_grid):
@@ -384,7 +386,7 @@ def test_flatness_needs_nine_nodes_per_direction(nu, nv):
 def test_sphere_fit_unit_sphere(hopf_grid):
     sol = constant_solution(hopf_grid.spec)
     im = assemble(hopf_grid, sol)
-    fit = sphere_fit(im)
+    fit = sphere_fit(im.f)
     assert np.linalg.norm(fit.center) < 1e-8
     assert fit.radius == pytest.approx(1.0, abs=1e-8)
     assert fit.rms_residual < 1e-8
@@ -394,7 +396,7 @@ def test_sphere_fit_recovers_affine_center(hopf_grid):
     a = np.array([1.0, 0.0, 0.0, 0.0])
     sol = geometric_solution(hopf_grid, a=a, rho=1.0)
     im = assemble(hopf_grid, sol)
-    fit = sphere_fit(im)
+    fit = sphere_fit(im.f)
     assert np.linalg.norm(fit.center - a) < 1e-6
     assert fit.radius == pytest.approx(1.0, abs=1e-6)
     assert fit.rms_residual < 1e-6
@@ -406,7 +408,7 @@ def test_stretched_solution_leaves_spheres():
     g = hopf_flat_map(k, 2 * T, h=0.01, v_range=(0.0, TWO_PI), hv=0.02)
     sol = stretched_solution(k, 2, g.spec)
     im = assemble(g, sol)
-    assert sphere_fit(im).rms_residual > 1e-2
+    assert sphere_fit(im.f).rms_residual > 1e-2
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ is not checked for unused imports.  The package needs only numpy at run
 time (scipy is a test dependency), so an import of scipy anywhere in a
 module, inside a function too, is an error.
 
+A build forks children through one helper, flatsurf4._fork, which forks,
+reaps and kills them; no other package module calls the os functions that
+do so, so the helper's child-and-reap protocol stays the only one.
+
 Optional parameters were cut from 121 to 54, and settings such as the
 tile height of the full-grid passes are module constants: the count of
 optional parameters may not grow, and no package file reads the
@@ -78,6 +82,40 @@ def test_checker_finds_a_scipy_import():
 @pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
 def test_module_does_not_import_scipy(path):
     assert _scipy_imports(path.read_text()) == []
+
+
+PROCESS_CALLS = ("fork", "waitpid", "_exit", "kill")
+
+
+def _process_calls(source):
+    """Line numbers of every use of os.fork, os.waitpid, os._exit or
+    os.kill, or an import of any of them from os."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in PROCESS_CALLS
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+              and any(a.name in PROCESS_CALLS for a in node.names)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_finds_process_calls():
+    source = ("import os\n"
+              "from os import waitpid, sep\n"
+              "if hasattr(os, 'fork'):\n"
+              "    pid = os.fork()\n"
+              "os.kill(pid, 9); os.getpid()\n"
+              "def f():\n"
+              "    os._exit(0)\n")
+    assert _process_calls(source) == [2, 4, 5, 7]
+
+
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
+def test_only_the_fork_helper_forks(path):
+    if path.name != "_fork.py":
+        assert _process_calls(path.read_text()) == []
 
 
 MAX_OPTIONAL_PARAMETERS = 52

@@ -329,8 +329,8 @@ def test_release_torus_residuals_are_fourth_order(release_outcome,
     _, coarse = build_perturbed_torus(release_outcome, nodes_per_period=32,
                                       nv=64)
     _, fine = release_torus
-    for key in ("gauss_K_max", "tangency_u", "derived_system_residual",
-                "frame_residual"):
+    for key in ("gauss_K_max", "tangency_u", "tangency_v", "metric_identity",
+                "derived_system_residual", "frame_residual"):
         assert math.log2(coarse[key] / fine[key]) >= 3.5, key
 
 
@@ -339,8 +339,7 @@ def test_release_torus_residuals_are_fourth_order(release_outcome,
 # torusearch names
 TORUSEARCH_STAGES = ("hopf_flat_map", "verify_flat_map", "stretched_solution",
                      "auto_lambda", "assemble", "metric_checks", "sphere_fit",
-                     "tangency_check", "metric_identity_check",
-                     "system_residual")
+                     "tangency_check", "system_residual")
 
 
 def stage_table(outcome, nodes_per_period, nv):
@@ -398,8 +397,8 @@ def test_every_stage_runs_once(stages_64):
 
 def test_every_stage_runs_once_across_parent_and_child(release_outcome,
                                                         tmp_path, monkeypatch):
-    # on two CPUs the flat-map check and the two checks that difference f
-    # run in forked children, one fork each; every stage still runs once.
+    # on two CPUs the flat-map check and the walk that differences f run
+    # in forked children, one fork each; every stage still runs once.
     # Each call, here or in a child, appends its name and pid to a file
     forks = _allow_cpus(monkeypatch, 2)
     log = tmp_path / "stages.txt"
@@ -419,8 +418,27 @@ def test_every_stage_runs_once_across_parent_and_child(release_outcome,
     assert Counter(name for name, _ in calls) == dict.fromkeys(
         TORUSEARCH_STAGES, 1)
     assert {name for name, pid in calls if int(pid) != os.getpid()} == {
-        "verify_flat_map", "tangency_check", "metric_identity_check"}
+        "verify_flat_map", "tangency_check"}
     assert len(forks) == 2
+
+
+def test_build_differences_each_quaternion_grid_once(release_outcome,
+                                                     monkeypatch):
+    # per row tile a build takes one derivative along u and one along v of
+    # each of f, F and Fhat: f is walked once, by tangency_check, and F and
+    # Fhat once, by verify_flat_map
+    _allow_cpus(monkeypatch, 1)
+    calls, real_d1 = [], fd.d1
+
+    def d1(a, h, axis=0):
+        calls.append(np.shape(a))
+        return real_d1(a, h, axis)
+
+    monkeypatch.setattr(fd, "d1", d1)
+    im, _ = build_perturbed_torus(release_outcome, nodes_per_period=32, nv=64)
+    tiles = len(list(fd.row_tiles(im.spec.nu)))
+    assert sum(len(shape) == 3 and shape[-1] == 4 for shape in calls) == (
+        6 * tiles)
 
 
 def _fail(monkeypatch, name):
@@ -438,9 +456,10 @@ def _fail(monkeypatch, name):
     # the flat-map check comes before the assembly: its error wins
     ("verify_flat_map", "stretched_solution"),
     ("verify_flat_map", "assemble"),
-    # the checks that difference f come after the other checks: theirs lose
+    # the walk that differences f comes after the other checks: its error
+    # loses
     ("metric_checks", "tangency_check"),
-    ("system_residual", "metric_identity_check"),
+    ("system_residual", "tangency_check"),
 ])
 def test_build_raises_the_error_of_the_serial_order(release_outcome,
                                                     monkeypatch, cpus, first,
@@ -509,7 +528,7 @@ def test_build_torus_circle_control():
     assert "degenerate_product" in rep["flags"]
     assert rep["sphere_rms"] < 1e-6
     assert rep["ok"] is False  # products of circles are excluded by design
-    fit = sphere_fit(im)
+    fit = sphere_fit(im.f)
     assert fit.radius == pytest.approx(1.0, abs=1e-9)
 
 

@@ -129,9 +129,14 @@ SPEC_6x5 = GridSpec(-1.25, -0.5, 0.25, 0.125, 6, 5)
 
 
 def _write_sampled(path, spec):
+    # the reader refuses a value that is not finite: the specials keep
+    # their finite members (-0.0, 1e-300, 1e300, ...) and NaN and inf
+    # become 0.5
     shape = (spec.nu, spec.nv)
-    F, Fhat = _field(shape + (4,), 21), _field(shape + (4,), 22)
-    g = FlatMapGrid(spec, SampledMaps(F, Fhat), _field(shape, 23))
+    F, Fhat, omega = (np.nan_to_num(x, nan=0.5, posinf=0.5, neginf=0.5)
+                      for x in (_field(shape + (4,), 21),
+                                _field(shape + (4,), 22), _field(shape, 23)))
+    g = FlatMapGrid(spec, SampledMaps(F, Fhat), omega)
     write_flatmap_csv(g, path)
     return g
 
@@ -164,6 +169,26 @@ def test_reader_refuses_rows_out_of_u_major_order(tmp_path, how):
     rep = json.loads((tmp_path / "out" / "report.json").read_text())
     assert code == 1
     assert rep["error"] == "ValueError" and str(bad) in rep["message"]
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_reader_refuses_a_value_that_is_not_finite(tmp_path, token):
+    # one F value of a grid row becomes token; verify reports the line
+    _write_sampled(tmp_path / "g.csv", SPEC_6x5)
+    lines = (tmp_path / "g.csv").read_text().splitlines(keepends=True)
+    cells = lines[13].split(",")
+    cells[3] = token
+    lines[13] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(lines))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: line 14 "
+                       "holds a value that is not finite"):
+        read_flatmap_csv(bad)
+    code = cli.main(["--out-dir", str(tmp_path / "out"), "verify",
+                     "--input", str(bad)])
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert code == 1
+    assert rep["error"] == "ValueError" and "line 14" in rep["message"]
 
 
 @pytest.mark.parametrize("nu,nv", [(1, 1), (1, 6), (6, 1)])
