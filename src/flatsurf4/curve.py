@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _fd as fd
 from .errors import IntegrationFailure
-from .quat import QONE, pure, qexp_pure, qmul, qnorm, qnormalize
+from .quat import QONE, pure, qconj, qexp_pure, qmul, qnorm, qnormalize
 
 TWO_PI = 2.0 * math.pi
 
@@ -237,6 +237,7 @@ def helix_curvature(r):
 
 _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _BLOCK = 4096  # steps per block; bounds the temporary memory of long runs
+ODE_STEP = 1e-3  # largest Magnus step of a lift integrated on a node grid
 
 
 def _ik(p, q):
@@ -260,10 +261,11 @@ def _magnus_factors(wfun, u, h):
 
 
 def _tree_product(f):
-    """Ordered product f[0] f[1] ... f[-1], halving the array each round."""
+    """Ordered product f[0] f[1] ... f[-1] along the first axis, halving
+    the array each round."""
     while f.shape[0] > 1:
         if f.shape[0] % 2:
-            f = np.concatenate([f, QONE[None]])
+            f = np.concatenate([f, np.broadcast_to(QONE, (1,) + f.shape[1:])])
         f = qmul(f[0::2], f[1::2])
     return f[0]
 
@@ -277,31 +279,50 @@ def _prefix_products(f):
     return f
 
 
-def _transport(wfun, u0, length, h, a0=QONE, nodes=False):
+def _steps(length, h):
+    """round(length / h) steps (at least 1) for a step h in (0, length]."""
+    if not 0.0 < h <= length:
+        raise ValueError(f"step h = {h:g} must be in (0, {length:g}], the "
+                         "length of the span it integrates")
+    return max(1, int(round(length / h)))
+
+
+def _transport(wfun, u0, length, h, a0=QONE, stride=None):
     """Solve a' = a w(u), a(u0) = a0, for a pure-quaternion velocity w.
 
     wfun maps an array of u to (..., 3) vectors.  Takes
-    steps = max(1, round(length / h)) Magnus-4 steps of size
-    hs = length / steps, combined in blocks of _BLOCK.  Returns (a, hs)
-    where a is the end value, or with nodes=True the (steps + 1, 4) array
-    of every node (not renormalized), written block by block.
+    steps = round(length / h) Magnus-4 steps of size hs = length / steps;
+    a step h outside (0, length] raises ValueError.  Returns (a, hs): with
+    stride None, a is the end value, the product of blocks of _BLOCK step
+    factors; else stride must divide steps and a is the (steps / stride
+    + 1, 4) array of the nodes every stride steps (not renormalized).  The
+    factors of each cell of stride steps are multiplied by _tree_product,
+    and only the cell products are chained by _prefix_products, so no
+    per-step node is kept.
     """
-    steps = max(1, int(round(length / h)))
+    steps = _steps(length, h)
     hs = length / steps
     acc = np.asarray(a0, dtype=float)
-    if nodes:
-        a = np.empty((steps + 1, 4))
-        a[0] = acc
-    for j0 in range(0, steps, _BLOCK):
-        j1 = min(j0 + _BLOCK, steps)
-        f = _magnus_factors(wfun, u0 + hs * np.arange(j0, j1), hs)
-        if nodes:
-            a[j0 + 1:j1 + 1] = qmul(acc, _prefix_products(f))
-            acc = a[j1]
-        else:
+    if stride is None:
+        for j0 in range(0, steps, _BLOCK):
+            j1 = min(j0 + _BLOCK, steps)
+            f = _magnus_factors(wfun, u0 + hs * np.arange(j0, j1), hs)
             acc = qmul(acc, _tree_product(f))
-    if not nodes:
         a = acc
+    else:
+        cells, rest = divmod(steps, stride)
+        if rest:
+            raise ValueError(f"stride {stride} does not divide {steps} steps")
+        a = np.empty((cells + 1, 4))
+        a[0] = acc
+        per = max(1, _BLOCK // stride)  # cells per block
+        for c0 in range(0, cells, per):
+            c1 = min(c0 + per, cells)
+            f = _magnus_factors(
+                wfun, u0 + hs * np.arange(c0 * stride, c1 * stride), hs)
+            cell = _tree_product(f.reshape(c1 - c0, stride, 4).swapaxes(0, 1))
+            a[c0 + 1:c1 + 1] = qmul(acc, _prefix_products(cell))
+            acc = a[c1]
     if not np.all(np.isfinite(a)):
         raise IntegrationFailure("Magnus transport produced non-finite values")
     return a, hs
@@ -338,22 +359,59 @@ def _lift_velocity(kfun):
     return w
 
 
+def _period_rows(k, h, cells):
+    """p when k has a base_period T of a whole number p of node spacings h
+    (to 1e-12 T) and the cells span more than T, else None."""
+    T = getattr(k, "base_period", None)
+    if T is None:
+        return None
+    p = int(round(T / h))
+    return p if 0 < p < cells and abs(p * h - T) <= 1e-12 * T else None
+
+
+def _fill_periods(first, p, n):
+    """The n nodes of a lift of period p rows from its first p + 1 nodes:
+    a(u + T) = M a(u) with the monodromy M = a(u0 + T) conj(a(u0)), so
+    each later block of p nodes is M times the block before it."""
+    M = qnormalize(qmul(first[p], qconj(first[0])))
+    a = np.empty((n, 4))
+    a[:p + 1] = first
+    for j0 in range(p + 1, n, p):
+        j1 = min(j0 + p, n)
+        a[j0:j1] = qmul(M, a[j0 - p:j1 - p])
+    return a
+
+
 def asymptotic_lift(k, u_range=(0.0, TWO_PI), h=1e-3, a0=QONE):
     """Integrate the asymptotic lift a' = a * w(u) of the curvature
     profile k (k.value and k.deriv) by Magnus-4 steps.
 
-    h is the step size (adjusted to divide the range).  The nodes are
-    renormalized once after the scan; deriv and deriv2 are the analytic
-    a w and a (w' - 1) (using w^2 = -1) at the nodes.  The Hopf projection
-    traverses a curve of geodesic curvature k(u) at speed
-    2/sqrt(1+k(u)^2).  The nodes are renormalized in place and the
-    derivatives formed _BLOCK nodes at a time, so the lift holds its three
-    (N, 4) arrays and temporaries of one block only.
+    h is the node spacing (adjusted to divide the range; a spacing outside
+    (0, length] raises ValueError).  Each cell between two nodes takes
+    ceil(h / ODE_STEP) Magnus steps, multiplied into one cell factor by
+    _transport, so only the nodes are kept.  When k has a base_period T of
+    a whole number p of node spacings and the range is longer than T, only
+    [u0, u0 + T] is integrated and _fill_periods fills every later block of
+    p nodes from the monodromy; quasi-periodic profiles and periods of no
+    whole number of nodes are integrated over the whole range.
+
+    The integrated nodes are renormalized.  deriv and deriv2 are the
+    analytic a w and a (w' - 1) (using w^2 = -1) at every node, formed
+    _BLOCK nodes at a time, so the lift holds its three (N, 4) arrays and
+    temporaries of one block only.  The Hopf projection traverses a curve
+    of geodesic curvature k(u) at speed 2/sqrt(1+k(u)^2).
     """
     u0, u1 = u_range
-    out, hu = _transport(_lift_velocity(k.value), u0, u1 - u0, h,
-                         qnormalize(a0), nodes=True)
+    cells = _steps(u1 - u0, h)
+    hu = (u1 - u0) / cells
+    period = _period_rows(k, hu, cells)
+    sub = max(1, int(math.ceil(hu / ODE_STEP - 1e-12)))
+    out, _ = _transport(_lift_velocity(k.value), u0,
+                        u1 - u0 if period is None else period * hu,
+                        hu / sub, qnormalize(a0), stride=sub)
     out /= qnorm(out)[:, None]
+    if period is not None:
+        out = _fill_periods(out, period, cells + 1)
     deriv, deriv2 = np.empty_like(out), np.empty_like(out)
     for j0 in range(0, out.shape[0], _BLOCK):
         b = slice(j0, j0 + _BLOCK)
@@ -365,9 +423,10 @@ def asymptotic_lift(k, u_range=(0.0, TWO_PI), h=1e-3, a0=QONE):
 
 
 def lift_product(k, length, h=1e-3):
-    """a(length) for the asymptotic lift with a(0) = 1, by Magnus-4 steps.
+    """a(length) for the asymptotic lift with a(0) = 1, by Magnus-4 steps
+    of size h (adjusted to divide length; h must be in (0, length]).
 
-    The same integration as asymptotic_lift, but the step factors are only
+    The same kernel as asymptotic_lift, but the step factors are only
     multiplied together, so no per-node arrays are kept.
     """
     return _transport(_lift_velocity(k.value), 0.0, length, h)[0]

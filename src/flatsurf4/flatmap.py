@@ -29,7 +29,6 @@ from .errors import PreconditionViolated
 from .quat import QI, QJ, QONE, fiber_circle, qconj, qinv, qmul, qnorm
 
 TWO_PI = 2.0 * math.pi
-ODE_STEP = 1e-3  # largest step of the lift integration in every Hopf builder
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +335,15 @@ HOPF_XI = np.array([0.0, 0.0, -1.0, 0.0])  # polar sign keeps w in (0, pi)
 
 def _hopf_factors(k, spec: GridSpec, a0=QONE):
     """ProductFactors of the Hopf surface L(u) e^{iv} of k: the lift
-    (L, L', L'') from a(u0) = a0 at spec.u_nodes, by ceil(hu / ODE_STEP)
-    Magnus steps per cell (copied, so no fine lift stays alive), xi =
+    (L, L', L'') from a(u0) = a0 at spec.u_nodes, by asymptotic_lift with
+    node spacing spec.hu (one base period integrated, later periods filled
+    by its monodromy, when the grid holds more than one of them), xi =
     HOPF_XI and the fiber (e^{iv}, i e^{iv}) at spec.v_nodes."""
-    sub = max(1, int(math.ceil(spec.hu / ODE_STEP - 1e-12)))
     lift = asymptotic_lift(k, (spec.u0, spec.u0 + spec.hu * (spec.nu - 1)),
-                           spec.hu / sub, a0=a0)
-    L, Ld, Ldd = (x[::sub].copy()
-                  for x in (lift.samples, lift.deriv, lift.deriv2))
+                           spec.hu, a0=a0)
     R = fiber_circle(spec.v_nodes)
-    return ProductFactors(L, Ld, Ldd, HOPF_XI, R, qmul(QI, R))
+    return ProductFactors(lift.samples, lift.deriv, lift.deriv2, HOPF_XI, R,
+                          qmul(QI, R))
 
 
 def _hopf_map(k, spec: GridSpec, a0=QONE):

@@ -9,8 +9,10 @@ solutions pulled back from an n-stretched Hopf surface, the closed-form
 families for linear angles, a quadrature transform producing new
 solutions from old ones, and a best-effort characteristic marcher.
 Every Hopf surface, stretched or not, is built by flatmap._hopf_factors,
-every solution read off a map is contracted on its flatmap.ProductFactors
-and every grid given by ranges follows GridSpec.from_ranges.
+whose lift integrates one base period of the (stretched) profile and
+fills the later periods from its monodromy, a(u + T) = M a(u); every
+solution read off a map is contracted on its flatmap.ProductFactors and
+every grid given by ranges follows GridSpec.from_ranges.
 """
 
 import math

@@ -5,12 +5,15 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from flatsurf4 import _fd as fd
+from flatsurf4 import curve
 from flatsurf4.curve import (
-    CurvatureProfile, QuasiPeriodicProfile, asymptotic_lift, frenet_s3, helix,
-    helix_curvature, lift_body_velocity, lift_product, parse_profile,
+    ODE_STEP, CurvatureProfile, QuasiPeriodicProfile, asymptotic_lift,
+    frenet_s3, helix, helix_curvature, lift_body_velocity, lift_product,
+    parse_profile,
 )
 from flatsurf4.errors import IntegrationFailure
-from flatsurf4.quat import QONE, hopf, qmul, qnorm
+from flatsurf4.flatmap import hopf_flat_map
+from flatsurf4.quat import QONE, hopf, pure, qconj, qmul, qnorm
 
 TWO_PI = 2 * math.pi
 
@@ -194,3 +197,89 @@ def test_lift_torsion_is_plus_one():
     mask = kappa > 0.05
     assert mask.any()
     assert np.max(np.abs(tau[mask] - 1.0)) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# one-period lifts
+
+
+# the release base profile (T = pi, see tests/test_acceptance.py) at the
+# root of its search
+RELEASE_K = CurvatureProfile(math.pi, 1.21321612108222, (1.0900033738813364,))
+
+
+def _scan(k, u0, nodes, hu):
+    """The lift from a(u0) = 1 at u0 + j hu (j < nodes) with its analytic
+    derivatives, by a scan that keeps every Magnus step and then takes
+    every sub-th node: no cell products, no period."""
+    sub = math.ceil(hu / ODE_STEP - 1e-12)
+    a, _ = curve._transport(curve._lift_velocity(k.value), u0,
+                            (nodes - 1) * hu, hu / sub, stride=1)
+    a = a[::sub] / qnorm(a[::sub])[:, None]
+    p, q, dp, dq = lift_body_velocity(*(f(u0 + hu * np.arange(nodes))
+                                        for f in (k.value, k.deriv)))
+    return (a, qmul(a, pure(curve._ik(p, q))),
+            -a + qmul(a, pure(curve._ik(dp, dq))))
+
+
+def _assert_lift_matches(lift, ref, tol):
+    # lift and ref are (samples, deriv, deriv2) triples
+    for got, want in zip(lift, ref):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < tol
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_one_period_lift_matches_every_step_scan(n):
+    # the release grid: 96 nodes per base period, 16 base periods; the
+    # n-stretched lift runs on the n-scaled grid, 96 nodes per its period
+    k, hu = RELEASE_K.stretch(n), n * math.pi / 96
+    c = asymptotic_lift(k, (0.0, 1536 * hu), hu)
+    _assert_lift_matches((c.samples, c.deriv, c.deriv2),
+                         _scan(k, 0.0, 1537, hu), 1e-13)
+
+
+def test_one_period_lift_rows_a_period_apart_differ_by_the_monodromy():
+    k, p = RELEASE_K, 96
+    c = asymptotic_lift(k, (0.5, 0.5 + 4 * math.pi), math.pi / p)
+    M = qmul(c.samples[p], qconj(c.samples[0]))
+    for x in (c.samples, c.deriv, c.deriv2):
+        assert np.max(np.abs(x[p:] - qmul(M, x[:-p]))) < 1e-13
+
+
+def test_lift_without_a_whole_period_matches_every_step_scan():
+    # a quasi-periodic profile has no period; a grid of h = 0.03 over two
+    # periods of 2 has round(4 / 0.03) = 133 cells, 66.5 per period
+    quasi = QuasiPeriodicProfile(0.8, ((0.15, 2.0, 0.0),
+                                       (0.1, 2.0 * math.sqrt(2), 0.4)))
+    c = asymptotic_lift(quasi, (1.0, 9.0), 0.05)
+    _assert_lift_matches((c.samples, c.deriv, c.deriv2),
+                         _scan(quasi, 1.0, 161, 0.05), 1e-13)
+    k = CurvatureProfile(2.0, 0.7, (0.4,), (0.2,))
+    g = hopf_flat_map(k, 4.0, h=0.03).product
+    _assert_lift_matches((g.L, g.Ld, g.Ldd), _scan(k, 0.0, 134, 4.0 / 133),
+                         1e-13)
+
+
+def test_lift_steps_do_not_grow_with_the_periods(monkeypatch):
+    steps, real = [], curve._magnus_factors
+
+    def counted(wfun, u, h):
+        steps.append(len(u))
+        return real(wfun, u, h)
+
+    monkeypatch.setattr(curve, "_magnus_factors", counted)
+    hu = math.pi / 96
+    counts = []
+    for periods in (1, 16):
+        steps.clear()
+        asymptotic_lift(RELEASE_K, (0.0, periods * math.pi), hu)
+        counts.append(sum(steps))
+    assert counts == [96 * math.ceil(hu / ODE_STEP)] * 2
+
+
+def test_lift_refuses_a_node_spacing_longer_than_the_range():
+    with pytest.raises(ValueError, match=r"step h = 3 must be in \(0, 2\]"):
+        asymptotic_lift(RELEASE_K, (0.0, 2.0), 3.0)
+    with pytest.raises(ValueError, match=r"step h = 5 must be in \(0, 2\]"):
+        lift_product(CurvatureProfile(2.0, 0.5, (0.3,)), 2.0, h=5.0)

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from flatsurf4.curve import CurvatureProfile, asymptotic_lift
+from flatsurf4.curve import ODE_STEP, CurvatureProfile, asymptotic_lift
 from flatsurf4.errors import (EqualSpeeds, GridMismatch, NonConstantAngle,
                               PathDependence, PreconditionViolated)
-from flatsurf4.flatmap import (ODE_STEP, helix_product_map,
-                               hopf_flat_map, linear_angle, profile_angle,
-                               read_flatmap_csv, verify_flat_map,
-                               write_flatmap_csv)
+from flatsurf4.flatmap import (helix_product_map, hopf_flat_map,
+                               linear_angle, profile_angle, read_flatmap_csv,
+                               verify_flat_map, write_flatmap_csv)
 from flatsurf4.hypsys import (DERIVATIVE_FIELDS, GridSpec, SmoothFn,
                               SolutionGrid, _cum_u, constant_solution,
                               exponential_solution, geometric_solution,

@@ -487,11 +487,18 @@ def test_build_raises_the_error_of_a_forked_stage(release_outcome, monkeypatch,
 def test_build_torus_peak_memory(stages_64):
     # the full-grid passes walk row tiles, F, Fhat and the scaled solution
     # are formed per tile from their factors, and the immersion keeps only
-    # f (4 grid arrays), A and B; at (64, 128) the floor is set by the fine
-    # lift of the stretched map (3 arrays of 99 nodes per grid row) in
-    # stretched_solution, not by the grids
+    # f (4 grid arrays), A and B; the lifts keep only their grid rows, so
+    # the peak is set by assemble
     _, peak, _ = stages_64
-    assert peak <= 11.5, peak
+    assert peak <= 9.0, peak
+
+
+@pytest.mark.parametrize("stage", ["hopf_flat_map", "stretched_solution"])
+def test_lift_stages_peak_memory(stages_64, stage):
+    # each lift integrates one base period and records only its grid rows:
+    # no array of one node per Magnus step is made
+    (_, own), = stages_64[2][stage]
+    assert own <= 1.0, own
 
 
 def test_release_build_peak_memory(stages_release):
