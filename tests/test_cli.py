@@ -318,13 +318,13 @@ def _main_report(tmp_path, *argv):
      "No such file or directory"),
     (["build-cylinder", "--profile", '{"k0":0.8,"terms":[[0.15,2.0,0.0]]}',
       "--h", "0.1", "--nv", "32", "--csv", "."], "Is a directory"),
-    # a step longer than the period it integrates
-    (["holonomy", "--profile", '{"T":2,"k0":0.5,"cos":[0.3]}', "--h", "5"],
-     "step h = 5 must be in (0, 2]"),
     (["hopf-torus", "--profile", '{"T":2,"k0":0.5,"cos":[0.3]}',
       "--csv", "missing/h.csv"], "No such file or directory"),
     (["hopf-torus", "--profile", '{"T":2,"k0":0.5,"cos":[0.3]}',
       "--csv", "."], "Is a directory"),
+    # a step longer than the period it integrates
+    (["holonomy", "--profile", '{"T":2,"k0":0.5,"cos":[0.3]}', "--h", "5"],
+     "step h = 5 must be in (0, 2]"),
 ])
 def test_bad_input_gives_error_report(tmp_path, capsys, argv, needle):
     code, rep = _main_report(tmp_path, *argv)
