@@ -23,10 +23,15 @@ A field that is a product of a (nu, .) factor and a (., nv) factor is
 formed per tile too, never whole: F and Fhat (flatmap.ProductFactors.maps,
 elementwise quaternion products) and the fields of a solution held as
 factors (hypsys.FactorSolution.tile, (rows, 4) @ (4, nv) products).  The
-matrix products are taken on the tile's slab and cut to core: a one-row
-product (the last tile of a grid of k TILE_ROWS + 1 rows) takes another
-BLAS path and may change the last bit, while the slab's rows match the
-product of the whole grid under single-threaded BLAS.
+matrix products are taken on a tile's slab and cut to core, and on the
+tiles of row_tiles only, because BLAS may give a row other bits in
+another row set.  Under OpenBLAS 0.3.31 with one thread on an AVX-512
+Xeon, the last column of a (rows, 4) @ (4, 193) product (the release
+grid's nv) differs between row sets of almost every size from 1 to 139
+rows, and between the tiles and the whole 1537-row grid, while the other
+192 columns agree.  A reader that needs other rows
+(immersion.Coefficients) cuts them from the tiles that hold them, so each
+node has one value, that of its tile.
 """
 
 import numpy as np
@@ -90,19 +95,24 @@ def max_interior(a):
     return float(np.max(np.abs(interior(a))))
 
 
+def slab_of(lo, hi, n):
+    """(slab, core) of the rows lo..hi-1 of an n-row grid: slab those rows
+    widened by INTERIOR_TRIM on each side and clipped to the grid, core
+    the rows as a slice of the slab."""
+    s0 = max(lo - INTERIOR_TRIM, 0)
+    return slice(s0, min(hi + INTERIOR_TRIM, n)), slice(lo - s0, hi - s0)
+
+
 def row_tiles(n):
     """Yield (rows, slab, core) for the tiles of an n-row grid, in order.
 
-    rows are the tile's (at most TILE_ROWS) rows of the grid, slab those
-    rows widened by INTERIOR_TRIM on each side and clipped to the grid,
-    and core the tile's rows as a slice of the slab: a derivative along u
-    of the tile is fd.d1(a[slab], h, axis=0)[core].
+    rows are the tile's (at most TILE_ROWS) rows of the grid and (slab,
+    core) their slab_of: a derivative along u of the tile is
+    fd.d1(a[slab], h, axis=0)[core].
     """
-    t = INTERIOR_TRIM
     for lo in range(0, n, TILE_ROWS):
         hi = min(lo + TILE_ROWS, n)
-        s0 = max(lo - t, 0)
-        yield slice(lo, hi), slice(s0, min(hi + t, n)), slice(lo - s0, hi - s0)
+        yield (slice(lo, hi), *slab_of(lo, hi, n))
 
 
 def tile_interior(a, rows, n):
@@ -115,14 +125,15 @@ def tile_interior(a, rows, n):
 
 def tiled_max_interior(shape, terms):
     """{name: max_interior(x)} for the grid-shaped arrays x that are built
-    tile by tile: terms(rows, slab, core) returns, by name, the values of
-    each x on the tile's rows.  The maxima equal those of whole-grid
-    arrays, NaN included."""
+    tile by tile: terms(rows, slab, core) yields (name, values) pairs, the
+    values of each x on the tile's rows, and each is reduced as it comes,
+    so a generator holds one result at a time.  The maxima equal those of
+    whole-grid arrays, NaN included."""
     nu, nv = shape[:2]
     _check_interior(nu, nv)
     maxima = {}
     for rows, slab, core in row_tiles(nu):
-        for name, x in terms(rows, slab, core).items():
+        for name, x in terms(rows, slab, core):
             maxima.setdefault(name, []).append(
                 np.max(np.abs(tile_interior(x, rows, nu)), initial=0.0))
     return {name: float(np.max(m)) for name, m in maxima.items()}

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _fd as fd
 from .curve import (CurvatureProfile, frenet_s3, helix, helix_curvature,
                     parse_profile, _real)
 from .errors import FlatSurfaceError, NotOnSphere, PoleOnSurface
@@ -76,6 +77,12 @@ def export_obj(points, path, projection="stereographic", drop_index=3):
     line costs OBJ_NODE_COST times a cell's two, so index i stands for the
     item item(i), a stretch of the items that puts the middle at the node
     where the two halves cost the same.
+
+    Each block of nodes is projected inside the part that writes it, so no
+    projected copy of the surface is held; for the stereographic
+    projection, the sphere fit (sphere_fit) and the pole gap are taken over
+    the grid in row tiles first.  Returns the projection, a function of an
+    (..., 4) array of points, for a caller that needs projected points.
     """
     pts = np.asarray(points, dtype=float)
     nu, nv = pts.shape[0], pts.shape[1]
@@ -84,13 +91,15 @@ def export_obj(points, path, projection="stereographic", drop_index=3):
         if fit.rms_residual > 1e-4:
             raise NotOnSphere(
                 f"sphere fit rms {fit.rms_residual:.3e} exceeds 0.0001")
-        unit = (pts - fit.center) / fit.radius
-        gap = float(np.min(np.linalg.norm(unit - QK, axis=-1)))
+        unit = lambda p: (p - fit.center) / fit.radius
+        gap = min(float(np.min(np.linalg.norm(unit(pts[rows]) - QK, axis=-1)))
+                  for rows, _, _ in fd.row_tiles(nu))
         if gap < 1e-3:
             raise PoleOnSurface(f"pole within {gap:.3e} of the surface")
-        xyz = _stereographic(unit)
+        project = lambda p: _stereographic(unit(p))
     elif projection == "drop":
-        xyz = np.delete(pts, drop_index, axis=-1)
+        keep = [i for i in range(4) if i != drop_index]
+        project = lambda p: p[..., keep]
     else:
         raise ValueError("projection must be 'stereographic' or 'drop'")
 
@@ -101,7 +110,7 @@ def export_obj(points, path, projection="stereographic", drop_index=3):
         return np.stack([a, a + nv, a + nv + 1, a, a + nv + 1, a + 1],
                         axis=1).reshape(-1, 3)
 
-    flat, nodes = xyz.reshape(-1, 3), nu * nv
+    flat, nodes = pts.reshape(-1, 4), nu * nv
     n = nodes + (nu - 1) * (nv - 1)
     # the items (nodes first) of half the file's cost; there are fewer cells
     # than nodes, so this falls among the nodes
@@ -115,12 +124,12 @@ def export_obj(points, path, projection="stereographic", drop_index=3):
         # the items item(lo)..item(hi)-1 of the nodes, then the cells
         lo, hi = item(lo), item(hi)
         _write_rows(fh, min(lo, nodes), min(hi, nodes),
-                    lambda a, b: flat[a:b], "%.9g", " ", "v ")
+                    lambda a, b: project(flat[a:b]), "%.9g", " ", "v ")
         _write_rows(fh, max(lo, nodes) - nodes, max(hi, nodes) - nodes,
                     faces, "%d", " ", "f ")
 
     _write_halves(path, "", n, BLOCK_ROWS, part)
-    return xyz
+    return project
 
 
 def revolution_radii(xyz):
@@ -277,8 +286,9 @@ def _cmd_clifford(cfg):
         write_flatmap_csv(g, cfg.path(cfg.params["csv"]))
         rep["csv"] = str(cfg.path(cfg.params["csv"]))
     if cfg.params.get("obj"):
-        xyz = export_obj(g.maps(slice(None))[0], cfg.path(cfg.params["obj"]))
-        R, r_minor = revolution_radii(xyz)
+        F = g.maps(slice(None))[0]
+        project = export_obj(F, cfg.path(cfg.params["obj"]))
+        R, r_minor = revolution_radii(project(F))
         rep["obj"] = str(cfg.path(cfg.params["obj"]))
         rep["revolution_R"] = R
         rep["revolution_r"] = r_minor

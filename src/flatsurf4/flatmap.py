@@ -162,8 +162,25 @@ class GridSpec:
                 and abs(self.hu - other.hu) < 1e-12 and abs(self.hv - other.hv) < 1e-12)
 
 
-def _outer(a, b):  # the (na, nb, 4) grid of the products a_i b_j
-    return qmul(a[:, None, :], b[None, :, :])
+# e_l b for the units e_l = 1, i, j, k is b[_UNIT_ORDER[l]] times
+# _UNIT_SIGN[l]: the terms of qmul(a, b) that a_l multiplies, with signs
+_UNIT_ORDER = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_UNIT_SIGN = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0],
+                       [-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
+
+
+def _outer(a, b):
+    """The (na, nb, 4) grid of the products a_i b_j of the (na, 4) and
+    (nb, 4) quaternions a and b, as the sum over l = 0..3 of a_l (e_l b).
+    The terms are added in qmul's order and a negated term is subtracted
+    exactly, so the bits are those of qmul(a[:, None], b[None]): four
+    products and three sums on (na, 4 nb) rows in place of qmul's sixteen
+    products and twelve sums on (na, nb) and a stack."""
+    eb = (b[:, _UNIT_ORDER] * _UNIT_SIGN).transpose(1, 0, 2).reshape(4, -1)
+    out = a[:, 0:1] * eb[0]
+    for l in (1, 2, 3):
+        out += a[:, l:l + 1] * eb[l]
+    return out.reshape(len(a), len(b), 4)
 
 
 @dataclass(frozen=True)
@@ -262,6 +279,15 @@ class FlatMapGrid:
 
 def _dot(a, b):
     return np.einsum("...i,...i->...", a, b)
+
+
+def cos_sin(w):
+    """(cos w, sin w) of the angle rows w.  When w is a broadcast view of
+    its u-column (strides[1] == 0, the omega_grid of a Hopf map), they are
+    taken on that column and broadcast too: the same values, no grid."""
+    col = w[:, :1] if w.strides[1] == 0 else w
+    return (np.broadcast_to(np.cos(col), w.shape),
+            np.broadcast_to(np.sin(col), w.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +468,13 @@ def verify_flat_map(g: FlatMapGrid) -> FlatMapReport:
     defect |<dF,dF> + <dFh,dFh> - 2(du^2+dv^2)| and the frame residual,
     the max deviation of the Gram matrix of {F, Fhat, F_u, Fhat_u} from
     I_4, which as_dict leaves out.  The grid is walked in row tiles
-    (fd.row_tiles), and F and Fhat are read on each tile's slab (g.maps),
-    so no grid-sized array is built.
+    (fd.row_tiles), F and Fhat are read on each tile's slab (g.maps), and
+    each residual is reduced as it is formed (fd.tiled_max_interior), so
+    no grid-sized array is built and a tile holds one residual at a time,
+    beside the six Gram entries of F_u, F_v, Fh_u and Fh_v that a first or
+    polar residual and a gauss residual share.  Those are formed once per
+    tile: the gauss sums first, then each entry shifted in place into its
+    own residual.
     """
     w, hu, hv = g.omega_grid, g.spec.hu, g.spec.hv
 
@@ -454,35 +485,38 @@ def verify_flat_map(g: FlatMapGrid) -> FlatMapReport:
         Fv = fd.d1(Ft, hv, axis=1)
         Fhu = fd.d1(Fh, hu, axis=0)[core]
         Fhv = fd.d1(Fht, hv, axis=1)
-        cw, sw = np.cos(w[rows]), np.sin(w[rows])
-        return {
-            "unit_F": qnorm(Ft) - 1.0,
-            "unit_Fhat": qnorm(Fht) - 1.0,
-            "first_uu": _dot(Fu, Fu) - 1.0,
-            "first_vv": _dot(Fv, Fv) - 1.0,
-            "first_uv_cos": _dot(Fu, Fv) - cw,
-            "orth_F_Fhat": _dot(Ft, Fht),
-            "mixed_uv_sin": _dot(Fu, Fhv) - sw,
-            "mixed_vu_sin": _dot(Fv, Fhu) - sw,
-            "mixed_uu": _dot(Fu, Fhu),
-            "mixed_vv": _dot(Fv, Fhv),
-            "dF_Fhat_u": _dot(Fu, Fht),
-            "dF_Fhat_v": _dot(Fv, Fht),
-            "F_dFhat_u": _dot(Ft, Fhu),
-            "F_dFhat_v": _dot(Ft, Fhv),
-            "polar_uu": _dot(Fhu, Fhu) - 1.0,
-            "polar_vv": _dot(Fhv, Fhv) - 1.0,
-            "polar_uv_cos": _dot(Fhu, Fhv) + cw,
-            "omega_uv": fd.d1(fd.d1(w[slab], hu, axis=0)[core], hv, axis=1),
-            "gauss_u": _dot(Fu, Fu) + _dot(Fhu, Fhu) - 2.0,
-            "gauss_v": _dot(Fv, Fv) + _dot(Fhv, Fhv) - 2.0,
-            "gauss_uv": _dot(Fu, Fv) + _dot(Fhu, Fhv),
-            # the Gram entries of {F, Fhat, F_u, Fhat_u} not built above
-            "frame_00": _dot(Ft, Ft) - 1.0,
-            "frame_11": _dot(Fht, Fht) - 1.0,
-            "frame_02": _dot(Ft, Fu),
-            "frame_13": _dot(Fht, Fhu),
-        }
+        cw, sw = cos_sin(w[rows])
+        yield "unit_F", qnorm(Ft) - 1.0
+        yield "unit_Fhat", qnorm(Fht) - 1.0
+        yield "orth_F_Fhat", _dot(Ft, Fht)
+        yield "mixed_uv_sin", _dot(Fu, Fhv) - sw
+        yield "mixed_vu_sin", _dot(Fv, Fhu) - sw
+        yield "mixed_uu", _dot(Fu, Fhu)
+        yield "mixed_vv", _dot(Fv, Fhv)
+        yield "dF_Fhat_u", _dot(Fu, Fht)
+        yield "dF_Fhat_v", _dot(Fv, Fht)
+        yield "F_dFhat_u", _dot(Ft, Fhu)
+        yield "F_dFhat_v", _dot(Ft, Fhv)
+        yield "omega_uv", fd.d1(fd.d1(w[slab], hu, axis=0)[core], hv, axis=1)
+        # the Gram entries of {F, Fhat, F_u, Fhat_u} no other residual holds
+        yield "frame_00", _dot(Ft, Ft) - 1.0
+        yield "frame_11", _dot(Fht, Fht) - 1.0
+        yield "frame_02", _dot(Ft, Fu)
+        yield "frame_13", _dot(Fht, Fhu)
+        # the entries that a first or polar residual and a gauss residual
+        # share: the gauss sums first, then each entry shifted in place
+        uu, vv, uv = _dot(Fu, Fu), _dot(Fv, Fv), _dot(Fu, Fv)
+        huu, hvv, huv = _dot(Fhu, Fhu), _dot(Fhv, Fhv), _dot(Fhu, Fhv)
+        yield "gauss_u", uu + huu - 2.0
+        yield "gauss_v", vv + hvv - 2.0
+        yield "gauss_uv", uv + huv
+        for x in (uu, vv, huu, hvv):
+            x -= 1.0
+        uv -= cw
+        huv += cw
+        yield from {"first_uu": uu, "first_vv": vv, "first_uv_cos": uv,
+                    "polar_uu": huu, "polar_vv": hvv,
+                    "polar_uv_cos": huv}.items()
 
     m = fd.tiled_max_interior(w.shape, terms)
     res = {name: m[name] for name in (

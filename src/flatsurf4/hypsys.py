@@ -25,7 +25,7 @@ from . import _fd as fd
 from .errors import (EqualSpeeds, GridMismatch, NonConstantAngle,
                      PathDependence)
 from .flatmap import (AngleFunction, FlatMapGrid, GridSpec, ProductFactors,
-                      _hopf_factors)
+                      _hopf_factors, cos_sin)
 from .quat import qconj, qmul
 
 TWO_PI = 2.0 * math.pi
@@ -78,6 +78,10 @@ class SolutionGrid:
                                 ("alpha", "beta") + DERIVATIVE_FIELDS
                                 if getattr(self, k) is not None})
 
+    def alpha_beta(self, rows):
+        """(alpha, beta) on the u-rows rows (a slice): views."""
+        return self.alpha[rows], self.beta[rows]
+
 
 def _omega_grid(omega, spec: GridSpec):
     if isinstance(omega, AngleFunction):
@@ -92,30 +96,37 @@ def _omega_grid(omega, spec: GridSpec):
 # residual verification
 
 
-def system_residual(sol: SolutionGrid, omega, derivatives="central"):
+def system_residual(sol, omega, derivatives="central"):
     """Max-norm residuals (r_alpha, r_beta) of the hyperbolic system.
 
     derivatives="central" re-derives everything by central differences
     (the independent check); "analytic" uses the solution's stored
     derivative arrays.  The grid is walked in row tiles
-    (fd.tiled_max_interior), so no grid-sized derivative is built.
+    (fd.tiled_max_interior), so no grid-sized derivative is built, and the
+    central check reads (alpha, beta) once per tile's slab through
+    sol.alpha_beta(slab): sol is a SolutionGrid or any solution with a
+    spec and that method, such as the (A, B) of an immersion
+    (immersion.derived_solution), which forms them on the slab.
     """
     w = _omega_grid(omega, sol.spec)
     if derivatives not in ("central", "analytic"):
         raise ValueError("derivatives must be 'central' or 'analytic'")
-    if derivatives == "analytic" and (sol.alpha_u is None or sol.alpha_v is None):
+    if derivatives == "analytic" and any(
+            getattr(sol, k, None) is None for k in ("alpha_u", "alpha_v")):
         raise ValueError("solution carries no analytic derivatives")
-    ab, hu, hv = (sol.alpha, sol.beta), sol.spec.hu, sol.spec.hv
+    hu, hv = sol.spec.hu, sol.spec.hv
 
     def terms(rows, slab, core):
         if derivatives == "central":
-            au, bu = (fd.d1(x[slab], hu, axis=0)[core] for x in ab)
-            av, bv = (fd.d1(x[rows], hv, axis=1) for x in ab)
+            ab = sol.alpha_beta(slab)
+            au, bu = (fd.d1(x, hu, axis=0)[core] for x in ab)
+            av, bv = (fd.d1(x[core], hv, axis=1) for x in ab)
         else:
             au, bu, av, bv = (x[rows] for x in (sol.alpha_u, sol.beta_u,
                                                 sol.alpha_v, sol.beta_v))
-        cw, sw = np.cos(w[rows]), np.sin(w[rows])
-        return {"alpha": av - cw * au - sw * bu, "beta": bv - sw * au + cw * bu}
+        cw, sw = cos_sin(w[rows])
+        yield "alpha", av - cw * au - sw * bu
+        yield "beta", bv - sw * au + cw * bu
 
     m = fd.tiled_max_interior(w.shape, terms)
     return m["alpha"], m["beta"]
@@ -193,10 +204,9 @@ class FactorSolution:
     def tile(self, rows, slab, core):
         """The fields on the rows of one row tile (fd.row_tiles), without
         the v-derivatives, which no assembly reads.  Each product is taken
-        on the tile's slab and cut to core, which matches the whole-grid
-        product of single-threaded BLAS bit for bit: the product of a
-        single row (the last tile of a grid of k TILE_ROWS + 1 rows) takes
-        another BLAS path."""
+        on the tile's slab and cut to core, so no product has a single
+        row.  BLAS may give a row other bits in another row set (see _fd),
+        so the fields are read on the grid's row tiles only."""
         return self._fields(lambda X: (X[slab] @ self.aR)[core])
 
     def grid(self):
@@ -475,7 +485,9 @@ def solve_numeric(omega, spec: GridSpec, alpha0, beta0, cfl=0.5):
 
     if not isinstance(omega, AngleFunction):
         raise TypeError("solve_numeric needs an AngleFunction")
-    w_of = lambda v: np.asarray(omega.omega(u_nodes, v), dtype=float)
+    # w = w1(u) + w2(v), as AngleFunction.omega sums it; w1 is taken once
+    w1 = np.asarray(omega.f1(u_nodes))
+    w_of = lambda v: np.asarray(w1 + np.asarray(omega.f2(v)), dtype=float)
     wu = np.asarray(omega.omega_u(u_nodes), dtype=float)
 
     v = spec.v0

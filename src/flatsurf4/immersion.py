@@ -12,20 +12,26 @@ and the node is regular iff the margin (A^2-B^2) sin w - 2AB cos w is
 nonzero.  Note E^2 = F^2 + margin^2, so the metric degenerates exactly
 where the margin vanishes.
 
-An assembled immersion is checked in two walks over its row tiles:
-metric_checks over its metric, tangency_check over f (differenced once
-per tile for the tangency and the metric-identity residuals).
+An immersion keeps one grid, f.  A and B are pointwise functions of the
+solution that assemble read, which a build holds as factors
+(hypsys.FactorSolution), so the immersion keeps that solution
+(Coefficients) and every reader forms (A, B) once per row tile or block
+it reads, never for the whole grid.  An assembled immersion is checked in
+two walks over its row tiles: metric_checks over its metric,
+tangency_check over f (differenced once per tile for the tangency and the
+metric-identity residuals).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import _fd as fd
 from .errors import (DegenerateMetric, GridMismatch, NoLambdaFound,
                      PreconditionViolated)
-from .flatmap import FlatMapGrid, GridSpec, _write_grid_csv, verify_flat_map
+from .flatmap import (FlatMapGrid, GridSpec, _write_grid_csv, cos_sin,
+                      verify_flat_map)
 from .hypsys import DERIVATIVE_FIELDS, SolutionGrid
 
 K_TRIM = 4  # Brioschi needs second derivatives of first derivatives
@@ -33,54 +39,122 @@ K_TRIM = 4  # Brioschi needs second derivatives of first derivatives
 
 @dataclass
 class ImmersionGrid:
-    """f, the coefficients A, B and the angle terms cos w, sin w of the flat
-    map (read-only broadcast views for a Hopf map).  Every other per-node
-    field is an elementwise function of A, B and w, formed by metric(rows)
-    and margin(rows) on the rows a reader asks for, so f, A and B are the
-    only grids an immersion holds."""
+    """f, the source of its coefficients A and B, and the angle terms
+    cos w, sin w of the flat map (read-only broadcast views for a Hopf
+    map).
+
+    source gives (A, B) on any u-rows (source.alpha_beta(rows)): a
+    Coefficients in a build, or a SolutionGrid of A and B.  Every other
+    per-node field is an elementwise function of A, B and w.  A reader
+    forms (A, B) by coefficients(rows) once per row tile or block it reads
+    and takes the metric and the margin from them (metric(rows) and
+    margin(rows) form (A, B) for one call each), so f is the only grid an
+    immersion holds."""
     spec: GridSpec
     f: np.ndarray          # (Nu, Nv, 4)
-    A: np.ndarray
-    B: np.ndarray
+    source: object
     cos_w: np.ndarray
     sin_w: np.ndarray
+
+    def coefficients(self, rows):
+        """(A, B) on the u-rows rows (a slice)."""
+        return self.source.alpha_beta(rows)
 
     def metric(self, rows):
         """(E, Fm) on the u-rows rows (a slice): E = A^2 + B^2 =
         <f_u, f_u> = <f_v, f_v> and Fm = (A^2-B^2) cos w + 2AB sin w =
         <f_u, f_v>."""
-        A, B, cw, sw = (x[rows] for x in (self.A, self.B, self.cos_w,
-                                           self.sin_w))
-        return A * A + B * B, (A * A - B * B) * cw + 2.0 * A * B * sw
+        return _metric(*self.coefficients(rows), self.cos_w[rows],
+                       self.sin_w[rows])
 
     def margin(self, rows):
         """The margin (A^2-B^2) sin w - 2AB cos w on the u-rows rows."""
-        return _margin(*(x[rows] for x in (self.A, self.B, self.cos_w,
-                                           self.sin_w)))
+        return _margin(*self.coefficients(rows), self.cos_w[rows],
+                       self.sin_w[rows])
+
+
+@dataclass(frozen=True)
+class Coefficients:
+    """The coefficients (A, B) of the solution sol on the grid spec, on any
+    u-rows: sol is read on the row tiles (fd.row_tiles, the tiles assemble
+    read it on) that hold the rows, and A and B follow by _coefficients,
+    wu being the (nu, 1) column of w_u.  sol is a SolutionGrid, a
+    hypsys.FactorSolution or a lambda_rescale of one.
+
+    A FactorSolution's products can give a row other bits in another row
+    set (see _fd); formed on its own tile, each node has one (A, B)
+    whatever rows a reader asks for.  Two slots, allocated once so that
+    no kept tile sits among a walk's temporaries, hold the last two tiles
+    formed: a walk over consecutive tiles or blocks, each widened by a
+    halo, forms each tile once.
+
+    (A, B) solves the system again: a Coefficients is also a solution for
+    system_residual (alpha_beta; see derived_solution)."""
+
+    spec: GridSpec
+    sol: object
+    wu: np.ndarray
+    _slots: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def _tile(self, lo, hi):
+        """(A, B) on the row tile lo..hi-1, as views of its slot."""
+        if (lo, hi) not in self._slots:
+            slot = (self._slots.pop(next(iter(self._slots)))
+                    if len(self._slots) == 2 else ())
+            if not slot or len(slot[0]) < hi - lo:
+                shape = (fd.TILE_ROWS, self.spec.nv)
+                slot = [np.empty(shape), np.empty(shape)]
+            rows = slice(lo, hi)
+            part = self.sol.tile(rows, *fd.slab_of(lo, hi, self.spec.nu))
+            for x, value in zip(slot, _coefficients(part, self.wu[rows])):
+                x[:hi - lo] = value
+            self._slots[lo, hi] = slot
+        return [x[:hi - lo] for x in self._slots[lo, hi]]
+
+    def alpha_beta(self, rows):
+        """(A, B) on the u-rows rows (a slice), new arrays copied from the
+        row tiles that hold them; meant for one tile's or one block's
+        rows."""
+        nu, t = self.spec.nu, fd.TILE_ROWS
+        lo, hi, _ = rows.indices(nu)
+        shape = (hi - lo, self.spec.nv)
+        A, B = np.empty(shape), np.empty(shape)
+        for s in range(lo // t * t, hi, t):
+            a, b = max(lo, s), min(hi, s + t)
+            for x, y in zip((A, B), self._tile(s, min(s + t, nu))):
+                x[a - lo:b - lo] = y[a - s:b - s]
+        return A, B
 
 
 def _angle_terms(gmap: FlatMapGrid):
     """(w_u, cos w, sin w) on the grid of the flat map; w_u is one (nu, 1)
-    column, since w_u depends on u alone.  When omega_grid is a broadcast
-    view of its u-column (a Hopf map), cos w and sin w are taken on that
-    column and broadcast too, with the same values, so they hold no grid."""
+    column, since w_u depends on u alone, and cos w and sin w hold no grid
+    when omega_grid is a broadcast view of its u-column (cos_sin)."""
     gmap.factors()  # product-form maps carry their angle function
-    w = gmap.omega_grid
-    col = w[:, :1] if w.strides[1] == 0 else w
     return (gmap.omega_fn.omega_u(gmap.spec.u_nodes)[:, None],
-            np.broadcast_to(np.cos(col), w.shape),
-            np.broadcast_to(np.sin(col), w.shape))
+            *cos_sin(gmap.omega_grid))
 
 
-def _coefficients(sol: SolutionGrid, wu):
-    """(alpha_u, beta_u, A, B) of a solution with analytic derivatives."""
+def _u_derivatives(sol: SolutionGrid):
+    """(alpha_u, beta_u) of a solution with analytic derivatives."""
     if not sol.has_analytic_derivatives:
         raise PreconditionViolated(
             f"the {sol.provenance!r} solution carries no analytic "
             "derivatives, which the representation formula needs")
-    au, bu = sol.alpha_u, sol.beta_u
-    return (au, bu, sol.alpha + sol.alpha_uu + wu * bu,
-            sol.beta + sol.beta_uu - wu * au)
+    return sol.alpha_u, sol.beta_u
+
+
+def _coefficients(sol: SolutionGrid, wu):
+    """(A, B) of a solution with analytic derivatives: the one formula of
+    the immersion's coefficients (Coefficients) and of auto_lambda."""
+    au, bu = _u_derivatives(sol)
+    return sol.alpha + sol.alpha_uu + wu * bu, sol.beta + sol.beta_uu - wu * au
+
+
+def _metric(A, B, cw, sw):
+    """(E, Fm) = (A^2 + B^2, (A^2-B^2) cos w + 2AB sin w)."""
+    return A * A + B * B, (A * A - B * B) * cw + 2.0 * A * B * sw
 
 
 def _margin(A, B, cw, sw):
@@ -94,16 +168,17 @@ def assemble(gmap: FlatMapGrid, sol) -> ImmersionGrid:
 
     sol is a SolutionGrid, a hypsys.FactorSolution or a lambda_rescale of
     one; it is read tile by tile (sol.tile), and so are the flat map
-    (gmap.maps) and its u-frame, so the only grids built are f, A and B.
+    (gmap.maps) and its u-frame, so the one grid built is f.  The
+    immersion keeps sol as the source of its coefficients (Coefficients),
+    which its readers form per row tile or block.
     """
     if not sol.spec.same_geometry(gmap.spec):
         raise GridMismatch("flat map and solution grids differ")
     wu, cw, sw = _angle_terms(gmap)
-    shape = (gmap.spec.nu, gmap.spec.nv)
-    f, A, B = np.empty(shape + (4,)), np.empty(shape), np.empty(shape)
+    f = np.empty((gmap.spec.nu, gmap.spec.nv, 4))
     for rows, slab, core in fd.row_tiles(gmap.spec.nu):
         part = sol.tile(rows, slab, core)
-        au, bu, A[rows], B[rows] = _coefficients(part, wu[rows])
+        au, bu = _u_derivatives(part)
         # f = alpha N + beta Nh + alpha_u N_u + beta_u Nh_u, summed in
         # that order into the tile of f
         ft = f[rows]
@@ -114,7 +189,8 @@ def assemble(gmap: FlatMapGrid, sol) -> ImmersionGrid:
         Nu_, Nhu_ = gmap.factors().u_frame(rows)
         ft += au[:, :, None] * Nu_
         ft += bu[:, :, None] * Nhu_
-    return ImmersionGrid(gmap.spec, f, A, B, cw, sw)
+    return ImmersionGrid(gmap.spec, f, Coefficients(gmap.spec, sol, wu),
+                         cw, sw)
 
 
 # ---------------------------------------------------------------------------
@@ -136,25 +212,29 @@ def tangency_check(im: ImmersionGrid, gmap: FlatMapGrid):
     tangency_u and tangency_v are the max residuals of f_u = A N_u + B Nh_u
     and f_v = Ahat N_u + Bhat Nh_u, with the frame derivatives from the
     factor curves of the flat map (ProductFactors.u_frame) and
-    Ahat = A cos w + B sin w, Bhat = A sin w - B cos w from the fields of
-    im; metric_identity is the max deviation of <f_u, f_u>, <f_u, f_v> and
-    <f_v, f_v> from E, Fm and E (im.metric).
+    Ahat = A cos w + B sin w, Bhat = A sin w - B cos w from the (A, B) of
+    im, formed once per tile; metric_identity is the max deviation of
+    <f_u, f_u>, <f_u, f_v> and <f_v, f_v> from E, Fm and E (the metric of
+    that (A, B)).
     """
     f, hu, hv = im.f, im.spec.hu, im.spec.hv
     dot = lambda a, b: np.einsum("...k,...k->...", a, b)
 
     def terms(rows, slab, core):
+        A, B = im.coefficients(rows)
+        cw, sw = im.cos_w[rows], im.sin_w[rows]
         Nu_, Nhu_ = gmap.factors().u_frame(rows)
         fu = fd.d1(f[slab], hu, axis=0)[core]
         fv = fd.d1(f[rows], hv, axis=1)
-        A, B, cw, sw = im.A[rows], im.B[rows], im.cos_w[rows], im.sin_w[rows]
         Ahat, Bhat = cw * A + sw * B, sw * A - cw * B
-        ru = fu - A[:, :, None] * Nu_ - B[:, :, None] * Nhu_
-        rv = fv - Ahat[:, :, None] * Nu_ - Bhat[:, :, None] * Nhu_
-        E, Fm = im.metric(rows)
-        return {"u": np.linalg.norm(ru, axis=-1),
-                "v": np.linalg.norm(rv, axis=-1), "E": dot(fu, fu) - E,
-                "F": dot(fu, fv) - Fm, "G": dot(fv, fv) - E}
+        yield "u", np.linalg.norm(fu - A[:, :, None] * Nu_
+                                  - B[:, :, None] * Nhu_, axis=-1)
+        yield "v", np.linalg.norm(fv - Ahat[:, :, None] * Nu_
+                                  - Bhat[:, :, None] * Nhu_, axis=-1)
+        E, Fm = _metric(A, B, cw, sw)
+        yield "E", dot(fu, fu) - E
+        yield "F", dot(fu, fv) - Fm
+        yield "G", dot(fv, fv) - E
 
     m = fd.tiled_max_interior(f.shape, terms)
     return {"tangency_u": m["u"], "tangency_v": m["v"],
@@ -167,10 +247,11 @@ def metric_identity_check(im: ImmersionGrid, gmap: FlatMapGrid) -> float:
     return tangency_check(im, gmap)["metric_identity"]
 
 
-def derived_solution(im: ImmersionGrid) -> SolutionGrid:
-    """The (A, B) grid as a SolutionGrid; it re-solves the system.  Its
-    alpha and beta are im.A and im.B themselves, not copies."""
-    return SolutionGrid(im.spec, im.A, im.B, "derived")
+def derived_solution(im: ImmersionGrid):
+    """(A, B) as a solution of the system, which it solves again: the
+    source of im's coefficients itself, whose alpha_beta(rows) forms them
+    on the rows that system_residual reads (one tile's slab at a time)."""
+    return im.source
 
 
 # ---------------------------------------------------------------------------
@@ -206,21 +287,26 @@ def brioschi_curvature(E, F, hu, hv):
 
 
 def _metric_tiles(im: ImmersionGrid, rows):
-    """Yield (tile, E, Fm, K) over the row tiles of the u-rows rows (a
-    slice with start and stop) of im, with (E, Fm) = im.metric(tile) and K
-    its brioschi_curvature.  The metric is formed once, on the tile's rows
-    widened by K_TRIM rows on each side (clipped to the grid); K is taken
-    on that slab, and all three are cut back to the tile:
+    """Yield (tile, A, B, margin, E, Fm, K) over the row tiles of the
+    u-rows rows (a slice with start and stop) of im: (A, B) =
+    im.coefficients(tile), their margin and metric (E, Fm), and K its
+    brioschi_curvature.  (A, B) and the metric are formed once, on the
+    tile's rows widened by K_TRIM rows on each side (clipped to the grid);
+    K is taken on that slab, and all are cut back to the tile:
     brioschi_curvature leaves its K_TRIM edge rows NaN and reads no further
     than that, so the tile's K is that of the whole grid, bit for bit."""
     nu, hu, hv = im.spec.nu, im.spec.hu, im.spec.hv
     for t, _, _ in fd.row_tiles(rows.stop - rows.start):
         tile = slice(rows.start + t.start, rows.start + t.stop)
         s0 = max(tile.start - K_TRIM, 0)
-        E, Fm = im.metric(slice(s0, min(tile.stop + K_TRIM, nu)))
+        wide = slice(s0, min(tile.stop + K_TRIM, nu))
+        A, B = im.coefficients(wide)
+        cw, sw = im.cos_w[wide], im.sin_w[wide]
+        E, Fm = _metric(A, B, cw, sw)
         K = brioschi_curvature(E, Fm, hu, hv)
         core = slice(tile.start - s0, tile.stop - s0)
-        yield tile, E[core], Fm[core], K[core]
+        A, B, cw, sw = A[core], B[core], cw[core], sw[core]
+        yield tile, A, B, _margin(A, B, cw, sw), E[core], Fm[core], K[core]
 
 
 def metric_checks(im: ImmersionGrid):
@@ -241,9 +327,9 @@ def metric_checks(im: ImmersionGrid):
                          f"curvature; the Brioschi stencils need at least "
                          f"{2 * K_TRIM + 1} nodes per direction")
     tiles = []
-    for rows, E, Fm, K in _metric_tiles(im, slice(0, nu)):
+    for rows, _, _, margin, E, Fm, K in _metric_tiles(im, slice(0, nu)):
         inner = lambda x: fd.tile_interior(x, rows, nu)
-        tiles.append((np.min(inner(im.margin(rows)), initial=np.inf),
+        tiles.append((np.min(inner(margin), initial=np.inf),
                       np.min(inner(E - np.abs(Fm)), initial=np.inf),
                       np.max(np.abs(K[np.isfinite(K)]), initial=-np.inf),
                       np.max(np.linalg.norm(im.f[rows], axis=-1))))
@@ -348,14 +434,13 @@ def auto_lambda(gmap: FlatMapGrid, sol):
     in lambda, sin w + 2 lam (A1 sin w - B1 cos w) + lam^2 margin_1 with
     (A1, B1) the coefficients of the unscaled solution, and it depends
     only on A, B and w.  So no f and no frame derivative is built: each
-    halving forms A, B and the margin by the same code as assemble and
-    ImmersionGrid.margin, and the margin tested here is the one the
-    assembled immersion would report.  As lambda -> 0
-    the margin converges uniformly to sin w, so this terminates whenever
-    sin w is bounded away from zero on the grid.  sol is read as assemble
-    reads it: each halving reads it tile by tile (sol.tile, fd.row_tiles),
-    rescales the tile and takes its minimum, so neither a whole solution
-    nor a rescaled copy is held.
+    halving reads sol tile by tile (sol.tile, fd.row_tiles, the tiles the
+    immersion's Coefficients read), rescales the tile and forms A, B and
+    the margin by the same code as the immersion, so the margin tested
+    here is the one the assembled immersion would report, and neither a
+    whole solution nor a rescaled copy is held.  As lambda -> 0 the
+    margin converges uniformly to sin w, so this terminates whenever
+    sin w is bounded away from zero on the grid.
     """
     if not sol.spec.same_geometry(gmap.spec):
         raise GridMismatch("flat map and solution grids differ")
@@ -370,7 +455,7 @@ def auto_lambda(gmap: FlatMapGrid, sol):
         minima = []
         for rows, slab, core in fd.row_tiles(nu):
             part = lambda_rescale(sol.tile(rows, slab, core), lam)
-            A, B = _coefficients(part, wu[rows])[2:]
+            A, B = _coefficients(part, wu[rows])
             margin = _margin(A, B, cw[rows], sw[rows])
             minima.append(np.min(fd.tile_interior(margin, rows, nu),
                                  initial=np.inf))
@@ -391,17 +476,18 @@ IMMERSION_HEADER = "u,v,x1,x2,x3,x4,A,B,margin,K"
 def write_immersion_csv(im: ImmersionGrid, path):
     """Write im as CSV with the columns of IMMERSION_HEADER (see GridSpec).
 
-    The margin and K are formed per block of rows, by the process that
-    writes the block (this one, or the forked child of _write_halves): the
-    margin by im.margin, K by a _metric_tiles walk over the block, so no
-    process forms K for rows it does not write.  K is the Brioschi
-    curvature of the metric, the estimate metric_checks takes its maximum
-    of; it is NaN where no estimate exists: within K_TRIM nodes of the
-    boundary (so everywhere on a grid too small for the stencils) and where
-    the metric is singular.
+    A, B, the margin and K are formed per block of rows, by the process
+    that writes the block (this one, or the forked child of _write_halves),
+    in one _metric_tiles walk over the block that forms (A, B) once per
+    tile, so no process forms them for rows it does not write.  K is the
+    Brioschi curvature of the metric, the estimate metric_checks takes its
+    maximum of; it is NaN where no estimate exists: within K_TRIM nodes of
+    the boundary (so everywhere on a grid too small for the stencils) and
+    where the metric is singular.
     """
     def fields(rows):
-        K = np.concatenate([K for *_, K in _metric_tiles(im, rows)])
-        return im.f[rows], im.A[rows], im.B[rows], im.margin(rows), K
+        tiles = [(A, B, margin, K)
+                 for _, A, B, margin, _, _, K in _metric_tiles(im, rows)]
+        return (im.f[rows], *map(np.concatenate, zip(*tiles)))
 
     _write_grid_csv(path, IMMERSION_HEADER, im.spec, fields)

@@ -317,12 +317,14 @@ def _diagnostics(gmap: FlatMapGrid, im: ImmersionGrid, lam, fm):
 
     The one walk that differences f (tangency_check) comes last: on two
     allowed CPUs a forked child runs it while this process runs
-    metric_checks, sphere_fit and system_residual, and it sends back its
+    sphere_fit, metric_checks and system_residual, and it sends back its
     three keys (tangency_u, tangency_v, metric_identity).  An error of this
-    process's checks wins; the child is then killed and reaped."""
+    process's checks wins; the child is then killed and reaped.  sphere_fit
+    comes first: its grid of distances is the largest array the checks
+    build, and it then sits on no tile slot of the walks over (A, B)."""
     with Forked.after(tangency_check, im, gmap) as checks:
-        rep = {"lambda": lam, **metric_checks(im)}
         fit = sphere_fit(im.f)
+        rep = {"lambda": lam, **metric_checks(im)}
         rep["sphere_rms"] = fit.rms_residual
         rep["sphere_radius"] = fit.radius
         ra, rb = system_residual(derived_solution(im), gmap.omega_grid)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import flatsurf4
-from flatsurf4 import cli
+from flatsurf4 import _fd as fd
+from flatsurf4 import cli, immersion
 from flatsurf4.cli import (JobConfig, export_obj, main, revolution_radii, run,
                            _stereographic)
 from flatsurf4.curve import CurvatureProfile, asymptotic_lift
@@ -573,6 +574,31 @@ def test_build_outputs_same_on_one_and_two_cpus(tmp_path, job):
         a for a in TWO_CORE_JOBS[job] if a.endswith((".csv", ".obj")))])
     assert "error" not in json.loads(files[1]["report.json"])
     assert files[1] == files[2]
+
+
+@pytest.mark.parametrize("job", TWO_CORE_JOBS)
+def test_build_forms_coefficients_a_tile_or_block_at_a_time(tmp_path,
+                                                            monkeypatch, job):
+    # an immersion keeps only f: its checks, the derived system residual and
+    # the CSV writer each ask its coefficient source for one row tile or one
+    # block at a time, widened by at most the curvature halo, never for the
+    # whole grid (one CPU: every reader runs here)
+    _allow_cpus(monkeypatch, 1)
+    asked, alpha_beta = [], immersion.Coefficients.alpha_beta
+
+    def recorded(self, rows):
+        lo, hi, _ = rows.indices(self.spec.nu)
+        asked.append((hi - lo, self.spec.nu))
+        return alpha_beta(self, rows)
+
+    monkeypatch.setattr(immersion.Coefficients, "alpha_beta", recorded)
+    assert main(["--out-dir", str(tmp_path), *TWO_CORE_JOBS[job]]) == 0
+    sizes, grids = zip(*asked)
+    nu, = set(grids)
+    assert max(sizes) <= fd.TILE_ROWS + 2 * immersion.K_TRIM < nu
+    # at least four walks over the tiles: metric_checks, tangency_check,
+    # system_residual and the CSV
+    assert len(sizes) >= 4 * math.ceil(nu / fd.TILE_ROWS)
 
 
 @pytest.mark.parametrize("shape", [(629, 257), (80, 61), (2, 2), (1, 3)])

@@ -11,15 +11,16 @@ from flatsurf4.errors import (DegenerateMetric, GridMismatch, NoLambdaFound,
 from flatsurf4.flatmap import (FlatMapGrid, SampledMaps, clifford_flat_map,
                                helix_product_map, hopf_flat_map, linear_angle,
                                verify_flat_map)
-from flatsurf4.hypsys import (GridSpec, SmoothFn, constant_solution,
-                              exponential_solution, geometric_solution,
-                              helical_angle_solution, solve_numeric,
-                              stretched_solution, system_residual,
-                              wave_solution)
-from flatsurf4.immersion import (assemble, auto_lambda, brioschi_curvature,
-                                 derived_solution, lambda_rescale,
-                                 metric_checks, metric_identity_check,
-                                 sphere_fit, tangency_check, verify_frame,
+from flatsurf4.hypsys import (GridSpec, SmoothFn, SolutionGrid,
+                              constant_solution, exponential_solution,
+                              geometric_solution, helical_angle_solution,
+                              solve_numeric, stretched_solution,
+                              system_residual, wave_solution)
+from flatsurf4.immersion import (ImmersionGrid, assemble, auto_lambda,
+                                 brioschi_curvature, derived_solution,
+                                 lambda_rescale, metric_checks,
+                                 metric_identity_check, sphere_fit,
+                                 tangency_check, verify_frame,
                                  write_immersion_csv)
 
 TWO_PI = 2 * math.pi
@@ -48,8 +49,9 @@ def test_constant_solution_reproduces_the_flat_map(hopf_grid):
     im = assemble(hopf_grid, sol)
     assert np.max(np.abs(im.f - hopf_grid.maps(slice(None))[0])) < 1e-12
     assert np.max(np.abs(np.linalg.norm(im.f, axis=-1) - 1.0)) < 1e-9
-    assert np.max(np.abs(im.A - 1.0)) < 1e-12
-    assert np.max(np.abs(im.B)) < 1e-12
+    A, B = im.coefficients(slice(None))
+    assert np.max(np.abs(A - 1.0)) < 1e-12
+    assert np.max(np.abs(B)) < 1e-12
     # margin = sin w, strictly positive for 0 < w < pi
     margin = im.margin(slice(None))
     assert np.max(np.abs(margin - np.sin(hopf_grid.omega_grid))) < 1e-12
@@ -76,8 +78,9 @@ def test_metric_arrays_identities(hopf_grid):
     sol = geometric_solution(hopf_grid, a=(0.3, -0.2, 0.5, 0.1), rho=0.7)
     im = assemble(hopf_grid, sol)
     (E, Fm), margin = im.metric(slice(None)), im.margin(slice(None))
+    A, B = im.coefficients(slice(None))
     # E = A^2 + B^2
-    assert np.max(np.abs(E - (im.A ** 2 + im.B ** 2))) < 1e-14
+    assert np.max(np.abs(E - (A ** 2 + B ** 2))) < 1e-14
     # E^2 = F^2 + margin^2: the metric degenerates exactly on the margin zeros
     assert np.max(np.abs(E ** 2 - Fm ** 2 - margin ** 2)) < 1e-10
 
@@ -201,7 +204,7 @@ def test_derived_AB_resolves_system(hopf_grid):
     sol = geometric_solution(hopf_grid, a=(1, 0, 0.5, 0), rho=0.2)
     im = assemble(hopf_grid, sol)
     derived = derived_solution(im)
-    assert derived.alpha is im.A and derived.beta is im.B  # not copies
+    assert derived is im.source  # (A, B) formed per slab, not copied
     ra, rb = system_residual(derived, hopf_grid.omega_fn)
     assert max(ra, rb) < 1e-3
 
@@ -356,9 +359,9 @@ def test_flatness_degenerate_raises():
     h = 0.05
     n = 21
     E = np.zeros((n, n))
-    from flatsurf4.immersion import ImmersionGrid
-    im = ImmersionGrid(GridSpec(0, 0, h, h, n, n), np.zeros((n, n, 4)),
-                       E, E, E, E)
+    spec = GridSpec(0, 0, h, h, n, n)
+    im = ImmersionGrid(spec, np.zeros((n, n, 4)), SolutionGrid(spec, E, E),
+                       E, E)
     with pytest.raises(DegenerateMetric):
         metric_checks(im)
 
@@ -367,15 +370,15 @@ def test_flatness_degenerate_raises():
 def test_flatness_needs_nine_nodes_per_direction(nu, nv):
     # the Brioschi stencils have no interior below 2 K_TRIM + 1 nodes; that
     # is a grid too small for the check, not a singular metric
-    from flatsurf4.immersion import ImmersionGrid
-    one = np.ones((nu, nv))
-    im = ImmersionGrid(GridSpec(0, 0, 0.05, 0.05, nu, nv),
-                       np.zeros((nu, nv, 4)), one, 0 * one, 0 * one, one)
+    def unit_metric(nu, nv):  # A = 1, B = 0 and w = pi/2
+        one, spec = np.ones((nu, nv)), GridSpec(0, 0, 0.05, 0.05, nu, nv)
+        return ImmersionGrid(spec, np.zeros((nu, nv, 4)),
+                             SolutionGrid(spec, one, 0 * one), 0 * one, one)
+
+    im = unit_metric(nu, nv)
     with pytest.raises(ValueError, match=f"{nu} x {nv} nodes.*at least 9"):
         metric_checks(im)
-    one = np.ones((9, 9))
-    big = ImmersionGrid(GridSpec(0, 0, 0.05, 0.05, 9, 9), np.zeros((9, 9, 4)),
-                        one, 0 * one, 0 * one, one)
+    big = unit_metric(9, 9)
     assert metric_checks(big)["gauss_K_max"] == 0.0
 
 

@@ -7,9 +7,9 @@ a multiple of none of 2, 3 and 5, and on the smallest grid that has an
 interior (5 x 5).  Results are compared with np.array_equal, NaN positions
 included.  The metric's tiles (_metric_tiles, which metric_checks and the
 immersion CSV walk, the CSV over each block of rows it writes) widen each
-tile by K_TRIM rows for the curvature, so their stacked E, Fm and K, and
-the K of blocks of 7 rows, must match the whole-grid metric and
-brioschi_curvature.
+tile by K_TRIM rows for the curvature, so their stacked A, B, margin, E,
+Fm and K, and the K of blocks of 7 rows, must match the whole-grid
+coefficients, margin, metric and brioschi_curvature.
 The tiles formed from factors (the flat map's F and Fhat, the stretched
 solution's fields) are also checked at the real tile height on a grid of
 k TILE_ROWS + 1 rows, whose last tile is a single row, against the
@@ -39,6 +39,7 @@ GRIDS = {
 
 SOLUTION_TILE_FIELDS = ("alpha", "beta", "alpha_u", "beta_u", "alpha_uu",
                         "beta_uu")
+METRIC_TILE_FIELDS = ("A", "B", "margin", "E", "Fm", "K")
 
 
 def _tiled(spec, tile):
@@ -76,12 +77,12 @@ def _results(spec):
            "system_analytic": system_residual(sol.grid(), g.omega_fn,
                                               derivatives="analytic"),
            "sphere_sums": np.column_stack(_sphere_normal_equations(im.f))}
-    for name in ("f", "A", "B"):
-        out[name] = getattr(im, name)
+    out["f"] = im.f
+    out["A"], out["B"] = im.coefficients(slice(None))
     out.update(zip(("E", "Fm"), im.metric(slice(None))))
     out["K"] = brioschi_curvature(out["E"], out["Fm"], spec.hu, spec.hv)
     stacked = zip(*(t[1:] for t in _metric_tiles(im, slice(0, spec.nu))))
-    out.update(zip(("E_tiles", "Fm_tiles", "K_tiles"),
+    out.update(zip([name + "_tiles" for name in METRIC_TILE_FIELDS],
                    map(np.concatenate, stacked)))
     # K walked block by block, as the immersion CSV forms it
     out["K_blocks"] = np.concatenate([
@@ -103,7 +104,7 @@ def test_tile_height_changes_no_bit(grid, monkeypatch):
         for name, ref in whole.items():
             assert np.array_equal(np.asarray(tiled[name]), np.asarray(ref),
                                   equal_nan=True), (rows, name)
-        for name in ("E", "Fm", "K"):  # the metric's tiles stack to the grid
+        for name in METRIC_TILE_FIELDS:  # the metric's tiles stack to the grid
             assert np.array_equal(tiled[name + "_tiles"], whole[name],
                                   equal_nan=True), (rows, name)
         assert np.array_equal(tiled["K_blocks"], whole["K"], equal_nan=True)

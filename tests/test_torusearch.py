@@ -347,8 +347,8 @@ def stage_table(outcome, nodes_per_period, nv):
     so that no stage runs in a forked child, where it is not measured.
     Returns im, the whole build's peak and, for each stage, a list with one
     (start, own) pair per call: start is the memory in use when the call
-    began and own the call's peak above start, all in units of
-    im.A.nbytes."""
+    began and own the call's peak above start, all in units of one (nu, nv)
+    float64 array."""
     calls, peaks = {}, []
 
     def measured(name, fn):
@@ -373,7 +373,7 @@ def stage_table(outcome, nodes_per_period, nv):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    unit = im.A.nbytes
+    unit = im.spec.nu * im.spec.nv * 8
     table = {name: [(start / unit, own / unit) for start, own in pairs]
              for name, pairs in calls.items()}
     return im, max(peaks) / unit, table
@@ -487,10 +487,10 @@ def test_build_raises_the_error_of_a_forked_stage(release_outcome, monkeypatch,
 def test_build_torus_peak_memory(stages_64):
     # the full-grid passes walk row tiles, F, Fhat and the scaled solution
     # are formed per tile from their factors, and the immersion keeps only
-    # f (4 grid arrays), A and B; the lifts keep only their grid rows, so
-    # the peak is set by assemble
+    # f (4 grid arrays), its A and B formed per tile by their readers; the
+    # lifts keep only their grid rows
     _, peak, _ = stages_64
-    assert peak <= 9.0, peak
+    assert peak <= 7.5, peak
 
 
 @pytest.mark.parametrize("stage", ["hopf_flat_map", "stretched_solution"])
@@ -503,30 +503,44 @@ def test_lift_stages_peak_memory(stages_64, stage):
 
 def test_release_build_peak_memory(stages_release):
     _, peak, _ = stages_release
-    assert peak <= 8.5, peak
+    assert peak <= 6.5, peak
 
 
 def test_system_residual_peak_memory(stages_64):
-    # the build's residual of the derived (A, B) walks row tiles and reads
-    # A and B in place, so its own peak is a fraction of one grid array
+    # the build's residual of the derived (A, B) walks row tiles and forms
+    # A and B once per tile's slab, so its own peak is a fraction of one
+    # grid array
     (_, own), = stages_64[2]["system_residual"]
     assert own <= 1.5, own
 
 
 def test_assemble_peak_memory(stages_64):
-    # assemble builds f, A and B; margin, E and Fm are formed per tile where
-    # they are read, and Ahat and Bhat where tangency_check reads them
+    # assemble builds f alone; A, B, the margin, E and Fm are formed per
+    # tile where they are read, and Ahat and Bhat where tangency_check
+    # reads them
     (_, own), = stages_64[2]["assemble"]
-    assert own <= 8.5, own
+    assert own <= 6.0, own
 
 
-def test_immersion_owns_only_f_a_and_b(stages_release):
-    # the angle terms of a Hopf map are broadcast views of one u column
+def test_immersion_owns_only_f(stages_release):
+    # f is the one grid: the source of A and B holds the factors of the
+    # stretched solution and two slots for the last row tiles of (A, B) it
+    # formed, and the angle terms of a Hopf map are broadcast views of one
+    # u column
     im = stages_release[0]
+    nu, nv = im.spec.nu, im.spec.nv
     owned = [a for a in (getattr(im, f.name) for f in dataclasses.fields(im))
              if isinstance(a, np.ndarray) and a.flags.owndata]
-    assert sum(a.nbytes for a in owned) <= 6 * im.A.nbytes
+    assert len(owned) == 1 and owned[0] is im.f
     assert im.cos_w.strides[1] == im.sin_w.strides[1] == 0
+    sol = im.source.sol.sol  # the FactorSolution inside its lambda_rescale
+    factors = [getattr(pf, f.name) for pf in (sol.p, sol.q)
+               for f in dataclasses.fields(pf)]
+    factors += [sol.aR, sol.aRd, im.source.wu]
+    assert max(x.size for x in factors) <= 4 * max(nu, nv)
+    slots = list(im.source._slots.values())
+    assert len(slots) <= 2
+    assert all(x.shape == (fd.TILE_ROWS, nv) for slot in slots for x in slot)
 
 
 def test_build_torus_circle_control():

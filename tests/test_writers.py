@@ -20,13 +20,14 @@ import numpy as np
 import pytest
 
 import flatsurf4.cli as cli
+import flatsurf4.flatmap as flatmap
 from flatsurf4.cli import NAMED_FUNCTIONS, JobConfig, export_obj, run
 from flatsurf4.curve import helix, parse_profile
 from flatsurf4.flatmap import (BLOCK_ROWS, FLATMAP_HEADER, FlatMapGrid,
                                GridSpec, SampledMaps, hopf_flat_map,
                                read_flatmap_csv, write_flatmap_csv,
                                _write_grid_csv, _write_halves)
-from flatsurf4.hypsys import wave_solution
+from flatsurf4.hypsys import SolutionGrid, wave_solution
 from flatsurf4.immersion import (IMMERSION_HEADER, ImmersionGrid,
                                  brioschi_curvature, write_immersion_csv)
 
@@ -238,7 +239,8 @@ def _check_immersion_csv(path, spec, seed):
     A, B, w = (_field(shape, s) for s in (seed, seed + 1, seed + 2))
     with np.errstate(all="ignore"):  # the special values overflow
         cw, sw = np.cos(w), np.sin(w)
-        im = ImmersionGrid(spec, _field(shape + (4,), seed + 4), A, B, cw, sw)
+        im = ImmersionGrid(spec, _field(shape + (4,), seed + 4),
+                           SolutionGrid(spec, A, B), cw, sw)
         write_immersion_csv(im, path)
         E = A * A + B * B
         Fm = (A * A - B * B) * cw + 2.0 * A * B * sw
@@ -276,9 +278,29 @@ def test_helix_csv_bytes(tmp_path):
 @pytest.mark.parametrize("shape", [(3, 4), (80, 60)])
 def test_obj_bytes(tmp_path, shape):
     pts = _field(shape + (4,), 10)
-    xyz = export_obj(pts, tmp_path / "m.obj", projection="drop", drop_index=1)
-    assert np.array_equal(xyz, np.delete(pts, 1, axis=-1), equal_nan=True)
+    project = export_obj(pts, tmp_path / "m.obj", projection="drop",
+                         drop_index=1)
+    xyz = np.delete(pts, 1, axis=-1)
+    assert np.array_equal(project(pts), xyz, equal_nan=True)
     assert (tmp_path / "m.obj").read_bytes() == _obj(xyz)
+
+
+def test_obj_export_holds_no_projected_grid(tmp_path, monkeypatch):
+    # each block of nodes is projected inside the part that writes it, so
+    # export_obj's own peak stays below one (nu, nv) array; small blocks
+    # keep the cost of formatting one block small beside the grid
+    _allow_cpus(monkeypatch, 1)
+    monkeypatch.setattr(flatmap, "BLOCK_ROWS", 256)
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 256)
+    pts = _field((160, 150, 4), 30)
+    tracemalloc.start()
+    try:
+        export_obj(pts, tmp_path / "m.obj", projection="drop", drop_index=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * 150 * 8, peak / (160 * 150 * 8)
+    assert (tmp_path / "m.obj").read_bytes() == _obj(np.delete(pts, 1, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +366,8 @@ def test_split_immersion_csv_same_bytes(tmp_path, cpus):
 def test_split_obj_same_bytes(tmp_path, cpus, shape):
     n_cpus, forks = cpus
     pts = _field(shape + (4,), 28)
-    xyz = export_obj(pts, tmp_path / "m.obj", projection="drop", drop_index=2)
-    assert (tmp_path / "m.obj").read_bytes() == _obj(xyz)
+    export_obj(pts, tmp_path / "m.obj", projection="drop", drop_index=2)
+    assert (tmp_path / "m.obj").read_bytes() == _obj(np.delete(pts, 2, axis=-1))
     assert len(forks) == (n_cpus == 2 and shape == (80, 61))
 
 
@@ -381,8 +403,8 @@ def test_obj_split_anywhere_same_bytes(tmp_path, monkeypatch, at):
 
     monkeypatch.setattr(cli, "_write_halves", write_at_mid)
     pts = _field((nu, nv, 4), 29)
-    xyz = export_obj(pts, tmp_path / "m.obj", projection="drop", drop_index=0)
-    assert (tmp_path / "m.obj").read_bytes() == _obj(xyz)
+    export_obj(pts, tmp_path / "m.obj", projection="drop", drop_index=0)
+    assert (tmp_path / "m.obj").read_bytes() == _obj(np.delete(pts, 0, axis=-1))
     assert len(forks) == 1
     _nothing_left(tmp_path)
 
