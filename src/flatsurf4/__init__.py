@@ -23,9 +23,9 @@ from .hypsys import (FactorSolution, GridSpec, SmoothFn, SolutionGrid,
                      solve_numeric, stretched_solution, system_residual,
                      wave_solution, zero_solution)
 from .immersion import (ImmersionGrid, SphereFit, assemble, auto_lambda,
-                        brioschi_curvature, derived_solution, lambda_rescale,
-                        metric_checks, metric_identity_check, sphere_fit,
-                        tangency_check, verify_frame, write_immersion_csv)
+                        brioschi_curvature, lambda_rescale, metric_checks,
+                        metric_identity_check, sphere_fit, tangency_check,
+                        verify_frame, write_immersion_csv)
 from .quat import (QI, QJ, QK, QONE, ad, fiber_circle, hopf, qconj, qexp_pure,
                    qinv, qmul, qnorm, qnormalize)
 from .torusearch import (HolonomyResult, SearchOutcome, a_n,

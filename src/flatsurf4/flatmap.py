@@ -396,8 +396,8 @@ def hopf_flat_map(k, U, h=1e-2, v_range=(0.0, TWO_PI), hv=None):
     U must be a whole number of k.base_period (when k has one): a partial
     period of a non-constant profile cannot close the torus, so it is
     refused.  Whether the lift closes is not decided here: the torus build
-    finds its closure multiple (torusearch.lift_closure_multiple) and
-    reports closure_u and closure_v.
+    takes its closure multiple from the lift's rational holonomy
+    (torusearch.lift_closure_multiple) and reports closure_u, closure_v.
     """
     T = getattr(k, "base_period", None)
     if T is not None:

@@ -28,8 +28,6 @@ from .flatmap import (AngleFunction, FlatMapGrid, GridSpec, ProductFactors,
                       _hopf_factors, cos_sin)
 from .quat import qconj, qmul
 
-TWO_PI = 2.0 * math.pi
-
 
 # ---------------------------------------------------------------------------
 # small helpers
@@ -106,7 +104,7 @@ def system_residual(sol, omega, derivatives="central"):
     central check reads (alpha, beta) once per tile's slab through
     sol.alpha_beta(slab): sol is a SolutionGrid or any solution with a
     spec and that method, such as the (A, B) of an immersion
-    (immersion.derived_solution), which forms them on the slab.
+    (immersion.Coefficients, its source), which forms them on the slab.
     """
     w = _omega_grid(omega, sol.spec)
     if derivatives not in ("central", "analytic"):

@@ -89,7 +89,7 @@ class Coefficients:
     halo, forms each tile once.
 
     (A, B) solves the system again: a Coefficients is also a solution for
-    system_residual (alpha_beta; see derived_solution)."""
+    system_residual, which reads it by alpha_beta one slab at a time."""
 
     spec: GridSpec
     sol: object
@@ -245,13 +245,6 @@ def metric_identity_check(im: ImmersionGrid, gmap: FlatMapGrid) -> float:
     """tangency_check(im, gmap)["metric_identity"].  Kept as a function
     because the benchmark's tracer times it by name."""
     return tangency_check(im, gmap)["metric_identity"]
-
-
-def derived_solution(im: ImmersionGrid):
-    """(A, B) as a solution of the system, which it solves again: the
-    source of im's coefficients itself, whose alpha_beta(rows) forms them
-    on the rows that system_residual reads (one tile's slab at a time)."""
-    return im.source
 
 
 # ---------------------------------------------------------------------------

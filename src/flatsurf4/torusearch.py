@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,19 +26,18 @@ from .errors import ClosureFailure, NoSignChange, SingularAfterRescale
 from .flatmap import (FlatMapGrid, GridSpec, _hopf_map, hopf_flat_map,
                       verify_flat_map)
 from .hypsys import stretched_solution, system_residual
-from .immersion import (ImmersionGrid, assemble, auto_lambda, derived_solution,
-                        lambda_rescale, metric_checks, sphere_fit,
-                        tangency_check)
-from .quat import qmul, rotation_matrix
+from .immersion import (ImmersionGrid, assemble, auto_lambda, lambda_rescale,
+                        metric_checks, sphere_fit, tangency_check)
+from .quat import QONE, qmul, rotation_matrix
 
 TWO_PI = 2.0 * math.pi
-Q_MAX = 64
-LIFT_CLOSURE_TOL = 1e-6  # |Psi^m - 1| at which the lift counts as closed
+Q_MAX = 64  # the largest denominator rationalize accepts
 RATIONAL_WINDOW = 1e-8
 
 
 def rationalize(x):
-    """Best rational p/q, q <= Q_MAX, within RATIONAL_WINDOW of x (convergents)."""
+    """Best rational p/q, q <= Q_MAX, within RATIONAL_WINDOW of x
+    (convergents): the one closure test of a lift (lift_closure_multiple)."""
     frac = Fraction(x).limit_denominator(Q_MAX)
     if abs(x - float(frac)) <= RATIONAL_WINDOW:
         return frac.numerator, frac.denominator
@@ -50,11 +50,13 @@ def rationalize(x):
 
 @dataclass(frozen=True)
 class HolonomyResult:
+    """The lift monodromy Psi over one period and its rotation Ad(Psi)."""
     rotation: np.ndarray          # (3,3) in SO(3)
     theta: float                  # signed angle in (-pi, pi]
     axis: np.ndarray              # (3,) unit; axis . e3 >= 0
     theta_over_pi: float
     rational: Optional[tuple]     # (p, q) when theta/pi is near-rational
+    monodromy: np.ndarray         # (4,) unit quaternion Psi
 
     @property
     def so3_deviation(self):
@@ -72,7 +74,8 @@ def holonomy(k, h=1e-3) -> HolonomyResult:
     rotation is Ad of the lift monodromy, integrated by Magnus-4 steps of
     size h.  The angle sign follows the convention axis . (c(0) x t(0)) >= 0.
     """
-    R = rotation_matrix(lift_monodromy(k, h))  # columns c, t, c x t
+    psi = lift_monodromy(k, h)
+    R = rotation_matrix(psi)  # columns c, t, c x t
 
     w = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
     cos_theta = 0.5 * (np.trace(R) - 1.0)
@@ -90,7 +93,7 @@ def holonomy(k, h=1e-3) -> HolonomyResult:
         axis = -axis
     theta = math.atan2(float(w @ axis), float(cos_theta))
     top = theta / math.pi
-    return HolonomyResult(R, theta, axis, top, rationalize(top))
+    return HolonomyResult(R, theta, axis, top, rationalize(top), psi)
 
 
 def a_n(k, n, h=1e-3):
@@ -269,22 +272,25 @@ def lift_monodromy(k, h=1e-3):
     return lift_product(k, k.base_period, h)
 
 
-def lift_closure_multiple(k):
-    """Smallest m <= Q_MAX with |Psi^m - 1| < LIFT_CLOSURE_TOL (Magnus
-    steps 1e-3): the lift closes over m T."""
-    psi = lift_monodromy(k)
-    acc = psi.copy()
-    one = np.array([1.0, 0.0, 0.0, 0.0])
-    best = math.inf
-    for m in range(1, Q_MAX + 1):
-        gap = float(np.linalg.norm(acc - one))
-        best = min(best, gap)
-        if gap < LIFT_CLOSURE_TOL:
-            return m, gap
-        acc = qmul(acc, psi)
-    raise ClosureFailure(
-        f"lift fails to close within {Q_MAX} periods (best gap {best:.3e})",
-        best_residual=best)
+def lift_closure_multiple(hol: HolonomyResult):
+    """(M, |Psi^M - 1|): the lift of holonomy hol closes over M periods.
+
+    For theta/pi = p/q (hol.rational), Ad(Psi) has order
+    m = closure_multiple(p, q), so Psi^m = +-1 and M is m, or 2m when
+    Psi^m = -1 (powers by one left-to-right qmul chain).  Otherwise it
+    raises ClosureFailure with the gap to the nearest p/q, q <= Q_MAX."""
+    if hol.rational is None:
+        x = hol.theta_over_pi
+        near = Fraction(x).limit_denominator(Q_MAX)
+        raise ClosureFailure(
+            f"lift holonomy theta/pi = {x:.8f} is not rational, so the lift "
+            f"does not close: the nearest p/q with q <= {Q_MAX} is {near}, "
+            f"{abs(x - near):.3e} away", best_residual=abs(x - near))
+    m = closure_multiple(*hol.rational)
+    power = lambda j: reduce(qmul, [hol.monodromy] * j)
+    if power(m)[0] < 0.0:  # Psi^m = -1
+        m *= 2
+    return m, float(np.linalg.norm(power(m) - QONE))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +333,7 @@ def _diagnostics(gmap: FlatMapGrid, im: ImmersionGrid, lam, fm):
         rep = {"lambda": lam, **metric_checks(im)}
         rep["sphere_rms"] = fit.rms_residual
         rep["sphere_radius"] = fit.radius
-        ra, rb = system_residual(derived_solution(im), gmap.omega_grid)
+        ra, rb = system_residual(im.source, gmap.omega_grid)
         rep["derived_system_residual"] = max(ra, rb)
         rep.update(checks.result())
     rep["frame_residual"] = fm.frame_residual
@@ -343,18 +349,18 @@ def build_perturbed_torus(outcome: SearchOutcome, lam=None, nodes_per_period=96,
                           nv=192):
     """Assemble the flat torus of a validated search outcome.
 
-    Finds a common u-period U = lcm(m1, m2) T of the Hopf surface (lift
-    closure m1) and the pulled-back stretched solution (m2), builds the
-    flat map on [0, U] x [0, 2 pi], rescales the stretched solution by
-    lambda (auto-collapsed if not given) and assembles f with full
-    diagnostics.  Double periodicity of f is enforced within 1e-4;
+    Takes a common u-period U = lcm(m1, m2) T of the Hopf surface (lift
+    closure m1 of the base holonomy) and the pulled-back stretched solution
+    (m2 of the search's holonomy, not integrated again), builds the flat
+    map on [0, U] x [0, 2 pi], rescales the stretched solution by lambda
+    (auto-collapsed if not given) and assembles f with full diagnostics.  Double periodicity of f is enforced within 1e-4;
     flatness, sphere, and nonconstant-angle checks are reported.
     """
     k = outcome.profile
     n = outcome.n
     T = k.base_period
-    m1, gap1 = lift_closure_multiple(k)
-    m2, gap2 = lift_closure_multiple(k.stretch(n))
+    m1, gap1 = lift_closure_multiple(holonomy(k))
+    m2, gap2 = lift_closure_multiple(outcome.achieved)
     # the stretched lift closes over m2 * nT; the pullback at (nu, nv) is
     # then m2 * T periodic in u
     m_common = m1 * m2 // math.gcd(m1, m2)

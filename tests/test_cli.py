@@ -546,6 +546,20 @@ def test_error_report_carries_scan(tmp_path):
     assert all(len(pt) == 2 and abs(pt[1]) < 0.25 for pt in rep["scan"])
 
 
+def test_error_report_names_an_irrational_lift(tmp_path):
+    # the 1/5 root of the search closes the stretched lift, but the base
+    # lift's theta/pi is not rational: no number of periods closes it
+    code, rep = _main_report(tmp_path, "build-torus", "--k0", "1.21321612108222",
+                             "--target", "1/5", "--bracket", "0.8,1.05",
+                             "--h", "0.002")
+    assert code == 1
+    assert rep["error"] == "ClosureFailure"
+    assert rep["message"].startswith(
+        "lift holonomy theta/pi = -0.43733759 is not rational")
+    assert "nearest p/q with q <= 64 is -7/16" in rep["message"]
+    assert rep["best_residual"] == pytest.approx(1.624e-4, abs=1e-7)
+
+
 TWO_CORE_JOBS = {
     "torus": ["build-torus", "--k0", "1.21321612108222", "--target", "1/4",
               "--bracket", "0.9,1.2", "--nodes-per-period", "32", "--nv", "64",

@@ -17,10 +17,9 @@ from flatsurf4.hypsys import (GridSpec, SmoothFn, SolutionGrid,
                               solve_numeric, stretched_solution,
                               system_residual, wave_solution)
 from flatsurf4.immersion import (ImmersionGrid, assemble, auto_lambda,
-                                 brioschi_curvature, derived_solution,
-                                 lambda_rescale, metric_checks,
-                                 metric_identity_check, sphere_fit,
-                                 tangency_check, verify_frame,
+                                 brioschi_curvature, lambda_rescale,
+                                 metric_checks, metric_identity_check,
+                                 sphere_fit, tangency_check, verify_frame,
                                  write_immersion_csv)
 
 TWO_PI = 2 * math.pi
@@ -203,9 +202,8 @@ def test_metric_identity_on_constructed_surfaces(hopf_grid):
 def test_derived_AB_resolves_system(hopf_grid):
     sol = geometric_solution(hopf_grid, a=(1, 0, 0.5, 0), rho=0.2)
     im = assemble(hopf_grid, sol)
-    derived = derived_solution(im)
-    assert derived is im.source  # (A, B) formed per slab, not copied
-    ra, rb = system_residual(derived, hopf_grid.omega_fn)
+    # the source of (A, B) forms them per slab; no copy is made
+    ra, rb = system_residual(im.source, hopf_grid.omega_fn)
     assert max(ra, rb) < 1e-3
 
 
@@ -426,6 +424,26 @@ def test_lambda_zero_is_constant_solution(hopf_grid):
     im = assemble(hopf_grid, r0)
     margin = im.margin(slice(None))
     assert np.max(np.abs(margin - np.sin(hopf_grid.omega_grid))) < 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.0, 1 / 32, 0.5, 0.03])
+def test_rescaled_factor_solution_matches_rescaled_tiles(hopf_grid, lam):
+    # a rescaled FactorSolution, read tile by tile, is each tile rescaled:
+    # with equal bits at a power of two or 0, to rounding at other lambdas
+    sol = stretched_solution(CurvatureProfile(2.0, 0.5, (0.3,)), 2,
+                             hopf_grid.spec)
+    scaled = lambda_rescale(sol, lam)
+    exact = lam == 0.0 or math.log2(lam).is_integer()
+    for rows, slab, core in fd.row_tiles(sol.spec.nu):
+        tile, got = sol.tile(rows, slab, core), scaled.tile(rows, slab, core)
+        ref = {"alpha": 1.0 + lam * tile.alpha, "beta": lam * tile.beta,
+               **{k: lam * getattr(tile, k) for k in
+                  ("alpha_u", "beta_u", "alpha_uu", "beta_uu")}}
+        for name, want in ref.items():
+            if exact:
+                assert np.array_equal(getattr(got, name), want), name
+            else:
+                assert np.max(np.abs(getattr(got, name) - want)) <= 1e-15
 
 
 def test_rescaled_residual_scales_linearly(hopf_grid):

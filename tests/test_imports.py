@@ -1,11 +1,13 @@
-"""Every top-level import of a package module is used in that module, no
-package module imports scipy, and no new knob creeps in.
+"""Every top-level import of a package module is used in that module, every
+module constant is read, no package module imports scipy, and no new knob
+creeps in.
 
 No linter runs on the package, and deleting a code path easily leaves the
-import it needed behind.  The package's __init__.py only re-exports, so it
-is not checked for unused imports.  The package needs only numpy at run
-time (scipy is a test dependency), so an import of scipy anywhere in a
-module, inside a function too, is an error.
+import it needed behind, or the constant (a tolerance, a bound) that only
+it read.  The package's __init__.py only re-exports, so it is not checked
+for unused imports, and its imports read no constant.  The package needs
+only numpy at run time (scipy is a test dependency), so an import of scipy
+anywhere in a module, inside a function too, is an error.
 
 A build forks children through one helper, flatsurf4._fork, which forks,
 reaps and kills them; no other package module calls the os functions that
@@ -52,6 +54,45 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _unread_constants(sources):
+    """(module, name) of every UPPER_CASE name that a module of sources
+    (module -> source) assigns at its top level and no module reads.  A
+    name is read if its module loads it by name, another module imports
+    it by name (and the unused-import check then asks that module to load
+    it), or any module loads it as an attribute (fd.TILE_ROWS)."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    shared = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                shared.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                shared.update(alias.name for alias in node.names)
+    unread = []
+    for module, tree in trees.items():
+        loads = {n.id for n in ast.walk(tree)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, ast.AnnAssign) else [])
+            unread += [(module, t.id) for t in targets
+                       if isinstance(t, ast.Name) and t.id.isupper()
+                       and t.id not in loads | shared]
+    return unread
+
+
+def test_checker_finds_an_unread_constant():
+    sources = {"a": "import b\nTOL = 1e-6\nSTEP = 2\nUSED = 3\n"
+                    "x = USED + b.WIDTH\nTOL2, y = 1, 2\n",
+               "b": "from a import STEP\nWIDTH: int = 4\n_LEFT = 1\n"
+                    "def f():\n    TOL = 0\n    return TOL\n"}
+    assert _unread_constants(sources) == [("a", "TOL"), ("b", "_LEFT")]
+
+
+def test_module_constants_are_read():
+    assert _unread_constants({p.name: p.read_text() for p in MODULES}) == []
 
 
 def _scipy_imports(source):

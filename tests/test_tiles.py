@@ -26,8 +26,8 @@ from flatsurf4.hypsys import stretched_solution, system_residual
 from flatsurf4.immersion import (K_TRIM, _metric_tiles,
                                  _sphere_normal_equations, assemble,
                                  auto_lambda, brioschi_curvature,
-                                 derived_solution, lambda_rescale,
-                                 metric_checks, sphere_fit, tangency_check)
+                                 lambda_rescale, metric_checks, sphere_fit,
+                                 tangency_check)
 from flatsurf4.quat import qmul
 
 K = CurvatureProfile(2.0, 0.5, (0.3,))
@@ -73,7 +73,7 @@ def _results(spec):
            "sphere": (*fit.center, fit.radius, fit.rms_residual),
            "flatmap": list(rep.as_dict().values()),
            "frame": rep.frame_residual,
-           "system_central": system_residual(derived_solution(im), g.omega_grid),
+           "system_central": system_residual(im.source, g.omega_grid),
            "system_analytic": system_residual(sol.grid(), g.omega_fn,
                                               derivatives="analytic"),
            "sphere_sums": np.column_stack(_sphere_normal_equations(im.f))}

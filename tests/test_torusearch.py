@@ -17,8 +17,9 @@ from flatsurf4.errors import (ClosureFailure, NoSignChange,
 from flatsurf4.flatmap import FlatMapGrid
 from flatsurf4.immersion import (assemble, auto_lambda, lambda_rescale,
                                  sphere_fit)
-from flatsurf4.quat import ad, pure, vec
-from flatsurf4.torusearch import (SearchOutcome, a_n, build_perturbed_cylinder,
+from flatsurf4.quat import ad, pure, rotation_matrix, vec
+from flatsurf4.torusearch import (HolonomyResult, SearchOutcome, a_n,
+                                  build_perturbed_cylinder,
                                   build_perturbed_torus,
                                   closure_multiple, holonomy,
                                   holonomy_closure_residual,
@@ -290,14 +291,48 @@ def test_property_p_far_side():
 
 
 def test_lift_closure_circle():
-    m, gap = lift_closure_multiple(CurvatureProfile(T, 1.0))
+    m, gap = lift_closure_multiple(holonomy(CurvatureProfile(T, 1.0)))
     assert m == 2 and gap < 1e-9
 
 
 def test_lift_closure_failure():
     k = CurvatureProfile(T, 1.0, (0.5,))
-    with pytest.raises(ClosureFailure):
-        lift_closure_multiple(k)
+    hol = holonomy(k)
+    with pytest.raises(ClosureFailure) as err:
+        lift_closure_multiple(hol)
+    # the evidence is the distance to the nearest p/q with q <= Q_MAX
+    x = hol.theta_over_pi
+    assert f"{x:.8f} is not rational" in str(err.value)
+    assert 1e-8 < err.value.best_residual == min(
+        abs(x - p / q) for q in range(1, 65) for p in range(-q, q + 1))
+
+
+def test_lift_closure_beyond_q_max_periods():
+    # theta/pi = 1/33: Ad(Psi) has order 66 and Psi^66 = -1, so the lift
+    # closes over 132 periods, more than Q_MAX = 64
+    half = math.pi / 66
+    psi = np.array([math.cos(half), 0.0, 0.0, math.sin(half)])
+    hol = HolonomyResult(rotation_matrix(psi), 2 * half,
+                         np.array([0.0, 0.0, 1.0]), 1 / 33, (1, 33), psi)
+    m, gap = lift_closure_multiple(hol)
+    assert m == 132 and gap < 1e-13
+
+
+def test_build_integrates_only_the_base_monodromy(release_outcome,
+                                                  monkeypatch):
+    # the stretched lift's monodromy comes with the search outcome
+    # (outcome.achieved), so the build integrates the base lift's alone
+    calls, real = [], torusearch.lift_product
+
+    def counted(k, *args):
+        calls.append(k)
+        return real(k, *args)
+
+    monkeypatch.setattr(torusearch, "lift_product", counted)
+    _, rep = build_perturbed_torus(release_outcome, nodes_per_period=32, nv=64)
+    assert calls == [release_outcome.profile]
+    assert (rep["lift_period_multiple"],
+            rep["stretched_period_multiple"]) == (8, 16)
 
 
 # ---------------------------------------------------------------------------
