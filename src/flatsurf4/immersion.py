@@ -32,7 +32,7 @@ from .errors import (DegenerateMetric, GridMismatch, NoLambdaFound,
                      PreconditionViolated)
 from .flatmap import (FlatMapGrid, GridSpec, _write_grid_csv, cos_sin,
                       verify_flat_map)
-from .hypsys import DERIVATIVE_FIELDS, SolutionGrid
+from .hypsys import DERIVATIVE_FIELDS, FactorSolution, SolutionGrid
 
 K_TRIM = 4  # Brioschi needs second derivatives of first derivatives
 
@@ -78,8 +78,8 @@ class Coefficients:
     """The coefficients (A, B) of the solution sol on the grid spec, on any
     u-rows: sol is read on the row tiles (fd.row_tiles, the tiles assemble
     read it on) that hold the rows, and A and B follow by _coefficients,
-    wu being the (nu, 1) column of w_u.  sol is a SolutionGrid, a
-    hypsys.FactorSolution or a lambda_rescale of one.
+    wu being the (nu, 1) column of w_u.  sol is a SolutionGrid or a
+    hypsys.FactorSolution.
 
     A FactorSolution's products can give a row other bits in another row
     set (see _fd); formed on its own tile, each node has one (A, B)
@@ -166,11 +166,11 @@ def _margin(A, B, cw, sw):
 def assemble(gmap: FlatMapGrid, sol) -> ImmersionGrid:
     """Evaluate the representation formula on matching grids.
 
-    sol is a SolutionGrid, a hypsys.FactorSolution or a lambda_rescale of
-    one; it is read tile by tile (sol.tile), and so are the flat map
-    (gmap.maps) and its u-frame, so the one grid built is f.  The
-    immersion keeps sol as the source of its coefficients (Coefficients),
-    which its readers form per row tile or block.
+    sol is a SolutionGrid or a hypsys.FactorSolution; it is read tile by
+    tile (sol.tile), and so are the flat map (gmap.maps) and its u-frame,
+    so the one grid built is f.  The immersion keeps sol as the source of
+    its coefficients (Coefficients), which its readers form per row tile
+    or block.
     """
     if not sol.spec.same_geometry(gmap.spec):
         raise GridMismatch("flat map and solution grids differ")
@@ -370,51 +370,40 @@ def sphere_fit(grid) -> SphereFit:
 
     Solves |f|^2 = 2 <f, a> + (rho^2 - |a|^2) in the unknowns (a, const)
     with a tiny ridge so exactly spherical data stays well posed, then
-    reports the rms of |f - a| - rho.  The normal equations are summed and
-    the distances taken in tiles of u-rows (fd.row_tiles).
+    reports the rms of |f - a| - rho.  The normal equations and the
+    squared distances are summed in tiles of u-rows (fd.row_tiles), the
+    tile sums of the distances by math.fsum, so no grid is kept.
     """
-    if grid.shape[0] * grid.shape[1] < 5:
+    n = grid.shape[0] * grid.shape[1]
+    if n < 5:
         raise ValueError("sphere fit needs at least 5 points")
     M, r = _sphere_normal_equations(grid)
     x = np.linalg.solve(M + 1e-12 * np.eye(5), r)
     center = x[:4]
     rad2 = x[4] + float(center @ center)
     radius = math.sqrt(max(rad2, 0.0))
-    dist = np.empty(grid.shape[:2])
-    for rows, _, _ in fd.row_tiles(grid.shape[0]):
-        dist[rows] = np.linalg.norm(grid[rows] - center, axis=-1) - radius
-    dist **= 2
-    return SphereFit(center, radius, float(np.sqrt(np.mean(dist.reshape(-1)))))
+    dist = lambda rows: np.linalg.norm(grid[rows] - center, axis=-1) - radius
+    squares = math.fsum(np.sum(dist(rows) ** 2)
+                        for rows, _, _ in fd.row_tiles(grid.shape[0]))
+    return SphereFit(center, radius, math.sqrt(squares / n))
 
 
 # ---------------------------------------------------------------------------
 # lambda rescaling (the collapse toward the unperturbed Hopf surface)
 
 
-@dataclass(frozen=True)
-class _Rescaled:
-    """lambda_rescale of a solution that is read tile by tile: each tile is
-    rescaled where it is read."""
-
-    spec: GridSpec
-    sol: object
-    lam: float
-
-    def tile(self, rows, slab, core):
-        return lambda_rescale(self.sol.tile(rows, slab, core), self.lam)
-
-
 def lambda_rescale(sol, lam):
-    """(alpha, beta) -> (1 + lam alpha, lam beta); still a solution.
+    """(alpha, beta) -> (1 + lam alpha, lam beta), a solution of sol's type.
 
-    A SolutionGrid is rescaled whole; any other solution (a
-    hypsys.FactorSolution) tile by tile where assemble reads it, with the
-    same arithmetic on each node.
+    A hypsys.FactorSolution is linear in its blocks aR, aRd and in rho:
+    its rescaling is the FactorSolution with blocks lam aR, lam aRd and
+    rho 1 + lam rho.  A SolutionGrid is rescaled field by field.
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    if not isinstance(sol, SolutionGrid):
-        return _Rescaled(sol.spec, sol, lam)
+    if isinstance(sol, FactorSolution):
+        return replace(sol, aR=lam * sol.aR, aRd=lam * sol.aRd,
+                       rho=1.0 + lam * sol.rho)
     scale = lambda arr: None if arr is None else lam * arr
     return replace(sol, alpha=1.0 + lam * sol.alpha, beta=lam * sol.beta,
                    **{k: scale(getattr(sol, k)) for k in DERIVATIVE_FIELDS})
@@ -427,13 +416,13 @@ def auto_lambda(gmap: FlatMapGrid, sol):
     in lambda, sin w + 2 lam (A1 sin w - B1 cos w) + lam^2 margin_1 with
     (A1, B1) the coefficients of the unscaled solution, and it depends
     only on A, B and w.  So no f and no frame derivative is built: each
-    halving reads sol tile by tile (sol.tile, fd.row_tiles, the tiles the
-    immersion's Coefficients read), rescales the tile and forms A, B and
-    the margin by the same code as the immersion, so the margin tested
-    here is the one the assembled immersion would report, and neither a
-    whole solution nor a rescaled copy is held.  As lambda -> 0 the
-    margin converges uniformly to sin w, so this terminates whenever
-    sin w is bounded away from zero on the grid.
+    halving forms one lambda_rescale of sol and reads it tile by tile
+    (tile, fd.row_tiles, the tiles the immersion's Coefficients read),
+    forming A, B and the margin by the same code as the immersion, so the
+    margin tested here is the one the assembled immersion would report.
+    A halving ends at its first tile whose interior margin fails.  As
+    lambda -> 0 the margin converges uniformly to sin w, so this
+    terminates whenever sin w is bounded away from zero on the grid.
     """
     if not sol.spec.same_geometry(gmap.spec):
         raise GridMismatch("flat map and solution grids differ")
@@ -443,16 +432,17 @@ def auto_lambda(gmap: FlatMapGrid, sol):
         raise NoLambdaFound(
             f"min sin w = {s_min:.3e} is not positive; no margin target exists")
     nu = gmap.spec.nu
+
+    def clears(scaled, rows, slab, core):
+        A, B = _coefficients(scaled.tile(rows, slab, core), wu[rows])
+        margin = _margin(A, B, cw[rows], sw[rows])
+        return (np.min(fd.tile_interior(margin, rows, nu), initial=np.inf)
+                > 0.5 * s_min)
+
     lam = 1.0
     while lam >= 1e-12:
-        minima = []
-        for rows, slab, core in fd.row_tiles(nu):
-            part = lambda_rescale(sol.tile(rows, slab, core), lam)
-            A, B = _coefficients(part, wu[rows])
-            margin = _margin(A, B, cw[rows], sw[rows])
-            minima.append(np.min(fd.tile_interior(margin, rows, nu),
-                                 initial=np.inf))
-        if float(np.min(minima)) > 0.5 * s_min:
+        scaled = lambda_rescale(sol, lam)
+        if all(clears(scaled, *tile) for tile in fd.row_tiles(nu)):
             return lam
         lam *= 0.5
     raise NoLambdaFound("lambda underflowed 1e-12 without clearing "

@@ -192,6 +192,7 @@ class SearchOutcome:
     achieved: HolonomyResult
     target: tuple
     parameter: float
+    h: float  # the Magnus step of the search
     closure_multiple: int = 1
     closure_residual: float = math.nan
 
@@ -260,7 +261,8 @@ def search_rational(family: Callable[[float], CurvatureProfile], n, target,
         raise ClosureFailure(
             f"stretched curve misses closure after {m_star} periods "
             f"(residual {residual:.3e})", best_residual=residual)
-    return SearchOutcome(profile, n, ach, (p, q), eps_root, m_star, residual)
+    return SearchOutcome(profile, n, ach, (p, q), eps_root, h, m_star,
+                         residual)
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +301,9 @@ def lift_closure_multiple(hol: HolonomyResult):
 
 def _assemble_stretched(gmap: FlatMapGrid, k, n, lam):
     """(immersion, diagnostics) of the n-stretched solution on gmap's grid;
-    lambda comes from auto_lambda when lam is None.  The solution is held
-    as its factors (hypsys.FactorSolution), and auto_lambda and assemble
-    form and rescale it tile by tile, as they form F and Fhat.
+    lambda comes from auto_lambda when lam is None.  The solution and its
+    lambda_rescale are held as factors (hypsys.FactorSolution), which
+    auto_lambda and assemble read tile by tile, as they form F and Fhat.
 
     The flat map is checked first: verify_flat_map needs no immersion.  On
     two allowed CPUs a forked child (_fork.Forked) runs it while this
@@ -325,9 +327,7 @@ def _diagnostics(gmap: FlatMapGrid, im: ImmersionGrid, lam, fm):
     allowed CPUs a forked child runs it while this process runs
     sphere_fit, metric_checks and system_residual, and it sends back its
     three keys (tangency_u, tangency_v, metric_identity).  An error of this
-    process's checks wins; the child is then killed and reaped.  sphere_fit
-    comes first: its grid of distances is the largest array the checks
-    build, and it then sits on no tile slot of the walks over (A, B)."""
+    process's checks wins; the child is then killed and reaped."""
     with Forked.after(tangency_check, im, gmap) as checks:
         fit = sphere_fit(im.f)
         rep = {"lambda": lam, **metric_checks(im)}
@@ -350,16 +350,18 @@ def build_perturbed_torus(outcome: SearchOutcome, lam=None, nodes_per_period=96,
     """Assemble the flat torus of a validated search outcome.
 
     Takes a common u-period U = lcm(m1, m2) T of the Hopf surface (lift
-    closure m1 of the base holonomy) and the pulled-back stretched solution
-    (m2 of the search's holonomy, not integrated again), builds the flat
-    map on [0, U] x [0, 2 pi], rescales the stretched solution by lambda
-    (auto-collapsed if not given) and assembles f with full diagnostics.  Double periodicity of f is enforced within 1e-4;
-    flatness, sphere, and nonconstant-angle checks are reported.
+    closure m1 of the base holonomy at the search's step outcome.h) and
+    the pulled-back stretched solution (m2 of the search's holonomy, not
+    integrated again), builds the flat map on [0, U] x [0, 2 pi], rescales
+    the stretched solution by lambda (auto-collapsed if not given) and
+    assembles f with full diagnostics.  Double periodicity of f is
+    enforced within 1e-4; flatness, sphere, and nonconstant-angle checks
+    are reported.
     """
     k = outcome.profile
     n = outcome.n
     T = k.base_period
-    m1, gap1 = lift_closure_multiple(holonomy(k))
+    m1, gap1 = lift_closure_multiple(holonomy(k, outcome.h))
     m2, gap2 = lift_closure_multiple(outcome.achieved)
     # the stretched lift closes over m2 * nT; the pullback at (nu, nv) is
     # then m2 * T periodic in u

@@ -94,4 +94,4 @@ def circle_outcome(k0):
     profile = CurvatureProfile(math.pi, k0)
     ach = holonomy(profile.stretch(2))
     residual = holonomy_closure_residual(profile.stretch(2), 1)
-    return SearchOutcome(profile, 2, ach, (0, 1), 0.0, 1, residual)
+    return SearchOutcome(profile, 2, ach, (0, 1), 0.0, 1e-3, 1, residual)

@@ -11,8 +11,9 @@ from flatsurf4.errors import (DegenerateMetric, GridMismatch, NoLambdaFound,
 from flatsurf4.flatmap import (FlatMapGrid, SampledMaps, clifford_flat_map,
                                helix_product_map, hopf_flat_map, linear_angle,
                                verify_flat_map)
-from flatsurf4.hypsys import (GridSpec, SmoothFn, SolutionGrid,
-                              constant_solution, exponential_solution,
+from flatsurf4.hypsys import (FactorSolution, GridSpec, SmoothFn,
+                              SolutionGrid, constant_solution,
+                              exponential_solution,
                               geometric_solution, helical_angle_solution,
                               solve_numeric, stretched_solution,
                               system_residual, wave_solution)
@@ -409,7 +410,12 @@ def test_stretched_solution_leaves_spheres():
     g = hopf_flat_map(k, 2 * T, h=0.01, v_range=(0.0, TWO_PI), hv=0.02)
     sol = stretched_solution(k, 2, g.spec)
     im = assemble(g, sol)
-    assert sphere_fit(im.f).rms_residual > 1e-2
+    fit = sphere_fit(im.f)
+    assert fit.rms_residual > 1e-2
+    # the fsum of the row tiles' squared distances is their whole-grid mean
+    dist = np.linalg.norm(im.f - fit.center, axis=-1) - fit.radius
+    assert fit.rms_residual == pytest.approx(np.sqrt(np.mean(dist ** 2)),
+                                             rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +439,7 @@ def test_rescaled_factor_solution_matches_rescaled_tiles(hopf_grid, lam):
     sol = stretched_solution(CurvatureProfile(2.0, 0.5, (0.3,)), 2,
                              hopf_grid.spec)
     scaled = lambda_rescale(sol, lam)
+    assert type(scaled) is FactorSolution
     exact = lam == 0.0 or math.log2(lam).is_integer()
     for rows, slab, core in fd.row_tiles(sol.spec.nu):
         tile, got = sol.tile(rows, slab, core), scaled.tile(rows, slab, core)

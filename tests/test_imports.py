@@ -9,6 +9,10 @@ for unused imports, and its imports read no constant.  The package needs
 only numpy at run time (scipy is a test dependency), so an import of scipy
 anywhere in a module, inside a function too, is an error.
 
+A private module-level function or class must be named somewhere in the
+package, so that a deletion does not leave behind the helper that only the
+deleted code called.
+
 A build forks children through one helper, flatsurf4._fork, which forks,
 reaps and kills them; no other package module calls the os functions that
 do so, so the helper's child-and-reap protocol stays the only one.
@@ -93,6 +97,44 @@ def test_checker_finds_an_unread_constant():
 
 def test_module_constants_are_read():
     assert _unread_constants({p.name: p.read_text() for p in MODULES}) == []
+
+
+def _unreferenced_private(sources):
+    """(module, name) of every private function or class (a name with one
+    leading underscore, not a dunder) that a module of sources (module ->
+    source) defines at its top level and no module of sources names: by
+    a bare name, an attribute (fd._check_interior) or an import."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+    return [(module, node.name) for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")
+            and node.name not in named]
+
+
+def test_checker_finds_an_unreferenced_private_definition():
+    sources = {"a": "import b\ndef _used():\n    return b._NAMED\n"
+                    "def _left():\n    return _used()\nclass _Gone:\n"
+                    "    def _method(self):\n        pass\n",
+               "b": "from a import _left\nclass _NAMED:\n    pass\n"
+                    "async def _idle():\n    pass\n"
+                    "def __getattr__(name):\n    pass\n"}
+    assert _unreferenced_private(sources) == [("a", "_Gone"), ("b", "_idle")]
+
+
+def test_private_definitions_are_referenced():
+    assert _unreferenced_private(
+        {p.name: p.read_text() for p in PACKAGE_FILES}) == []
 
 
 def _scipy_imports(source):

@@ -15,6 +15,7 @@ from flatsurf4.curve import CurvatureProfile, QuasiPeriodicProfile, asymptotic_l
 from flatsurf4.errors import (ClosureFailure, NoSignChange,
                               SingularAfterRescale)
 from flatsurf4.flatmap import FlatMapGrid
+from flatsurf4.hypsys import FactorSolution
 from flatsurf4.immersion import (assemble, auto_lambda, lambda_rescale,
                                  sphere_fit)
 from flatsurf4.quat import ad, pure, rotation_matrix, vec
@@ -335,6 +336,27 @@ def test_build_integrates_only_the_base_monodromy(release_outcome,
             rep["stretched_period_multiple"]) == (8, 16)
 
 
+def test_build_takes_the_base_monodromy_at_the_search_step(monkeypatch):
+    # build-torus --h 0.002: the base lift's monodromy is integrated at the
+    # step of the search that gave the stretched one, not at the default
+    out = search_rational(single_harmonic_family(K0_STAR, T), 2, TARGET,
+                          BRACKET, h=0.002)
+    assert out.h == 0.002
+    steps, real = [], torusearch.lift_product
+
+    def counted(k, span, h):
+        steps.append(h)
+        return real(k, span, h)
+
+    monkeypatch.setattr(torusearch, "lift_product", counted)
+    _, rep = build_perturbed_torus(out, nodes_per_period=32, nv=64)
+    assert steps == [0.002]
+    base = lift_closure_multiple(holonomy(out.profile, 0.002))[1]
+    stretched = lift_closure_multiple(out.achieved)[1]
+    assert rep["lift_closure_gap"] == base > stretched
+    assert base != lift_closure_multiple(holonomy(out.profile))[1]
+
+
 # ---------------------------------------------------------------------------
 # torus assembly
 
@@ -568,7 +590,7 @@ def test_immersion_owns_only_f(stages_release):
              if isinstance(a, np.ndarray) and a.flags.owndata]
     assert len(owned) == 1 and owned[0] is im.f
     assert im.cos_w.strides[1] == im.sin_w.strides[1] == 0
-    sol = im.source.sol.sol  # the FactorSolution inside its lambda_rescale
+    sol = im.source.sol  # the lambda_rescale of the stretched solution
     factors = [getattr(pf, f.name) for pf in (sol.p, sol.q)
                for f in dataclasses.fields(pf)]
     factors += [sol.aR, sol.aRd, im.source.wu]
@@ -669,6 +691,17 @@ def test_auto_lambda_matches_assembly_loop_on_release_torus(release_outcome,
         monkeypatch, lambda: build_perturbed_torus(release_outcome))
     assert gmap.maps(slice(None))[0].shape == (1537, 193, 4)
     assert _check_auto_lambda(gmap, sol) == 0.03125
+    # a halving ends at its first failing tile: the six halvings form at
+    # most 32 of their 6 x 25 row tiles
+    tiles, real = [], FactorSolution.tile
+
+    def counted(self, *args):
+        tiles.append(args[0])
+        return real(self, *args)
+
+    monkeypatch.setattr(FactorSolution, "tile", counted)
+    assert auto_lambda(gmap, sol) == 1 / 32
+    assert len(tiles) <= 32
 
 
 def test_auto_lambda_matches_assembly_loop_on_cylinder(quasi_profile,
