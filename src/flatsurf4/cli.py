@@ -148,9 +148,10 @@ Kind = namedtuple("Kind", "test rule convert")
 
 
 def numbers(n):
-    """The kind of a list of n real numbers; its flag takes a JSON list."""
+    """The kind of a list of n finite numbers; its flag takes a JSON list."""
     return Kind(lambda v: isinstance(v, (list, tuple)) and len(v) == n
-                and all(map(_real, v)), f"{{key}} must hold {n} numbers", json.loads)
+                and all(map(_real, v)),
+                f"{{key}} must hold {n} numbers, all finite", json.loads)
 
 
 def choice(*options):
@@ -161,7 +162,7 @@ def choice(*options):
 
 
 STEP = Kind(lambda v: _real(v) and v > 0,
-            "step size {key} must be a positive number", float)
+            "step size {key} must be a positive finite number", float)
 COUNT = Kind(lambda v: type(v) is int and v > 0, "{key} must be a positive integer", int)
 NODES = COUNT._replace(rule="node count " + COUNT.rule)
 REAL = Kind(_real, "{key} must be a number", float)
@@ -244,8 +245,8 @@ def _periodic_profile(text):
 
 def _parse_bracket(text):
     ends = [float(x) for x in text.split(",")]
-    if len(ends) != 2 or not ends[0] < ends[1]:
-        raise ValueError(f"bracket {text!r} must be lo,hi with lo < hi")
+    if len(ends) != 2 or not all(map(_real, ends)) or not ends[0] < ends[1]:
+        raise ValueError(f"bracket {text!r} must be finite lo,hi with lo < hi")
     return tuple(ends)
 
 

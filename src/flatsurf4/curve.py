@@ -8,6 +8,7 @@ with speed ds/du = 2/sqrt(1 + k(u)^2).
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,19 +122,20 @@ class QuasiPeriodicProfile:
 
 
 def _real(x):
-    """True if x is an int or a float, and not a bool."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """True if x is an int or a float, finite and not a bool."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 def parse_profile(text):
     """The profile of a JSON object: {"k0", "terms"} for a
     QuasiPeriodicProfile, else {"T", "k0", "cos", "sin"} for a
-    CurvatureProfile (the form CurvatureProfile.to_json writes).  JSON of
-    any other shape raises ValueError naming the two forms."""
+    CurvatureProfile (the form CurvatureProfile.to_json writes).  Other
+    JSON, or inf or nan in it, raises ValueError naming the two forms."""
     d = json.loads(text)
     try:
-        if not isinstance(d, dict) or not all(
-                isinstance(d.get(key, 0.0), (int, float)) for key in ("T", "k0")):
+        if not isinstance(d, dict) or not all(map(_real, [
+                d.get("T", 0), d.get("k0", 0), *d.get("cos", ()), *d.get("sin", ())])):
             raise TypeError
         if "terms" not in d:
             return CurvatureProfile(d["T"], d.get("k0", 0.0),
@@ -142,7 +144,7 @@ def parse_profile(text):
     except (TypeError, KeyError) as exc:
         raise ValueError('a profile is a JSON object {"T", "k0", "cos", "sin"} '
                          '(periodic, T required) or {"k0", "terms"} '
-                         f"(quasi-periodic); got {text}") from exc
+                         f"(quasi-periodic) of finite numbers; got {text}") from exc
     if any(len(t) != 3 or not all(map(_real, t)) for t in terms):
         raise ValueError("each profile term must be [amplitude, frequency, "
                          f"phase]; got {d['terms']!r}")

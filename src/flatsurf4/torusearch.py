@@ -74,7 +74,7 @@ def holonomy(k, h=1e-3) -> HolonomyResult:
     rotation is Ad of the lift monodromy, integrated by Magnus-4 steps of
     size h.  The angle sign follows the convention axis . (c(0) x t(0)) >= 0.
     """
-    psi = lift_monodromy(k, h)
+    psi = lift_product(k, k.base_period, h)  # a(u + T) = a(u) Psi
     R = rotation_matrix(psi)  # columns c, t, c x t
 
     w = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
@@ -104,9 +104,14 @@ def a_n(k, n, h=1e-3):
     return holonomy(k.stretch(n), h=h).theta_over_pi
 
 
+def _power(psi, m):
+    """Psi^m by one left-to-right qmul chain: a(mT) for a(0) = 1."""
+    return reduce(qmul, [psi] * m)
+
+
 def _frame_gap(a):
-    """Mismatch of the frame Ad(a)(i, j) carried by the lift value a
-    against its start (i, j)."""
+    """Mismatch of the frame Ad(a)(i, j) against its start (i, j); for
+    a = Psi^m it is the curve's closure gap after m periods."""
     R = rotation_matrix(a)
     c1, t1 = R[:, 0], R[:, 1]
     return float(max(np.linalg.norm(c1 - np.array([1.0, 0.0, 0.0])),
@@ -114,12 +119,10 @@ def _frame_gap(a):
 
 
 def holonomy_closure_residual(k, multiples=1, h=1e-3):
-    """Frame gap after tracing the given number of base periods.
-
-    This is the brute-force closure check: integrate straight through
-    (no monodromy shortcut; Magnus-4 steps of size h over all the periods)
-    and measure the endpoint frame mismatch.
-    """
+    """Frame gap after the given number of base periods, by brute force
+    (Magnus-4 steps of size h straight through): the tests' reference for
+    search_rational's closure_residual, kept by name for the benchmark's
+    tracer.  No package code calls it."""
     return _frame_gap(lift_product(k, multiples * k.base_period, h))
 
 
@@ -221,8 +224,8 @@ def search_rational(family: Callable[[float], CurvatureProfile], n, target,
     bracket are scanned for a sign change first; a scan without one raises
     NoSignChange carrying the sampled (eps, a_n) values, which covers the
     possibility that a_n is constant on the family.  The root is then
-    validated by integrating straight through its closure multiple; a
-    frame gap above 1e-4 raises ClosureFailure.
+    validated from its stretched holonomy's monodromy Psi: a frame gap of
+    Psi^m (m = closure_multiple(p, q)) above 1e-4 raises ClosureFailure.
     """
     p, q = target
     t_val = p / q
@@ -255,8 +258,7 @@ def search_rational(family: Callable[[float], CurvatureProfile], n, target,
     ach = holonomy(profile.stretch(n), h=h)
 
     m_star = closure_multiple(p, q)
-    residual = holonomy_closure_residual(profile.stretch(n), multiples=m_star,
-                                         h=h)
+    residual = _frame_gap(_power(ach.monodromy, m_star))
     if residual > 1e-4:
         raise ClosureFailure(
             f"stretched curve misses closure after {m_star} periods "
@@ -266,12 +268,7 @@ def search_rational(family: Callable[[float], CurvatureProfile], n, target,
 
 
 # ---------------------------------------------------------------------------
-# lift monodromy (periods of the Hopf surface in the u direction)
-
-
-def lift_monodromy(k, h=1e-3):
-    """Quaternion Psi with a(u + T) = a(u) Psi for the asymptotic lift."""
-    return lift_product(k, k.base_period, h)
+# lift closure (periods of the Hopf surface in the u direction)
 
 
 def lift_closure_multiple(hol: HolonomyResult):
@@ -289,10 +286,9 @@ def lift_closure_multiple(hol: HolonomyResult):
             f"does not close: the nearest p/q with q <= {Q_MAX} is {near}, "
             f"{abs(x - near):.3e} away", best_residual=abs(x - near))
     m = closure_multiple(*hol.rational)
-    power = lambda j: reduce(qmul, [hol.monodromy] * j)
-    if power(m)[0] < 0.0:  # Psi^m = -1
+    if _power(hol.monodromy, m)[0] < 0.0:  # Psi^m = -1
         m *= 2
-    return m, float(np.linalg.norm(power(m) - QONE))
+    return m, float(np.linalg.norm(_power(hol.monodromy, m) - QONE))
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,41 @@ def test_bad_input_gives_error_report(tmp_path, capsys, argv, needle):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["search-rational", "--k0", "1.2", "--T", "inf", "--target", "1/4",
+      "--bracket", "0.9,1.2"], "T must be a number, got inf"),
+    (["build-cylinder", "--profile", '{"k0": 0.8, "terms": [[0.1, 2.0, 0.0]]}',
+      "--u-window", "[0, Infinity]"], "u_window must hold 2 numbers, all finite"),
+    (["solve", "--family", "wave", "--u-range", "[0, Infinity]"],
+     "u_range must hold 2 numbers, all finite"),
+    (["build-torus", "--k0", "1.21321612108222", "--target", "1/4",
+      "--bracket", "0.9,1.2", "--lam", "nan"], "lam must be a number, got nan"),
+    (["hopf-torus", "--profile", '{"T": Infinity, "k0": 1}'],
+     "of finite numbers"),
+    (["hopf-torus", "--profile", '{"T": 2, "k0": 1, "cos": [Infinity]}'],
+     "of finite numbers"),
+    (["search-rational", "--k0", "1.2", "--target", "1/4",
+      "--bracket", "0.9,inf"], "must be finite lo,hi"),
+])
+def test_non_finite_input_is_refused(tmp_path, capfd, argv, needle):
+    # inf and nan fail the parameter checks: no OverflowError, no warning
+    code, rep = _main_report(tmp_path, *argv)
+    assert code == 1
+    assert rep["error"] == "ValueError"
+    assert needle in rep["message"]
+    assert capfd.readouterr().err == ""
+
+
+def test_integer_beyond_the_largest_float_is_refused(tmp_path, capfd):
+    # JSON reads 10**400 as an int; float() of it would raise OverflowError
+    cfg = tmp_path / "job.json"
+    cfg.write_text('{"command": "helix", "params": {"r": 1%s}}' % ("0" * 400))
+    code, rep = _main_report(tmp_path, "--config", str(cfg))
+    assert (code, rep["error"]) == (1, "ValueError")
+    assert rep["message"].startswith("r must be a number, got 1000")
+    assert capfd.readouterr().err == ""
+
+
 @pytest.mark.parametrize("argv,key", [
     (["solve", "--family", "geometric", "--h", "0.02"], "profile"),
     (["build-cylinder", "--n", "3", "--lam", "0.02", "--h", "0.05", "--nv", "64"],

@@ -17,7 +17,7 @@ A build forks children through one helper, flatsurf4._fork, which forks,
 reaps and kills them; no other package module calls the os functions that
 do so, so the helper's child-and-reap protocol stays the only one.
 
-Optional parameters were cut from 121 to 54, and settings such as the
+Optional parameters were cut from 121 to 51, and settings such as the
 tile height of the full-grid passes are module constants: the count of
 optional parameters may not grow, and no package file reads the
 environment.  The CLI's flags are the keys of its parameter tables (with
@@ -201,7 +201,7 @@ def test_only_the_fork_helper_forks(path):
         assert _process_calls(path.read_text()) == []
 
 
-MAX_OPTIONAL_PARAMETERS = 52
+MAX_OPTIONAL_PARAMETERS = 51
 
 
 def _optional_parameters(source):

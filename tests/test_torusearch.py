@@ -24,7 +24,7 @@ from flatsurf4.torusearch import (HolonomyResult, SearchOutcome, a_n,
                                   build_perturbed_torus,
                                   closure_multiple, holonomy,
                                   holonomy_closure_residual,
-                                  lift_closure_multiple, lift_monodromy,
+                                  lift_closure_multiple,
                                   rationalize,
                                   search_rational, single_harmonic_family,
                                   _brentq)
@@ -95,7 +95,7 @@ def test_holonomy_is_ad_of_lift_monodromy():
               CurvatureProfile(2.5, 0.6, (0.2, -0.1), (0.15,)),
               CurvatureProfile(T, K0_STAR, (1.09,)).stretch(2)):
         R = holonomy(k).rotation
-        assert np.max(np.abs(R - _ad_matrix(lift_monodromy(k)))) < 1e-11
+        assert np.max(np.abs(R - _ad_matrix(holonomy(k).monodromy))) < 1e-11
         end = asymptotic_lift(k, (0.0, k.base_period), h=1e-3).samples[-1]
         assert np.max(np.abs(R - _ad_matrix(end))) < 1e-11
 
@@ -234,6 +234,45 @@ def test_brentq_endpoint_roots_and_sign_error():
     assert _brentq(lambda x: x - 2, 1.0, 2.0, 1e-10) == 2.0
     with pytest.raises(ValueError, match="different signs"):
         _brentq(lambda x: x * x + 1, -1.0, 1.0, 1e-10)
+
+
+def test_search_integrates_one_period_per_evaluation(monkeypatch):
+    # the root is validated from the monodromy of its holonomy, not by
+    # integrating the stretched lift through its closure multiple
+    spans, real = [], torusearch.lift_product
+
+    def counted(k, span, h):
+        spans.append(span / k.base_period)
+        return real(k, span, h)
+
+    monkeypatch.setattr(torusearch, "lift_product", counted)
+    out = search_rational(single_harmonic_family(K0_STAR, T), 2, TARGET,
+                          BRACKET)
+    assert out.closure_multiple == 8
+    assert spans and set(spans) == {1.0}
+
+
+@pytest.mark.parametrize("target, bracket, h", [((1, 4), BRACKET, 1e-3),
+                                                ((1, 5), (0.8, 1.05), 2e-3)],
+                         ids=["1/4", "1/5"])
+def test_closure_residual_matches_the_brute_force(target, bracket, h):
+    # the benchmark's two searches: the m-th power of the monodromy and a
+    # lift integrated straight through m periods give the same frame gap
+    out = search_rational(single_harmonic_family(K0_STAR, T), 2, target,
+                          bracket, h=h)
+    brute = holonomy_closure_residual(out.profile.stretch(2),
+                                      out.closure_multiple, h)
+    assert abs(out.closure_residual - brute) < 5e-14
+
+
+def test_search_validates_a_target_beyond_q_max():
+    # 1/65 has q > Q_MAX, so rationalize does not see it, but the search
+    # still validates its root over closure_multiple(1, 65) = 130 periods
+    out = search_rational(single_harmonic_family(1.0, T), 2, (1, 65),
+                          (0.0, 0.6))
+    assert out.achieved.rational is None
+    assert out.closure_multiple == 130
+    assert out.closure_residual < 1e-9
 
 
 def test_brentq_port_fails_to_converge_where_scipy_does():
